@@ -30,6 +30,7 @@ import (
 	"repro/internal/pagestore"
 	"repro/internal/token"
 	"repro/internal/txn"
+	"repro/internal/wal"
 	"repro/internal/xmltok"
 	"repro/internal/xpath"
 	"repro/internal/xquery"
@@ -163,8 +164,13 @@ func ReopenFile(path string, cfg Config) (*Store, error) {
 // advisory lock: any number of read-only opens (across processes) coexist,
 // but a writable open excludes them and vice versa. Every mutating store
 // operation returns ErrReadOnly. FullIndex mode cannot open read-only.
+//
+// Committed batches still in the WAL sidecar — everything since the last
+// checkpoint of a journaled store that was not closed cleanly — are read
+// through an in-memory overlay: nothing is written, and nothing
+// acknowledged is missed.
 func ReopenFileReadOnly(path string, cfg Config) (*Store, error) {
-	pager, err := pagestore.OpenFilePagerOpts(path, cfg.PageSize, pagestore.FileOpts{ReadOnly: true})
+	pager, err := wal.OpenReadOnly(path, cfg.PageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -177,6 +183,21 @@ func ReopenFileReadOnly(path string, cfg Config) (*Store, error) {
 	return s, nil
 }
 
+// openForScrub opens the raw pages of the store at path for a verification
+// pass that must not go through core: read-only, the page file with the WAL
+// sidecar overlaid; writable, the page file after the sidecar has been
+// replayed into it. Either way the scan sees every committed batch whole —
+// the page file alone may hold none, or half, of what the log holds.
+func openForScrub(path string, cfg Config) (pagestore.Pager, error) {
+	if cfg.ReadOnly {
+		return wal.OpenReadOnly(path, cfg.PageSize)
+	}
+	if err := replayWAL(path, defaultedPageSize(cfg)); err != nil {
+		return nil, err
+	}
+	return pagestore.OpenFilePager(path, cfg.PageSize)
+}
+
 // VerifyFile scrubs the store file at path: first every page checksum, raw,
 // without opening the store — so corruption is reported page by page even
 // when it would prevent the store from opening at all — then, if the scrub
@@ -185,7 +206,7 @@ func ReopenFileReadOnly(path string, cfg Config) (*Store, error) {
 // a shared advisory lock and never write, so a store can be verified while
 // other read-only processes have it open.
 func VerifyFile(path string, cfg Config) error {
-	pager, err := pagestore.OpenFilePagerOpts(path, cfg.PageSize, pagestore.FileOpts{ReadOnly: cfg.ReadOnly})
+	pager, err := openForScrub(path, cfg)
 	if err != nil {
 		return err
 	}

@@ -149,6 +149,32 @@ func TestPublicStats(t *testing.T) {
 	if st.Nodes != 3 || st.Ranges != 1 {
 		t.Errorf("stats: %+v", st)
 	}
+	if st.WALCommits != 0 || st.WALSyncs != 0 {
+		t.Errorf("an unjournaled store reports WAL activity: %+v", st)
+	}
+
+	// A journaled store counts its commit path: this one is a few pages, so
+	// each flush is one commit, one log fsync and one two-fsync checkpoint.
+	js, err := axml.OpenFileWAL(filepath.Join(t.TempDir(), "j.db"), axml.Config{Mode: axml.RangePartial}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer js.Close()
+	axml.LoadXMLString(js, `<a><b/><c/></a>`)
+	for i := 0; i < 2; i++ {
+		frag, _ := axml.ParseFragment(`<d/>`)
+		if _, err := js.InsertIntoLast(1, frag); err != nil {
+			t.Fatal(err)
+		}
+		if err := js.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st = js.Stats()
+	if st.WALCommits != 2 || st.WALSyncs != 6 || st.WALCheckpoints != 2 || st.WALLogBytes != 0 {
+		t.Errorf("journaled stats: commits %d syncs %d checkpoints %d log %d, want 2/6/2/0",
+			st.WALCommits, st.WALSyncs, st.WALCheckpoints, st.WALLogBytes)
+	}
 }
 
 func TestPublicXQuery(t *testing.T) {

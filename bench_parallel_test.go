@@ -8,10 +8,12 @@ package axml_test
 
 import (
 	"context"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/wal"
 	"repro/internal/workload"
 	"repro/internal/xpath"
 	"repro/internal/xquery"
@@ -209,6 +211,51 @@ func BenchmarkParallelMixed(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkParallelCommit is the write path's writer-count curve: every op
+// is one single-order insert plus Flush on a journaled store over a real
+// FilePager with real fsync, one writer per processor (-cpu 1,2,4,8 gives
+// 1, 2, 4 and 8 writers). One writer pays a log fsync per commit; more
+// writers stage behind the running fsync and share the next one, so ns/op
+// should fall with the writer count until the log device saturates. The
+// fsyncs/commit metric is every fsync the journal issued (log, page file,
+// truncate) per committed batch.
+func BenchmarkParallelCommit(b *testing.B) {
+	wp, err := wal.Open(filepath.Join(b.TempDir(), "commit.db"), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := loadStoreBatched(b, core.Config{Mode: core.RangePartial, Pager: wp}, 2000, 200)
+	defer s.Close()
+	root, ok, err := s.FirstNodeID()
+	if err != nil || !ok {
+		b.Fatal("no root:", err)
+	}
+	if err := s.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	frag := workload.New(7).PurchaseOrder(1)
+	before := s.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := s.InsertIntoLast(root, frag); err != nil {
+				b.Error(err)
+				return
+			}
+			if err := s.Flush(); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	after := s.Stats()
+	if commits := after.WALCommits - before.WALCommits; commits > 0 {
+		b.ReportMetric(float64(after.WALSyncs-before.WALSyncs)/float64(commits), "fsyncs/commit")
+	}
 }
 
 // BenchmarkSiblingWalk walks the whole top-level sibling chain once per

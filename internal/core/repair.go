@@ -108,7 +108,9 @@ func (s *Store) Repair(apply bool) (*RepairReport, error) {
 	degraded, _ := s.ReadOnly()
 	pager := s.pool.Pager()
 	if degraded {
-		// Drop suspect buffered state so salvage sees only durable pages.
+		// Drop suspect buffered state so salvage sees only what reached the
+		// log. Staged batches stay: they are committed (or about to be) and
+		// salvage reads them through the pager's overlay.
 		if d, ok := pager.(interface{ DiscardPending() }); ok {
 			d.DiscardPending()
 		}
@@ -155,6 +157,7 @@ func (s *Store) reloadLocked() error {
 	s.nodes, s.tokens, s.bytes = 0, 0, 0
 	s.nextID = 1
 	s.nextRange = 1
+	s.savedID, s.savedRange = 0, 0
 	if err := s.initIndexes(); err != nil {
 		return err
 	}
@@ -163,8 +166,9 @@ func (s *Store) reloadLocked() error {
 
 // BackupTo streams a consistent snapshot of the live store into a new page
 // file at dest, plus a restore sidecar at dest+".meta". Writers are held
-// off for the duration (the store lock is exclusive); the image is flushed
-// and committed first, so the backup cuts exactly at the current state.
+// off for the duration (the store lock is exclusive); the image is flushed,
+// committed and checkpointed first, so the backup cuts exactly at the
+// current state.
 func (s *Store) BackupTo(dest string) (recov.BackupMeta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

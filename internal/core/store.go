@@ -114,6 +114,10 @@ type Store struct {
 
 	nextID    NodeID
 	nextRange RangeID
+	// savedID/savedRange are the allocator marks on the meta page: as read
+	// at reopen, or as last saved (zero on a fresh store).
+	savedID    NodeID
+	savedRange RangeID
 
 	nodes  uint64
 	tokens uint64
@@ -339,6 +343,7 @@ func (s *Store) rebuild() error {
 	if len(meta) >= 12 {
 		id := NodeID(binary.LittleEndian.Uint64(meta[0:]))
 		rng := RangeID(binary.LittleEndian.Uint32(meta[8:]))
+		s.savedID, s.savedRange = id, rng
 		if id > s.nextID {
 			s.nextID = id
 		}
@@ -352,44 +357,98 @@ func (s *Store) rebuild() error {
 // MetaPage returns the page id needed to Reopen this store later.
 func (s *Store) MetaPage() pagestore.PageID { return s.recs.MetaPage() }
 
-// Flush writes all dirty pages and the allocator state back to the pager.
-// Pagers with atomic batch commit (write-ahead logged) are committed, so
-// the flushed state is crash-consistent. A failed flush or commit degrades
-// the store to read-only: the on-disk state is no longer known-good, and
-// further writes could compound the damage (recovery on reopen repairs it).
-func (s *Store) Flush() (err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.latchCorrupt(&err)
-	if err := s.writableLocked(); err != nil {
-		return err
-	}
-	return s.flushLocked()
+// journal is what Flush needs from a write-ahead-logged pager: Stage logs
+// the pending pages as one batch and hands back its LSN, Sync makes that LSN
+// durable (sharing the fsync with concurrent callers), Checkpoint folds the
+// log into the page file.
+type journal interface {
+	Stage() (uint64, error)
+	Sync(lsn uint64) error
+	Checkpoint() error
 }
 
-// flushLocked is Flush's body, for callers already holding s.mu (repair
-// and backup flush before reading raw pages).
-func (s *Store) flushLocked() (err error) {
-	if err = s.saveAllocState(); err != nil {
+// Flush writes all dirty pages and the allocator state back to the pager.
+// On a write-ahead-logged pager the pages are staged in the log under the
+// store lock and made durable after it is released, so the flushed state is
+// crash-consistent, concurrent flushes share one fsync, and readers never
+// wait for one. A failed flush or commit degrades the store to read-only:
+// the on-disk state is no longer known-good, and further writes could
+// compound the damage (recovery on reopen repairs it).
+func (s *Store) Flush() (err error) {
+	defer s.latchCorrupt(&err)
+	s.mu.Lock()
+	var j journal
+	var lsn uint64
+	if err = s.writableLocked(); err == nil {
+		j, lsn, err = s.stageLocked()
+	}
+	s.mu.Unlock()
+	if err != nil || j == nil {
 		return err
 	}
-	if err = s.pool.FlushAll(); err != nil {
-		return err
+	return s.syncJournal(j, lsn)
+}
+
+// stageLocked writes every dirty page to the pager and, when the pager is a
+// journal, stages them as one batch (s.mu held). The returned journal is nil
+// for a plain pager, whose writes are already where they are going.
+func (s *Store) stageLocked() (journal, uint64, error) {
+	if err := s.saveAllocState(); err != nil {
+		return nil, 0, err
 	}
-	if c, ok := s.pool.Pager().(interface{ Commit() error }); ok {
-		if err = c.Commit(); err != nil {
-			s.degrade(fmt.Errorf("wal commit failed: %w", err))
-			return err
-		}
+	if err := s.pool.FlushAll(); err != nil {
+		return nil, 0, err
+	}
+	j, ok := s.pool.Pager().(journal)
+	if !ok {
+		return nil, 0, nil
+	}
+	lsn, err := j.Stage()
+	if err != nil {
+		s.degrade(fmt.Errorf("wal commit failed: %w", err))
+		return nil, 0, err
+	}
+	return j, lsn, nil
+}
+
+func (s *Store) syncJournal(j journal, lsn uint64) error {
+	if err := j.Sync(lsn); err != nil {
+		s.degrade(fmt.Errorf("wal commit failed: %w", err))
+		return err
 	}
 	return nil
 }
 
+// flushLocked is a full flush for callers already holding s.mu (repair and
+// backup, which go on to read raw pages): stage, sync, and checkpoint, so
+// the page file alone is the current state.
+func (s *Store) flushLocked() error {
+	j, lsn, err := s.stageLocked()
+	if err != nil || j == nil {
+		return err
+	}
+	if err := s.syncJournal(j, lsn); err != nil {
+		return err
+	}
+	return j.Checkpoint()
+}
+
+// saveAllocState records the id allocators' high-water marks on the meta
+// page. It skips the write when they have not moved since the last save: a
+// flush that follows another writer's flush then dirties nothing, stages
+// nothing, and only waits for the fsync already under way.
 func (s *Store) saveAllocState() error {
+	if s.savedID == s.nextID && s.savedRange == s.nextRange {
+		return nil
+	}
 	meta := make([]byte, 12)
 	binary.LittleEndian.PutUint64(meta[0:], uint64(s.nextID))
 	binary.LittleEndian.PutUint32(meta[8:], uint32(s.nextRange))
-	return s.recs.SetUserMeta(meta)
+	if err := s.recs.SetUserMeta(meta); err != nil {
+		return err
+	}
+	s.savedID, s.savedRange = s.nextID, s.nextRange
+	return nil
 }
 
 // Close flushes and shuts down the store. A degraded (read-only) store
@@ -517,6 +576,11 @@ func (s *Store) Stats() Stats {
 		LSN() uint64
 	}); ok && hw.Archiving() {
 		st.ArchiveLSN = hw.LSN()
+	}
+	if js, ok := s.pool.Pager().(interface {
+		JournalStats() (commits, syncs, checkpoints, failedCheckpoints uint64, logBytes int64)
+	}); ok {
+		st.WALCommits, st.WALSyncs, st.WALCheckpoints, st.WALCheckpointFailures, st.WALLogBytes = js.JournalStats()
 	}
 	return st
 }

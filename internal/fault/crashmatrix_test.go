@@ -17,13 +17,20 @@ import (
 	"repro/internal/wal"
 )
 
-// The crash matrix: run one WAL commit under an op-counting fault injector
-// to discover how many I/O boundaries it has, then re-run the identical
-// workload once per boundary with a simulated crash at exactly that
-// operation. After every crash the store is reopened (running WAL
-// recovery) and must (a) pass a full Verify scrub and (b) contain either
-// exactly the pre-mutation document or exactly the post-mutation one —
-// never a hybrid.
+// The crash matrix: run one WAL commit, and the checkpoint that follows it,
+// under an op-counting fault injector to discover how many I/O boundaries
+// they have, then re-run the identical workload once per boundary with a
+// simulated crash at exactly that operation. After every crash the store is
+// reopened (running WAL recovery) and must (a) pass a full Verify scrub and
+// (b) contain exactly the acknowledged commits, or those plus the one that
+// was in flight — never fewer, never a hybrid.
+//
+// Two geometries. "eager" is a store so small that the log outgrows its
+// share of the page file with every commit, so the checkpoint runs inside
+// the commit's Sync. "lazy" is a store large enough that the log already
+// holds two committed, unapplied batches when the swept commit arrives, and
+// the checkpoint is the one Close runs — the same sequence over three
+// batches' pages.
 
 const cmPageSize = 512
 
@@ -36,17 +43,32 @@ func nightlyScale(normal, nightly int) int {
 	return normal
 }
 
-func seedDoc() string {
+// geometry sizes one crash-matrix store: how many orders the seed document
+// has, how the bulk load chops it into ranges, and how many commits are
+// acknowledged (and left in the log) before the swept one.
+type geometry struct {
+	orders         int
+	maxRangeTokens int
+	prefix         int
+}
+
+func eagerGeometry() geometry { return geometry{orders: nightlyScale(40, 120)} }
+
+func lazyGeometry() geometry {
+	return geometry{orders: nightlyScale(4000, 8000), maxRangeTokens: 64, prefix: 2}
+}
+
+func seedDocOf(orders int) string {
 	var b strings.Builder
 	b.WriteString("<orders>")
-	for i := 0; i < nightlyScale(40, 120); i++ {
+	for i := 0; i < orders; i++ {
 		fmt.Fprintf(&b, `<order id="%d"><item>part-%d</item></order>`, i, i)
 	}
 	b.WriteString("</orders>")
 	return b.String()
 }
 
-const mutationFrag = `<order id="new"><item>widget</item></order>`
+func seedDoc() string { return seedDocOf(eagerGeometry().orders) }
 
 func copyFile(t *testing.T, src, dst string) {
 	t.Helper()
@@ -65,29 +87,26 @@ func copyFile(t *testing.T, src, dst string) {
 	}
 }
 
-// buildBase creates a committed store file holding the seed document and
-// returns its serialized form before and after the test mutation.
-func buildBase(t *testing.T, db string) (oldXML, newXML string) {
+// buildBase creates a committed, checkpointed store file holding the seed
+// document and returns its serialized form after 0, 1, … prefix+1 test
+// mutations.
+func buildBase(t *testing.T, db string, g geometry) []string {
 	t.Helper()
 	wp, err := wal.Open(db, cmPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.Open(core.Config{Pager: wp, PageSize: cmPageSize})
+	s, err := core.Open(core.Config{Pager: wp, PageSize: cmPageSize, MaxRangeTokens: g.maxRangeTokens})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := axml.LoadXMLString(s, seedDoc()); err != nil {
-		t.Fatal(err)
-	}
-	oldXML, err = s.XMLString()
-	if err != nil {
+	if _, err := axml.LoadXMLString(s, seedDocOf(g.orders)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Apply the mutation to a throwaway copy to learn the target state.
+	// Apply the mutations to a throwaway copy to learn the target states.
 	scratch := db + ".scratch"
 	copyFile(t, db, scratch)
 	wp2, err := wal.Open(scratch, cmPageSize)
@@ -98,41 +117,65 @@ func buildBase(t *testing.T, db string) (oldXML, newXML string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mutate(s2); err != nil {
-		t.Fatal(err)
-	}
-	newXML, err = s2.XMLString()
-	if err != nil {
-		t.Fatal(err)
+	states := make([]string, 0, g.prefix+2)
+	for i := 0; ; i++ {
+		xml, err := s2.XMLString()
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, xml)
+		if i > g.prefix {
+			break
+		}
+		if err := mutate(s2, g, i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s2.Close()
 	os.Remove(scratch)
 	os.Remove(scratch + ".wal")
-	if oldXML == newXML {
-		t.Fatal("mutation must change the document")
-	}
-	return oldXML, newXML
+	return states
 }
 
-// mutate applies the standard test mutation: insert a fragment as last
-// content of the root element.
-func mutate(s *core.Store) error {
-	root, ok, err := s.FirstNodeID()
-	if err != nil || !ok {
-		return fmt.Errorf("no root: %v", err)
-	}
-	frag, err := axml.ParseFragment(mutationFrag)
+// mutate applies the i-th test mutation: a new order, as last content of the
+// root element in the eager geometry and after an order a fraction of the
+// way through the document in the lazy one, so that the batches waiting in
+// the log dirty different pages and the checkpoint has several to write.
+func mutate(s *core.Store, g geometry, i int) error {
+	frag, err := axml.ParseFragment(fmt.Sprintf(`<order id="new-%d"><item>widget</item></order>`, i))
 	if err != nil {
 		return err
 	}
-	_, err = s.InsertIntoLast(root, frag)
+	if g.prefix == 0 {
+		root, ok, err := s.FirstNodeID()
+		if err != nil || !ok {
+			return fmt.Errorf("no root: %v", err)
+		}
+		_, err = s.InsertIntoLast(root, frag)
+		return err
+	}
+	anchor, ok, err := axml.QueryFirst(s, fmt.Sprintf(`/orders/order[@id="%d"]`, (i+1)*g.orders/(g.prefix+2)))
+	if err != nil || !ok {
+		return fmt.Errorf("no anchor order: %v", err)
+	}
+	_, err = s.InsertAfter(anchor, frag)
 	return err
 }
 
-// runFaulty reopens db behind a fault-injected WAL, applies the mutation
-// and flushes. It returns the injector (for op counts) and the first error
-// from the mutate+flush sequence.
-func runFaulty(t *testing.T, db string, cfg fault.Config) (*fault.Injector, int, error) {
+// crashRun is what one faulty run of the matrix workload observed.
+type crashRun struct {
+	inj      *fault.Injector
+	ops      int   // I/O boundaries of the swept commit + close
+	acked    int   // flushes that returned nil, the prefix included
+	flushErr error // the swept mutate+flush
+	closeErr error
+}
+
+// runFaulty reopens db behind a fault-injected WAL, acknowledges g.prefix
+// commits with no fault armed, then arms a crash crashAt mutating operations
+// ahead (0 = never) and runs the swept sequence: one more mutate + Flush,
+// then Close with its checkpoint.
+func runFaulty(t *testing.T, db string, g geometry, cfg fault.Config, crashAt int) crashRun {
 	t.Helper()
 	inj := fault.NewInjector(cfg)
 	wp, err := wal.OpenWithOptions(db, cmPageSize, wal.Options{
@@ -147,13 +190,33 @@ func runFaulty(t *testing.T, db string, cfg fault.Config) (*fault.Injector, int,
 	if err != nil {
 		t.Fatal(err) // reopen only reads; no faults can fire here
 	}
-	runErr := mutate(s)
-	if ferr := s.Flush(); runErr == nil {
-		runErr = ferr
+	for i := 0; i < g.prefix; i++ {
+		if err := mutate(s, g, i); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	opsAfterFlush := inj.Ops()
-	s.Close() // after a crash this fails too; the files still close
-	return inj, opsAfterFlush, runErr
+	if st := s.Stats(); g.prefix > 0 && (st.WALCheckpoints != 0 || st.WALCommits != uint64(g.prefix) || st.WALLogBytes == 0) {
+		t.Fatalf("lazy geometry too small: %d checkpoints, %d commits, %d log bytes after the prefix",
+			st.WALCheckpoints, st.WALCommits, st.WALLogBytes)
+	}
+	r := crashRun{inj: inj, acked: g.prefix}
+	before := inj.Ops()
+	if crashAt > 0 {
+		inj.ArmCrash(crashAt)
+	}
+	r.flushErr = mutate(s, g, g.prefix)
+	if ferr := s.Flush(); r.flushErr == nil {
+		r.flushErr = ferr
+	}
+	if r.flushErr == nil {
+		r.acked++
+	}
+	r.closeErr = s.Close() // after a crash this fails too; the files still close
+	r.ops = inj.Ops() - before
+	return r
 }
 
 // validate reopens db cleanly (recovery runs), scrubs it, and returns the
@@ -179,48 +242,46 @@ func validate(t *testing.T, db string) string {
 	return xml
 }
 
-func runCrashMatrix(t *testing.T, torn bool) {
+func runCrashMatrix(t *testing.T, g geometry, torn bool) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.db")
-	oldXML, newXML := buildBase(t, base)
+	states := buildBase(t, base, g)
 
 	// Counting run: no faults, discover N — the number of I/O boundaries
-	// in the mutate+flush sequence — at runtime.
+	// in the mutate + flush + close sequence — at runtime.
 	countDB := filepath.Join(dir, "count.db")
 	copyFile(t, base, countDB)
-	_, n, err := runFaulty(t, countDB, fault.Config{})
-	if err != nil {
-		t.Fatalf("counting run: %v", err)
+	count := runFaulty(t, countDB, g, fault.Config{}, 0)
+	if count.flushErr != nil || count.closeErr != nil {
+		t.Fatalf("counting run: flush %v, close %v", count.flushErr, count.closeErr)
 	}
+	n := count.ops
 	if n < 6 {
 		// At minimum: log write, log sync, one page write, page sync,
 		// truncate, sync. Fewer means the op accounting broke.
 		t.Fatalf("counting run saw only %d ops", n)
 	}
-	t.Logf("crash matrix: %d I/O boundaries (torn=%v)", n, torn)
+	t.Logf("crash matrix: %d I/O boundaries (prefix=%d torn=%v)", n, g.prefix, torn)
 
-	sawOld, sawNew := false, false
+	sawOld, sawNew, sawAckedCrash := false, false, false
 	for k := 1; k <= n; k++ {
 		db := filepath.Join(dir, fmt.Sprintf("crash-%03d.db", k))
 		copyFile(t, base, db)
-		inj, _, err := runFaulty(t, db, fault.Config{
-			Seed:      int64(k),
-			CrashAtOp: k,
-			TornWrite: torn,
-		})
-		if err == nil {
-			t.Fatalf("crash at op %d: workload succeeded, crash never fired", k)
+		r := runFaulty(t, db, g, fault.Config{Seed: int64(k), TornWrite: torn}, k)
+		if !r.inj.Crashed() {
+			t.Fatalf("crash at op %d never fired (flush %v, close %v)", k, r.flushErr, r.closeErr)
 		}
-		if !inj.Crashed() {
-			t.Fatalf("crash at op %d: failed with %v but injector not crashed", k, err)
-		}
-		switch xml := validate(t, db); xml {
-		case oldXML:
-			sawOld = true
-		case newXML:
-			sawNew = true
+		switch xml := validate(t, db); {
+		case xml == states[r.acked]:
+			if r.acked == g.prefix {
+				sawOld = true
+			} else {
+				sawNew, sawAckedCrash = true, true
+			}
+		case r.acked == g.prefix && xml == states[g.prefix+1]:
+			sawNew = true // in flight when the crash hit, and it landed
 		default:
-			t.Fatalf("crash at op %d: recovered document is neither old nor new state:\n%s", k, xml)
+			t.Fatalf("crash at op %d: %d commits acknowledged, recovered document is neither that state nor the next:\n%s", k, r.acked, xml)
 		}
 		os.Remove(db)
 		os.Remove(db + ".wal")
@@ -231,14 +292,19 @@ func runCrashMatrix(t *testing.T, torn bool) {
 	if !sawNew {
 		t.Error("no crash point reached the new state (late crashes should)")
 	}
+	if !sawAckedCrash {
+		t.Error("no crash point fell after the acknowledgement (crashes in the checkpoint should)")
+	}
 }
 
 func TestCrashMatrix(t *testing.T) {
-	runCrashMatrix(t, false)
+	t.Run("eager", func(t *testing.T) { runCrashMatrix(t, eagerGeometry(), false) })
+	t.Run("lazy", func(t *testing.T) { runCrashMatrix(t, lazyGeometry(), false) })
 }
 
 func TestCrashMatrixTornWrites(t *testing.T) {
-	runCrashMatrix(t, true)
+	t.Run("eager", func(t *testing.T) { runCrashMatrix(t, eagerGeometry(), true) })
+	t.Run("lazy", func(t *testing.T) { runCrashMatrix(t, lazyGeometry(), true) })
 }
 
 // TestTransientCommitRetry: a transient injected failure inside the WAL

@@ -22,7 +22,7 @@ type BackupMeta struct {
 	// archived WAL segments LSN+1.. to roll forward.
 	LSN uint64 `json:"lsn"`
 	// NoRollForward marks a backup taken without the store's segment
-	// archive in hand. The WAL is truncated after every commit, so a
+	// archive in hand. The WAL is truncated at every checkpoint, so a
 	// quiescent store's log says nothing about how many commits the page
 	// image already contains — only the archive's high-water mark pins
 	// that. Without it the recorded LSN may undercount the image, and
@@ -85,21 +85,16 @@ func BackupPager(p pagestore.Pager, w io.Writer) (uint32, error) {
 	if !ok {
 		return 0, ErrNoExtent
 	}
-	return backupPages(func(id pagestore.PageID, buf []byte) error {
-		return p.ReadPage(id, buf)
-	}, ext.MaxPageID(), p.PageSize(), w)
-}
-
-func backupPages(read func(id pagestore.PageID, buf []byte) error, max pagestore.PageID, pageSize int, w io.Writer) (uint32, error) {
-	buf := make([]byte, pageSize)
-	zero := make([]byte, pageSize)
+	max := ext.MaxPageID()
+	buf := make([]byte, p.PageSize())
+	zero := make([]byte, p.PageSize())
 	if _, err := w.Write(zero); err != nil { // page 0, reserved
 		return 0, err
 	}
 	pages := uint32(1)
 	for id := pagestore.PageID(1); id <= max; id++ {
 		out := buf
-		if err := read(id, buf); err != nil {
+		if err := p.ReadPage(id, buf); err != nil {
 			if isUnallocated(err) {
 				out = zero
 			} else {
@@ -137,7 +132,7 @@ type BackupOptions struct {
 	// it archives replayed batches so the segment history stays contiguous
 	// across the backup; in both modes its high-water mark pins the
 	// sidecar LSN to the commit history the page image actually contains
-	// (the log alone cannot — it is truncated after every commit). A
+	// (the log alone cannot — it is truncated at every checkpoint). A
 	// backup taken without it is marked NoRollForward.
 	ArchiveDir string
 }
@@ -206,29 +201,18 @@ func backupExclusive(src string, pageSize int, archiveDir string, w io.Writer) (
 	return pages, wp.LSN(), nil
 }
 
-// backupShared opens src read-only under a shared lock and streams pages
-// with durable-but-unapplied WAL batches overlaid. The returned LSN is the
-// later of the overlay's last commit and the archive's high-water mark:
-// the log is truncated once a commit is applied, so on a quiescent store
+// backupShared streams src through wal.OpenReadOnly: the page file under a
+// shared lock with durable-but-unapplied WAL batches overlaid. The returned
+// LSN is the later of the log's last commit and the archive's high-water
+// mark: the log is truncated at every checkpoint, so on a checkpointed store
 // only the archive knows which commit the page image represents.
 func backupShared(src string, pageSize int, archiveDir string, w io.Writer) (uint32, uint64, error) {
-	fp, err := pagestore.OpenFilePagerOpts(src, pageSize, pagestore.FileOpts{ReadOnly: true})
+	ro, err := wal.OpenReadOnly(src, pageSize)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("recover: backup: WAL barrier: %w", err)
 	}
-	defer fp.Close()
-
-	var overlay map[pagestore.PageID][]byte
-	var lsn uint64
-	logBytes, err := os.ReadFile(src + ".wal")
-	if err == nil && len(logBytes) > 0 {
-		overlay, lsn, err = wal.ParseLog(logBytes, pageSize)
-		if err != nil {
-			return 0, 0, fmt.Errorf("recover: backup: WAL barrier: %w", err)
-		}
-	} else if err != nil && !os.IsNotExist(err) {
-		return 0, 0, err
-	}
+	defer ro.Close()
+	lsn := ro.LSN()
 	if archiveDir != "" {
 		archived, err := wal.MaxArchivedLSN(archiveDir)
 		if err != nil {
@@ -238,20 +222,7 @@ func backupShared(src string, pageSize int, archiveDir string, w io.Writer) (uin
 			lsn = archived
 		}
 	}
-
-	max := fp.MaxPageID()
-	for id := range overlay {
-		if id > max {
-			max = id
-		}
-	}
-	pages, err := backupPages(func(id pagestore.PageID, buf []byte) error {
-		if img, ok := overlay[id]; ok {
-			copy(buf, img)
-			return nil
-		}
-		return fp.ReadPage(id, buf)
-	}, max, pageSize, w)
+	pages, err := BackupPager(ro, w)
 	if err != nil {
 		return pages, 0, err
 	}

@@ -35,11 +35,13 @@ const rebuildPoolFrames = 128
 // atomic batch: a crash leaves the store fully repaired or untouched.
 //
 // "Untouched" covers plain errors too, not just crashes: if the rebuild
-// fails partway, the half-built generation is discarded from the journal
-// before returning, so a later Commit or Close cannot durably write pages
-// the caller was told failed. (Pages allocated for the abandoned
-// generation may remain as zero extents — harmless: a zero page verifies
-// clean and anchors nothing.)
+// fails before its batch reaches the log, the half-built generation is
+// dropped from the journal's pending set before returning, so a later
+// Commit or Close cannot durably write half a rebuild. (A commit that fails
+// after the log write leaves the whole batch staged; if a later fsync lands
+// it, the store is fully repaired — still never half. Pages allocated for
+// an abandoned generation may remain as zero extents — harmless: a zero
+// page verifies clean and anchors nothing.)
 func Rebuild(p pagestore.Pager, metaPage pagestore.PageID, res *Result, codec Codec) error {
 	if err := rebuild(p, metaPage, res, codec); err != nil {
 		if d, ok := p.(interface{ DiscardPending() }); ok {

@@ -448,7 +448,8 @@ func TestHTTPFacade(t *testing.T) {
 	if code, body := httpGet(t, ts.URL+"/readyz"); code != 200 || !strings.Contains(body, `"ready":true`) {
 		t.Fatalf("readyz: %d %q", code, body)
 	}
-	if code, body := httpGet(t, ts.URL+"/stats"); code != 200 || !strings.Contains(body, `"role":"primary"`) {
+	if code, body := httpGet(t, ts.URL+"/stats"); code != 200 || !strings.Contains(body, `"role":"primary"`) ||
+		!strings.Contains(body, `"WALCommits"`) || !strings.Contains(body, `"WALLogBytes"`) {
 		t.Fatalf("stats: %d %q", code, body)
 	}
 	if code, body := httpGet(t, ts.URL+"/query?expr="+`%2F%2Fa`); code != 200 || strings.Count(body, `"id"`) != 2 {

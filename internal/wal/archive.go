@@ -88,12 +88,12 @@ func writeSegment(dir string, lsn uint64, batch []byte, wrap func(File) File) er
 	return sf.Close()
 }
 
-// DropSegmentsAbove removes every archived segment numbered above lsn: the
-// debris of a discarded batch whose segment was written (the archive step
-// runs right after the log fsync) before its page-file apply failed. The
-// archive is restore's ground truth, so a segment for a never-committed
-// LSN must not survive the discard. Removal failures are reported but the
-// sweep continues; a missing directory is an empty archive.
+// DropSegmentsAbove removes every archived segment numbered above lsn. The
+// commit path never needs it — a segment is written only after its batch is
+// durable — but a promoting replica does: local copies of segments it
+// fetched and never applied sit above its fence, and a restore must not
+// replay them over the new generation's commits. Removal failures are
+// reported but the sweep continues; a missing directory is an empty archive.
 func DropSegmentsAbove(dir string, lsn uint64) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

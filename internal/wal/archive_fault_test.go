@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,14 +28,13 @@ func openArchived(t *testing.T, inj *fault.Injector) (*Pager, string, string) {
 	return p, path, arch
 }
 
-// A commit whose page-file apply fails has already archived its segment
-// (the archive step follows the log fsync). Abandoning the batch via
-// DiscardPending must remove that segment: the LSN was never committed,
-// and the next successful commit reuses it for a different batch — a
-// restore replaying the stale segment would resurrect the rejected write.
-func TestDiscardDropsSegmentOfFailedApply(t *testing.T) {
+// The log fsync is the commit point: a checkpoint that then fails to write
+// the page file un-commits nothing. The batch keeps its LSN and its archive
+// segment, reads see it through the overlay, discarding unstaged pages does
+// not touch it, and the next commit takes the next LSN — never a reused one.
+func TestFailedCheckpointKeepsCommit(t *testing.T) {
 	inj := fault.NewInjector(fault.Config{})
-	p, _, arch := openArchived(t, inj)
+	p, path, arch := openArchived(t, inj)
 
 	id, err := p.Allocate()
 	if err != nil {
@@ -49,58 +47,89 @@ func TestDiscardDropsSegmentOfFailedApply(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Second batch: the disk fills between the log write and the apply.
-	if err := p.WritePage(id, bytes.Repeat([]byte{0x22}, 512)); err != nil {
+	// Second batch: the disk fills between the log write and the checkpoint
+	// (the page file is one page, so every commit checkpoints).
+	second := bytes.Repeat([]byte{0x22}, 512)
+	if err := p.WritePage(id, second); err != nil {
 		t.Fatal(err)
 	}
 	inj.ArmDiskFull(2) // write 1 = log append (succeeds), write 2 = page apply
-	if err := p.Commit(); !errors.Is(err, fault.ErrDiskFull) {
-		t.Fatalf("commit: got %v, want ErrDiskFull", err)
-	}
-	if p.LSN() != 1 {
-		t.Fatalf("LSN advanced to %d on a failed apply", p.LSN())
-	}
-	seg2 := filepath.Join(arch, SegmentFileName(2))
-	if _, err := os.Stat(seg2); err != nil {
-		t.Fatalf("segment 2 was not archived before the apply: %v", err)
-	}
-
-	inj.FreeSpace()
-	p.DiscardPending()
-	if _, err := os.Stat(seg2); !os.IsNotExist(err) {
-		t.Fatal("discard left the rejected batch's segment in the archive")
-	}
-	if max, err := MaxArchivedLSN(arch); err != nil || max != 1 {
-		t.Fatalf("archive high-water after discard: %d (err %v), want 1", max, err)
-	}
-
-	// The next commit reuses LSN 2; the archive must describe that batch.
-	third := bytes.Repeat([]byte{0x33}, 512)
-	if err := p.WritePage(id, third); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.Commit(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("commit: %v; the batch was durable before the checkpoint failed", err)
+	}
+	if !inj.DiskFull() {
+		t.Fatal("the checkpoint never hit the full disk")
 	}
 	if p.LSN() != 2 {
-		t.Fatalf("LSN after recommit: %d, want 2", p.LSN())
+		t.Fatalf("LSN %d after a durable commit, want 2", p.LSN())
 	}
+	if _, _, checkpoints, failed, logBytes := p.JournalStats(); checkpoints != 1 || failed != 1 || logBytes == 0 {
+		t.Fatalf("checkpoints %d (%d failed), log %d bytes: the failed checkpoint must be counted and leave the log in place", checkpoints, failed, logBytes)
+	}
+	seg2 := filepath.Join(arch, SegmentFileName(2))
 	pages, lsn, err := ReadSegment(seg2, 512)
 	if err != nil {
+		t.Fatalf("segment 2: %v", err)
+	}
+	if lsn != 2 || len(pages) != 1 || !bytes.Equal(pages[0].Data, second) {
+		t.Fatal("segment 2 does not describe the batch that committed as LSN 2")
+	}
+
+	p.DiscardPending()
+	if _, err := os.Stat(seg2); err != nil {
+		t.Fatalf("discard removed a committed batch's segment: %v", err)
+	}
+	got := make([]byte, 512)
+	if err := p.ReadPage(id, got); err != nil {
 		t.Fatal(err)
 	}
-	if lsn != 2 || len(pages) != 1 || !bytes.Equal(pages[0].Data, third) {
-		t.Fatal("segment 2 does not describe the batch that actually committed as LSN 2")
+	if !bytes.Equal(got, second) {
+		t.Fatal("committed image not served while its checkpoint is outstanding")
+	}
+
+	// Space comes back. The next commit is LSN 3; after one failure the
+	// journal backs off for one commit, so it is the commit after that whose
+	// checkpoint folds all three batches into the page file.
+	inj.FreeSpace()
+	third := bytes.Repeat([]byte{0x33}, 512)
+	for lsn := uint64(3); lsn <= 4; lsn++ {
+		if err := p.WritePage(id, third); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if p.LSN() != lsn {
+			t.Fatalf("LSN after recommit: %d, want %d", p.LSN(), lsn)
+		}
+		_, _, checkpoints, failed, logBytes := p.JournalStats()
+		if lsn == 3 && (checkpoints != 1 || failed != 1 || logBytes == 0) {
+			t.Fatalf("commit 3: checkpoints %d (%d failed), log %d bytes: the retry must wait out the backoff", checkpoints, failed, logBytes)
+		}
+		if lsn == 4 && (checkpoints != 2 || failed != 1 || logBytes != 0) {
+			t.Fatalf("commit 4: checkpoints %d (%d failed), log %d bytes after the retried checkpoint", checkpoints, failed, logBytes)
+		}
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
+	p2, err := OpenWithOptions(path, 512, Options{ArchiveDir: arch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	if err := p2.ReadPage(id, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, third) {
+		t.Fatal("reopened store does not hold the last commit")
+	}
 }
 
-// Once the page-file apply is durable the commit is a fact: a failure in
-// the log truncation afterwards must not leave the LSN un-advanced, or the
-// next commit would reuse it and silently rewrite an archived segment with
-// different bytes, voiding the history for restores.
+// A failure in the log truncation at the end of a checkpoint must not leave
+// the LSN un-advanced, or the next commit would reuse it and silently
+// rewrite an archived segment with different bytes, voiding the history for
+// restores.
 func TestTruncateFailureDoesNotReuseLSN(t *testing.T) {
 	inj := fault.NewInjector(fault.Config{})
 	p, path, arch := openArchived(t, inj)
@@ -120,14 +149,18 @@ func TestTruncateFailureDoesNotReuseLSN(t *testing.T) {
 	if err := p.WritePage(id, second); err != nil {
 		t.Fatal(err)
 	}
-	// Mutating ops in this commit: log write, log sync, page apply,
-	// page-file sync, then the log truncate — crash there.
+	// Mutating ops in this commit: log write, log sync, then the
+	// checkpoint's page apply, page-file sync and log truncate — crash
+	// there. The commit itself is long durable and reports success.
 	inj.ArmCrash(5)
-	if err := p.Commit(); !errors.Is(err, fault.ErrCrashed) {
-		t.Fatalf("commit: got %v, want ErrCrashed at the truncate", err)
+	if err := p.Commit(); err != nil {
+		t.Fatalf("commit: %v; only its checkpoint failed", err)
+	}
+	if !inj.Crashed() {
+		t.Fatal("the crash at the truncate never fired")
 	}
 	if p.LSN() != 2 {
-		t.Fatalf("LSN %d after a post-apply truncate failure, want 2: the batch is durably applied", p.LSN())
+		t.Fatalf("LSN %d after a post-apply truncate failure, want 2: the batch is durable", p.LSN())
 	}
 	if p.Pending() != 0 {
 		t.Fatalf("%d pages still pending for a batch that durably committed", p.Pending())

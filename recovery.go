@@ -38,11 +38,11 @@ func defaultedPageSize(cfg Config) int {
 const storeMetaPage = pagestore.PageID(1)
 
 // replayWAL folds a leftover non-empty WAL sidecar into the page file
-// before a plain (non-journaled) open. A crash during a journaled session
-// — a WAL-backed CLI run, or repair, which is always journaled — can leave
-// a committed batch in the sidecar; opening the file without replaying it
-// would write around that batch and corrupt the store the next time the
-// log is replayed.
+// before a plain (non-journaled) open. A journaled session that did not
+// close cleanly — a killed server, a crashed WAL-backed CLI run or repair —
+// leaves every commit since its last checkpoint in the sidecar; opening the
+// file without replaying them would miss those commits, then write around
+// them and corrupt the store the next time the log is replayed.
 func replayWAL(path string, pageSize int) error {
 	st, err := os.Stat(path + ".wal")
 	if err != nil || st.Size() == 0 {
@@ -56,9 +56,12 @@ func replayWAL(path string, pageSize int) error {
 }
 
 // OpenFileWAL is OpenFile with write-ahead logging: every Flush commits
-// its pages as one atomic batch, so a crash never leaves a half-applied
-// flush. A non-empty archiveDir additionally archives every committed
-// batch as a numbered segment — the raw material of point-in-time restore.
+// its pages as one atomic batch with a single log fsync (shared between
+// concurrent flushes), so a crash never leaves a half-applied flush. The
+// page file is brought up to date lazily, at checkpoints and at Close;
+// until then the <path>.wal sidecar is part of the store. A non-empty
+// archiveDir additionally archives every committed batch as a numbered
+// segment — the raw material of point-in-time restore.
 func OpenFileWAL(path string, cfg Config, archiveDir string) (*Store, error) {
 	pager, err := wal.OpenWithOptions(path, defaultedPageSize(cfg), wal.Options{ArchiveDir: archiveDir})
 	if err != nil {
@@ -267,7 +270,7 @@ func VerifyFileReport(path string, cfg Config) (*RepairReport, error) {
 	if _, err := os.Stat(path); err != nil {
 		return nil, err // a verify must not create the file it verifies
 	}
-	pager, err := pagestore.OpenFilePagerOpts(path, defaultedPageSize(cfg), pagestore.FileOpts{ReadOnly: cfg.ReadOnly})
+	pager, err := openForScrub(path, cfg)
 	if err != nil {
 		return nil, err
 	}

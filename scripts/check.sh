@@ -1,9 +1,11 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate.
 #
-# Runs formatting, vet, build, the full test suite, and the race detector
-# over the concurrency-sensitive packages. Exits non-zero on the first
-# failure. CI and pre-commit hooks should call exactly this script.
+# Runs formatting, vet, build, the full test suite, the race detector over
+# the concurrency-sensitive packages, and the benchmark module's smoke test
+# (benchmark/ is a module of its own, so ./... does not reach it). Exits
+# non-zero on the first failure. CI and pre-commit hooks should call exactly
+# this script.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -32,5 +34,8 @@ go test -race -run 'Stress|Concurrent|Chaos|Overload|Deadline' .
 
 echo "== go test -race (partition chaos: net faults, kill -9 primary, fleet + automatic failover)"
 go test -race -run 'TestPartitionChaos|TestNetChaos|TestFleet|TestFailover' ./internal/server ./internal/fault
+
+echo "== benchmark smoke (nested module: every layer probe against the current internal/* API)"
+(cd benchmark && go test ./...)
 
 echo "ok: all checks passed"
