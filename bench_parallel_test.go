@@ -180,6 +180,41 @@ func BenchmarkParallelXPathComplex(b *testing.B) {
 	}
 }
 
+// benchPushdown runs one cached-plan whole-store query over a 1 000-order
+// document — the shape and size of the benchmark's `query` workload.
+func benchPushdown(b *testing.B, q string, want int) {
+	s, err := core.Open(core.Config{Mode: core.RangePartial})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Append(workload.New(2005).PurchaseOrdersDoc(1000)); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ids, err := xpath.QueryIDsCtx(ctx, s, q)
+		if err != nil || len(ids) != want {
+			b.Fatalf("%s: %d ids, %v", q, len(ids), err)
+		}
+	}
+}
+
+// BenchmarkPushdownChildPredicate is the benchmark's q-fallback expression:
+// a child-value predicate and a position decided inside the scan, with the
+// result step held as a candidate under every order that is not Globex's.
+func BenchmarkPushdownChildPredicate(b *testing.B) {
+	benchPushdown(b, `//purchase-order[customer='Globex'][1]/date`, 1)
+}
+
+// BenchmarkPushdownPointSkip is q-point: 999 of 1 000 orders are dead after
+// their @id test and are consumed by depth counting alone.
+func BenchmarkPushdownPointSkip(b *testing.B) {
+	benchPushdown(b, `/purchase-orders/purchase-order[@id='PO-000500']`, 1)
+}
+
 // BenchmarkParallelMixed runs mostly-read traffic with an occasional writer
 // (1 insert per 64 ops): the readers must keep scaling while XUpdate inserts
 // split ranges under the exclusive lock.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -342,9 +343,6 @@ func nodeXML(ctx context.Context, st *core.Store, id core.NodeID) (string, error
 // then msgDone with the count. Each row flushes under the write timeout,
 // so a slow reader stalls its own session only — and only briefly.
 func (s *Server) handleQuery(c *conn, ctx context.Context, expr string, gate replica.ReadOptions) error {
-	if _, err := xpath.Parse(expr); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
 	var sent uint64
 	err := s.withRead(gate, func(st *core.Store) error {
 		// Cached-plan path: pushdown-eligible expressions stream ids off the
@@ -382,15 +380,22 @@ func (s *Server) handleQuery(c *conn, ctx context.Context, expr string, gate rep
 	return c.writeFrame(msgDone, e.payload())
 }
 
-func (s *Server) handleValue(c *conn, ctx context.Context, expr string, gate replica.ReadOptions) error {
-	if _, err := xpath.Parse(expr); err != nil {
+// badExpr classifies an expression the compiler rejected as the client's
+// mistake; every other query error passes through. The compile happens once,
+// on the cached-plan path, so there is no parse up front to ask.
+func badExpr(err error) error {
+	if errors.Is(err, xpath.ErrSyntax) {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	return err
+}
+
+func (s *Server) handleValue(c *conn, ctx context.Context, expr string, gate replica.ReadOptions) error {
 	var val string
 	err := s.withRead(gate, func(st *core.Store) error {
 		var err error
 		val, err = xpath.QueryValueCtx(ctx, st, expr)
-		return err
+		return badExpr(err)
 	})
 	if err != nil {
 		return err

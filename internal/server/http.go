@@ -163,10 +163,6 @@ func (s *Server) httpValue(w http.ResponseWriter, r *http.Request) {
 		httpError(w, errors.Join(ErrBadRequest, errors.New("missing expr")))
 		return
 	}
-	if _, err := xpath.Parse(expr); err != nil {
-		httpError(w, errors.Join(ErrBadRequest, err))
-		return
-	}
 	ctx, cancel, gate, err := httpReadCtx(r)
 	if err != nil {
 		httpError(w, err)
@@ -184,7 +180,7 @@ func (s *Server) httpValue(w http.ResponseWriter, r *http.Request) {
 	err = s.withRead(gate, func(st *core.Store) error {
 		var err error
 		val, err = xpath.QueryValueCtx(ctx, st, expr)
-		return err
+		return badExpr(err)
 	})
 	if err != nil {
 		httpError(w, err)

@@ -428,6 +428,9 @@ func TestErrorRoundTripEndToEnd(t *testing.T) {
 	if _, err := c.Query(ctx, `//[broken`); !errors.Is(err, server.ErrBadRequest) {
 		t.Fatalf("bad xpath: %v, want ErrBadRequest", err)
 	}
+	if _, err := c.Value(ctx, `count(//a[`); !errors.Is(err, server.ErrBadRequest) {
+		t.Fatalf("bad xpath value: %v, want ErrBadRequest", err)
+	}
 	if _, err := c.Load(ctx, `<unclosed>`); !errors.Is(err, server.ErrBadRequest) {
 		t.Fatalf("bad fragment: %v, want ErrBadRequest", err)
 	}
@@ -457,6 +460,9 @@ func TestHTTPFacade(t *testing.T) {
 	}
 	if code, body := httpGet(t, ts.URL+"/value?expr=count(%2F%2Fa)"); code != 200 || !strings.Contains(body, `"2"`) {
 		t.Fatalf("value: %d %q", code, body)
+	}
+	if code, body := httpGet(t, ts.URL+"/value?expr=count(%2F%2Fa%5B"); code != 400 || !strings.Contains(body, "codes") {
+		t.Fatalf("bad value expr: %d %s", code, body)
 	}
 	if code, body := httpGet(t, ts.URL+"/query?expr=%2F%2F%5Bbroken"); code != 400 || !strings.Contains(body, "codes") {
 		t.Fatalf("bad query: %d %q", code, body)

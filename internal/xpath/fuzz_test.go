@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/token"
 	"repro/internal/xmltok"
 )
 
@@ -36,6 +37,13 @@ func FuzzXPathParser(f *testing.F) {
 		`concat('a', "b")`,
 		`//book[`, `//[1]`, `]]`, `@`, `//`, ``, `$x/y`,
 		`//book[@id="bk101" or @id='bk102']`,
+		// predicates over children, decided inside the scan
+		`//book[title='B']/price`, `//book[price='9']/title | //title`,
+		`//catalog[book]/book[title][2]/@id`, `//book[not(title='A')][1]`,
+		`//book[title='A' or price='19'][2]/title`, `//book[2][title='B']`,
+		`//*[text()='B']`, `//book[zz]/title`, `//catalog[book/title]`,
+		`//book['19'=price and @id]/@id`, `//book[position()=1][title='A']`,
+		`//catalog[book='B19']/book[title='A']/price`, `count(//book[price])`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -79,6 +87,140 @@ func FuzzXPathParser(f *testing.F) {
 		}
 		if !idsEqual(got, want) {
 			t.Fatalf("executors disagree on %q: store %v, doc %v", src, got, want)
+		}
+	})
+}
+
+// fuzzPrograms are the fixed scan programs FuzzScanProgramTokens runs over
+// every generated stream: each shape the executor decides on its own.
+var fuzzPrograms = []string{
+	"//a", "/a/b", "//a/@c", "//@c", "//*[2]", "/a/a/@c | //b",
+	"//a[@c='x']/b", "//a[b]", "//a[b='x']/e", "//a[b='xy'][1]/e", "//a[b][2]",
+	"//a[1][b='x']//e", "//a[not(b) or @c='x']//@c", "//a[text()='x']/b | //b",
+	"//a[b='x']/a[e='y']/e", "//a[b='x' and e]/@c", "//a[e='']", "/a[b='x'] | /a/b[e]/e",
+}
+
+// fuzzStream turns fuzz bytes into raw tokens over a tiny alphabet, well
+// formed or not: unbalanced begins and ends, stray attribute halves,
+// truncated encodings and invalid kind bytes are all reachable.
+func fuzzStream(data []byte) [][]byte {
+	names := []string{"a", "b", "e", "c"}
+	vals := []string{"x", "y", "xy", ""}
+	var raws [][]byte
+	add := func(t token.Token) { raws = append(raws, token.Append(nil, t)) }
+	for _, b := range data {
+		name, val := names[b>>4&3], vals[b>>6]
+		switch b & 15 {
+		case 0, 1, 2:
+			add(token.Elem(name))
+		case 3, 4, 5:
+			add(token.EndElem())
+		case 6, 7:
+			add(token.Attr(name, val))
+			add(token.EndAttr())
+		case 8, 9:
+			add(token.TextTok(val))
+		case 10:
+			add(token.CommentTok(val))
+		case 11:
+			add(token.PITok(name, val))
+		case 12:
+			add(token.Token{Kind: token.BeginDocument})
+		case 13:
+			add(token.Token{Kind: token.EndDocument})
+		case 14:
+			add([]token.Token{token.Attr(name, val), token.EndAttr()}[b>>4&1])
+		default:
+			raw := token.Append(nil, token.Attr(name, "value"))
+			raws = append(raws, [][]byte{raw[:len(raw)-1], {0xff}, {}, {byte(token.Text)}}[b>>4&3])
+		}
+	}
+	return raws
+}
+
+// runTokens drives the executor the way a store scan does: ids count the
+// node-starting tokens.
+func runTokens(prog *scanProgram, raws [][]byte) ([]core.NodeID, error) {
+	var out []core.NodeID
+	e := newScanExec(prog, func(id core.NodeID) bool {
+		out = append(out, id)
+		return true
+	})
+	defer e.release()
+	next := core.NodeID(1)
+	for _, raw := range raws {
+		id := core.InvalidNode
+		if len(raw) > 0 && token.Kind(raw[0]).StartsNode() {
+			id = next
+			next++
+		}
+		if !e.onToken(id, raw) {
+			break
+		}
+	}
+	return out, e.finish()
+}
+
+// FuzzScanProgramTokens feeds arbitrary raw token streams to the pushdown
+// executor: it must never panic, and whenever BuildDoc accepts the stream it
+// must succeed and agree, id for id, with the navigational evaluator.
+func FuzzScanProgramTokens(f *testing.F) {
+	for _, seed := range []string{
+		"\x00\x10\x08\x03\x20\x48\x03\x03",             // <a><b>x</b><e>y</e></a>
+		"\x00\x36\x00\x10\x08\x88\x03\x20\x03\x03\x03", // nested a, split text
+		"\x00\x0c\x10\x08\x03\x0d\x03", "\x03", "\x00", "\x0e\x00", "\x00\x1e", "\x00\x0f\x03",
+		"\x00\x08\x06\x03", "\x06\x00\x03", "\x00\x10\x00\x10\x08\x03\x20\x03\x03\x10\x08\x03\x03",
+	} {
+		f.Add([]byte(seed))
+	}
+	var progs []*Plan
+	for _, src := range fuzzPrograms {
+		c, err := Parse(src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		p := PlanQuery(c)
+		if !p.Pushdown() {
+			f.Fatalf("%s: not a pushdown plan", src)
+		}
+		progs = append(progs, p)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		raws := fuzzStream(data)
+		var d *Doc
+		items := make([]core.Item, 0, len(raws))
+		next := core.NodeID(1)
+		for _, raw := range raws {
+			tok, n, err := token.Decode(raw)
+			if err != nil || n != len(raw) {
+				items = nil
+				break
+			}
+			it := core.Item{Tok: tok}
+			if tok.StartsNode() {
+				it.ID = next
+				next++
+			}
+			items = append(items, it)
+		}
+		if items != nil {
+			d, _ = BuildDoc(items)
+		}
+		for _, p := range progs {
+			got, err := runTokens(p.prog, raws)
+			if d == nil {
+				continue // malformed: any error or answer, but no panic
+			}
+			if err != nil {
+				t.Fatalf("%s: BuildDoc accepted the stream, the scan did not: %v", p.c.src, err)
+			}
+			ns, err := p.c.Eval(d)
+			if err != nil {
+				t.Fatalf("%s: eval: %v", p.c.src, err)
+			}
+			if want := nodeIDs(ns); !idsEqual(got, want) {
+				t.Fatalf("%s: scan %v, evaluator %v", p.c.src, got, want)
+			}
 		}
 	})
 }

@@ -11,6 +11,7 @@ package xpath
 
 import (
 	"context"
+	"fmt"
 	"strings"
 
 	"repro/internal/core"
@@ -96,16 +97,39 @@ func (d *Doc) NodeByID(id core.NodeID) (*Node, bool) {
 }
 
 // BuildDoc constructs the navigational view from items (token + id pairs in
-// document order), as produced by core.Store.ReadAll.
+// document order), as produced by core.Store.ReadAll. It rejects a stream
+// that is not well nested: an end token that does not close the innermost
+// open begin, anything inside an attribute, an attribute after its element's
+// content, or an unclosed begin. Document tokens are transparent.
 func BuildDoc(items []core.Item) (*Doc, error) {
 	root := &Node{Kind: Root}
 	d := &Doc{RootNode: root, byID: make(map[core.NodeID]*Node)}
 	cur := root
 	order := 0
-	var attr *Node
-	for _, it := range items {
+	// stack holds the root, then one level per open begin token: the end
+	// kind it is owed and whether non-attribute content was seen in it.
+	type level struct {
+		end     token.Kind
+		content bool
+	}
+	stack := []level{{}}
+	for i, it := range items {
 		order++
-		switch it.Tok.Kind {
+		k := it.Tok.Kind
+		top := &stack[len(stack)-1]
+		switch {
+		case !k.Valid(), k.IsEnd() && top.end != k, !k.IsEnd() && top.end == token.EndAttribute,
+			k == token.BeginAttribute && top.content:
+			return nil, fmt.Errorf("xpath: token %d: misplaced %s", i, k)
+		case k.IsEnd():
+			stack = stack[:len(stack)-1]
+		default:
+			top.content = k != token.BeginAttribute
+			if k.IsBegin() {
+				stack = append(stack, level{end: it.Tok.MatchingEnd(), content: k == token.BeginDocument})
+			}
+		}
+		switch k {
 		case token.BeginElement:
 			n := &Node{Kind: Element, Name: it.Tok.Name, ID: it.ID, Parent: cur, order: order}
 			cur.Children = append(cur.Children, n)
@@ -114,11 +138,9 @@ func BuildDoc(items []core.Item) (*Doc, error) {
 		case token.EndElement:
 			cur = cur.Parent
 		case token.BeginAttribute:
-			attr = &Node{Kind: Attribute, Name: it.Tok.Name, Value: it.Tok.Value, ID: it.ID, Parent: cur, order: order}
+			attr := &Node{Kind: Attribute, Name: it.Tok.Name, Value: it.Tok.Value, ID: it.ID, Parent: cur, order: order}
 			cur.Attrs = append(cur.Attrs, attr)
 			d.byID[it.ID] = attr
-		case token.EndAttribute:
-			attr = nil
 		case token.Text:
 			n := &Node{Kind: TextNode, Value: it.Tok.Value, ID: it.ID, Parent: cur, order: order}
 			cur.Children = append(cur.Children, n)
@@ -132,6 +154,9 @@ func BuildDoc(items []core.Item) (*Doc, error) {
 			cur.Children = append(cur.Children, n)
 			d.byID[it.ID] = n
 		}
+	}
+	if len(stack) != 1 {
+		return nil, fmt.Errorf("xpath: %d unclosed begin tokens", len(stack)-1)
 	}
 	return d, nil
 }

@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -53,6 +54,10 @@ type lexTok struct {
 	pos  int
 }
 
+// ErrSyntax is the sentinel every parse failure matches with errors.Is: the
+// expression itself is bad, as opposed to its evaluation failing.
+var ErrSyntax = errors.New("xpath: syntax error")
+
 // SyntaxError reports an XPath parse failure.
 type SyntaxError struct {
 	Query string
@@ -63,6 +68,8 @@ type SyntaxError struct {
 func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("xpath: %s at offset %d in %q", e.Msg, e.Pos, e.Query)
 }
+
+func (e *SyntaxError) Is(target error) bool { return target == ErrSyntax }
 
 type lexer struct {
 	src  string

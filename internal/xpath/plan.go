@@ -10,12 +10,18 @@ package xpath
 //     executor runs directly over the store's raw token stream. No
 //     navigational view is built, no intermediate node set is materialized,
 //     and a union of N branches is fused into ONE scan. Eligible steps are
-//     the child and `//` axes with element name tests, predicates of the
-//     forms [@attr='literal'] and [N], and a final attribute step.
+//     the child and `//` axes with element name tests and a final attribute
+//     step. Eligible predicates are positional ([N], [position()=N], anywhere
+//     in a step's list) or boolean trees (and / or / not()) over atoms the
+//     scan decides from the element's own attributes and children:
+//     [@a='lit'], [@a], [name='lit'], [name], [text()='lit'] (literal on
+//     either side of '=').
 //  2. Parallel fallback: a union whose branches are all location paths but
 //     are not pushdown-eligible is evaluated branch-per-goroutine over one
 //     shared immutable Doc, with bounded fan-out.
-//  3. Serial fallback: everything else runs on the streaming Doc evaluator.
+//  3. Serial fallback: everything else (reverse axes, last(), numeric
+//     comparisons, $var bases, nested predicate paths such as [a/b='x']) runs
+//     on the streaming Doc evaluator.
 type Plan struct {
 	c    *Compiled
 	prog *scanProgram // non-nil: strategy 1
@@ -53,10 +59,11 @@ func (p *Plan) Predicates() int {
 // State base+len(steps) is the accepting state.
 type scanProgram struct {
 	branches  []scanBranch
-	nBits     int // total allocated state bits (≤ 64)
-	nCounters int // total positional-predicate counters (≤ maxPosCounters)
-	nSatBits  int // total attribute-predicate satisfaction bits (≤ 64)
-	npreds    int // total predicates, for stats
+	nBits     int        // total allocated state bits (≤ 64)
+	nCounters int        // total positional-predicate counters (≤ maxPosCounters)
+	atoms     []scanAtom // predicate atoms; the index is the atom's bit in a frame's sat mask (≤ 64)
+	nodes     []predNode // the boolean predicate trees, flattened
+	npreds    int        // total predicates, for stats
 	tab       progTables
 }
 
@@ -75,23 +82,53 @@ type scanStep struct {
 	desc  bool   // true: `//name` (match at any depth); false: child step
 	name  string // element name test; "" matches any element (`*`)
 	preds []scanPred
+	atoms uint64 // the atoms preds reads
 }
 
-// scanPred is one predicate of a step, in source order. Exactly one of the
-// two forms is set: attrName/attrVal for [@attr='v'] (satBit indexes the
-// frame's satisfaction mask), pos for a positional [N] (ctr indexes the
-// parent frame's counter array).
+// scanPred is one predicate of a step, in source order: positional when
+// pos > 0 (ctr indexes the parent frame's counter array), otherwise the
+// boolean tree rooted at nodes[root].
 type scanPred struct {
-	attrName string
-	attrVal  string
-	satBit   int
-	pos      int
-	ctr      int
+	pos, ctr int
+	root     int
+}
+
+// An atom is a test the scan decides from one element's own tokens. Attribute
+// atoms are known by the end of the element's attribute block; child and text
+// atoms turn true as soon as a child satisfies them and false only at the
+// element's end token.
+type atomKind uint8
+
+const (
+	atomAttr  atomKind = iota // [@name], [@name='lit']
+	atomChild                 // [name], [name='lit']: a child element, by string-value
+	atomText                  // [text()='lit']: one text child
+)
+
+type scanAtom struct {
+	kind atomKind
+	name string
+	lit  string
+	has  bool // existence test: any value satisfies it
+}
+
+type predOp uint8
+
+const (
+	opAtom predOp = iota // l is the atom index
+	opNot                // l is the operand
+	opAnd
+	opOr
+)
+
+type predNode struct {
+	op   predOp
+	l, r int
 }
 
 const (
 	maxStateBits   = 64
-	maxSatBits     = 64
+	maxAtoms       = 64
 	maxPosCounters = 8
 )
 
@@ -194,6 +231,7 @@ func compileBranch(path *pathExpr, prog *scanProgram) (scanBranch, bool) {
 			}
 			ss := scanStep{desc: pendingDesc, name: name}
 			pendingDesc = false
+			firstAtom := len(prog.atoms)
 			for _, pe := range st.preds {
 				sp, ok := compilePred(pe, prog)
 				if !ok {
@@ -201,6 +239,7 @@ func compileBranch(path *pathExpr, prog *scanProgram) (scanBranch, bool) {
 				}
 				ss.preds = append(ss.preds, sp)
 			}
+			ss.atoms = 1<<len(prog.atoms) - 1<<firstAtom // bits [firstAtom, len)
 			br.steps = append(br.steps, ss)
 		case st.axis == axAttribute && st.test.kind == Attribute && !st.test.any &&
 			st.test.name != "" && st.test.name != "*" && len(st.preds) == 0 &&
@@ -223,57 +262,116 @@ func compileBranch(path *pathExpr, prog *scanProgram) (scanBranch, bool) {
 }
 
 func compilePred(pe expr, prog *scanProgram) (scanPred, bool) {
-	switch pe := pe.(type) {
-	case *numberExpr:
-		n := int(pe.v)
-		if float64(n) != pe.v || n < 1 {
+	prog.npreds++
+	if n, ok := positionTest(pe); ok {
+		if n < 1 || prog.nCounters >= maxPosCounters {
 			return scanPred{}, false
 		}
-		if prog.nCounters >= maxPosCounters {
-			return scanPred{}, false
-		}
-		sp := scanPred{pos: n, ctr: prog.nCounters}
 		prog.nCounters++
-		prog.npreds++
-		return sp, true
-	case *binaryExpr:
-		if pe.op != "=" {
-			return scanPred{}, false
-		}
-		name, ok := attrStepName(pe.l)
-		lit, lok := pe.r.(*literalExpr)
-		if !ok || !lok {
-			// Also accept the reversed form 'v'=@a.
-			name, ok = attrStepName(pe.r)
-			lit, lok = pe.l.(*literalExpr)
-			if !ok || !lok {
-				return scanPred{}, false
-			}
-		}
-		if prog.nSatBits >= maxSatBits {
-			return scanPred{}, false
-		}
-		sp := scanPred{attrName: name, attrVal: lit.s, satBit: prog.nSatBits}
-		prog.nSatBits++
-		prog.npreds++
-		return sp, true
+		return scanPred{pos: n, ctr: prog.nCounters - 1}, true
 	}
-	return scanPred{}, false
+	root, ok := compileBool(pe, prog)
+	return scanPred{root: root}, ok
 }
 
-// attrStepName matches a relative single-step attribute path (@name) and
-// returns the attribute name.
-func attrStepName(e expr) (string, bool) {
+// positionTest matches [N] and [position()=N] (either operand order) for an
+// integral N.
+func positionTest(pe expr) (int, bool) {
+	if b, ok := pe.(*binaryExpr); ok && b.op == "=" {
+		switch {
+		case isPositionCall(b.l):
+			pe = b.r
+		case isPositionCall(b.r):
+			pe = b.l
+		}
+	}
+	num, ok := pe.(*numberExpr)
+	if !ok || float64(int(num.v)) != num.v {
+		return 0, false
+	}
+	return int(num.v), true
+}
+
+func isPositionCall(e expr) bool {
+	f, ok := e.(*funcExpr)
+	return ok && f.name == "position" && len(f.args) == 0
+}
+
+// compileBool flattens a boolean predicate into prog.nodes and returns its
+// root; it reports false for anything but and/or/not() over atoms.
+func compileBool(e expr, prog *scanProgram) (int, bool) {
+	var node predNode
+	b, _ := e.(*binaryExpr)
+	f, _ := e.(*funcExpr)
+	switch {
+	case b != nil && (b.op == "and" || b.op == "or"):
+		l, lok := compileBool(b.l, prog)
+		r, rok := compileBool(b.r, prog)
+		if !lok || !rok {
+			return 0, false
+		}
+		node = predNode{op: opAnd, l: l, r: r}
+		if b.op == "or" {
+			node.op = opOr
+		}
+	case f != nil && f.name == "not" && len(f.args) == 1:
+		l, ok := compileBool(f.args[0], prog)
+		if !ok {
+			return 0, false
+		}
+		node = predNode{op: opNot, l: l}
+	default:
+		a, ok := predAtom(e)
+		if !ok || len(prog.atoms) >= maxAtoms {
+			return 0, false
+		}
+		prog.atoms = append(prog.atoms, a)
+		node = predNode{op: opAtom, l: len(prog.atoms) - 1}
+	}
+	prog.nodes = append(prog.nodes, node)
+	return len(prog.nodes) - 1, true
+}
+
+// predAtom matches an atom: a bare @name or name (existence), or @name, name
+// or text() compared by '=' with a literal on either side.
+func predAtom(e expr) (scanAtom, bool) {
+	b, _ := e.(*binaryExpr)
+	if b == nil {
+		a, ok := atomStep(e)
+		return a, ok && a.kind != atomText
+	}
+	path, other := b.l, b.r
+	if _, ok := path.(*literalExpr); ok {
+		path, other = other, path
+	}
+	lit, ok := other.(*literalExpr)
+	a, aok := atomStep(path)
+	if b.op != "=" || !ok || !aok {
+		return a, false
+	}
+	a.lit, a.has = lit.s, false
+	return a, true
+}
+
+// atomStep matches a relative single-step path the scan can test on one
+// element — @name, name or text() — and returns it as an existence atom.
+func atomStep(e expr) (scanAtom, bool) {
 	p, ok := e.(*pathExpr)
 	if !ok || p.absolute || p.base != nil || len(p.steps) != 1 {
-		return "", false
+		return scanAtom{}, false
 	}
 	st := p.steps[0]
-	if st.axis != axAttribute || st.test.any || st.test.kind != Attribute ||
-		st.test.name == "" || st.test.name == "*" || len(st.preds) != 0 {
-		return "", false
+	named := st.test.name != "" && st.test.name != "*"
+	switch {
+	case st.test.any || len(st.preds) != 0:
+	case st.axis == axAttribute && st.test.kind == Attribute && named:
+		return scanAtom{kind: atomAttr, name: st.test.name, has: true}, true
+	case st.axis == axChild && st.test.kind == Element && named:
+		return scanAtom{kind: atomChild, name: st.test.name, has: true}, true
+	case st.axis == axChild && st.test.kind == TextNode:
+		return scanAtom{kind: atomText, has: true}, true
 	}
-	return st.test.name, true
+	return scanAtom{}, false
 }
 
 // planCost estimates the bytes a cached plan holds live: the source string,

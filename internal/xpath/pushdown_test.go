@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/token"
+	"repro/internal/workload"
 	"repro/internal/xmltok"
 )
 
@@ -112,16 +114,6 @@ func oracleIDs(t *testing.T, d *Doc, src string) []core.NodeID {
 	return nodeIDs(ns)
 }
 
-func nodeIDs(ns []*Node) []core.NodeID {
-	out := make([]core.NodeID, 0, len(ns))
-	for _, n := range ns {
-		if n.Kind != Root {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
 func idsEqual(a, b []core.NodeID) bool {
 	if len(a) != len(b) {
 		return false
@@ -159,17 +151,62 @@ var diffExprs = []string{
 	"//b/preceding-sibling::*", "//a[1]/following-sibling::b",
 }
 
-func diffStore(t *testing.T, xml string) (*core.Store, *Doc) {
+// predXML exercises predicates over children: the deciding child before and
+// after the result step, no deciding child at all (decided at the end token),
+// self-nested same-name elements, mixed content and several deciding children.
+const predXML = `<r>
+  <a id="1" c="k"><e>E1</e><b>x</b><c><d>y</d><e>hit</e></c><e>E2</e></a>
+  <a id="2"><e>E3</e><c><d>n</d><e>miss</e></c></a>
+  <a id="3"><b>x<i>y</i>z</b><a id="4"><b>x</b><e>E4</e><a id="6"><e>E7</e></a></a><e>E5</e></a>
+  <a id="5"><b>q</b><b>xyz</b>tail<e>E6</e><c><d>y</d></c></a>
+  <m>one<b>x</b>two</m>
+</r>`
+
+// splitTokens is a document no XML parser produces: string-values split
+// across adjacent text tokens, which the scan must compare incrementally.
+var splitTokens = []token.Token{
+	token.Elem("r"),
+	token.Elem("a"), token.Attr("id", "1"), token.EndAttr(),
+	token.Elem("b"), token.TextTok("x"), token.TextTok("y"), token.Elem("i"), token.TextTok("z"), token.EndElem(), token.EndElem(),
+	token.Elem("e"), token.TextTok("E"), token.TextTok("1"), token.EndElem(),
+	token.EndElem(),
+	token.Elem("a"), token.Elem("b"), token.TextTok("xy"), token.EndElem(), token.TextTok("x"), token.TextTok("xyz"), token.EndElem(),
+	token.Elem("a"), token.Elem("b"), token.TextTok("xyz"), token.TextTok("z"), token.EndElem(), token.EndElem(),
+	token.EndElem(),
+}
+
+var predExprs = []string{
+	// result step before and after the deciding child; decided only at the end
+	"//a[b='x']", "//a[b='x']/e", "//a['x'=b]/e", "//a[zz='x']/e", "//a[zz]", "//a[not(zz)]/e",
+	"//a[b]", "//a[not(b)]", "//a[b]/e", "//a[c]//e", "//a[b='x']//e", "//a[b='x']//e[1]",
+	// string-values: nested, mixed and split text
+	"//a[b='xyz']", "//a[b='xy']", "//a[b='xyzz']", "//a[b='q']/e", "//a[e='E1']", "//a[e='E']",
+	"//m[text()='two']", "//m[text()='one']/b", "//*[text()='x']", "//a[text()='tail']/b",
+	"//a[text()='xyz']", "//*[text()='onetwo']",
+	// combinators
+	"//a[b='x' and @c]", "//a[b='x' and @c]/e", "//a[b='x' or @id='2']/e", "//a[@id='1' or @id='2']",
+	"//a[not(@c)]/e", "//a[not(b='x')]", "//a[b='x' and not(c)]/e", "//a[@c or c]/e",
+	"//a[not(b='x' or c)]", "//a[(b or c) and e]/@id", "//a[@id]", "//a[@c and @id='1']",
+	// positions anywhere in the predicate list
+	"//a[b][2]", "//a[2][b]", "//a[b='x'][1]/e", "//a[1][b='x']/e", "//a[b='x'][2]", "//e[2]",
+	"//a[position()=2]", "//a[2=position()]", "//a[e][position()=1]/b", "/r/a[b='x'][2]/e",
+	"/r/a[c][2][e]/e[1]", "//a[b][1][e][1]", "//a[c/d]", "//e[1]",
+	// unions of conditional and unconditional branches over the same nodes
+	"//a[b='x'] | //a", "//a[b='x']/e | //a/e", "//a[b='x']/e | //e", "//a[b='x']/e | //a[c]/e",
+	"//a[b='x']/@id | //a[c]/@id | //a/e",
+	// two content-predicate steps on one path
+	"//a[b='x']/c[d='y']/e", "//a[c]/c[d='y']", "//a[e]/a[b='x']/a[e]/e", "//a[b]//a[b]/e",
+	// final attribute step under an undecided frame
+	"//a[b='x']/@id", "//a[e='E3']/@id", "//a[b='x']//@id", "//a[zz]/@id", "//a[c]/@c",
+}
+
+func diffStoreTokens(t *testing.T, toks []token.Token) (*core.Store, *Doc) {
 	t.Helper()
 	s, err := core.Open(core.Config{Mode: core.RangePartial})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	toks, err := xmltok.ParseString(xml, xmltok.ParseOptions{StripWhitespace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Append(toks); err != nil {
 		t.Fatal(err)
 	}
@@ -180,94 +217,130 @@ func diffStore(t *testing.T, xml string) (*core.Store, *Doc) {
 	return s, d
 }
 
-func TestDifferentialStreamingVsOracle(t *testing.T) {
-	for _, xml := range []string{catalogXML, nestedXML} {
-		_, d := diffStore(t, xml)
-		for _, src := range diffExprs {
-			want := oracleIDs(t, d, src)
-			c, err := Parse(src)
-			if err != nil {
-				t.Fatalf("parse %s: %v", src, err)
-			}
-			ns, err := c.Eval(d)
-			if err != nil {
-				t.Fatalf("eval %s: %v", src, err)
-			}
-			if got := nodeIDs(ns); !idsEqual(got, want) {
-				t.Errorf("streaming %s: got %v, want %v", src, got, want)
-			}
-		}
-	}
-}
-
-func TestDifferentialStoreVsOracle(t *testing.T) {
-	for _, xml := range []string{catalogXML, nestedXML} {
-		s, d := diffStore(t, xml)
-		for _, src := range diffExprs {
-			want := oracleIDs(t, d, src)
-			got, err := QueryIDsCtx(context.Background(), s, src)
-			if err != nil {
-				t.Fatalf("store %s: %v", src, err)
-			}
-			if !idsEqual(got, want) {
-				t.Errorf("store %s: got %v, want %v", src, got, want)
-			}
-			// First/Exists agree with the head of the full result.
-			first, ok, err := QueryFirstCtx(context.Background(), s, src)
-			if err != nil {
-				t.Fatalf("first %s: %v", src, err)
-			}
-			if ok != (len(want) > 0) || (ok && first != want[0]) {
-				t.Errorf("first %s: got %v/%v, want head of %v", src, first, ok, want)
-			}
-			n, err := QueryCountCtx(context.Background(), s, src)
-			if err != nil || n != len(want) {
-				t.Errorf("count %s: got %d (%v), want %d", src, n, err, len(want))
-			}
-		}
-	}
-}
-
-func TestDifferentialAnchored(t *testing.T) {
-	s, d := diffStore(t, nestedXML)
-	// Anchor at each <a> element and run relative queries against the
-	// subtree, comparing with the oracle over BuildDoc(ReadNode(anchor)).
-	anchors, err := QueryIDsCtx(context.Background(), s, "//a")
+func diffStore(t *testing.T, xml string) (*core.Store, *Doc) {
+	t.Helper()
+	toks, err := xmltok.ParseString(xml, xmltok.ParseOptions{StripWhitespace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := []string{"a", "b", "a/b", "//b", "b[@n='y']", "@id", "//@n", "b[2]"}
-	for _, anchor := range anchors {
-		items, err := s.ReadNode(anchor)
+	return diffStoreTokens(t, toks)
+}
+
+// diffCorpus runs fn over every (document, expression) pair of the corpus.
+func diffCorpus(t *testing.T, fn func(s *core.Store, d *Doc, src string)) {
+	all := append(append([]string{}, diffExprs...), predExprs...)
+	for _, xml := range []string{catalogXML, nestedXML, predXML} {
+		s, d := diffStore(t, xml)
+		for _, src := range all {
+			fn(s, d, src)
+		}
+	}
+	s, d := diffStoreTokens(t, splitTokens)
+	for _, src := range all {
+		fn(s, d, src)
+	}
+}
+
+func TestDifferentialStreamingVsOracle(t *testing.T) {
+	diffCorpus(t, func(_ *core.Store, d *Doc, src string) {
+		want := oracleIDs(t, d, src)
+		c, err := Parse(src)
+		if err != nil {
+			t.Fatalf("parse %s: %v", src, err)
+		}
+		ns, err := c.Eval(d)
+		if err != nil {
+			t.Fatalf("eval %s: %v", src, err)
+		}
+		if got := nodeIDs(ns); !idsEqual(got, want) {
+			t.Errorf("streaming %s: got %v, want %v", src, got, want)
+		}
+	})
+}
+
+func TestDifferentialStoreVsOracle(t *testing.T) {
+	diffCorpus(t, func(s *core.Store, d *Doc, src string) {
+		want := oracleIDs(t, d, src)
+		got, err := QueryIDsCtx(context.Background(), s, src)
+		if err != nil {
+			t.Fatalf("store %s: %v", src, err)
+		}
+		if !idsEqual(got, want) {
+			t.Errorf("store %s: got %v, want %v", src, got, want)
+		}
+		// First/Exists agree with the head of the full result — for the
+		// scan that is an early stop, possibly with candidates still held.
+		first, ok, err := QueryFirstCtx(context.Background(), s, src)
+		if err != nil {
+			t.Fatalf("first %s: %v", src, err)
+		}
+		if ok != (len(want) > 0) || (ok && first != want[0]) {
+			t.Errorf("first %s: got %v/%v, want head of %v", src, first, ok, want)
+		}
+		n, err := QueryCountCtx(context.Background(), s, src)
+		if err != nil || n != len(want) {
+			t.Errorf("count %s: got %d (%v), want %d", src, n, err, len(want))
+		}
+		// The value of a node set is the string-value of its first node.
+		wantVal := ""
+		if len(want) > 0 {
+			n, _ := d.NodeByID(want[0])
+			wantVal = n.StringValue()
+		}
+		if v, err := QueryValueCtx(context.Background(), s, src); err != nil || v != wantVal {
+			t.Errorf("value %s: got %q (%v), want %q", src, v, err, wantVal)
+		}
+	})
+}
+
+func TestDifferentialAnchored(t *testing.T) {
+	// Anchor at each <a> element and run relative queries against the
+	// subtree, comparing with the oracle over BuildDoc(ReadNode(anchor)).
+	rel := []string{"a", "b", "a/b", "//b", "b[@n='y']", "@id", "//@n", "b[2]",
+		"a[b='x']/e", "e[2]", "c[d='y']/e", "a[b]/@id", "//a[b='x']", "b[text()='x']", "//a[e][1]/e",
+		"a[not(b)]//e | e", "//e[1]"}
+	for _, xml := range []string{nestedXML, predXML} {
+		s, _ := diffStore(t, xml)
+		anchors, err := QueryIDsCtx(context.Background(), s, "//a | //a/@id")
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := BuildDoc(items)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, src := range rel {
-			want := oracleIDs(t, sub, src)
-			got, err := QueryNodeIDsCtx(context.Background(), s, anchor, src)
+		for _, anchor := range anchors {
+			items, err := s.ReadNode(anchor)
 			if err != nil {
-				t.Fatalf("anchored %s@%d: %v", src, anchor, err)
+				t.Fatal(err)
 			}
-			if !idsEqual(got, want) {
-				t.Errorf("anchored %s@%d: got %v, want %v", src, anchor, got, want)
+			sub, err := BuildDoc(items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range rel {
+				want := oracleIDs(t, sub, src)
+				got, err := QueryNodeIDsCtx(context.Background(), s, anchor, src)
+				if err != nil {
+					t.Fatalf("anchored %s@%d: %v", src, anchor, err)
+				}
+				if !idsEqual(got, want) {
+					t.Errorf("anchored %s@%d: got %v, want %v", src, anchor, got, want)
+				}
 			}
 		}
 	}
-	_ = d
 }
 
 func TestPlannerClassification(t *testing.T) {
 	pushdown := []string{
 		"/r/a", "//a", "//a/b", "//a/@id", "//@id", "//a[@id='1']",
 		"//a[1]", "//a/b | //a/c", "count(//a)", "//a[@k='v']/b/@n", "//*",
+		"//a[b]", "count(//a[b])", "//a[b='x' and @c]", `//book[@id="bk101" or @id='bk102']`,
+		"//book[position()=2]", "//purchase-order[customer='Globex'][1]/date",
+		"//a[not(b) or text()='t']", "//a['x'=b][2]/@id",
 	}
 	fallback := []string{
-		"//b/..", "//a[last()]", "//a[b]", "//a[price>1]", "//mixed/text()",
-		"//a/descendant::b", "count(//a[b])", "//a[1] | //b/..",
+		"//b/..", "//a[last()]", "//a[price>1]", "//mixed/text()",
+		"//a/descendant::b", "//a[1] | //b/..", "//a[b/c='x']", "$v/a", "//a[@k=1]",
+		"//a[position()<2]", "//a[.='x']", "//a[text()]", "//a[*='x']", "//a[b=c]",
+		"//a[0]", "//a[1.5]", "//a[b='x' and 1]", "//a[count(b)=2]", "//a/@id[1]",
 	}
 	for _, src := range pushdown {
 		c, err := Parse(src)
@@ -371,8 +444,42 @@ func TestQueryValuePushdownCount(t *testing.T) {
 	if err != nil || v != "3" {
 		t.Fatalf("count pushdown: %q %v", v, err)
 	}
+	fallbacks := s.Stats().FallbackQueries
+	v, err = QueryValueCtx(context.Background(), s, "//book[@id='b2']/title")
+	if err != nil || v != "Advanced Programming" || s.Stats().FallbackQueries != fallbacks {
+		t.Fatalf("path value pushdown: %q %v (fallbacks %d -> %d)", v, err, fallbacks, s.Stats().FallbackQueries)
+	}
 	v, err = QueryValueCtx(context.Background(), s, "string(//book[1]/title)")
 	if err != nil || !strings.Contains(v, "TCP/IP") {
 		t.Fatalf("value fallback: %q %v", v, err)
+	}
+}
+
+// TestPushdownAllocations pins a cached-plan scan to O(results) allocations,
+// not O(tokens): the benchmark's child-predicate expression, which holds and
+// drops a candidate under almost every order, and its point query, which may
+// allocate no more than it did before dead subtrees were skipped (4/run: the
+// cache key, the closure, its captured result and the id slice).
+func TestPushdownAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the executor pool is lossy under the race detector")
+	}
+	s, _ := diffStoreTokens(t, workload.New(2005).PurchaseOrdersDoc(1000))
+	for _, c := range []struct {
+		src string
+		max float64
+	}{
+		{"//purchase-order[customer='Globex'][1]/date", 16},
+		{"/purchase-orders/purchase-order[@id='PO-000500']", 4},
+	} {
+		run := func() {
+			if ids, err := QueryIDsCtx(context.Background(), s, c.src); err != nil || len(ids) != 1 {
+				t.Fatalf("%s: %v %v", c.src, ids, err)
+			}
+		}
+		run() // plan cached, executor pooled
+		if got := testing.AllocsPerRun(20, run); got > c.max {
+			t.Errorf("%s: %v allocs/run, want <= %v", c.src, got, c.max)
+		}
 	}
 }

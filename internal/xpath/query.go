@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/token"
 )
 
 // CompileStore returns the store's cached plan for src, parsing and planning
@@ -46,22 +47,37 @@ func docFor(ctx context.Context, s *core.Store, anchor core.NodeID) (*Doc, error
 	return BuildDoc(items)
 }
 
+// pushdown is the one dispatch of a scan program: it collects at most limit
+// matches (all when limit < 0) in document order, stops the scan once a
+// positive limit is reached, and returns how many matches it saw.
+func (p *Plan) pushdown(ctx context.Context, s *core.Store, anchor core.NodeID, limit int) ([]core.NodeID, int, error) {
+	s.QueryCounters().NotePushdown(p.Predicates())
+	var r struct { // one captured variable: one heap object per run
+		ids []core.NodeID
+		n   int
+	}
+	err := runProgram(ctx, s, p.prog, anchor, func(id core.NodeID) bool {
+		r.n++
+		if limit != 0 {
+			r.ids = append(r.ids, id)
+		}
+		return r.n != limit
+	})
+	return r.ids, r.n, err
+}
+
+func (p *Plan) notNodeSet() error {
+	return fmt.Errorf("xpath: %q evaluates to a number, not a node set", p.c.src)
+}
+
 // ids executes the plan and returns matching node ids in document order.
 func (p *Plan) ids(ctx context.Context, s *core.Store, anchor core.NodeID) ([]core.NodeID, error) {
 	if p.count {
-		return nil, fmt.Errorf("xpath: %q evaluates to a number, not a node set", p.c.src)
+		return nil, p.notNodeSet()
 	}
 	if p.prog != nil {
-		s.QueryCounters().NotePushdown(p.Predicates())
-		var out []core.NodeID
-		err := runProgram(ctx, s, p.prog, anchor, func(id core.NodeID) bool {
-			out = append(out, id)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+		ids, _, err := p.pushdown(ctx, s, anchor, -1)
+		return ids, err
 	}
 	s.QueryCounters().NoteFallback()
 	d, err := docFor(ctx, s, anchor)
@@ -77,13 +93,7 @@ func (p *Plan) ids(ctx context.Context, s *core.Store, anchor core.NodeID) ([]co
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]core.NodeID, 0, len(nodes))
-	for _, n := range nodes {
-		if n.Kind != Root {
-			ids = append(ids, n.ID)
-		}
-	}
-	return ids, nil
+	return nodeIDs(nodes), nil
 }
 
 // first executes the plan and returns the first match in document order,
@@ -91,20 +101,14 @@ func (p *Plan) ids(ctx context.Context, s *core.Store, anchor core.NodeID) ([]co
 // at the first hit.
 func (p *Plan) first(ctx context.Context, s *core.Store, anchor core.NodeID) (core.NodeID, bool, error) {
 	if p.count {
-		return core.InvalidNode, false, fmt.Errorf("xpath: %q evaluates to a number, not a node set", p.c.src)
+		return core.InvalidNode, false, p.notNodeSet()
 	}
 	if p.prog != nil {
-		s.QueryCounters().NotePushdown(p.Predicates())
-		var hit core.NodeID
-		found := false
-		err := runProgram(ctx, s, p.prog, anchor, func(id core.NodeID) bool {
-			hit, found = id, true
-			return false
-		})
-		if err != nil {
+		ids, n, err := p.pushdown(ctx, s, anchor, 1)
+		if err != nil || n == 0 {
 			return core.InvalidNode, false, err
 		}
-		return hit, found, nil
+		return ids[0], true, nil
 	}
 	s.QueryCounters().NoteFallback()
 	d, err := docFor(ctx, s, anchor)
@@ -139,6 +143,17 @@ func (p *Plan) first(ctx context.Context, s *core.Store, anchor core.NodeID) (co
 		}
 	}
 	return core.InvalidNode, false, nil
+}
+
+// nodeIDs maps view nodes to store ids, dropping the virtual root.
+func nodeIDs(ns []*Node) []core.NodeID {
+	out := make([]core.NodeID, 0, len(ns))
+	for _, n := range ns {
+		if n.Kind != Root {
+			out = append(out, n.ID)
+		}
+	}
+	return out
 }
 
 // unionFanOut bounds the number of union branches evaluated concurrently in
@@ -208,12 +223,7 @@ func QueryCountCtx(ctx context.Context, s *core.Store, src string) (int, error) 
 		return 0, err
 	}
 	if p.prog != nil {
-		s.QueryCounters().NotePushdown(p.Predicates())
-		n := 0
-		err := runProgram(ctx, s, p.prog, core.InvalidNode, func(core.NodeID) bool {
-			n++
-			return true
-		})
+		_, n, err := p.pushdown(ctx, s, core.InvalidNode, 0)
 		return n, err
 	}
 	if p.count {
@@ -236,24 +246,24 @@ func QueryCountCtx(ctx context.Context, s *core.Store, src string) (int, error) 
 }
 
 // QueryValueCtx evaluates src and returns the XPath string-value of the
-// result. count(path) of a pushdown-eligible path is computed inside the
-// scan; everything else goes through the fallback evaluator.
+// result. A pushdown plan never builds the tree: count(path) is counted
+// inside the scan, and a path's value is the string-value of its first match,
+// read off that one subtree.
 func QueryValueCtx(ctx context.Context, s *core.Store, src string) (string, error) {
 	p, err := CompileStore(s, src)
 	if err != nil {
 		return "", err
 	}
 	if p.prog != nil && p.count {
-		s.QueryCounters().NotePushdown(p.Predicates())
-		n := 0
-		err := runProgram(ctx, s, p.prog, core.InvalidNode, func(core.NodeID) bool {
-			n++
-			return true
-		})
-		if err != nil {
+		_, n, err := p.pushdown(ctx, s, core.InvalidNode, 0)
+		return strconv.Itoa(n), err
+	}
+	if p.prog != nil {
+		ids, n, err := p.pushdown(ctx, s, core.InvalidNode, 1)
+		if err != nil || n == 0 {
 			return "", err
 		}
-		return strconv.Itoa(n), nil
+		return stringValue(ctx, s, ids[0])
 	}
 	s.QueryCounters().NoteFallback()
 	d, err := FromStoreCtx(ctx, s)
@@ -261,6 +271,29 @@ func QueryValueCtx(ctx context.Context, s *core.Store, src string) (string, erro
 		return "", err
 	}
 	return p.c.EvalValueCtx(ctx, d)
+}
+
+// stringValue computes the XPath string-value of node id from its raw
+// tokens: the value of a leaf or attribute, the concatenated descendant text
+// of an element.
+func stringValue(ctx context.Context, s *core.Store, id core.NodeID) (string, error) {
+	var sb []byte
+	var verr error
+	err := s.ScanNodeRawCtx(ctx, id, func(nid core.NodeID, raw []byte) bool {
+		k, _, val, _, err := token.View(raw)
+		if err != nil {
+			verr = err
+			return false
+		}
+		if k == token.Text || nid == id {
+			sb = append(sb, val...)
+		}
+		return k != token.BeginAttribute || nid != id
+	})
+	if err == nil {
+		err = verr
+	}
+	return string(sb), err
 }
 
 // QueryNodeIDsCtx evaluates src against the subtree rooted at anchor (the

@@ -1,6 +1,8 @@
 package xpath
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -290,6 +292,12 @@ func TestParseErrors(t *testing.T) {
 	_, err := Parse("//book[")
 	if se, ok := err.(*SyntaxError); !ok || !strings.Contains(se.Error(), "offset") {
 		t.Errorf("error type: %T %v", err, err)
+	}
+	// Every parse failure, lexer or parser, wrapped or not, matches ErrSyntax.
+	for _, q := range []string{"//book[", "!book", "'unterminated"} {
+		if _, err := Parse(q); !errors.Is(fmt.Errorf("query: %w", err), ErrSyntax) {
+			t.Errorf("%q: %v does not match ErrSyntax", q, err)
+		}
 	}
 }
 

@@ -2,7 +2,8 @@
 # check.sh — the repo's full verification gate.
 #
 # Runs formatting, vet, build, the full test suite, the race detector over
-# the concurrency-sensitive packages, and the benchmark module's smoke test
+# the concurrency-sensitive packages, a short fuzz of the xpath executors
+# against each other, and the benchmark module's smoke test
 # (benchmark/ is a module of its own, so ./... does not reach it). Exits
 # non-zero on the first failure. CI and pre-commit hooks should call exactly
 # this script.
@@ -34,6 +35,10 @@ go test -race -run 'Stress|Concurrent|Chaos|Overload|Deadline' .
 
 echo "== go test -race (partition chaos: net faults, kill -9 primary, fleet + automatic failover)"
 go test -race -run 'TestPartitionChaos|TestNetChaos|TestFleet|TestFailover' ./internal/server ./internal/fault
+
+echo "== go test -fuzz (xpath: 10s per target, so the differential checks meet fresh inputs, not only the seed corpus)"
+go test -run '^$' -fuzz FuzzXPathParser -fuzztime 10s ./internal/xpath
+go test -run '^$' -fuzz FuzzScanProgramTokens -fuzztime 10s ./internal/xpath
 
 echo "== benchmark smoke (nested module: every layer probe against the current internal/* API)"
 (cd benchmark && go test ./...)
