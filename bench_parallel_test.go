@@ -8,6 +8,7 @@ package axml_test
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -180,22 +181,37 @@ func BenchmarkParallelXPathComplex(b *testing.B) {
 	}
 }
 
-// benchPushdown runs one cached-plan whole-store query over a 1 000-order
-// document — the shape and size of the benchmark's `query` workload.
-func benchPushdown(b *testing.B, q string, want int) {
-	s, err := core.Open(core.Config{Mode: core.RangePartial})
+// ordersStore is a store holding one document of n purchase orders — the
+// shape of the benchmark's `query` (1 000) and `read-cold` (20 000) corpora.
+func ordersStore(b *testing.B, cfg core.Config, n int) (*core.Store, core.NodeID) {
+	b.Helper()
+	s, err := core.Open(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	root, err := s.Append(workload.New(2005).PurchaseOrdersDoc(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s, root
+}
+
+// benchPushdown runs one pushdown plan over a 1 000-order document as a
+// whole-store scan — the shape and size of the benchmark's `query` workload.
+// The plan is held here and the store has no plan cache, so no op plans and
+// none asks the value index: the work of the parent's cached-plan scan.
+func benchPushdown(b *testing.B, q string, want int) {
+	s, _ := ordersStore(b, core.Config{Mode: core.RangePartial, PlanCacheEntries: -1}, 1000)
 	defer s.Close()
-	if _, err := s.Append(workload.New(2005).PurchaseOrdersDoc(1000)); err != nil {
+	p, err := xpath.CompileStore(s, q)
+	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ids, err := xpath.QueryIDsCtx(ctx, s, q)
+		ids, err := p.IDs(ctx, s, core.InvalidNode)
 		if err != nil || len(ids) != want {
 			b.Fatalf("%s: %d ids, %v", q, len(ids), err)
 		}
@@ -209,10 +225,79 @@ func BenchmarkPushdownChildPredicate(b *testing.B) {
 	benchPushdown(b, `//purchase-order[customer='Globex'][1]/date`, 1)
 }
 
-// BenchmarkPushdownPointSkip is q-point: 999 of 1 000 orders are dead after
-// their @id test and are consumed by depth counting alone.
+// BenchmarkPushdownPointSkip is q-point as a scan: 999 of 1 000 orders are
+// dead after their @id test and are consumed by depth counting alone.
 func BenchmarkPushdownPointSkip(b *testing.B) {
 	benchPushdown(b, `/purchase-orders/purchase-order[@id='PO-000500']`, 1)
+}
+
+const qPointFmt = `/purchase-orders/purchase-order[@id='PO-%06d']`
+
+// BenchmarkValueIndexPoint is q-point once its shape's value table stands: a
+// different order every op, no write in between.
+func BenchmarkValueIndexPoint(b *testing.B) {
+	for _, n := range []int{1000, 20000} {
+		b.Run(fmt.Sprintf("orders=%d", n), func(b *testing.B) {
+			s, _ := ordersStore(b, core.Config{Mode: core.RangePartial}, n)
+			defer s.Close()
+			ctx := context.Background()
+			qs := make([]string, 256) // fewer sources than the plan cache holds
+			for i := range qs {
+				qs[i] = fmt.Sprintf(qPointFmt, i*n/len(qs))
+				if _, err := xpath.QueryIDsCtx(ctx, s, qs[i]); err != nil { // planned; first sight, fill, hits
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ids, err := xpath.QueryIDsCtx(ctx, s, qs[i%len(qs)])
+				if err != nil || len(ids) != 1 {
+					b.Fatalf("%s: %d ids, %v", qs[i%len(qs)], len(ids), err)
+				}
+			}
+			b.StopTimer()
+			if st := s.Stats(); st.ValueIndexFills != 1 || st.ValueIndexHits < uint64(b.N) {
+				b.Fatalf("not measured on hits: %d fills, %d hits of %d", st.ValueIndexFills, st.ValueIndexHits, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkValueIndexBesideWrites is q-point with one write (untimed: an
+// order inserted, or that order deleted) between every two queries: the
+// shape is at first sight every time, so each op is the literal scan plus a
+// marker, never a fill. It has to stay with BenchmarkPushdownPointSkip.
+func BenchmarkValueIndexBesideWrites(b *testing.B) {
+	s, root := ordersStore(b, core.Config{Mode: core.RangePartial}, 1000)
+	defer s.Close()
+	ctx := context.Background()
+	q := fmt.Sprintf(qPointFmt, 500)
+	extra := workload.New(7).PurchaseOrder(5000)
+	inserted := core.InvalidNode
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var err error
+		if inserted == core.InvalidNode {
+			inserted, err = s.InsertIntoLast(root, extra)
+		} else {
+			err, inserted = s.DeleteNode(inserted), core.InvalidNode
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		ids, err := xpath.QueryIDsCtx(ctx, s, q)
+		if err != nil || len(ids) != 1 {
+			b.Fatalf("%s: %d ids, %v", q, len(ids), err)
+		}
+	}
+	b.StopTimer()
+	if st := s.Stats(); st.ValueIndexFills != 0 || st.ValueIndexHits != 0 {
+		b.Fatalf("a store written between every two queries filled %d tables, hit %d times", st.ValueIndexFills, st.ValueIndexHits)
+	}
 }
 
 // BenchmarkParallelMixed runs mostly-read traffic with an occasional writer

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	axmlbench [-exp all|table5|sweep|warmup|mixed|storage|coalesce|idschemes] [flags]
+//	axmlbench [-exp all|table5|sweep|warmup|mixed|storage|coalesce|idschemes|value-warmup] [flags]
 package main
 
 import (
@@ -18,7 +18,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: all, table5, sweep, warmup, mixed, storage, coalesce, idschemes")
+		exp     = flag.String("exp", "all", "experiment: all, table5, sweep, warmup, mixed, storage, coalesce, idschemes, value-warmup")
 		batches = flag.Int("batches", 0, "insert batches (0 = default)")
 		orders  = flag.Int("orders", 0, "purchase orders per batch (0 = default)")
 		reads   = flag.Int("reads", 0, "random reads (0 = default)")
@@ -131,8 +131,20 @@ func run(exp string, o bench.Options) error {
 		}
 		fmt.Println(bench.FormatIDSchemes(rows))
 	}
+	if all || exp == "value-warmup" {
+		fmt.Println("=== E12: lazy value-index warm-up ===")
+		orders := 20000 // the benchmark's larger corpus
+		if o.InsertBatches > 0 && o.OrdersPerBatch > 0 {
+			orders = o.InsertBatches * o.OrdersPerBatch
+		}
+		ws, err := bench.RunValueWarmup(o, orders)
+		if err != nil {
+			return err
+		}
+		fmt.Println(bench.FormatValueWarmup(ws))
+	}
 	switch exp {
-	case "all", "table5", "sweep", "warmup", "mixed", "storage", "coalesce", "idschemes":
+	case "all", "table5", "sweep", "warmup", "mixed", "storage", "coalesce", "idschemes", "value-warmup":
 		return nil
 	}
 	return fmt.Errorf("unknown experiment %q", exp)

@@ -16,7 +16,7 @@ func tiny() bench.Options {
 
 func TestRunEachExperiment(t *testing.T) {
 	for _, exp := range []string{
-		"table5", "sweep", "warmup", "mixed", "storage", "coalesce", "idschemes",
+		"table5", "sweep", "warmup", "mixed", "storage", "coalesce", "idschemes", "value-warmup",
 	} {
 		if err := run(exp, tiny()); err != nil {
 			t.Errorf("%s: %v", exp, err)

@@ -495,6 +495,8 @@ func runCmd(ctx context.Context, db, modeName string, opts cliOpts, args []strin
 			st.PlanCacheMisses, st.PlanCacheEvictions)
 		fmt.Fprintf(w, "queries: pushdown %d (%d predicates in-scan), fallback %d\n",
 			st.PushdownQueries, st.PushdownPredicates, st.FallbackQueries)
+		fmt.Fprintf(w, "value index: hits %d, misses %d (fills %d, abandoned %d), %d bytes\n",
+			st.ValueIndexHits, st.ValueIndexMisses, st.ValueIndexFills, st.ValueIndexAbandoned, st.ValueIndexBytes)
 		fmt.Fprintf(w, "pool: hits %d, misses %d, evictions %d, flushes %d\n",
 			st.Pool.Hits, st.Pool.Misses, st.Pool.Evictions, st.Pool.Flushes)
 		fmt.Fprintf(w, "admission: admitted %d, queued %d, shed %d, expired %d (in flight %d, waiting %d)\n",

@@ -33,7 +33,8 @@ func TestCLIStatsJSON(t *testing.T) {
 		t.Errorf("mode = %v, want range+partial", rep["mode"])
 	}
 	for _, key := range []string{"Admission", "Memory", "ArchiveSegments", "ArchiveBytes", "Nodes", "Ranges",
-		"WALCommits", "WALSyncs", "WALCheckpoints", "WALCheckpointFailures", "WALLogBytes"} {
+		"WALCommits", "WALSyncs", "WALCheckpoints", "WALCheckpointFailures", "WALLogBytes",
+		"ValueIndexHits", "ValueIndexMisses", "ValueIndexFills", "ValueIndexAbandoned", "ValueIndexBytes"} {
 		if _, ok := rep[key]; !ok {
 			t.Errorf("stats -json lacks %q:\n%s", key, buf.String())
 		}
@@ -53,7 +54,7 @@ func TestCLIStatsJSON(t *testing.T) {
 	if err := runOpts(db, "partial", cliOpts{out: &buf}, []string{"stats"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"admission:", "memory budget:", "archive:", "wal:"} {
+	for _, want := range []string{"admission:", "memory budget:", "archive:", "wal:", "value index:"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("text stats lacks %q:\n%s", want, buf.String())
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/idscheme"
 	"repro/internal/token"
 	"repro/internal/workload"
+	"repro/internal/xpath"
 )
 
 // E2 — range-granularity sweep. The paper's text: "an index containing many
@@ -146,6 +148,67 @@ func FormatWarmup(ws []WarmupWindow) string {
 	for _, w := range ws {
 		fmt.Fprintf(&sb, "%8d %8d %12.1f %8.1f%% %9d\n",
 			w.Window, w.Reads, w.KBps, 100*w.HitRate, w.Entries)
+	}
+	return sb.String()
+}
+
+// E12 — lazy value-index warm-up, the same curve for content: the first point
+// query of a shape pays the scan, the second the fill scan, the rest a lookup.
+
+// ValueWarmupWindow is the queries issued since the previous window: their hit
+// rate and mean latency, and the store's running totals.
+type ValueWarmupWindow struct {
+	Issued              int
+	HitRate, MeanMicros float64
+	TokensScanned       uint64
+	TableBytes          int64
+}
+
+// RunValueWarmup issues o.RandomReads point queries by @id, a random order
+// each, over a document of orders purchase orders; windows end after 1, 2, 3,
+// 4, 8, 16, … queries.
+func RunValueWarmup(o Options, orders int) ([]ValueWarmupWindow, error) {
+	o = o.withDefaults()
+	s, err := core.Open(core.Config{Mode: core.RangePartial})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	gen := workload.New(o.Seed)
+	if _, err := s.Append(gen.PurchaseOrdersDoc(orders)); err != nil {
+		return nil, err
+	}
+	ctx := context.Background()
+	order := gen.Uniform(uint64(orders))
+	var out []ValueWarmupWindow
+	prev, issued := s.Stats(), 0
+	for end := 1; issued < o.RandomReads; end = max(end+1, end/4*8) {
+		end = min(end, o.RandomReads)
+		start := time.Now()
+		for ; issued < end; issued++ {
+			q := fmt.Sprintf("/purchase-orders/purchase-order[@id='PO-%06d']", order()-1)
+			if ids, err := xpath.QueryIDsCtx(ctx, s, q); err != nil || len(ids) != 1 {
+				return nil, fmt.Errorf("query %d %s: %d ids, %v", issued, q, len(ids), err)
+			}
+		}
+		micros := float64(time.Since(start).Microseconds())
+		st := s.Stats()
+		asked := float64(st.ValueIndexHits + st.ValueIndexMisses - prev.ValueIndexHits - prev.ValueIndexMisses)
+		out = append(out, ValueWarmupWindow{
+			Issued: issued, HitRate: float64(st.ValueIndexHits-prev.ValueIndexHits) / asked, MeanMicros: micros / asked,
+			TokensScanned: st.TokensScanned, TableBytes: st.ValueIndexBytes,
+		})
+		prev = st
+	}
+	return out, nil
+}
+
+// FormatValueWarmup renders the value-index warm-up series.
+func FormatValueWarmup(ws []ValueWarmupWindow) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%8s %9s %12s %14s %12s\n", "queries", "hit rate", "mean µs", "toks scanned", "table bytes")
+	for _, w := range ws {
+		fmt.Fprintf(&sb, "%8d %8.1f%% %12.1f %14d %12d\n", w.Issued, 100*w.HitRate, w.MeanMicros, w.TokensScanned, w.TableBytes)
 	}
 	return sb.String()
 }

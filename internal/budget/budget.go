@@ -110,8 +110,12 @@ func (b *Budget) Discharge(c Class, n int64) {
 	b.total.Add(-n)
 }
 
-// share returns class c's slice of the limit in bytes.
-func (b *Budget) share(c Class) int64 {
+// Share returns class c's slice of the limit in bytes (0 for a nil budget:
+// unlimited).
+func (b *Budget) Share(c Class) int64 {
+	if b == nil {
+		return 0
+	}
 	return b.limit * shareNum[c] / shareDen
 }
 
@@ -122,7 +126,7 @@ func (b *Budget) NeedEvict(c Class) bool {
 	if b == nil {
 		return false
 	}
-	return b.total.Load() > b.limit && b.used[c].Load() > b.share(c)
+	return b.total.Load() > b.limit && b.used[c].Load() > b.Share(c)
 }
 
 // Excess returns how many bytes class c should free to drop back to
@@ -132,7 +136,7 @@ func (b *Budget) Excess(c Class) int64 {
 	if b == nil || b.total.Load() <= b.limit {
 		return 0
 	}
-	target := b.share(c) * evictTarget / 100
+	target := b.Share(c) * evictTarget / 100
 	excess := b.used[c].Load() - target
 	if excess < 0 {
 		return 0

@@ -158,6 +158,7 @@ func (s *Store) reloadLocked() error {
 	s.nextID = 1
 	s.nextRange = 1
 	s.savedID, s.savedRange = 0, 0
+	s.gen.Add(1) // the content is now whatever survived
 	if err := s.initIndexes(); err != nil {
 		return err
 	}

@@ -150,6 +150,9 @@ type Store struct {
 	// query counts query-planner outcomes; bumped by the query layer via
 	// the QueryCounters accessor.
 	query QueryCounters
+	// gen is the content generation, bumped under mu.Lock whenever a mutation
+	// is admitted: what is derived from the content is stamped with it.
+	gen atomic.Uint64
 
 	// corrupt, once set, latches the store read-only: continuing to write
 	// after a checksum mismatch or a failed WAL commit can only spread the
@@ -180,7 +183,8 @@ func (s *Store) ReadOnly() (bool, error) {
 
 // writableLocked gates mutating entry points (s.mu held): closed stores and
 // degraded stores reject writes, the latter with ErrReadOnly wrapping the
-// original corruption error.
+// original corruption error. An admitted mutation starts a new generation —
+// here, so no mutator can forget to.
 func (s *Store) writableLocked() error {
 	if s.closed {
 		return ErrClosed
@@ -193,8 +197,14 @@ func (s *Store) writableLocked() error {
 	if s.corrupt != nil {
 		return fmt.Errorf("%w: %v", ErrReadOnly, s.corrupt)
 	}
+	s.gen.Add(1)
 	return nil
 }
+
+// Generation returns the content generation. Equal values before and after a
+// scan mean no mutation was admitted in between: the bump happens under the
+// exclusive lock, before the mutation touches anything.
+func (s *Store) Generation() uint64 { return s.gen.Load() }
 
 // latchCorrupt, deferred with a named return, degrades the store whenever
 // an operation surfaces a page checksum failure.
@@ -461,6 +471,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.gen.Add(1) // whatever a running fill publishes after this is stale
 	s.plans.Reset()
 	if s.cfg.ReadOnly {
 		// Nothing was (or could be) written; just release the pager and
@@ -493,6 +504,27 @@ type QueryCounters struct {
 	pushdownQueries    atomic.Uint64
 	pushdownPredicates atomic.Uint64
 	fallbackQueries    atomic.Uint64
+	// The lazy value index, see Stats.ValueIndex*.
+	valueHits, valueMisses, valueFills, valueAbandoned atomic.Uint64
+}
+
+// ValueIndexKeyPrefix is the plan-cache key prefix of the query layer's value
+// tables and shape markers; Stats.ValueIndexBytes is what is cached under it.
+const ValueIndexKeyPrefix = "vx:"
+
+// NoteValueHit counts one probe-shape query answered from a value table.
+func (q *QueryCounters) NoteValueHit() { q.valueHits.Add(1) }
+
+// NoteValueMiss counts one probe-shape query answered by a scan; filled says
+// the scan built a value table, abandoned that it gave the table up mid-scan.
+func (q *QueryCounters) NoteValueMiss(filled, abandoned bool) {
+	q.valueMisses.Add(1)
+	if filled {
+		q.valueFills.Add(1)
+	}
+	if abandoned {
+		q.valueAbandoned.Add(1)
+	}
 }
 
 // NotePushdown counts one query answered by a pushed-down index/scan probe
@@ -565,6 +597,11 @@ func (s *Store) Stats() Stats {
 	st.PushdownQueries = s.query.pushdownQueries.Load()
 	st.PushdownPredicates = s.query.pushdownPredicates.Load()
 	st.FallbackQueries = s.query.fallbackQueries.Load()
+	st.ValueIndexHits = s.query.valueHits.Load()
+	st.ValueIndexMisses = s.query.valueMisses.Load()
+	st.ValueIndexFills = s.query.valueFills.Load()
+	st.ValueIndexAbandoned = s.query.valueAbandoned.Load()
+	st.ValueIndexBytes = s.plans.BytesUnder(ValueIndexKeyPrefix)
 	st.Admission = s.adm.snapshot()
 	st.Memory = s.budget.Snapshot()
 	st.Health = s.healthSummary(st.Memory)

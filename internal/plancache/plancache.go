@@ -19,6 +19,7 @@
 package plancache
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -112,33 +113,46 @@ func (c *Cache) Get(key string) (any, bool) {
 // Put stores a plan under key with an estimated cost in bytes. An existing
 // entry for the key is replaced. Budget eviction runs at the caller's safe
 // point, after the shard lock is released.
-func (c *Cache) Put(key string, val any, cost int64) {
+func (c *Cache) Put(key string, val any, cost int64) { c.put(key, val, cost, false, nil) }
+
+// Replace is Put only while key still holds old (nil: no entry) — compared
+// with ==, so the values under key must be comparable — and reports whether it
+// stored val: of concurrent callers that read the same old, one wins.
+func (c *Cache) Replace(key string, old, val any, cost int64) bool {
+	return c.put(key, val, cost, true, old)
+}
+
+func (c *Cache) put(key string, val any, cost int64, cas bool, old any) bool {
 	if c == nil {
-		return
+		return false
 	}
 	cost += entryOverhead
 	sh := &c.shards[shardFor(key)]
 	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		sh.bytes += cost - e.cost
-		c.bud.Charge(budget.Plans, cost-e.cost)
-		e.val, e.cost = val, cost
-		e.used.Store(c.clock.Add(1))
+	e, ok := sh.entries[key]
+	if cas && (ok && e.val != old || !ok && old != nil) {
 		sh.mu.Unlock()
-		return
+		return false
 	}
-	e := &entry{key: key, val: val, cost: cost}
+	delta := cost
+	if ok {
+		delta -= e.cost
+		e.val, e.cost = val, cost
+	} else {
+		e = &entry{key: key, val: val, cost: cost}
+		sh.entries[key] = e
+	}
 	e.used.Store(c.clock.Add(1))
-	sh.entries[key] = e
-	sh.bytes += cost
-	c.bud.Charge(budget.Plans, cost)
+	sh.bytes += delta
+	c.bud.Charge(budget.Plans, delta)
 	// Capacity eviction under the shard lock: the cap is per shard, so only
 	// this shard can be over it.
 	for len(sh.entries) > c.maxPerShard {
 		c.evictOldestLocked(sh)
 	}
 	sh.mu.Unlock()
-	c.maybeEvictForBudget(sh)
+	c.maybeEvictForBudget(sh) // a replacement can outgrow the share too
+	return true
 }
 
 // evictOldestLocked removes sh's entry with the oldest recency stamp
@@ -211,6 +225,35 @@ func (c *Cache) Snapshot() Stats {
 		sh.mu.RUnlock()
 	}
 	return st
+}
+
+// BytesUnder returns the bytes charged for entries whose key starts with
+// prefix: the cache is shared by kinds of entry told apart that way. It walks
+// every entry, so it is for a stats call, not a hot path.
+func (c *Cache) BytesUnder(prefix string) (n int64) {
+	if c == nil {
+		return 0
+	}
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		for k, e := range sh.entries {
+			if strings.HasPrefix(k, prefix) {
+				n += e.cost
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// Share returns the bytes the memory budget allows the cache as a whole (0:
+// unlimited) — an entry costing more would be evicted as soon as it was put.
+func (c *Cache) Share() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.bud.Share(budget.Plans)
 }
 
 // Reset drops every entry and discharges the budget (used on store close).

@@ -3,6 +3,7 @@ package plancache
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/budget"
@@ -36,6 +37,81 @@ func TestHitMissCounters(t *testing.T) {
 	}
 	if st.Bytes != 100+entryOverhead {
 		t.Fatalf("bytes = %d", st.Bytes)
+	}
+}
+
+// TestBytesUnderAndShare: entries of different kinds share the cache, told
+// apart by key prefix; Share is the Plans slice of the budget.
+func TestBytesUnderAndShare(t *testing.T) {
+	var none *Cache
+	if none.BytesUnder("vx:") != 0 || none.Share() != 0 || none.Replace("k", nil, 1, 0) {
+		t.Fatal("nil cache must report and store nothing")
+	}
+	c := New(64, budget.New(1000))
+	c.Put("xp://a", 1, 100)
+	c.Put("vx://a[@k", 2, 300)
+	c.Put("vx://b[@k", 3, 0)
+	if got, want := c.BytesUnder("vx:"), int64(300+2*entryOverhead); got != want {
+		t.Fatalf("BytesUnder(vx:) = %d, want %d", got, want)
+	}
+	c.Put("vx://a[@k", 4, 0) // a table replaced by a marker gives its bytes back
+	if c.BytesUnder("vx:") != 2*entryOverhead || c.BytesUnder("xp:")+c.BytesUnder("vx:") != c.Snapshot().Bytes {
+		t.Fatalf("after replace: vx %d xp %d of %+v", c.BytesUnder("vx:"), c.BytesUnder("xp:"), c.Snapshot())
+	}
+	if got := c.Share(); got != 100 { // 10 % of the limit
+		t.Fatalf("Share = %d, want 100", got)
+	}
+	if New(64, nil).Share() != 0 {
+		t.Fatal("no budget: unlimited")
+	}
+}
+
+// TestReplaceIsCompareAndSwap: Replace stores only over the value its caller
+// read, so of racing callers exactly one wins.
+func TestReplaceIsCompareAndSwap(t *testing.T) {
+	type mark struct{ n int }
+	c := New(64, nil)
+	if c.Replace("k", mark{0}, mark{1}, 0) {
+		t.Fatal("Replace stored under an absent key")
+	}
+	if !c.Replace("k", nil, mark{0}, 0) || c.Replace("k", nil, mark{1}, 0) {
+		t.Fatal("Replace(nil) must store under an absent key and only there")
+	}
+	if c.Replace("k", mark{7}, mark{1}, 0) {
+		t.Fatal("Replace stored over a value it did not name")
+	}
+	var wg sync.WaitGroup
+	var wins atomic.Int32
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if c.Replace("k", mark{0}, mark{1}, 50) {
+				wins.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if v, _ := c.Get("k"); wins.Load() != 1 || v != (mark{1}) {
+		t.Fatalf("%d winners, value %v", wins.Load(), v)
+	}
+	if st := c.Snapshot(); st.Entries != 1 || st.Bytes != 50+entryOverhead {
+		t.Fatalf("after one winning Replace: %+v", st)
+	}
+}
+
+// TestReplacementTriggersBudgetEviction: an entry that grows in place (a
+// marker replaced by a table) must drain the class like a new one would.
+func TestReplacementTriggersBudgetEviction(t *testing.T) {
+	bud := budget.New(10_000) // Plans share: 1 000
+	c := New(64, bud)
+	for i := 0; i < 4; i++ {
+		c.Put(fmt.Sprintf("xp:%d", i), i, 0)
+	}
+	bud.Charge(budget.Pool, 9_800) // the rest of the limit is in use elsewhere
+	c.Put("xp:0", "grown", 4_000)
+	if st := c.Snapshot(); st.Evictions == 0 || bud.NeedEvict(budget.Plans) {
+		t.Fatalf("no eviction after a replacement outgrew the share: %+v, budget %+v", st, bud.Snapshot())
 	}
 }
 

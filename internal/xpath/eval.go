@@ -174,7 +174,7 @@ func QueryIDsCtx(ctx context.Context, s *core.Store, src string) ([]core.NodeID,
 	if err != nil {
 		return nil, err
 	}
-	return p.ids(ctx, s, core.InvalidNode)
+	return p.IDs(ctx, s, core.InvalidNode)
 }
 
 func kindName(k valueKind) string {

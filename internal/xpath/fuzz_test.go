@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -140,12 +141,13 @@ func fuzzStream(data []byte) [][]byte {
 
 // runTokens drives the executor the way a store scan does: ids count the
 // node-starting tokens.
-func runTokens(prog *scanProgram, raws [][]byte) ([]core.NodeID, error) {
+func runTokens(prog *scanProgram, raws [][]byte, capture func(core.NodeID, []byte) bool) ([]core.NodeID, error) {
 	var out []core.NodeID
 	e := newScanExec(prog, func(id core.NodeID) bool {
 		out = append(out, id)
 		return true
 	})
+	e.capture = capture
 	defer e.release()
 	next := core.NodeID(1)
 	for _, raw := range raws {
@@ -207,7 +209,7 @@ func FuzzScanProgramTokens(f *testing.F) {
 			d, _ = BuildDoc(items)
 		}
 		for _, p := range progs {
-			got, err := runTokens(p.prog, raws)
+			got, err := runTokens(p.prog, raws, nil)
 			if d == nil {
 				continue // malformed: any error or answer, but no panic
 			}
@@ -220,6 +222,63 @@ func FuzzScanProgramTokens(f *testing.F) {
 			}
 			if want := nodeIDs(ns); !idsEqual(got, want) {
 				t.Fatalf("%s: scan %v, evaluator %v", p.c.src, got, want)
+			}
+		}
+	})
+}
+
+// FuzzValueTable: over arbitrary raw streams, the table a fill scan builds
+// holds, for every value, exactly what the literal program emits for it —
+// duplicated attributes, attributes out of place and malformed streams
+// included (there the two scans must fail alike).
+func FuzzValueTable(f *testing.F) {
+	for _, seed := range []string{
+		"\x00\x36\x10\x36\x03\x10\x76\x03\x03", // <a c="x"><b c="x"/><b c="y"/></a>
+		"\x00\x36\x76\x36\x00\x36\x03\x03",     // c="x" c="y" c="x" on one element, a nested a
+		"\x00\x20\xf6\x03\x10\x20\xb6\x03\x03\x03", "\x00\x10\x08\x36\x03\x03", "\x36\x00\x03", "\x00\x3e\x03", "\x00\x36",
+	} {
+		f.Add([]byte(seed))
+	}
+	shapes := []string{"//a[@c='%s']", "/a/b[@c='%s']", "//*[@c='%s']", "/a//e['%s'=@c]", "count(//b[@c='%s'])"}
+	vals := []string{"x", "y", "xy", "", "absent"}
+	plans := make([][]*Plan, len(shapes))
+	for i, shape := range shapes {
+		for _, v := range vals {
+			c, err := Parse(fmt.Sprintf(shape, v))
+			if err != nil {
+				f.Fatal(err)
+			}
+			p := PlanQuery(c)
+			if p.probeKey == "" {
+				f.Fatalf("%s: not a probe shape", c.src)
+			}
+			plans[i] = append(plans[i], p)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		raws := fuzzStream(data)
+		for _, ps := range plans {
+			b := tableBuilder{ids: make(map[string]*[]core.NodeID), max: unbudgetedTableBytes}
+			_, fillErr := runTokens(ps[0].fillProgram(), raws, b.capture)
+			held := len(b.ids)
+			for _, p := range ps {
+				want, err := runTokens(p.prog, raws, nil)
+				if (err != nil) != (fillErr != nil) {
+					t.Fatalf("%s: scan error %v, fill error %v", p.c.src, err, fillErr)
+				}
+				if err != nil {
+					continue
+				}
+				got, n := (&valueTable{ids: b.ids}).answer(p.prog.atoms[0].lit, -1)
+				if !idsEqual(got, want) || n != len(want) {
+					t.Fatalf("%s: table %v, scan %v", p.c.src, got, want)
+				}
+				if len(want) > 0 {
+					held--
+				}
+			}
+			if fillErr == nil && held != 0 {
+				t.Fatalf("%s: the table holds %d values no literal scan matches: %v", ps[0].c.src, held, b.ids)
 			}
 		}
 	})

@@ -1,5 +1,11 @@
 package xpath
 
+import (
+	"strings"
+
+	"repro/internal/core"
+)
+
 // The query planner. A compiled expression is analyzed once and the result —
 // a Plan — is what the store-level query API caches and executes. Planning
 // classifies the expression into one of three execution strategies, from
@@ -33,6 +39,11 @@ type Plan struct {
 	unionPaths []*pathExpr
 	// cost is the cache charge estimate in bytes.
 	cost int64
+	// probeKey is non-empty for a probe shape — one branch selecting elements,
+	// one predicate in the whole path, a single [@name='lit'] atom on the last
+	// step — which the lazy value index can answer (valueindex.go): the path
+	// with the literal blanked. The literal is prog.atoms[0].lit.
+	probeKey string
 }
 
 // Compiled returns the underlying compiled expression.
@@ -144,6 +155,7 @@ func PlanQuery(c *Compiled) *Plan {
 			if prog, ok := compileProgram([]*pathExpr{path}); ok {
 				p.prog = prog
 				p.count = true
+				p.planProbe()
 			}
 		}
 		return p
@@ -155,6 +167,7 @@ func PlanQuery(c *Compiled) *Plan {
 	}
 	if prog, ok := compileProgram(paths); ok {
 		p.prog = prog
+		p.planProbe()
 		return p
 	}
 	if isUnion {
@@ -163,6 +176,48 @@ func PlanQuery(c *Compiled) *Plan {
 		p.unionPaths = paths
 	}
 	return p
+}
+
+// planProbe recognises the probe shape and derives its key.
+func (p *Plan) planProbe() {
+	prog := p.prog
+	if len(prog.branches) != 1 || prog.npreds != 1 || len(prog.atoms) != 1 {
+		return
+	}
+	br, a := &prog.branches[0], prog.atoms[0]
+	if br.attr != "" || a.kind != atomAttr || a.has {
+		return
+	}
+	last := br.steps[len(br.steps)-1]
+	if len(last.preds) != 1 || last.preds[0].pos != 0 || prog.nodes[last.preds[0].root].op != opAtom {
+		return
+	}
+	var key strings.Builder
+	key.WriteString(core.ValueIndexKeyPrefix)
+	for _, st := range br.steps {
+		// "/" or "//", then a never-empty name: the key parses back one way.
+		key.WriteString("/")
+		if st.desc {
+			key.WriteString("/")
+		}
+		if st.name == "" {
+			key.WriteString("*")
+		}
+		key.WriteString(st.name)
+	}
+	key.WriteString("[@" + a.name)
+	p.probeKey = key.String()
+}
+
+// fillProgram is a probe-shape plan's program with the atom turned into an
+// existence test, to be run with a capture. Every element that reaches the
+// atom is a match: no other predicate exists, so every state is decided when
+// met and an element is tested only once the steps before it are known to
+// match. Built per fill, not kept per plan.
+func (p *Plan) fillProgram() *scanProgram {
+	fill := *p.prog
+	fill.atoms = []scanAtom{{kind: atomAttr, name: fill.atoms[0].name, has: true}}
+	return &fill
 }
 
 // unionBranches flattens a `|` tree whose leaves are all location paths.

@@ -360,6 +360,40 @@ func TestPlannerClassification(t *testing.T) {
 			t.Errorf("%s: expected fallback plan", src)
 		}
 	}
+	// The probe-shape column: which pushdown plans may ask the value index, and
+	// under which key (the path with the literal blanked).
+	probe := map[string]string{
+		"/a/b[@k='v']": "vx:/a/b[@k", "a/b[@k='w']": "vx:/a/b[@k", "//b[@k='v']": "vx://b[@k",
+		"count(//b[@k='v'])": "vx://b[@k", "//b['v'=@k]": "vx://b[@k", "//b[@k='']": "vx://b[@k",
+		"/a//*[@k='v']": "vx:/a//*[@k", "//b[@j='v']": "vx://b[@j",
+		// `*` and `//` are spelled out, so no two paths share a key
+		"/*/b[@k='v']": "vx:/*/b[@k", "/*/*[@k='v']": "vx:/*/*[@k", "//*[@k='v']": "vx://*[@k",
+		"/a/*//b[@k='v']": "vx:/a/*//b[@k", "/a//*/b[@k='v']": "vx:/a//*/b[@k",
+		// everything else scans as before
+		"//b[@k]": "", "//b[@k='v'][1]": "", "//b[1][@k='v']": "", "//b[@k='v' and @j='w']": "",
+		"//b[not(@k='v')]": "", "//b[c='v']": "", "//b[text()='v']": "", "/a[@k='v']/b": "",
+		"//b[@k='v']/@j": "", "//b[@k='v'] | //c": "", "//b[@k='v'] | //b[@k='w']": "", "//b": "",
+		"count(//b[@k='v'][2])": "",
+	}
+	for src, key := range probe {
+		c, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := PlanQuery(c)
+		if !p.Pushdown() || p.probeKey != key {
+			t.Errorf("%s: pushdown=%v probe key %q, want %q", src, p.Pushdown(), p.probeKey, key)
+		}
+		if key == "" {
+			continue
+		}
+		if fill := p.fillProgram(); !fill.atoms[0].has || p.prog.atoms[0].has || fill.atoms[0].name != p.prog.atoms[0].name {
+			t.Errorf("%s: fill atom %+v, scan atom %+v", src, fill.atoms[0], p.prog.atoms[0])
+		}
+	}
+	// Any anchored call scans, whatever the plan: pinned with the counters in
+	// TestValueIndexCounters.
+
 	// A non-union fallback with parallel branches.
 	c, _ := Parse("//a[b] | //b/..")
 	p := PlanQuery(c)
@@ -459,27 +493,37 @@ func TestQueryValuePushdownCount(t *testing.T) {
 // not O(tokens): the benchmark's child-predicate expression, which holds and
 // drops a candidate under almost every order, and its point query, which may
 // allocate no more than it did before dead subtrees were skipped (4/run: the
-// cache key, the closure, its captured result and the id slice).
+// cache key, the closure, its captured result and the id slice). Asked a
+// third time with no write in between the point query is a value-index hit:
+// the cache key and nothing else the test can see.
 func TestPushdownAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the executor pool is lossy under the race detector")
 	}
 	s, _ := diffStoreTokens(t, workload.New(2005).PurchaseOrdersDoc(1000))
 	for _, c := range []struct {
-		src string
-		max float64
+		src   string
+		max   float64
+		write bool // a flush before every run starts a new generation: always first sight
 	}{
-		{"//purchase-order[customer='Globex'][1]/date", 16},
-		{"/purchase-orders/purchase-order[@id='PO-000500']", 4},
+		{"//purchase-order[customer='Globex'][1]/date", 16, false},
+		{"/purchase-orders/purchase-order[@id='PO-000500']", 5, true}, // the scan's 4 and the shape's marker
+		{"/purchase-orders/purchase-order[@id='PO-000500']", 2, false},
 	} {
 		run := func() {
+			if c.write {
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if ids, err := QueryIDsCtx(context.Background(), s, c.src); err != nil || len(ids) != 1 {
 				t.Fatalf("%s: %v %v", c.src, ids, err)
 			}
 		}
 		run() // plan cached, executor pooled
+		run() // table filled
 		if got := testing.AllocsPerRun(20, run); got > c.max {
-			t.Errorf("%s: %v allocs/run, want <= %v", c.src, got, c.max)
+			t.Errorf("%s (write %v): %v allocs/run, want <= %v", c.src, c.write, got, c.max)
 		}
 	}
 }

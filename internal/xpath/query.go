@@ -49,9 +49,15 @@ func docFor(ctx context.Context, s *core.Store, anchor core.NodeID) (*Doc, error
 
 // pushdown is the one dispatch of a scan program: it collects at most limit
 // matches (all when limit < 0) in document order, stops the scan once a
-// positive limit is reached, and returns how many matches it saw.
+// positive limit is reached, and returns how many matches it saw. A
+// whole-store probe-shape plan asks the lazy value index first.
 func (p *Plan) pushdown(ctx context.Context, s *core.Store, anchor core.NodeID, limit int) ([]core.NodeID, int, error) {
 	s.QueryCounters().NotePushdown(p.Predicates())
+	if p.probeKey != "" && anchor == core.InvalidNode && s.PlanCache() != nil {
+		if ids, n, ok, err := p.probe(ctx, s, limit); ok {
+			return ids, n, err
+		}
+	}
 	var r struct { // one captured variable: one heap object per run
 		ids []core.NodeID
 		n   int
@@ -62,7 +68,7 @@ func (p *Plan) pushdown(ctx context.Context, s *core.Store, anchor core.NodeID, 
 			r.ids = append(r.ids, id)
 		}
 		return r.n != limit
-	})
+	}, nil)
 	return r.ids, r.n, err
 }
 
@@ -70,8 +76,10 @@ func (p *Plan) notNodeSet() error {
 	return fmt.Errorf("xpath: %q evaluates to a number, not a node set", p.c.src)
 }
 
-// ids executes the plan and returns matching node ids in document order.
-func (p *Plan) ids(ctx context.Context, s *core.Store, anchor core.NodeID) ([]core.NodeID, error) {
+// IDs executes the plan — the store's cached one, or one its caller holds —
+// and returns matching node ids in document order: the whole store's, or the
+// anchor's subtree's.
+func (p *Plan) IDs(ctx context.Context, s *core.Store, anchor core.NodeID) ([]core.NodeID, error) {
 	if p.count {
 		return nil, p.notNodeSet()
 	}
@@ -238,7 +246,7 @@ func QueryCountCtx(ctx context.Context, s *core.Store, src string) (int, error) 
 		}
 		return strconv.Atoi(v)
 	}
-	ids, err := p.ids(ctx, s, core.InvalidNode)
+	ids, err := p.IDs(ctx, s, core.InvalidNode)
 	if err != nil {
 		return 0, err
 	}
@@ -304,5 +312,5 @@ func QueryNodeIDsCtx(ctx context.Context, s *core.Store, anchor core.NodeID, src
 	if err != nil {
 		return nil, err
 	}
-	return p.ids(ctx, s, anchor)
+	return p.IDs(ctx, s, anchor)
 }

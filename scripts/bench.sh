@@ -1,15 +1,18 @@
 #!/bin/sh
 # bench.sh — parallel read-path benchmark runner (experiment E8).
 #
-# Runs the root-package parallel benchmarks at 1, 2, 4 and 8 goroutines with
-# allocation accounting and distills the results into BENCH_parallel.json
-# (override the path with $1), so nightly runs leave a machine-readable
-# scaling trajectory to regress against. AXML_BENCHTIME overrides the
-# per-benchmark measuring time (default 1s).
+# Runs the root-package parallel, pushdown and value-index benchmarks at 1,
+# 2, 4 and 8 goroutines with allocation accounting and distills the results
+# into BENCH_parallel.json (override the path with $1), so nightly runs leave
+# a machine-readable scaling trajectory to regress against. AXML_BENCHTIME
+# overrides the per-benchmark measuring time (default 1s).
 #
 # If a previous BENCH_parallel.json exists it becomes the baseline: any
 # benchmark present in both runs that regresses more than 15% in ns/op fails
 # the script (after the new file is written, so the numbers are inspectable).
+# The file records the host's processor count, and a baseline taken on a
+# different count (or on none: a file from before the field existed) is
+# refused before anything runs — -cpu 4 on two cores is not -cpu 4 on eight.
 # Set AXML_BENCH_NOGATE=1 to record a new baseline without the comparison —
 # e.g. when moving to different hardware.
 set -eu
@@ -20,20 +23,28 @@ raw=$(mktemp)
 base=$(mktemp)
 trap 'rm -f "$raw" "$base"' EXIT
 have_base=0
+nproc=$(getconf _NPROCESSORS_ONLN)
 if [ -f "$out" ] && [ -z "${AXML_BENCH_NOGATE:-}" ]; then
+    base_nproc=$(sed -n 's/.*"nproc": \([0-9][0-9]*\).*/\1/p' "$out")
+    if [ "$base_nproc" != "$nproc" ]; then
+        echo "bench: $out was recorded on ${base_nproc:-an unrecorded number of} processors, this host has $nproc;" >&2
+        echo "       numbers do not compare across core counts (AXML_BENCH_NOGATE=1 records a new baseline)" >&2
+        exit 2
+    fi
     cp "$out" "$base"
     have_base=1
 fi
 
-go test -run '^$' -bench 'Parallel|ColdCoarse' -benchmem \
+go test -run '^$' -bench 'Parallel|ColdCoarse|Pushdown|ValueIndex' -benchmem \
     -cpu 1,2,4,8 -benchtime "${AXML_BENCHTIME:-1s}" . | tee "$raw"
 
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+git diff --quiet HEAD 2>/dev/null || commit="$commit+uncommitted"
 stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
-awk -v commit="$commit" -v stamp="$stamp" '
+awk -v commit="$commit" -v stamp="$stamp" -v nproc="$nproc" '
 BEGIN {
-    printf "{\n  \"commit\": \"%s\",\n  \"generated\": \"%s\",\n  \"benchmarks\": [", commit, stamp
+    printf "{\n  \"commit\": \"%s\",\n  \"generated\": \"%s\",\n  \"nproc\": %d,\n  \"benchmarks\": [", commit, stamp, nproc
     n = 0
 }
 /^Benchmark/ && /ns\/op/ {

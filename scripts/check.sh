@@ -39,6 +39,7 @@ go test -race -run 'TestPartitionChaos|TestNetChaos|TestFleet|TestFailover' ./in
 echo "== go test -fuzz (xpath: 10s per target, so the differential checks meet fresh inputs, not only the seed corpus)"
 go test -run '^$' -fuzz FuzzXPathParser -fuzztime 10s ./internal/xpath
 go test -run '^$' -fuzz FuzzScanProgramTokens -fuzztime 10s ./internal/xpath
+go test -run '^$' -fuzz FuzzValueTable -fuzztime 10s ./internal/xpath
 
 echo "== benchmark smoke (nested module: every layer probe against the current internal/* API)"
 (cd benchmark && go test ./...)
