@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/token"
 	"repro/internal/wal"
 	"repro/internal/workload"
 	"repro/internal/xpath"
@@ -259,6 +260,124 @@ func BenchmarkValueIndexPoint(b *testing.B) {
 			b.StopTimer()
 			if st := s.Stats(); st.ValueIndexFills != 1 || st.ValueIndexHits < uint64(b.N) {
 				b.Fatalf("not measured on hits: %d fills, %d hits of %d", st.ValueIndexFills, st.ValueIndexHits, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkValueIndexChild is the benchmark's q-fallback once its head's table
+// stands: a map lookup for Globex's orders, [1] over their parents, and one
+// anchored read of the first order's subtree for /date.
+func BenchmarkValueIndexChild(b *testing.B) {
+	const q = `//purchase-order[customer='Globex'][1]/date`
+	for _, n := range []int{1000, 20000} {
+		b.Run(fmt.Sprintf("orders=%d", n), func(b *testing.B) {
+			s, _ := ordersStore(b, core.Config{Mode: core.RangePartial}, n)
+			defer s.Close()
+			ctx := context.Background()
+			b.ReportAllocs()
+			for i := -3; i < b.N; i++ { // first sight, fill and a hit before the clock starts
+				if i == 0 {
+					b.ResetTimer()
+				}
+				ids, err := xpath.QueryIDsCtx(ctx, s, q)
+				if err != nil || len(ids) != 1 {
+					b.Fatalf("%s: %d ids, %v", q, len(ids), err)
+				}
+			}
+			b.StopTimer()
+			if st := s.Stats(); st.ValueIndexFills != 1 || st.ValueIndexHits < uint64(b.N) {
+				b.Fatalf("not measured on hits: %d fills, %d hits of %d", st.ValueIndexFills, st.ValueIndexHits, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkValueIndexTailCrossover prices xpath's tailReadTokens: a path with
+// steps behind its head, over 1 000 orders of which k carry the value, run
+// three ways — anchored (the table's k elements, /date read below each: what a
+// hit does), scan (no index: what the hit replaces) and index (what the rule
+// picks). The constant belongs where anchored crosses scan; index must follow
+// the cheaper of the two on either side, and k=333 — the share of
+// [@status='open'] — must not be slower than scan.
+func BenchmarkValueIndexTailCrossover(b *testing.B) {
+	const head = `/purchase-orders/purchase-order[@status='hot']`
+	const q = head + `/date`
+	ctx := context.Background()
+	for _, k := range []int{125, 250, 333, 500} {
+		gen := workload.New(2005)
+		doc := []core.Token{token.Elem("purchase-orders")}
+		for i := 0; i < 1000; i++ {
+			frag := gen.PurchaseOrder(i)
+			if i*k/1000 != (i+1)*k/1000 {
+				for j := range frag {
+					if frag[j].Kind == token.BeginAttribute && frag[j].Name == "status" {
+						frag[j].Value = "hot"
+					}
+				}
+			}
+			doc = append(doc, frag...)
+		}
+		doc = append(doc, token.EndElem())
+		open := func(b *testing.B, cfg core.Config) *core.Store {
+			s, err := core.Open(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Append(doc); err != nil {
+				b.Fatal(err)
+			}
+			return s
+		}
+		b.Run(fmt.Sprintf("survivors=%d/anchored", k), func(b *testing.B) {
+			s := open(b, core.Config{Mode: core.RangePartial})
+			defer s.Close()
+			rest, err := xpath.CompileStore(s, "*/date")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := -3; i < b.N; i++ {
+				if i == 0 {
+					b.ResetTimer()
+				}
+				heads, err := xpath.QueryIDsCtx(ctx, s, head)
+				if err != nil || len(heads) != k {
+					b.Fatalf("%s: %d ids, %v", head, len(heads), err)
+				}
+				for _, h := range heads {
+					if ids, err := rest.IDs(ctx, s, h); err != nil || len(ids) != 1 {
+						b.Fatalf("date below %d: %d ids, %v", h, len(ids), err)
+					}
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("survivors=%d/scan", k), func(b *testing.B) {
+			s := open(b, core.Config{Mode: core.RangePartial, PlanCacheEntries: -1})
+			defer s.Close()
+			p, err := xpath.CompileStore(s, q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ids, err := p.IDs(ctx, s, core.InvalidNode); err != nil || len(ids) != k {
+					b.Fatalf("%s: %d ids, %v", q, len(ids), err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("survivors=%d/index", k), func(b *testing.B) {
+			s := open(b, core.Config{Mode: core.RangePartial})
+			defer s.Close()
+			b.ReportAllocs()
+			for i := -3; i < b.N; i++ {
+				if i == 0 {
+					b.ResetTimer()
+				}
+				if ids, err := xpath.QueryIDsCtx(ctx, s, q); err != nil || len(ids) != k {
+					b.Fatalf("%s: %d ids, %v", q, len(ids), err)
+				}
 			}
 		})
 	}

@@ -132,16 +132,18 @@ func run(exp string, o bench.Options) error {
 		fmt.Println(bench.FormatIDSchemes(rows))
 	}
 	if all || exp == "value-warmup" {
-		fmt.Println("=== E12: lazy value-index warm-up ===")
+		fmt.Println("=== E12/E13: lazy value-index warm-up ===")
 		orders := 20000 // the benchmark's larger corpus
 		if o.InsertBatches > 0 && o.OrdersPerBatch > 0 {
 			orders = o.InsertBatches * o.OrdersPerBatch
 		}
-		ws, err := bench.RunValueWarmup(o, orders)
-		if err != nil {
-			return err
+		for _, shape := range bench.ValueWarmupShapes {
+			ws, err := bench.RunValueWarmup(o, orders, shape.Query)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%s\n%s\n", shape.Name, bench.FormatValueWarmup(ws))
 		}
-		fmt.Println(bench.FormatValueWarmup(ws))
 	}
 	switch exp {
 	case "all", "table5", "sweep", "warmup", "mixed", "storage", "coalesce", "idschemes", "value-warmup":

@@ -152,8 +152,22 @@ func FormatWarmup(ws []WarmupWindow) string {
 	return sb.String()
 }
 
-// E12 — lazy value-index warm-up, the same curve for content: the first point
-// query of a shape pays the scan, the second the fill scan, the rest a lookup.
+// E12/E13 — lazy value-index warm-up, the same curve for content: the first
+// query of a shape pays the scan, the second the fill scan, the rest a lookup
+// — and, for a shape with steps behind its predicate, one subtree read.
+
+// ValueWarmupShapes are the two shapes measured, each a query for the i-th
+// draw: q-point's attribute predicate and q-fallback's child predicate with
+// [1] and a step behind it.
+var ValueWarmupShapes = []struct {
+	Name  string
+	Query func(i uint64) string
+}{
+	{"[@id='…']", func(i uint64) string { return fmt.Sprintf("/purchase-orders/purchase-order[@id='PO-%06d']", i) }},
+	{"[customer='…'][1]/date", func(i uint64) string {
+		return fmt.Sprintf("//purchase-order[customer='%s'][1]/date", [...]string{"Globex", "Initech", "Tyrell"}[i%3])
+	}},
+}
 
 // ValueWarmupWindow is the queries issued since the previous window: their hit
 // rate and mean latency, and the store's running totals.
@@ -164,10 +178,10 @@ type ValueWarmupWindow struct {
 	TableBytes          int64
 }
 
-// RunValueWarmup issues o.RandomReads point queries by @id, a random order
+// RunValueWarmup issues o.RandomReads queries of one shape, a random draw
 // each, over a document of orders purchase orders; windows end after 1, 2, 3,
 // 4, 8, 16, … queries.
-func RunValueWarmup(o Options, orders int) ([]ValueWarmupWindow, error) {
+func RunValueWarmup(o Options, orders int, query func(i uint64) string) ([]ValueWarmupWindow, error) {
 	o = o.withDefaults()
 	s, err := core.Open(core.Config{Mode: core.RangePartial})
 	if err != nil {
@@ -186,7 +200,7 @@ func RunValueWarmup(o Options, orders int) ([]ValueWarmupWindow, error) {
 		end = min(end, o.RandomReads)
 		start := time.Now()
 		for ; issued < end; issued++ {
-			q := fmt.Sprintf("/purchase-orders/purchase-order[@id='PO-%06d']", order()-1)
+			q := query(order() - 1)
 			if ids, err := xpath.QueryIDsCtx(ctx, s, q); err != nil || len(ids) != 1 {
 				return nil, fmt.Errorf("query %d %s: %d ids, %v", issued, q, len(ids), err)
 			}

@@ -305,7 +305,7 @@ func (s *Server) handleFetchSegment(c *conn, ctx context.Context, lsn uint64) er
 		if end > len(data) {
 			end = len(data)
 		}
-		if err := c.writeFrame(msgSegData, data[off:end]); err != nil {
+		if err := c.queueFrame(msgSegData, data[off:end]); err != nil {
 			return err
 		}
 	}
@@ -340,8 +340,9 @@ func nodeXML(ctx context.Context, st *core.Store, id core.NodeID) (string, error
 }
 
 // handleQuery streams matches as they serialize: one msgRow per node,
-// then msgDone with the count. Each row flushes under the write timeout,
-// so a slow reader stalls its own session only — and only briefly.
+// then msgDone with the count. Rows go out as the connection's buffer
+// fills and with msgDone, each write under the write timeout, so a slow
+// reader stalls its own session only — and only briefly.
 func (s *Server) handleQuery(c *conn, ctx context.Context, expr string, gate replica.ReadOptions) error {
 	var sent uint64
 	err := s.withRead(gate, func(st *core.Store) error {
@@ -365,7 +366,7 @@ func (s *Server) handleQuery(c *conn, ctx context.Context, expr string, gate rep
 			var e enc
 			e.u64(uint64(id))
 			e.str(xml)
-			if err := c.writeFrame(msgRow, e.payload()); err != nil {
+			if err := c.queueFrame(msgRow, e.payload()); err != nil {
 				return err
 			}
 			sent++

@@ -570,17 +570,23 @@ func (c *conn) serveRequest() (closeAfter bool, err error) {
 		return false, nil
 	}
 
+	// inOp goes up before the drain cutoff is asked, not after it admits the
+	// op: Shutdown severs every connection it finds with inOp down once the
+	// cutoff is set, so an op admitted before the cutoff must already show.
+	// (Set after admission, a Shutdown between the two closed the connection
+	// under its in-flight op — TestGracefulDrain's "connection reset by peer".)
+	c.inOp.Store(true)
 	finish, err := s.beginServerOp()
 	if err != nil {
 		// Drain cutoff: tell the client, then close so it reconnects
 		// against a live server.
 		c.writeErr(err)
+		c.inOp.Store(false)
 		return true, nil
 	}
 	// The response — success frames or the typed error — goes out before
 	// finish(): a draining Shutdown waits for in-flight ops, and "in
 	// flight" must include telling the client what happened.
-	c.inOp.Store(true)
 	opErr := c.runOp(typ, payload)
 	var werr error
 	framing := opErr != nil && (errors.Is(opErr, ErrProtocol) || errors.Is(opErr, ErrFrameTooLarge))
@@ -632,14 +638,25 @@ func (c *conn) runOp(typ byte, payload []byte) error {
 	return s.dispatch(c, ctx, typ, d, gate)
 }
 
-// writeFrame writes one response frame under the write timeout, flushing
-// so a streamed row is on the wire before the next one is computed.
+// writeFrame writes the frame that ends a response — the only one, or the one
+// behind the frames queueFrame buffered — and flushes, under the write timeout.
 func (c *conn) writeFrame(typ byte, payload []byte) error {
 	c.nc.SetWriteDeadline(time.Now().Add(c.srv.opt.WriteTimeout))
 	if err := writeFrame(c.bw, typ, payload); err != nil {
 		return err
 	}
 	return c.bw.Flush()
+}
+
+// queueFrame buffers one frame of a response that more frames follow: it
+// reaches the wire when the buffer fills — under a write timeout of its own —
+// or with the writeFrame that ends the response, error frame included. A
+// one-row query is one write and one deadline, not two.
+func (c *conn) queueFrame(typ byte, payload []byte) error {
+	if c.bw.Available() < frameHeader+len(payload) {
+		c.nc.SetWriteDeadline(time.Now().Add(c.srv.opt.WriteTimeout))
+	}
+	return writeFrame(c.bw, typ, payload)
 }
 
 func (c *conn) writeErr(err error) error {

@@ -291,12 +291,16 @@ func TestGracefulDrain(t *testing.T) {
 	e.inj.ArmLatency(time.Millisecond)
 	defer e.inj.DisarmLatency()
 
+	// The load's op is counted and answered, but its in-flight mark comes
+	// down after the answer: wait for the query's own admission, not for
+	// any op in flight.
+	ops := e.srv.Stats().OpsTotal
 	opDone := make(chan error, 1)
 	go func() {
 		_, err := c.Query(context.Background(), `//row`)
 		opDone <- err
 	}()
-	waitFor(t, func() bool { return e.srv.Stats().OpsInFlight > 0 })
+	waitFor(t, func() bool { st := e.srv.Stats(); return st.OpsTotal > ops && st.OpsInFlight > 0 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -321,6 +325,69 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if err := e.st.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueryRowsBuffered: a query's rows are buffered on the connection and
+// flushed with msgDone (one write for a one-row answer), or whenever the
+// buffer fills — a one-row and a 10 000-row answer both arrive complete — and
+// every one of those writes is still under the write timeout: a reader that
+// stops reading is cut, it does not pin the session.
+func TestQueryRowsBuffered(t *testing.T) {
+	cfg := memCfg()
+	cfg.PageSize = 8192 // 10 000 rows on 512-byte pages load for seconds
+	e := start(t, cfg, server.Options{WriteTimeout: 200 * time.Millisecond})
+	c := e.dial(server.ClientOptions{})
+	ctx := context.Background()
+	const n = 10_000
+	if _, err := c.Load(ctx, bigDoc(n)); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.Query(ctx, `//row[@n='7']`)
+	if err != nil || len(rows) != 1 || rows[0].XML != `<row n="7">v7</row>` {
+		t.Fatalf("one row: %+v (%v)", rows, err)
+	}
+	// Past the last response's deadline: the writes the full buffer makes
+	// on the way must each set their own.
+	time.Sleep(250 * time.Millisecond)
+	if rows, err = c.Query(ctx, `//row`); err != nil || len(rows) != n {
+		t.Fatalf("%d rows (%v), want %d", len(rows), err, n)
+	}
+	for i, r := range rows {
+		if want := fmt.Sprintf(`<row n="%d">v%d</row>`, i, i); r.XML != want {
+			t.Fatalf("row %d: %s, want %s", i, r.XML, want)
+		}
+	}
+	if rows, err = c.Query(ctx, `//nothing`); err != nil || len(rows) != 0 {
+		t.Fatalf("no rows: %+v (%v)", rows, err)
+	}
+
+	// 128 nested elements of 1 KB each: //* answers ≈8 MB, more than the
+	// socket buffers between a server and a client that does not read.
+	deep := strings.Repeat("<n>"+strings.Repeat("x", 1024), 128) + strings.Repeat("</n>", 128)
+	if _, err := c.Load(ctx, deep); err != nil {
+		t.Fatal(err)
+	}
+	const rawQuery, rawDone = 0x10, 0x84
+	nc := rawHandshake(t, e.addr)
+	defer nc.Close()
+	if _, err := nc.Write(rawFrame(rawQuery, rawStr(rawHeader(), `//n`))); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(4 * 200 * time.Millisecond) // the server fills the buffers, waits out its write timeout, cuts
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for {
+		typ, _, err := readRawFrame(nc)
+		if err != nil {
+			break // cut before the answer was complete
+		}
+		if typ == rawDone {
+			t.Fatal("a reader that had stopped reading was served to the end")
+		}
+	}
+	// The session is gone, the server is not.
+	if rows, err = c.Query(ctx, `//row[@n='8']`); err != nil || len(rows) != 1 {
+		t.Fatalf("after the cut: %+v (%v)", rows, err)
 	}
 }
 

@@ -162,10 +162,13 @@ func init() {
 	core.RegisterErrCode(core.CodeSegmentGone, fs.ErrNotExist, false)
 }
 
+// frameHeader is the bytes in front of a payload: length, then type.
+const frameHeader = 5
+
 // writeFrame writes one frame. The caller is responsible for any write
 // deadline on w.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	hdr := make([]byte, 5, 5+len(payload))
+	hdr := make([]byte, frameHeader, frameHeader+len(payload))
 	binary.BigEndian.PutUint32(hdr, uint32(1+len(payload)))
 	hdr[4] = typ
 	_, err := w.Write(append(hdr, payload...))

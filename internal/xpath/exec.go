@@ -126,15 +126,20 @@ type xframe struct {
 	// The frame is kept at 128 bytes: it is pushed once per element.
 	ctrParent int32
 	ctrSelf   int32
-	candLo    int32 // absolute queue position when pushed: later candidates may depend on this frame
-	counters  [maxPosCounters]int32
-	attrBuf   []attrHit
+	// candLo is the absolute queue position when pushed: later candidates may
+	// depend on this frame. In a child- or text-atom fill every element that
+	// reaches the atom is queued once, right after its push, so candLo is also
+	// its rank among them in document order (see captured).
+	candLo   int32
+	counters [maxPosCounters]int32
+	attrBuf  []attrHit
 }
 
 func (f *xframe) maybe() uint64 { return f.pend | f.wait | f.inh }
 
 // watcher compares one child element's string-value against a [name='lit']
-// atom of the enclosing element as its text tokens stream by.
+// atom of the enclosing element as its text tokens stream by. In a fill it
+// collects the value instead: capBuf[off:] when the child ends.
 type watcher struct {
 	frame int // the child's frame
 	atom  int
@@ -167,18 +172,22 @@ type scanExec struct {
 	stopped bool
 	err     error
 	// capture, set for a value-table fill, is handed every value the program's
-	// one attribute atom meets, with the id of the element carrying it — each
-	// such element is a match, see Plan.fillProgram. Returning false stops the
-	// scan. Last, on purpose: ahead of frames it cost every scan 4–5 %
-	// (EXPERIMENTS E12).
-	capture func(core.NodeID, []byte) bool
+	// one atom meets — each value of the attribute, the string-value of each
+	// same-named child, each text child — with the id of the element carrying
+	// it, its parent's, and its document-order rank (see captured and
+	// Plan.fillProgram). A fill never satisfies a child or text atom: the
+	// element stays open for all its values. Returning false stops the scan.
+	// capBuf holds the text of the watched children that are open. Last, on
+	// purpose: ahead of frames these cost every scan 4–5 % (EXPERIMENTS E12).
+	capture func(id, parent core.NodeID, ord int32, val []byte) bool
+	capBuf  []byte
 }
 
 var execPool = sync.Pool{New: func() any { return new(scanExec) }}
 
 func newScanExec(prog *scanProgram, emit func(core.NodeID) bool) *scanExec {
 	e := execPool.Get().(*scanExec)
-	*e = scanExec{prog: prog, emit: emit, frames: e.frames[:0], watch: e.watch[:0], cands: e.cands[:0]}
+	*e = scanExec{prog: prog, emit: emit, frames: e.frames[:0], watch: e.watch[:0], cands: e.cands[:0], capBuf: e.capBuf[:0]}
 	// Frame 0 is the virtual root, holding every branch's start state. For
 	// anchored scans the anchor's begin token is processed as the root's
 	// first child — the same shape BuildDoc gives a subtree.
@@ -298,10 +307,10 @@ func (e *scanExec) pushElement(id core.NodeID, raw []byte) {
 			a := bits.TrailingZeros64(m)
 			switch at := &e.prog.atoms[a]; {
 			case string(name) != at.name:
-			case at.has:
+			case at.has && e.capture == nil:
 				l.sat |= 1 << a
-			default:
-				e.watch = append(e.watch, watcher{frame: pi + 1, atom: a, ok: true})
+			default: // a literal to compare with, or a fill's value to collect
+				e.watch = append(e.watch, watcher{frame: pi + 1, atom: a, off: len(e.capBuf), ok: true})
 			}
 		}
 		if l.sat != sat {
@@ -363,8 +372,8 @@ func (e *scanExec) onAttribute(top int, id core.NodeID, raw []byte) {
 		a := bits.TrailingZeros64(m)
 		if at := &e.prog.atoms[a]; string(name) == at.name && (at.has || string(val) == at.lit) {
 			f.sat |= 1 << a
-			if e.capture != nil && !e.capture(f.id, val) {
-				e.stopped = true
+			if e.capture != nil {
+				e.captured(top, val)
 			}
 		}
 	}
@@ -389,6 +398,14 @@ func (e *scanExec) onText(li int, raw []byte) {
 		e.fail(err)
 		return
 	}
+	if e.capture != nil {
+		if texts != 0 {
+			e.captured(li, val)
+		} else {
+			e.capBuf = append(e.capBuf, val...)
+		}
+		return
+	}
 	// The text is part of the string-value of every watched open element.
 	for i := range e.watch {
 		w := &e.watch[i]
@@ -408,6 +425,18 @@ func (e *scanExec) onText(li int, raw []byte) {
 	}
 	if l.sat&texts != 0 {
 		e.decide(li)
+	}
+}
+
+// captured hands a fill's collector one value of the atom on the element of
+// frame fi. Child and text values arrive when the child ends, so an element
+// can come after one nested inside it: the rank lets the collector restore
+// document order. (Attribute values arrive in document order, all ranks equal:
+// nothing is ever queued.)
+func (e *scanExec) captured(fi int, val []byte) {
+	f := &e.frames[fi]
+	if !e.capture(f.id, e.frames[f.ctrParent].id, f.candLo, val) {
+		e.stopped = true
 	}
 }
 
@@ -590,10 +619,17 @@ func (e *scanExec) pop(top int) {
 	li := int(f.ctrParent)
 	sat := e.frames[li].sat
 	for n := len(e.watch); n > 0 && e.watch[n-1].frame == top; n-- {
-		if w := e.watch[n-1]; w.ok && w.off == len(e.prog.atoms[w.atom].lit) {
+		w := e.watch[n-1]
+		e.watch = e.watch[:n-1]
+		switch {
+		case e.capture != nil:
+			e.captured(li, e.capBuf[w.off:])
+			if n == 1 {
+				e.capBuf = e.capBuf[:0] // no enclosing watcher needs the bytes
+			}
+		case w.ok && w.off == len(e.prog.atoms[w.atom].lit):
 			e.frames[li].sat |= 1 << w.atom
 		}
-		e.watch = e.watch[:n-1]
 	}
 	if f.phase == phAttrs {
 		e.closeAttrs(top)
@@ -632,13 +668,19 @@ func (e *scanExec) finish() error {
 // document order. anchor == InvalidNode scans the whole store; otherwise the
 // scan covers only the anchor's subtree (the anchor acting as the context
 // node, exactly like evaluating against BuildDoc(ReadNode(anchor))). emit
-// returning false stops the scan early. capture is nil except for a fill.
-func runProgram(ctx context.Context, s *core.Store, prog *scanProgram, anchor core.NodeID, emit func(core.NodeID) bool, capture func(core.NodeID, []byte) bool) error {
+// returning false stops the scan early. fill is nil except for a fill, which
+// collects the atom's values and counts the tokens read.
+func runProgram(ctx context.Context, s *core.Store, prog *scanProgram, anchor core.NodeID, emit func(core.NodeID) bool, fill *tableBuilder) error {
 	e := newScanExec(prog, emit)
-	e.capture = capture
 	defer e.release()
 	var err error
-	if anchor == core.InvalidNode {
+	if fill != nil {
+		e.capture = fill.capture
+		err = s.ScanRawCtx(ctx, func(id core.NodeID, raw []byte) bool {
+			fill.tokens++
+			return e.onToken(id, raw)
+		})
+	} else if anchor == core.InvalidNode {
 		err = s.ScanRawCtx(ctx, e.onToken)
 	} else {
 		err = s.ScanNodeRawCtx(ctx, anchor, e.onToken)

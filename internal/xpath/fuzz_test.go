@@ -141,13 +141,15 @@ func fuzzStream(data []byte) [][]byte {
 
 // runTokens drives the executor the way a store scan does: ids count the
 // node-starting tokens.
-func runTokens(prog *scanProgram, raws [][]byte, capture func(core.NodeID, []byte) bool) ([]core.NodeID, error) {
+func runTokens(prog *scanProgram, raws [][]byte, fill *tableBuilder) ([]core.NodeID, error) {
 	var out []core.NodeID
 	e := newScanExec(prog, func(id core.NodeID) bool {
 		out = append(out, id)
 		return true
 	})
-	e.capture = capture
+	if fill != nil {
+		e.capture = fill.capture
+	}
 	defer e.release()
 	next := core.NodeID(1)
 	for _, raw := range raws {
@@ -228,18 +230,29 @@ func FuzzScanProgramTokens(f *testing.F) {
 }
 
 // FuzzValueTable: over arbitrary raw streams, the table a fill scan builds
-// holds, for every value, exactly what the literal program emits for it —
-// duplicated attributes, attributes out of place and malformed streams
-// included (there the two scans must fail alike).
+// holds, for every value, exactly what the literal program emits for it, in
+// the same order — attribute, child and text atoms, with and without [N];
+// duplicated attributes and children, attributes out of place, values split
+// across tokens, matching elements nested in matching elements and malformed
+// streams included (there the fill must fail if the literal scan does).
 func FuzzValueTable(f *testing.F) {
 	for _, seed := range []string{
 		"\x00\x36\x10\x36\x03\x10\x76\x03\x03", // <a c="x"><b c="x"/><b c="y"/></a>
 		"\x00\x36\x76\x36\x00\x36\x03\x03",     // c="x" c="y" c="x" on one element, a nested a
 		"\x00\x20\xf6\x03\x10\x20\xb6\x03\x03\x03", "\x00\x10\x08\x36\x03\x03", "\x36\x00\x03", "\x00\x3e\x03", "\x00\x36",
+		"\x00\x00\x10\x08\x03\x03\x10\x08\x03\x03",                 // <a><a><b>x</b></a><b>x</b></a>: the outer a is captured last
+		"\x00\x10\x08\x03\x00\x10\x08\x03\x03\x10\x08\x03\x03",     // b=x, a nested a with b=x, b=x again
+		"\x00\x10\x08\x48\x03\x10\x20\x08\x03\x48\x03\x10\x03\x03", // "x"+"y" split, x<e>y</e>, an empty b
+		"\x00\x08\x00\x08\x03\x08\x03",                             // text children around a nested a
+		"A8\xffC",                                                  // <a>x, then a token that does not decode: the literal scan of 'x' has stopped looking
 	} {
 		f.Add([]byte(seed))
 	}
-	shapes := []string{"//a[@c='%s']", "/a/b[@c='%s']", "//*[@c='%s']", "/a//e['%s'=@c]", "count(//b[@c='%s'])"}
+	shapes := []string{
+		"//a[@c='%s']", "/a/b[@c='%s']", "//*[@c='%s']", "/a//e['%s'=@c]", "count(//b[@c='%s'])",
+		"//a[b='%s']", "/a/a[b='%s']", "//*['%s'=e]", "//a[text()='%s']", "/a/b[text()='%s']",
+		"//a[b='%s'][1]", "//*[@c='%s'][2]", "count(//a[text()='%s'][1])",
+	}
 	vals := []string{"x", "y", "xy", "", "absent"}
 	plans := make([][]*Plan, len(shapes))
 	for i, shape := range shapes {
@@ -249,8 +262,8 @@ func FuzzValueTable(f *testing.F) {
 				f.Fatal(err)
 			}
 			p := PlanQuery(c)
-			if p.probeKey == "" {
-				f.Fatalf("%s: not a probe shape", c.src)
+			if p.probeKey == "" || p.rest != nil {
+				f.Fatalf("%s: not a probe shape answered by the table alone", c.src)
 			}
 			plans[i] = append(plans[i], p)
 		}
@@ -258,18 +271,21 @@ func FuzzValueTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		raws := fuzzStream(data)
 		for _, ps := range plans {
-			b := tableBuilder{ids: make(map[string]*[]core.NodeID), max: unbudgetedTableBytes}
-			_, fillErr := runTokens(ps[0].fillProgram(), raws, b.capture)
-			held := len(b.ids)
+			b := tableBuilder{vals: make(map[string]*valueList), max: unbudgetedTableBytes}
+			_, fillErr := runTokens(ps[0].fillProgram(), raws, &b)
+			table := b.table(0)
+			held := len(table.vals)
 			for _, p := range ps {
 				want, err := runTokens(p.prog, raws, nil)
-				if (err != nil) != (fillErr != nil) {
+				// A literal scan that decided a child or text atom early skips
+				// tokens the fill has to read: there the fill alone may fail.
+				if (err != nil) != (fillErr != nil) && (err != nil || p.prog.atoms[0].kind == atomAttr) {
 					t.Fatalf("%s: scan error %v, fill error %v", p.c.src, err, fillErr)
 				}
-				if err != nil {
+				if fillErr != nil {
 					continue
 				}
-				got, n := (&valueTable{ids: b.ids}).answer(p.prog.atoms[0].lit, -1)
+				got, n, _, _ := p.answer(context.Background(), nil, table, -1) // no rest: the store is not touched
 				if !idsEqual(got, want) || n != len(want) {
 					t.Fatalf("%s: table %v, scan %v", p.c.src, got, want)
 				}
@@ -277,8 +293,11 @@ func FuzzValueTable(f *testing.F) {
 					held--
 				}
 			}
-			if fillErr == nil && held != 0 {
-				t.Fatalf("%s: the table holds %d values no literal scan matches: %v", ps[0].c.src, held, b.ids)
+			// Attribute values and text children come from vals; under [N] a held
+			// value may match nothing, and a child's string-value can be any
+			// concatenation.
+			if p := ps[0]; fillErr == nil && held != 0 && p.probePos == 0 && p.prog.atoms[0].kind != atomChild {
+				t.Fatalf("%s: the table holds %d values no literal scan matches", ps[0].c.src, held)
 			}
 		}
 	})

@@ -39,11 +39,19 @@ type Plan struct {
 	unionPaths []*pathExpr
 	// cost is the cache charge estimate in bytes.
 	cost int64
-	// probeKey is non-empty for a probe shape — one branch selecting elements,
-	// one predicate in the whole path, a single [@name='lit'] atom on the last
-	// step — which the lazy value index can answer (valueindex.go): the path
-	// with the literal blanked. The literal is prog.atoms[0].lit.
+	// probeKey is non-empty for a probe shape, which the lazy value index can
+	// answer (valueindex.go): a one-branch path split into a head — the steps up
+	// to and including the path's first predicate, a lone equality atom — and a
+	// rest. The key is the head with the literal blanked and the atom's kind
+	// spelled, so every rest and every literal of one head share a table. The
+	// literal is prog.atoms[0].lit.
 	probeKey string
+	head     *pathExpr // the head alone: what the fill scan runs
+	// The rest: [probePos] right after the atom (0: none), then the steps that
+	// follow, compiled as `*/steps` to run anchored at a head element (nil: none).
+	probePos int
+	rest     *scanProgram
+	headDesc bool // a `//` in the head: its elements may nest
 }
 
 // Compiled returns the underlying compiled expression.
@@ -155,7 +163,7 @@ func PlanQuery(c *Compiled) *Plan {
 			if prog, ok := compileProgram([]*pathExpr{path}); ok {
 				p.prog = prog
 				p.count = true
-				p.planProbe()
+				p.planProbe(path)
 			}
 		}
 		return p
@@ -167,7 +175,9 @@ func PlanQuery(c *Compiled) *Plan {
 	}
 	if prog, ok := compileProgram(paths); ok {
 		p.prog = prog
-		p.planProbe()
+		if !isUnion {
+			p.planProbe(paths[0])
+		}
 		return p
 	}
 	if isUnion {
@@ -178,46 +188,65 @@ func PlanQuery(c *Compiled) *Plan {
 	return p
 }
 
-// planProbe recognises the probe shape and derives its key.
-func (p *Plan) planProbe() {
-	prog := p.prog
-	if len(prog.branches) != 1 || prog.npreds != 1 || len(prog.atoms) != 1 {
+// planProbe recognises a probe shape in the pushdown path and splits it into
+// head and rest. Out — they scan — are a predicate before the atom, a boolean
+// tree around it, and anything but one positional predicate after it on its
+// step.
+func (p *Plan) planProbe(path *pathExpr) {
+	i := 0
+	for i < len(path.steps) && len(path.steps[i].preds) == 0 {
+		i++
+	}
+	if i == len(path.steps) {
 		return
 	}
-	br, a := &prog.branches[0], prog.atoms[0]
-	if br.attr != "" || a.kind != atomAttr || a.has {
+	preds := path.steps[i].preds
+	a, ok := predAtom(preds[0])
+	if !ok || a.has || len(preds) > 2 {
 		return
 	}
-	last := br.steps[len(br.steps)-1]
-	if len(last.preds) != 1 || last.preds[0].pos != 0 || prog.nodes[last.preds[0].root].op != opAtom {
-		return
+	pos := 0
+	if len(preds) == 2 {
+		if pos, ok = positionTest(preds[1]); !ok {
+			return
+		}
 	}
 	var key strings.Builder
 	key.WriteString(core.ValueIndexKeyPrefix)
-	for _, st := range br.steps {
-		// "/" or "//", then a never-empty name: the key parses back one way.
+	for _, st := range path.steps[:i+1] {
+		// "/" per step, one more for `//`, then a never-empty name: the key
+		// parses back one way.
 		key.WriteString("/")
-		if st.desc {
-			key.WriteString("/")
+		if st.axis == axDescendantOrSelf {
+			p.headDesc = true
+			continue
 		}
-		if st.name == "" {
+		if st.test.name == "" {
 			key.WriteString("*")
 		}
-		key.WriteString(st.name)
+		key.WriteString(st.test.name)
 	}
-	key.WriteString("[@" + a.name)
-	p.probeKey = key.String()
+	key.WriteString([...]string{atomAttr: "[@", atomChild: "[", atomText: "[text()"}[a.kind] + a.name)
+	if tail := path.steps[i+1:]; len(tail) != 0 {
+		anchor := step{axis: axChild, test: nodeTest{kind: Element, name: "*"}}
+		if p.rest, ok = compileProgram([]*pathExpr{{steps: append([]step{anchor}, tail...)}}); !ok {
+			return
+		}
+	}
+	p.head = &pathExpr{steps: append([]step(nil), path.steps[:i+1]...)}
+	p.head.steps[i].preds = preds[:1]
+	p.probeKey, p.probePos = key.String(), pos
 }
 
-// fillProgram is a probe-shape plan's program with the atom turned into an
-// existence test, to be run with a capture. Every element that reaches the
-// atom is a match: no other predicate exists, so every state is decided when
-// met and an element is tested only once the steps before it are known to
-// match. Built per fill, not kept per plan.
+// fillProgram is a probe shape's head with the atom turned into an existence
+// test, to be run with a capture. Every element that reaches the atom is
+// captured: no other predicate exists, so every state is decided when met and
+// an element is tested only once the steps before it are known to match.
+// Built per fill, not kept per plan.
 func (p *Plan) fillProgram() *scanProgram {
-	fill := *p.prog
-	fill.atoms = []scanAtom{{kind: atomAttr, name: fill.atoms[0].name, has: true}}
-	return &fill
+	fill, _ := compileProgram([]*pathExpr{p.head})
+	fill.atoms[0].has = true
+	return fill
 }
 
 // unionBranches flattens a `|` tree whose leaves are all location paths.

@@ -361,34 +361,57 @@ func TestPlannerClassification(t *testing.T) {
 		}
 	}
 	// The probe-shape column: which pushdown plans may ask the value index, and
-	// under which key (the path with the literal blanked).
-	probe := map[string]string{
-		"/a/b[@k='v']": "vx:/a/b[@k", "a/b[@k='w']": "vx:/a/b[@k", "//b[@k='v']": "vx://b[@k",
-		"count(//b[@k='v'])": "vx://b[@k", "//b['v'=@k]": "vx://b[@k", "//b[@k='']": "vx://b[@k",
-		"/a//*[@k='v']": "vx:/a//*[@k", "//b[@j='v']": "vx://b[@j",
-		// `*` and `//` are spelled out, so no two paths share a key
-		"/*/b[@k='v']": "vx:/*/b[@k", "/*/*[@k='v']": "vx:/*/*[@k", "//*[@k='v']": "vx://*[@k",
-		"/a/*//b[@k='v']": "vx:/a/*//b[@k", "/a//*/b[@k='v']": "vx:/a//*/b[@k",
-		// everything else scans as before
-		"//b[@k]": "", "//b[@k='v'][1]": "", "//b[1][@k='v']": "", "//b[@k='v' and @j='w']": "",
-		"//b[not(@k='v')]": "", "//b[c='v']": "", "//b[text()='v']": "", "/a[@k='v']/b": "",
-		"//b[@k='v']/@j": "", "//b[@k='v'] | //c": "", "//b[@k='v'] | //b[@k='w']": "", "//b": "",
-		"count(//b[@k='v'][2])": "",
+	// under which key — the head (the steps up to the path's first predicate, a
+	// lone equality atom) with the literal blanked and the atom's kind spelled.
+	type probe struct {
+		key  string
+		pos  int  // [N] right after the atom
+		rest bool // steps follow the head
 	}
-	for src, key := range probe {
+	probes := map[string]probe{
+		"/a/b[@k='v']": {key: "vx:/a/b[@k"}, "a/b[@k='w']": {key: "vx:/a/b[@k"}, "//b[@k='v']": {key: "vx://b[@k"},
+		"count(//b[@k='v'])": {key: "vx://b[@k"}, "//b['v'=@k]": {key: "vx://b[@k"}, "//b[@k='']": {key: "vx://b[@k"},
+		"/a//*[@k='v']": {key: "vx:/a//*[@k"}, "//b[@j='v']": {key: "vx://b[@j"},
+		// `*` and `//` are spelled out, so no two paths share a key
+		"/*/b[@k='v']": {key: "vx:/*/b[@k"}, "/*/*[@k='v']": {key: "vx:/*/*[@k"}, "//*[@k='v']": {key: "vx://*[@k"},
+		"/a/*//b[@k='v']": {key: "vx:/a/*//b[@k"}, "/a//*/b[@k='v']": {key: "vx:/a//*/b[@k"},
+		// child and text atoms: the kind is part of the key
+		"//b[c='v']": {key: "vx://b[c"}, "//b['v'=c]": {key: "vx://b[c"}, "//b[@c='v']": {key: "vx://b[@c"},
+		"//b[text()='v']": {key: "vx://b[text()"}, "//b['v'=text()]": {key: "vx://b[text()"},
+		// sources that differ only in the literal or after the atom share a key
+		"//b[c='w'][1]": {key: "vx://b[c", pos: 1}, "//b[c='v'][2]/d": {key: "vx://b[c", pos: 2, rest: true},
+		"//b[c='v'][position()=2]/d": {key: "vx://b[c", pos: 2, rest: true},
+		"//b[c='v']//d":              {key: "vx://b[c", rest: true}, "//b[c='x']/d[e='y'][1]/@a": {key: "vx://b[c", rest: true},
+		"count(//b[c='v'][1])": {key: "vx://b[c", pos: 1}, "//b[@k='v'][1]": {key: "vx://b[@k", pos: 1},
+		"//b[@k='v'][1]/d/@a": {key: "vx://b[@k", pos: 1, rest: true}, "//b[@k='v']/@j": {key: "vx://b[@k", rest: true},
+		"//b[@k='v']//@j": {key: "vx://b[@k", rest: true}, "count(//b[@k='v'][2])": {key: "vx://b[@k", pos: 2},
+		"/r/*/o[c='v'][1]/d": {key: "vx:/r/*/o[c", pos: 1, rest: true}, "/a[@k='v']/b": {key: "vx:/a[@k", rest: true},
+		"/a[@k='v']/b[c='w']": {key: "vx:/a[@k", rest: true},
+		// everything else scans as before: a predicate before the atom, a boolean
+		// tree around it, anything but one [N] after it on its step, a union
+		"//b[@k]": {}, "//b[1][@k='v']": {}, "//b[1][c='v']": {}, "//b[@k='v' and @j='w']": {}, "//b[c='v' and @k='w']": {},
+		"//b[not(@k='v')]": {}, "//b[not(c='v')]": {}, "//b[c='v'][d]": {}, "//b[c='v'][@k='w']": {}, "//b[c='v'][1][2]": {},
+		"/a[@k]/b[c='v']": {}, "/a[1]/b[c='v']": {}, "//b[c]": {}, "//b[c='v' or c='w']": {},
+		"//b[@k='v'] | //c": {}, "//b[@k='v'] | //b[@k='w']": {}, "//b[c='v'] | //b[c='w']": {}, "//b": {}, "//b/@k": {},
+	}
+	for src, want := range probes {
 		c, err := Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := PlanQuery(c)
-		if !p.Pushdown() || p.probeKey != key {
-			t.Errorf("%s: pushdown=%v probe key %q, want %q", src, p.Pushdown(), p.probeKey, key)
+		if !p.Pushdown() || p.probeKey != want.key {
+			t.Errorf("%s: pushdown=%v probe key %q, want %q", src, p.Pushdown(), p.probeKey, want.key)
 		}
-		if key == "" {
+		if want.key == "" {
 			continue
 		}
-		if fill := p.fillProgram(); !fill.atoms[0].has || p.prog.atoms[0].has || fill.atoms[0].name != p.prog.atoms[0].name {
-			t.Errorf("%s: fill atom %+v, scan atom %+v", src, fill.atoms[0], p.prog.atoms[0])
+		if p.probePos != want.pos || (p.rest != nil) != want.rest {
+			t.Errorf("%s: [N] %d rest %v, want %d %v", src, p.probePos, p.rest != nil, want.pos, want.rest)
+		}
+		fill, a := p.fillProgram(), p.prog.atoms[0]
+		if fa := fill.atoms[0]; !fa.has || a.has || fa.name != a.name || fa.kind != a.kind || len(fill.atoms) != 1 || fill.npreds != 1 || fill.nCounters != 0 {
+			t.Errorf("%s: fill atom %+v of %d, %d predicates, scan atom %+v", src, fa, len(fill.atoms), fill.npreds, a)
 		}
 	}
 	// Any anchored call scans, whatever the plan: pinned with the counters in
@@ -506,7 +529,10 @@ func TestPushdownAllocations(t *testing.T) {
 		max   float64
 		write bool // a flush before every run starts a new generation: always first sight
 	}{
-		{"//purchase-order[customer='Globex'][1]/date", 16, false},
+		{"//purchase-order[customer='Globex'][1]/date", 17, true}, // the scan's ≤16 and the shape's marker
+		// A hit with a rest: the plan-cache key, the result and its closure, the
+		// subtree's bytes and the scan callback — is 5.
+		{"//purchase-order[customer='Globex'][1]/date", 6, false},
 		{"/purchase-orders/purchase-order[@id='PO-000500']", 5, true}, // the scan's 4 and the shape's marker
 		{"/purchase-orders/purchase-order[@id='PO-000500']", 2, false},
 	} {
