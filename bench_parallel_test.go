@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pagestore"
 	"repro/internal/token"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -551,4 +552,67 @@ func BenchmarkColdCoarseRandomRead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkParallelColdFileRead is the in-process twin of the wire
+// benchmark's read-cold: a file-backed store of 20 000 orders in 200-order
+// ranges (each a stub plus a six-page overflow chain), the default 256-page
+// pool and 4 096-entry Partial Index, uniform reads of order roots rendered
+// as XML. The corpus is three times the pool and five times the index, so
+// most reads miss both — the only in-process read benchmark whose pool
+// evicts. misses/op is pool misses, each one a pread and a checksum.
+func BenchmarkParallelColdFileRead(b *testing.B) {
+	pager, err := pagestore.OpenFilePager(filepath.Join(b.TempDir(), "cold.db"), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := loadStoreBatched(b, core.Config{Mode: core.RangePartial, Pager: pager}, 20000, 200)
+	defer s.Close()
+	if err := s.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	var roots []core.NodeID
+	depth := 0
+	err = s.ScanRawCtx(context.Background(), func(id core.NodeID, raw []byte) bool {
+		switch k := token.Kind(raw[0]); {
+		case k.IsBegin():
+			if depth == 0 {
+				roots = append(roots, id)
+			}
+			depth++
+		case k.IsEnd():
+			depth--
+		}
+		return true
+	})
+	if err != nil || len(roots) != 20000 {
+		b.Fatalf("harvested %d order roots: %v", len(roots), err)
+	}
+	sample := workload.New(11).Uniform(uint64(len(roots)))
+	keys := make([]core.NodeID, 1<<16)
+	for i := range keys {
+		keys[i] = roots[sample()-1]
+	}
+	// Warm the way a server is warm: checkpoints and what else a read leaves
+	// behind exist for every range before timing starts.
+	for _, k := range keys[:8192] {
+		if _, err := s.NodeXMLString(k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var ctr atomic.Uint64
+	before := s.Stats().Pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			k := keys[ctr.Add(1)%uint64(len(keys))]
+			if xml, err := s.NodeXMLString(k); err != nil || len(xml) == 0 {
+				b.Error("empty read:", err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(s.Stats().Pool.Misses-before.Misses)/float64(b.N), "misses/op")
 }

@@ -490,6 +490,7 @@ func runCmd(ctx context.Context, db, modeName string, opts cliOpts, args []strin
 		fmt.Fprintf(w, "inserts/deletes:     %d/%d\n", st.Inserts, st.Deletes)
 		fmt.Fprintf(w, "splits/merges:       %d/%d\n", st.Splits, st.Merges)
 		fmt.Fprintf(w, "tokens scanned:      %d\n", st.TokensScanned)
+		fmt.Fprintf(w, "range bytes read:    %d (in %d node lookups)\n", st.RangeBytesRead, st.NodeLookups)
 		fmt.Fprintf(w, "plan cache: entries %d, %d bytes (hits %d, misses %d, evictions %d)\n",
 			st.PlanCacheEntries, st.PlanCacheBytes, st.PlanCacheHits,
 			st.PlanCacheMisses, st.PlanCacheEvictions)

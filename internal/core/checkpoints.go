@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/budget"
+	"repro/internal/pagestore"
 )
 
 // Intra-range replay checkpoints — bounding the paper's coarse-range replay
@@ -16,6 +17,12 @@ import (
 // any id in the same range resumes from the nearest checkpoint at or before
 // the target instead of the head, so replay work per lookup drops from
 // O(range) to O(K) once a range has been walked once.
+//
+// A checkpoint names a byte offset; for a range spilled over several pages
+// the table also keeps the chain directory (pagestore.Chain) that turns the
+// offset into a page without walking the overflow chain from its head. It is
+// learned the same way — by the reads that walk the chain — and lives and
+// dies with the checkpoints.
 //
 // Like the partial index, the table is a cache, not an index: memory-only,
 // never persisted, rebuilt lazily, and invalidated by the range version
@@ -32,7 +39,7 @@ const (
 	checkpointMinTokens = 2 * checkpointInterval
 	// ckptShardCount stripes the table; maxCkptRangesPerShard bounds the
 	// memoized ranges per stripe (table-wide: 16×64 ranges, each at most
-	// toks/K checkpoints of 16 bytes).
+	// toks/K checkpoints of 16 bytes and one 4-byte id per overflow page).
 	ckptShardCount        = 16
 	maxCkptRangesPerShard = 64
 )
@@ -46,11 +53,24 @@ type replayCheckpoint struct {
 	byteOff int32
 }
 
-// rangeCheckpoints stamps a checkpoint run with the range version it was
-// built against. The cps slice is immutable once published.
+// rangeCheckpoints is what the table remembers about one range, stamped with
+// the range version it was learned against. The cps slice is immutable once
+// published; the chain directory fills in place (it is safe for concurrent
+// use) and is nil until a read goes past the first page of a spilled range.
 type rangeCheckpoints struct {
 	version uint32
 	cps     []replayCheckpoint
+	chain   *pagestore.Chain
+}
+
+// cost approximates the entry's bytes for budget accounting: 16 bytes per
+// checkpoint, 4 per chain page, plus map-slot overhead.
+func (rc rangeCheckpoints) cost() int64 {
+	n := int64(len(rc.cps))*16 + 64
+	if rc.chain != nil {
+		n += int64(rc.chain.Pages())*4 + 32
+	}
+	return n
 }
 
 type ckptShard struct {
@@ -62,10 +82,6 @@ type checkpointTable struct {
 	shards [ckptShardCount]ckptShard
 	budget *budget.Budget // nil = unaccounted
 }
-
-// ckptRunCost approximates the bytes of one published checkpoint run for
-// budget accounting: 16 bytes per checkpoint plus map-slot overhead.
-func ckptRunCost(n int) int64 { return int64(n)*16 + 64 }
 
 func newCheckpointTable(b *budget.Budget) *checkpointTable {
 	t := &checkpointTable{budget: b}
@@ -94,7 +110,7 @@ func (t *checkpointTable) shedForBudget() {
 				break
 			}
 			delete(sh.m, rng)
-			cost := ckptRunCost(len(rc.cps))
+			cost := rc.cost()
 			b.Discharge(budget.Checkpoints, cost)
 			b.NoteEviction(budget.Checkpoints)
 			excess -= cost
@@ -108,47 +124,54 @@ func (t *checkpointTable) shard(rng RangeID) *ckptShard {
 	return &t.shards[h>>28%ckptShardCount]
 }
 
-// get returns the published checkpoints for rng at version ver, or nil. The
-// returned slice is immutable — callers must not append to it in place.
-func (t *checkpointTable) get(rng RangeID, ver uint32) []replayCheckpoint {
+// get returns what is published for rng at version ver (the zero value when
+// nothing is, or only for another version). The returned run is immutable —
+// callers must not append to it in place.
+func (t *checkpointTable) get(rng RangeID, ver uint32) rangeCheckpoints {
 	sh := t.shard(rng)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	rc, ok := sh.m[rng]
 	if !ok || rc.version != ver {
-		return nil
+		return rangeCheckpoints{}
 	}
-	return rc.cps
+	return rc
 }
 
-// publish installs cps for rng at version ver unless a longer same-version
-// run is already present (two readers may race to publish; the one that
-// scanned further wins). The caller must not retain or mutate cps after
-// publishing.
-func (t *checkpointTable) publish(rng RangeID, ver uint32, cps []replayCheckpoint) {
-	if len(cps) == 0 {
-		return
-	}
+// publish merges what a reader learned about rng at version ver into the
+// table and returns the entry that stands. Two readers may race: of two
+// same-version runs the longer wins (it scanned further), and the first chain
+// directory published stays (both fill with the same page ids; a loser's few
+// entries are learned again). An entry for another version is replaced whole.
+// The caller must not retain or mutate cps after publishing.
+func (t *checkpointTable) publish(rng RangeID, ver uint32, cps []replayCheckpoint, chain *pagestore.Chain) rangeCheckpoints {
 	defer t.shedForBudget() // after the shard lock is released
 	sh := t.shard(rng)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if rc, ok := sh.m[rng]; ok {
-		if rc.version == ver && len(rc.cps) >= len(cps) {
-			return
+	rc := rangeCheckpoints{version: ver, cps: cps, chain: chain}
+	if old, ok := sh.m[rng]; ok {
+		if old.version == ver {
+			if len(old.cps) >= len(cps) {
+				rc.cps = old.cps
+			}
+			if old.chain != nil {
+				rc.chain = old.chain
+			}
 		}
-		t.budget.Discharge(budget.Checkpoints, ckptRunCost(len(rc.cps)))
+		t.budget.Discharge(budget.Checkpoints, old.cost())
 	} else if len(sh.m) >= maxCkptRangesPerShard {
 		// Bound memory: drop an arbitrary memoized range. Random-ish
 		// eviction is fine for a cache that rebuilds in one scan.
-		for k := range sh.m {
-			t.budget.Discharge(budget.Checkpoints, ckptRunCost(len(sh.m[k].cps)))
+		for k, v := range sh.m {
+			t.budget.Discharge(budget.Checkpoints, v.cost())
 			delete(sh.m, k)
 			break
 		}
 	}
-	sh.m[rng] = rangeCheckpoints{version: ver, cps: cps}
-	t.budget.Charge(budget.Checkpoints, ckptRunCost(len(cps)))
+	sh.m[rng] = rc
+	t.budget.Charge(budget.Checkpoints, rc.cost())
+	return rc
 }
 
 // resumeFrom returns the last checkpoint at or before target (the next

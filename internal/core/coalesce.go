@@ -1,5 +1,7 @@
 package core
 
+import "context"
+
 // Adaptive range coalescing (an extension from the paper's future-work
 // discussion). Repeated updates fragment the token sequence into many tiny
 // ranges, which bloats the range index and slows later inserts — the "many,
@@ -39,13 +41,15 @@ func (s *Store) coalescePair(a, b *rangeInfo) (bool, error) {
 	if a.nodes > 0 && b.nodes > 0 && b.start != a.end()+1 {
 		return false, nil // ids would not regenerate contiguously
 	}
-	aBytes, err := s.readRange(a)
-	if err != nil {
-		return false, err
-	}
-	bBytes, err := s.readRange(b)
-	if err != nil {
-		return false, err
+	cur := s.cursor(context.Background())
+	defer cur.close()
+	merged := make([]byte, 0, a.bytes+b.bytes)
+	for _, ri := range [...]*rangeInfo{a, b} {
+		tokenBytes, err := cur.all(ri)
+		if err != nil {
+			return false, err
+		}
+		merged = append(merged, tokenBytes...)
 	}
 
 	oldABytes, oldAToks := a.bytes, a.toks
@@ -77,9 +81,6 @@ func (s *Store) coalescePair(a, b *rangeInfo) (bool, error) {
 		return false, err
 	}
 
-	merged := make([]byte, 0, len(aBytes)+len(bBytes))
-	merged = append(merged, aBytes...)
-	merged = append(merged, bBytes...)
 	a.start = newStart
 	a.nodes += b.nodes
 	a.toks += b.toks

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/token"
@@ -29,43 +28,41 @@ func (p tokenPos) atRangeEnd() bool { return p.byteOff >= p.ri.bytes }
 // locateBegin finds the begin token of node id, consulting the indexes in
 // the paper's priority order: full index (if configured), then partial
 // index, then the coarse range index plus a scan resumed from the nearest
-// replay checkpoint. It returns the position, the decoded begin token, and
-// the encoded token bytes of the containing range (for reuse by callers
-// that keep scanning).
+// replay checkpoint. It returns the position, the begin token's kind, and
+// the Partial Index entry that answered (the zero entry otherwise) so that
+// callers need not look it up again for the end. The cursor is left on the
+// begin token.
 //
 // Safe under mu.RLock: the structures it reads are only mutated under the
 // write lock, and the structures it writes (partial index, checkpoint
 // table, counters) are internally synchronized.
 //
-// ctx is observed at page-fetch boundaries and every locateCheckTokens
-// tokens of replay, so an operation deadline cuts a coarse-range replay
-// short with context.DeadlineExceeded instead of running it to the end.
-func (s *Store) locateBegin(ctx context.Context, id NodeID, sc *scratch) (tokenPos, Token, []byte, error) {
+// The cursor's context is observed at page-fetch boundaries and every
+// locateCheckTokens tokens of replay, so an operation deadline cuts a
+// coarse-range replay short with context.DeadlineExceeded instead of running
+// it to the end.
+func (s *Store) locateBegin(cur *rangeCursor, id NodeID) (tokenPos, token.Kind, partialEntry, error) {
 	s.nodeLookups.Add(1)
+	fail := func(err error) (tokenPos, token.Kind, partialEntry, error) {
+		return tokenPos{}, token.Invalid, partialEntry{}, err
+	}
 
 	// Full index: exact entry per node.
 	if s.full != nil {
 		e, ok, err := s.full.get(id)
 		if err != nil {
-			return tokenPos{}, Token{}, nil, err
+			return fail(err)
 		}
-		if ok {
-			ri := s.byRange[e.rng]
-			if ri == nil {
-				return tokenPos{}, Token{}, nil, fmt.Errorf("core: full index names dead range %d", e.rng)
-			}
-			tokenBytes, err := s.readRangeCtx(ctx, ri, sc)
-			if err != nil {
-				return tokenPos{}, Token{}, nil, err
-			}
-			tok, _, err := token.Decode(tokenBytes[e.byteOff:])
-			if err != nil {
-				return tokenPos{}, Token{}, nil, err
-			}
-			pos := tokenPos{ri: ri, tokIdx: int(e.tokIdx), byteOff: int(e.byteOff), nodesBefore: int(id - ri.start)}
-			return pos, tok, tokenBytes, nil
+		if !ok {
+			return fail(fmt.Errorf("%w: %d", ErrNoSuchNode, id))
 		}
-		return tokenPos{}, Token{}, nil, fmt.Errorf("%w: %d", ErrNoSuchNode, id)
+		ri := s.byRange[e.rng]
+		if ri == nil {
+			return fail(fmt.Errorf("core: full index names dead range %d", e.rng))
+		}
+		pos := tokenPos{ri: ri, tokIdx: int(e.tokIdx), byteOff: int(e.byteOff), nodesBefore: int(id - ri.start)}
+		k, err := cur.kind(pos)
+		return pos, k, partialEntry{}, err
 	}
 
 	// Partial index: lazily learned exact positions.
@@ -74,16 +71,14 @@ func (s *Store) locateBegin(ctx context.Context, id NodeID, sc *scratch) (tokenP
 			ri := s.byRange[e.beginRange]
 			if ri != nil && ri.version == e.beginVer {
 				s.partial.hit()
-				tokenBytes, err := s.readRangeCtx(ctx, ri, sc)
-				if err != nil {
-					return tokenPos{}, Token{}, nil, err
-				}
-				tok, _, err := token.Decode(tokenBytes[e.beginByte:])
-				if err != nil {
-					return tokenPos{}, Token{}, nil, err
-				}
 				pos := tokenPos{ri: ri, tokIdx: int(e.beginTok), byteOff: int(e.beginByte), nodesBefore: int(id - ri.start)}
-				return pos, tok, tokenBytes, nil
+				if e.endsIn(ri) {
+					// The paper's "jump to the end of the given node": the
+					// subtree's exact byte span arrives in one read.
+					cur.expect(ri, pos.byteOff, int(e.endByte+e.endLen))
+				}
+				k, err := cur.kind(pos)
+				return pos, k, e, err
 			}
 			// Stale: the range was mutated or removed. Lazy invalidation.
 			s.partial.dropStale(e)
@@ -93,18 +88,15 @@ func (s *Store) locateBegin(ctx context.Context, id NodeID, sc *scratch) (tokenP
 
 	// Coarse range index: floor search on interval start, then a replay
 	// scan. The scan classifies tokens by their kind byte and skips decoding
-	// names and values until the target is found; it resumes from the
-	// nearest intra-range checkpoint and deposits new checkpoints every
-	// checkpointInterval tokens for the next locate to reuse.
+	// names and values; it resumes from the nearest intra-range checkpoint —
+	// the cursor reads from that byte on, not from the range head — and
+	// deposits new checkpoints every checkpointInterval tokens for the next
+	// locate to reuse.
 	_, ri, ok := s.rindex.Floor(uint64(id))
 	if !ok || !ri.contains(id) {
-		return tokenPos{}, Token{}, nil, fmt.Errorf("%w: %d", ErrNoSuchNode, id)
+		return fail(fmt.Errorf("%w: %d", ErrNoSuchNode, id))
 	}
-	tokenBytes, err := s.readRangeCtx(ctx, ri, sc)
-	if err != nil {
-		return tokenPos{}, Token{}, nil, err
-	}
-	cur := ri.start
+	next := ri.start
 	tokIdx := 0
 	off := 0
 	// prefix is the shared, immutable checkpoint run resumed from; builder
@@ -113,225 +105,181 @@ func (s *Store) locateBegin(ctx context.Context, id NodeID, sc *scratch) (tokenP
 	var prefix, builder []replayCheckpoint
 	memoize := ri.toks >= checkpointMinTokens
 	if memoize {
-		if cps := s.checkpoints.get(ri.id, ri.version); cps != nil {
-			if cp, pfx, ok := resumeFrom(cps, id); ok {
-				cur, tokIdx, off = cp.next, int(cp.tokIdx), int(cp.byteOff)
-				prefix = pfx
-			}
+		cps := cur.learned(ri).cps
+		if cp, pfx, ok := resumeFrom(cps, id); ok {
+			next, tokIdx, off = cp.next, int(cp.tokIdx), int(cp.byteOff)
+			prefix = pfx
 		}
 	}
 	cpLen := len(prefix)
 	scanned := uint64(0)
-	for off < len(tokenBytes) {
-		if scanned%locateCheckTokens == locateCheckTokens-1 {
-			if err := ctx.Err(); err != nil {
-				s.tokensScanned.Add(scanned)
-				return tokenPos{}, Token{}, nil, err
-			}
-		}
-		if memoize && tokIdx == (cpLen+1)*checkpointInterval {
-			if builder == nil {
-				builder = append(make([]replayCheckpoint, 0, cpLen+4), prefix...)
-			}
-			builder = append(builder, replayCheckpoint{next: cur, tokIdx: int32(tokIdx), byteOff: int32(off)})
-			cpLen++
-		}
-		if token.Kind(tokenBytes[off]).StartsNode() {
-			if cur == id {
-				tok, _, err := token.Decode(tokenBytes[off:])
-				if err != nil {
-					return tokenPos{}, Token{}, nil, err
-				}
-				pos := tokenPos{ri: ri, tokIdx: tokIdx, byteOff: off, nodesBefore: int(id - ri.start)}
-				if s.partial != nil {
-					s.partial.recordBegin(id, ri.id, ri.version, off, tokIdx)
-				}
-				if builder != nil {
-					s.checkpoints.publish(ri.id, ri.version, builder)
-				}
-				s.tokensScanned.Add(scanned)
-				return pos, tok, tokenBytes, nil
-			}
-			cur++
-		}
-		n, err := token.Size(tokenBytes[off:])
+	defer func() { s.tokensScanned.Add(scanned) }()
+	for off < ri.bytes {
+		win, n, err := cur.tokens(ri, off)
 		if err != nil {
-			return tokenPos{}, Token{}, nil, err
+			return fail(err)
 		}
-		off += n
-		scanned++
-		tokIdx++
+		for i := 0; ; { // every whole token of the window
+			if scanned%locateCheckTokens == locateCheckTokens-1 {
+				if err := cur.ctx.Err(); err != nil {
+					return fail(err)
+				}
+			}
+			if memoize && tokIdx == (cpLen+1)*checkpointInterval {
+				if builder == nil {
+					builder = append(make([]replayCheckpoint, 0, cpLen+4), prefix...)
+				}
+				builder = append(builder, replayCheckpoint{next: next, tokIdx: int32(tokIdx), byteOff: int32(off)})
+				cpLen++
+			}
+			if k := token.Kind(win[i]); k.StartsNode() {
+				if next == id {
+					pos := tokenPos{ri: ri, tokIdx: tokIdx, byteOff: off, nodesBefore: int(id - ri.start)}
+					if s.partial != nil {
+						s.partial.recordBegin(id, ri.id, ri.version, off, tokIdx)
+					}
+					if builder != nil {
+						s.checkpoints.publish(ri.id, ri.version, builder, nil)
+					}
+					return pos, k, partialEntry{}, nil
+				}
+				next++
+			}
+			i, off = i+n, off+n
+			scanned++
+			tokIdx++
+			if n, err = token.Size(win[i:]); err != nil {
+				break // the window is used up, or ends inside a token
+			}
+		}
 	}
-	s.tokensScanned.Add(scanned)
-	return tokenPos{}, Token{}, nil, fmt.Errorf("core: range %v claims id %d but scan missed it", ri, id)
+	return fail(fmt.Errorf("core: range %v claims id %d but scan missed it", ri, id))
 }
 
-// locateEnd finds the end token of the node whose begin token is at `begin`
-// (with the given decoded token). For leaf tokens the end is the begin
-// itself. The returned token bytes belong to the range containing the end
-// position.
-//
-// beginBytes are the encoded tokens of begin.ri, passed through to avoid a
-// re-read when the scan starts in the same range.
-func (s *Store) locateEnd(ctx context.Context, id NodeID, begin tokenPos, beginTok Token, beginBytes []byte, sc *scratch) (tokenPos, []byte, error) {
-	if !beginTok.IsBegin() {
-		return begin, beginBytes, nil
+// locateEnd finds the end token of the node whose begin token (of kind k) is
+// at begin; e is what locateBegin returned with it. For leaf tokens the end
+// is the begin itself.
+func (s *Store) locateEnd(cur *rangeCursor, id NodeID, begin tokenPos, k token.Kind, e partialEntry) (tokenPos, error) {
+	if !k.IsBegin() {
+		return begin, nil
 	}
 
 	// The partial index may know the end position already.
-	if s.partial != nil {
-		if e, ok := s.partial.lookup(id); ok && e.hasEnd {
-			ri := s.byRange[e.endRange]
-			if ri != nil && ri.version == e.endVer {
-				s.partial.hit()
-				var tokenBytes []byte
-				var err error
-				if ri == begin.ri {
-					tokenBytes = beginBytes
-				} else if tokenBytes, err = s.readRangeCtx(ctx, ri, sc); err != nil {
-					return tokenPos{}, nil, err
-				}
-				pos := tokenPos{ri: ri, tokIdx: int(e.endTok), byteOff: int(e.endByte), nodesBefore: int(e.endNodesBefore)}
-				return pos, tokenBytes, nil
-			}
+	if e.hasEnd {
+		if ri := s.byRange[e.endRange]; ri != nil && ri.version == e.endVer {
+			s.partial.hit()
+			return tokenPos{ri: ri, tokIdx: int(e.endTok), byteOff: int(e.endByte), nodesBefore: int(e.endNodesBefore)}, nil
 		}
 	}
 
 	// Scan forward from the begin token, counting depth, crossing ranges in
 	// document order as needed. Only token kinds are examined.
-	ri := begin.ri
-	tokenBytes := beginBytes
-	off := begin.byteOff
-	tokIdx := begin.tokIdx
-	nodesSeen := begin.nodesBefore
-	depth := 0
-	scanned := uint64(0)
-	for {
-		for off < len(tokenBytes) {
-			if scanned%locateCheckTokens == locateCheckTokens-1 {
-				if err := ctx.Err(); err != nil {
-					s.tokensScanned.Add(scanned)
-					return tokenPos{}, nil, err
-				}
-			}
-			k := token.Kind(tokenBytes[off])
-			n, err := token.Size(tokenBytes[off:])
-			if err != nil {
-				s.tokensScanned.Add(scanned)
-				return tokenPos{}, nil, err
-			}
-			scanned++
-			if k.StartsNode() {
-				nodesSeen++
-			}
-			if k.IsBegin() {
-				depth++
-			} else if k.IsEnd() {
-				depth--
-				if depth == 0 {
-					pos := tokenPos{ri: ri, tokIdx: tokIdx, byteOff: off, nodesBefore: nodesSeen}
-					if s.partial != nil {
-						s.partial.recordEnd(id, ri.id, ri.version, off, tokIdx, int32(nodesSeen), int32(n))
-					}
-					s.tokensScanned.Add(scanned)
-					return pos, tokenBytes, nil
-				}
-			}
-			off += n
-			tokIdx++
-		}
-		// Continue into the next range.
-		nri, ok, err := s.nextRangeInfoCtx(ctx, ri)
-		if err != nil {
-			s.tokensScanned.Add(scanned)
-			return tokenPos{}, nil, err
-		}
-		if !ok {
-			s.tokensScanned.Add(scanned)
-			return tokenPos{}, nil, fmt.Errorf("core: unbalanced store: no end token for node %d", id)
-		}
-		ri = nri
-		tokenBytes, err = s.readRangeCtx(ctx, ri, sc)
-		if err != nil {
-			s.tokensScanned.Add(scanned)
-			return tokenPos{}, nil, err
-		}
-		off = 0
-		tokIdx = 0
-		nodesSeen = 0
-	}
-}
-
-// advance returns the position immediately after the token at pos (given the
-// token bytes of pos.ri). The result may be the end-of-range position; it is
-// never advanced into the next range (record-level inserts handle that
-// boundary directly). Only the kind byte and encoded size are examined — no
-// string decoding, no allocation.
-func advance(pos tokenPos, tokenBytes []byte) (tokenPos, error) {
-	k := token.Kind(tokenBytes[pos.byteOff])
-	if !k.Valid() {
-		return tokenPos{}, fmt.Errorf("core: invalid token kind %d at %d", tokenBytes[pos.byteOff], pos.byteOff)
-	}
-	n, err := token.Size(tokenBytes[pos.byteOff:])
-	if err != nil {
-		return tokenPos{}, err
-	}
-	nb := pos.nodesBefore
-	if k.StartsNode() {
-		nb++
-	}
-	return tokenPos{ri: pos.ri, tokIdx: pos.tokIdx + 1, byteOff: pos.byteOff + n, nodesBefore: nb}, nil
-}
-
-// skipAttributes advances pos (which must sit just after an element's begin
-// token) past the element's attribute block, returning the position of the
-// first content token (or the element's end token) plus the token bytes of
-// the range it lies in. The scan crosses range boundaries, since a split may
-// have cut through the attribute block. The walk reads kind bytes and
-// encoded sizes only.
-func (s *Store) skipAttributes(ctx context.Context, pos tokenPos, tokenBytes []byte, sc *scratch) (tokenPos, []byte, error) {
+	pos := begin
 	depth := 0
 	scanned := uint64(0)
 	defer func() { s.tokensScanned.Add(scanned) }()
 	for {
 		for !pos.atRangeEnd() {
 			if scanned%locateCheckTokens == locateCheckTokens-1 {
-				if err := ctx.Err(); err != nil {
-					return tokenPos{}, nil, err
+				if err := cur.ctx.Err(); err != nil {
+					return tokenPos{}, err
 				}
 			}
-			k := token.Kind(tokenBytes[pos.byteOff])
-			if depth == 0 && k != token.BeginAttribute {
-				return pos, tokenBytes, nil
-			}
-			n, err := token.Size(tokenBytes[pos.byteOff:])
+			raw, err := cur.token(pos.ri, pos.byteOff)
 			if err != nil {
-				return tokenPos{}, nil, err
+				return tokenPos{}, err
+			}
+			scanned++
+			k := token.Kind(raw[0])
+			if k.IsBegin() {
+				depth++
+			} else if k.IsEnd() {
+				depth--
+				if depth == 0 {
+					if s.partial != nil {
+						s.partial.recordEnd(id, pos.ri.id, pos.ri.version, pos.byteOff, pos.tokIdx, int32(pos.nodesBefore), int32(len(raw)))
+					}
+					return pos, nil
+				}
+			}
+			pos = pos.past(k, len(raw))
+		}
+		// Continue into the next range.
+		nri, ok, err := s.nextRangeInfoCtx(cur.ctx, pos.ri)
+		if err != nil {
+			return tokenPos{}, err
+		}
+		if !ok {
+			return tokenPos{}, fmt.Errorf("core: unbalanced store: no end token for node %d", id)
+		}
+		pos = tokenPos{ri: nri}
+	}
+}
+
+// past returns the position right after the token at p, of kind k and n
+// encoded bytes. It may be the end-of-range position; it never crosses into
+// the next range.
+func (p tokenPos) past(k token.Kind, n int) tokenPos {
+	p.tokIdx++
+	p.byteOff += n
+	if k.StartsNode() {
+		p.nodesBefore++
+	}
+	return p
+}
+
+// advance returns the position immediately after the token at pos. The
+// result may be the end-of-range position; it is never advanced into the next
+// range (record-level inserts handle that boundary directly). Only the kind
+// byte and encoded size are examined — no string decoding, no allocation.
+func advance(cur *rangeCursor, pos tokenPos) (tokenPos, error) {
+	raw, err := cur.token(pos.ri, pos.byteOff)
+	if err != nil {
+		return tokenPos{}, err
+	}
+	return pos.past(token.Kind(raw[0]), len(raw)), nil
+}
+
+// skipAttributes advances pos (which must sit just after an element's begin
+// token) past the element's attribute block, returning the position of the
+// first content token (or the element's end token). The scan crosses range
+// boundaries, since a split may have cut through the attribute block. The
+// walk reads kind bytes and encoded sizes only.
+func (s *Store) skipAttributes(cur *rangeCursor, pos tokenPos) (tokenPos, error) {
+	depth := 0
+	scanned := uint64(0)
+	defer func() { s.tokensScanned.Add(scanned) }()
+	for {
+		for !pos.atRangeEnd() {
+			if scanned%locateCheckTokens == locateCheckTokens-1 {
+				if err := cur.ctx.Err(); err != nil {
+					return tokenPos{}, err
+				}
+			}
+			raw, err := cur.token(pos.ri, pos.byteOff)
+			if err != nil {
+				return tokenPos{}, err
+			}
+			k := token.Kind(raw[0])
+			if depth == 0 && k != token.BeginAttribute {
+				return pos, nil
 			}
 			if k.IsBegin() {
 				depth++
 			} else if k.IsEnd() {
 				depth--
 			}
-			if k.StartsNode() {
-				pos.nodesBefore++
-			}
 			scanned++
-			pos.tokIdx++
-			pos.byteOff += n
+			pos = pos.past(k, len(raw))
 		}
-		nri, ok, err := s.nextRangeInfoCtx(ctx, pos.ri)
+		nri, ok, err := s.nextRangeInfoCtx(cur.ctx, pos.ri)
 		if err != nil {
-			return tokenPos{}, nil, err
+			return tokenPos{}, err
 		}
 		if !ok {
 			// End of the sequence: valid boundary position.
-			return pos, tokenBytes, nil
+			return pos, nil
 		}
 		pos = tokenPos{ri: nri}
-		tokenBytes, err = s.readRangeCtx(ctx, nri, sc)
-		if err != nil {
-			return tokenPos{}, nil, err
-		}
 	}
 }

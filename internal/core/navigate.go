@@ -58,13 +58,13 @@ func (s *Store) ParentCtx(ctx context.Context, id NodeID) (NodeID, bool, error) 
 			}
 		}
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	begin, _, _, err := s.locateBegin(ctx, id, sc)
+	cur := s.cursor(ctx)
+	defer cur.close()
+	begin, _, _, err := s.locateBegin(cur, id)
 	if err != nil {
 		return InvalidNode, false, err
 	}
-	parent, ok, err := s.findEnclosing(ctx, begin, sc)
+	parent, ok, err := s.findEnclosing(cur, begin)
 	if err != nil {
 		return InvalidNode, false, err
 	}
@@ -83,12 +83,12 @@ func (s *Store) ParentCtx(ctx context.Context, id NodeID) (NodeID, bool, error) 
 // walk earlier ranges leftward. Unmatched end tokens in a later range close
 // begins in earlier ranges, so a deficit is carried: an earlier range's top
 // `deficit` unmatched begins are already closed and must be skipped.
-func (s *Store) findEnclosing(ctx context.Context, pos tokenPos, sc *scratch) (NodeID, bool, error) {
+func (s *Store) findEnclosing(cur *rangeCursor, pos tokenPos) (NodeID, bool, error) {
 	ri := pos.ri
 	limit := pos.byteOff
 	deficit := 0
 	for {
-		stack, rangeDeficit, err := s.scanOpenBegins(ctx, ri, limit, sc)
+		stack, rangeDeficit, err := s.scanOpenBegins(cur, ri, limit)
 		if err != nil {
 			return InvalidNode, false, err
 		}
@@ -96,7 +96,7 @@ func (s *Store) findEnclosing(ctx context.Context, pos tokenPos, sc *scratch) (N
 			return stack[len(stack)-1-deficit], true, nil
 		}
 		deficit += rangeDeficit - len(stack)
-		if err := ctx.Err(); err != nil {
+		if err := cur.ctx.Err(); err != nil {
 			return InvalidNode, false, err
 		}
 		prev, ok, err := s.prevRangeInfo(ri)
@@ -114,32 +114,30 @@ func (s *Store) findEnclosing(ctx context.Context, pos tokenPos, sc *scratch) (N
 // scanOpenBegins scans the first `limit` bytes of ri and returns the node
 // ids of the begins left unmatched within the window (bottom-up) and the
 // number of end tokens that had no matching begin inside the window.
-func (s *Store) scanOpenBegins(ctx context.Context, ri *rangeInfo, limit int, sc *scratch) ([]NodeID, int, error) {
-	tokenBytes, err := s.readRangeCtx(ctx, ri, sc)
-	if err != nil {
-		return nil, 0, err
-	}
+func (s *Store) scanOpenBegins(cur *rangeCursor, ri *rangeInfo, limit int) ([]NodeID, int, error) {
 	var stack []NodeID
 	unmatchedEnds := 0
-	cur := ri.start
+	next := ri.start
 	scanned := uint64(0)
 	defer func() { s.tokensScanned.Add(scanned) }()
-	r := newTokenReader(tokenBytes[:limit])
-	for r.More() {
+	cur.expect(ri, 0, limit)
+	for off := 0; off < limit; {
 		if scanned%locateCheckTokens == locateCheckTokens-1 {
-			if err := ctx.Err(); err != nil {
+			if err := cur.ctx.Err(); err != nil {
 				return nil, 0, err
 			}
 		}
-		k, err := r.Skip()
+		raw, err := cur.token(ri, off)
 		if err != nil {
 			return nil, 0, err
 		}
+		off += len(raw)
 		scanned++
+		k := token.Kind(raw[0])
 		var nodeID NodeID
 		if k.StartsNode() {
-			nodeID = cur
-			cur++
+			nodeID = next
+			next++
 		}
 		if k.IsBegin() {
 			stack = append(stack, nodeID)
@@ -172,35 +170,24 @@ func (s *Store) FirstChildCtx(ctx context.Context, id NodeID) (NodeID, bool, err
 	if s.closed {
 		return InvalidNode, false, ErrClosed
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	begin, tok, tokenBytes, err := s.locateBegin(ctx, id, sc)
+	cur := s.cursor(ctx)
+	defer cur.close()
+	begin, k, _, err := s.locateBegin(cur, id)
 	if err != nil {
 		return InvalidNode, false, err
 	}
-	if !tok.IsBegin() {
-		return InvalidNode, false, nil // leaves have no children
+	if !k.IsBegin() || k == token.BeginAttribute {
+		return InvalidNode, false, nil // leaves and attributes have no children
 	}
-	if tok.Kind == token.BeginAttribute {
-		return InvalidNode, false, nil
-	}
-	pos, err := advance(begin, tokenBytes)
+	pos, err := advance(cur, begin)
 	if err != nil {
 		return InvalidNode, false, err
 	}
-	pos, tokenBytes, err = s.skipAttributes(ctx, pos, tokenBytes, sc)
+	pos, err = s.skipAttributes(cur, pos)
 	if err != nil {
 		return InvalidNode, false, err
 	}
-	pos, tokenBytes, ok, err := s.normalizeForward(ctx, pos, tokenBytes, sc)
-	if err != nil || !ok {
-		return InvalidNode, false, err
-	}
-	k := token.Kind(tokenBytes[pos.byteOff])
-	if k.IsEnd() {
-		return InvalidNode, false, nil // empty element
-	}
-	return pos.ri.start + NodeID(pos.nodesBefore), true, nil
+	return s.nodeAt(cur, pos) // none: the element is empty
 }
 
 // NextSibling returns the node following id under the same parent
@@ -221,32 +208,24 @@ func (s *Store) NextSiblingCtx(ctx context.Context, id NodeID) (NodeID, bool, er
 	if s.closed {
 		return InvalidNode, false, ErrClosed
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	begin, tok, tokenBytes, err := s.locateBegin(ctx, id, sc)
+	cur := s.cursor(ctx)
+	defer cur.close()
+	begin, k, e, err := s.locateBegin(cur, id)
 	if err != nil {
 		return InvalidNode, false, err
 	}
-	if tok.Kind == token.BeginAttribute {
+	if k == token.BeginAttribute {
 		return InvalidNode, false, nil
 	}
-	end, endBytes, err := s.locateEnd(ctx, id, begin, tok, tokenBytes, sc)
+	end, err := s.locateEnd(cur, id, begin, k, e)
 	if err != nil {
 		return InvalidNode, false, err
 	}
-	pos, err := advance(end, endBytes)
+	pos, err := advance(cur, end)
 	if err != nil {
 		return InvalidNode, false, err
 	}
-	pos, endBytes, ok, err := s.normalizeForward(ctx, pos, endBytes, sc)
-	if err != nil || !ok {
-		return InvalidNode, false, err
-	}
-	k := token.Kind(endBytes[pos.byteOff])
-	if k.IsEnd() {
-		return InvalidNode, false, nil // parent closes here
-	}
-	return pos.ri.start + NodeID(pos.nodesBefore), true, nil
+	return s.nodeAt(cur, pos) // none: the parent closes here
 }
 
 // PrevSibling returns the node preceding id under the same parent.
@@ -304,16 +283,16 @@ func (s *Store) AttributesCtx(ctx context.Context, id NodeID) ([]NodeID, error) 
 	if s.closed {
 		return nil, ErrClosed
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	begin, tok, tokenBytes, err := s.locateBegin(ctx, id, sc)
+	cur := s.cursor(ctx)
+	defer cur.close()
+	begin, k, _, err := s.locateBegin(cur, id)
 	if err != nil {
 		return nil, err
 	}
-	if tok.Kind != token.BeginElement {
+	if k != token.BeginElement {
 		return nil, nil
 	}
-	pos, err := advance(begin, tokenBytes)
+	pos, err := advance(cur, begin)
 	if err != nil {
 		return nil, err
 	}
@@ -321,11 +300,15 @@ func (s *Store) AttributesCtx(ctx context.Context, id NodeID) ([]NodeID, error) 
 	depth := 0
 	for {
 		var ok bool
-		pos, tokenBytes, ok, err = s.normalizeForward(ctx, pos, tokenBytes, sc)
+		pos, ok, err = s.normalizeForward(cur, pos)
 		if err != nil || !ok {
 			return out, err
 		}
-		k := token.Kind(tokenBytes[pos.byteOff])
+		raw, err := cur.token(pos.ri, pos.byteOff)
+		if err != nil {
+			return nil, err
+		}
+		k := token.Kind(raw[0])
 		if depth == 0 {
 			if k != token.BeginAttribute {
 				return out, nil
@@ -333,21 +316,12 @@ func (s *Store) AttributesCtx(ctx context.Context, id NodeID) ([]NodeID, error) 
 			out = append(out, pos.ri.start+NodeID(pos.nodesBefore))
 		}
 		// Step one token, tracking attribute nesting across ranges.
-		r := newTokenReader(tokenBytes)
-		r.SetOffset(pos.byteOff)
-		if _, err := r.Skip(); err != nil {
-			return nil, err
-		}
-		if k.StartsNode() {
-			pos.nodesBefore++
-		}
 		if k.IsBegin() {
 			depth++
 		} else if k.IsEnd() {
 			depth--
 		}
-		pos.tokIdx++
-		pos.byteOff = r.Offset()
+		pos = pos.past(k, len(raw))
 	}
 }
 
@@ -393,19 +367,13 @@ func (s *Store) CompareDocOrderCtx(ctx context.Context, a, b NodeID) (int, error
 	if s.closed {
 		return 0, ErrClosed
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	if a == b {
-		if _, _, _, err := s.locateBegin(ctx, a, sc); err != nil {
-			return 0, err
-		}
-		return 0, nil
-	}
-	posA, _, _, err := s.locateBegin(ctx, a, sc)
-	if err != nil {
+	cur := s.cursor(ctx)
+	defer cur.close()
+	posA, _, _, err := s.locateBegin(cur, a)
+	if err != nil || a == b {
 		return 0, err
 	}
-	posB, _, _, err := s.locateBegin(ctx, b, sc)
+	posB, _, _, err := s.locateBegin(cur, b)
 	if err != nil {
 		return 0, err
 	}
@@ -438,17 +406,28 @@ func (s *Store) CompareDocOrderCtx(ctx context.Context, a, b NodeID) (int, error
 // normalizeForward moves a boundary position (at range end) forward to the
 // first token of the next non-empty range, returning ok=false at the end of
 // the sequence. Positions already on a token are returned unchanged.
-func (s *Store) normalizeForward(ctx context.Context, pos tokenPos, tokenBytes []byte, sc *scratch) (tokenPos, []byte, bool, error) {
+func (s *Store) normalizeForward(cur *rangeCursor, pos tokenPos) (tokenPos, bool, error) {
 	for pos.atRangeEnd() {
-		nri, ok, err := s.nextRangeInfoCtx(ctx, pos.ri)
+		nri, ok, err := s.nextRangeInfoCtx(cur.ctx, pos.ri)
 		if err != nil || !ok {
-			return pos, tokenBytes, false, err
+			return pos, false, err
 		}
 		pos = tokenPos{ri: nri}
-		tokenBytes, err = s.readRangeCtx(ctx, nri, sc)
-		if err != nil {
-			return pos, nil, false, err
-		}
 	}
-	return pos, tokenBytes, true, nil
+	return pos, true, nil
+}
+
+// nodeAt returns the id of the node that starts at pos, looking past a range
+// boundary; ok=false when what follows is an end token (the enclosing node
+// closes) or the end of the sequence.
+func (s *Store) nodeAt(cur *rangeCursor, pos tokenPos) (NodeID, bool, error) {
+	pos, ok, err := s.normalizeForward(cur, pos)
+	if err != nil || !ok {
+		return InvalidNode, false, err
+	}
+	k, err := cur.kind(pos)
+	if err != nil || k.IsEnd() {
+		return InvalidNode, false, err
+	}
+	return pos.ri.start + NodeID(pos.nodesBefore), true, nil
 }

@@ -12,7 +12,7 @@ import (
 // It is "a combination between a real index and a cache": every successful
 // locate of a node's begin or end token deposits the exact (range, byte
 // offset, token index) here, so a repeated lookup of the same logical
-// position skips the range scan entirely. Capacity is bounded with LRU
+// position skips the range scan entirely. Capacity is bounded with sampled-LRU
 // eviction, and entries invalidate lazily: each entry remembers the version
 // of the range it points into, and a version mismatch (the range was split,
 // merged, rewritten or deleted) makes the entry a miss. Nothing is updated
@@ -23,8 +23,8 @@ import (
 // holding the store's shared lock contend only per stripe, and the counters
 // are atomic. Lookups — the hot path of every warm read — take only the
 // shard read lock and record recency with one atomic stamp; recency is
-// therefore approximate under concurrency (and exact under serial access),
-// and eviction scans the small shard for the oldest stamp. Lookups copy the
+// therefore approximate under concurrency, and eviction takes the oldest stamp
+// of a bounded sample of the shard. Lookups copy the
 // entry out under the read lock — callers never hold pointers into a shard.
 
 // partialEntry caches the location of a node's begin token and, when known,
@@ -51,6 +51,12 @@ type partialEntry struct {
 	// validity gate.
 	hasParent bool
 	parentID  NodeID
+}
+
+// endsIn reports whether the entry holds the node's end position and it lies
+// in ri as ri is now.
+func (e partialEntry) endsIn(ri *rangeInfo) bool {
+	return e.hasEnd && e.endLen > 0 && e.endRange == ri.id && e.endVer == ri.version
 }
 
 // boxedEntry is the shard-resident form: the entry plus its recency stamp.
@@ -158,19 +164,12 @@ func (px *partialIndex) len() int {
 	return n
 }
 
-// oldestLocked returns the shard entry with the oldest recency stamp (the
-// eviction victim). Caller holds sh.mu exclusively. Shards are small (a few
-// dozen to a few hundred entries), so the scan is cheaper than maintaining a
-// recency list would make every lookup.
+// oldestLocked returns the shard's eviction victim: the least recently used of
+// a bounded sample (budget.Oldest), so an insert into a full shard costs the
+// same whatever the shard holds. Caller holds sh.mu exclusively.
 func oldestLocked(sh *partialShard) *boxedEntry {
-	var victim *boxedEntry
-	var oldest uint64
-	for _, b := range sh.entries {
-		if u := b.used.Load(); victim == nil || u < oldest {
-			victim, oldest = b, u
-		}
-	}
-	return victim
+	v, _ := budget.Oldest(sh.entries, func(b *boxedEntry) (uint64, bool) { return b.used.Load(), true })
+	return v
 }
 
 func (px *partialIndex) hit()  { px.stats.hits.Add(1) }

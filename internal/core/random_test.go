@@ -202,7 +202,7 @@ func TestRandomizedDifferential(t *testing.T) {
 	}
 }
 
-func indexOf(t *testing.T, ref *refStore, id NodeID) int {
+func indexOf(t testing.TB, ref *refStore, id NodeID) int {
 	t.Helper()
 	i, err := ref.findBegin(id)
 	if err != nil {

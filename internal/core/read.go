@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/token"
 	"repro/internal/xmltok"
@@ -27,55 +28,28 @@ func (s *Store) Scan(fn func(Item) bool) error {
 }
 
 // ScanCtx is Scan with cooperative cancellation and admission control: the
-// context (plus the configured OpTimeout) is checked at every range fetch,
+// context (plus the configured OpTimeout) is checked at every page fetch,
 // so a deadline cuts a long scan short with context.DeadlineExceeded.
-func (s *Store) ScanCtx(ctx context.Context, fn func(Item) bool) (err error) {
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return err
+func (s *Store) ScanCtx(ctx context.Context, fn func(Item) bool) error {
+	var derr error
+	err := s.scanRaw(ctx, decoded(fn, &derr), false) // reading everything is not a search
+	if derr != nil {
+		return derr
 	}
-	defer finish()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	defer s.latchCorrupt(&err)
-	if s.closed {
-		return ErrClosed
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	ri, ok, err := s.firstRange()
-	if err != nil || !ok {
-		return err
-	}
-	for {
-		tokenBytes, err := s.readRangeCtx(ctx, ri, sc)
+	return err
+}
+
+// decoded adapts a consumer of materialized tokens to the raw scans: each
+// token is decoded on its way through. A decode failure stops the scan and is
+// left in *errp.
+func decoded(fn func(Item) bool, errp *error) func(NodeID, []byte) bool {
+	return func(id NodeID, raw []byte) bool {
+		t, _, err := token.Decode(raw)
 		if err != nil {
-			return err
+			*errp = err
+			return false
 		}
-		r := newTokenReader(tokenBytes)
-		cur := ri.start
-		for r.More() {
-			t, err := r.Next()
-			if err != nil {
-				return err
-			}
-			it := Item{Tok: t}
-			if t.StartsNode() {
-				it.ID = cur
-				cur++
-			}
-			if !fn(it) {
-				return nil
-			}
-		}
-		nri, ok, err := s.nextRangeInfoCtx(ctx, ri)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		ri = nri
+		return fn(Item{ID: id, Tok: t})
 	}
 }
 
@@ -112,155 +86,13 @@ func (s *Store) ScanNode(id NodeID, fn func(Item) bool) error {
 
 // ScanNodeCtx is ScanNode with cooperative cancellation and admission
 // control.
-//
-// Readers share the lock: locate's writes (partial index, checkpoint table,
-// scan counters) all go to internally-synchronized structures.
-func (s *Store) ScanNodeCtx(ctx context.Context, id NodeID, fn func(Item) bool) (err error) {
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return err
+func (s *Store) ScanNodeCtx(ctx context.Context, id NodeID, fn func(Item) bool) error {
+	var derr error
+	err := s.ScanNodeRawCtx(ctx, id, decoded(fn, &derr))
+	if derr != nil {
+		return derr
 	}
-	defer finish()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	defer s.latchCorrupt(&err)
-	if s.closed {
-		return ErrClosed
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	return s.scanNodeLocked(ctx, id, fn, sc)
-}
-
-func (s *Store) scanNodeLocked(ctx context.Context, id NodeID, fn func(Item) bool, sc *scratch) error {
-	// Warm fast path: when the partial index knows both the begin and end
-	// token positions within one range, read exactly that byte span — the
-	// paper's "jump to the end of the given node" behaviour, with no range
-	// scan and no whole-record copy.
-	if s.partial != nil {
-		if e, ok := s.partial.lookup(id); ok && e.hasEnd && e.endLen > 0 &&
-			e.beginRange == e.endRange {
-			ri := s.byRange[e.beginRange]
-			if ri != nil && ri.version == e.beginVer && ri.version == e.endVer {
-				s.nodeLookups.Add(1)
-				s.partial.hit()
-				span := int(e.endByte + e.endLen - e.beginByte)
-				buf, err := s.recs.ReadSlice(ri.loc, rangeHeaderSize+int(e.beginByte), span)
-				if err != nil {
-					return err
-				}
-				r := newTokenReader(buf)
-				cur := id
-				depth := 0
-				for r.More() {
-					t, err := r.Next()
-					if err != nil {
-						return err
-					}
-					it := Item{Tok: t}
-					if t.StartsNode() {
-						it.ID = cur
-						cur++
-					}
-					if t.IsBegin() {
-						depth++
-					} else if t.IsEnd() {
-						depth--
-					}
-					if !fn(it) {
-						return nil
-					}
-					if depth == 0 && t.IsEnd() {
-						return nil
-					}
-				}
-				return nil
-			}
-		}
-	}
-	begin, beginTok, tokenBytes, err := s.locateBegin(ctx, id, sc)
-	if err != nil {
-		return err
-	}
-	if !fn(Item{ID: id, Tok: beginTok}) {
-		return nil
-	}
-	if !beginTok.IsBegin() {
-		// Leaf node: the begin token is the whole subtree. Memorize it as
-		// its own end so repeated reads take the warm fast path.
-		if s.partial != nil {
-			s.partial.recordEnd(id, begin.ri.id, begin.ri.version, begin.byteOff, begin.tokIdx,
-				int32(begin.nodesBefore), int32(token.EncodedSize(beginTok)))
-		}
-		return nil
-	}
-	ri := begin.ri
-	r := newTokenReader(tokenBytes)
-	r.SetOffset(begin.byteOff)
-	if _, err := r.Skip(); err != nil { // past the begin token
-		return err
-	}
-	cur := id + 1
-	depth := 1
-	tokIdx := begin.tokIdx + 1
-	nodesSeen := begin.nodesBefore + 1 // the begin token started a node
-	scanned := uint64(0)
-	defer func() { s.tokensScanned.Add(scanned) }()
-	for {
-		for r.More() {
-			if scanned%locateCheckTokens == locateCheckTokens-1 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			off := r.Offset()
-			t, err := r.Next()
-			if err != nil {
-				return err
-			}
-			scanned++
-			it := Item{Tok: t}
-			if t.StartsNode() {
-				it.ID = cur
-				cur++
-				nodesSeen++
-			}
-			if t.IsBegin() {
-				depth++
-			} else if t.IsEnd() {
-				depth--
-			}
-			if !fn(it) {
-				return nil
-			}
-			if depth == 0 {
-				// The subtree's end token: memorize its position so the
-				// next read of this node takes the warm fast path.
-				if s.partial != nil {
-					s.partial.recordEnd(id, ri.id, ri.version, off, tokIdx,
-						int32(nodesSeen), int32(r.Offset()-off))
-				}
-				return nil
-			}
-			tokIdx++
-		}
-		nri, ok, err := s.nextRangeInfoCtx(ctx, ri)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("core: unbalanced store: node %d has no end token", id)
-		}
-		ri = nri
-		tokenBytes, err = s.readRangeCtx(ctx, ri, sc)
-		if err != nil {
-			return err
-		}
-		r = newTokenReader(tokenBytes)
-		cur = ri.start
-		tokIdx = 0
-		nodesSeen = 0
-	}
+	return err
 }
 
 // ScanRawCtx streams every token of the store in document order as raw
@@ -269,8 +101,15 @@ func (s *Store) scanNodeLocked(ctx context.Context, id NodeID, fn func(Item) boo
 // query executor: no Token structs are materialized and no strings are
 // copied — use token.View inside fn to inspect names and values in place.
 // The raw slice is only valid for the duration of the callback. fn returning
-// false stops the scan.
-func (s *Store) ScanRawCtx(ctx context.Context, fn func(id NodeID, raw []byte) bool) (err error) {
+// false stops the scan. The tokens it passes count as scanned: this is how a
+// query without an index finds its nodes.
+func (s *Store) ScanRawCtx(ctx context.Context, fn func(id NodeID, raw []byte) bool) error {
+	return s.scanRaw(ctx, fn, true)
+}
+
+// scanRaw is every whole-store scan; searching says whether the tokens it
+// passes count as scanned.
+func (s *Store) scanRaw(ctx context.Context, fn func(id NodeID, raw []byte) bool, searching bool) (err error) {
 	ctx, finish, err := s.beginOp(ctx)
 	if err != nil {
 		return err
@@ -282,56 +121,57 @@ func (s *Store) ScanRawCtx(ctx context.Context, fn func(id NodeID, raw []byte) b
 	if s.closed {
 		return ErrClosed
 	}
-	sc := getScratch()
-	defer putScratch(sc)
+	cur := s.cursor(ctx)
+	defer cur.close()
 	ri, ok, err := s.firstRange()
 	if err != nil || !ok {
 		return err
 	}
 	scanned := uint64(0)
-	defer func() { s.tokensScanned.Add(scanned) }()
+	if searching {
+		defer func() { s.tokensScanned.Add(scanned) }()
+	}
 	for {
-		tokenBytes, err := s.readRangeCtx(ctx, ri, sc)
-		if err != nil {
-			return err
-		}
-		cur := ri.start
-		off := 0
-		for off < len(tokenBytes) {
-			if scanned%locateCheckTokens == locateCheckTokens-1 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			size, err := token.Size(tokenBytes[off:])
+		next := ri.start
+		for off := 0; off < ri.bytes; {
+			win, n, err := cur.tokens(ri, off)
 			if err != nil {
 				return err
 			}
-			scanned++
-			id := InvalidNode
-			if token.Kind(tokenBytes[off]).StartsNode() {
-				id = cur
-				cur++
+			for i := 0; ; { // every whole token of the window
+				if scanned%locateCheckTokens == locateCheckTokens-1 {
+					if err := ctx.Err(); err != nil {
+						return err
+					}
+				}
+				scanned++
+				id := InvalidNode
+				if token.Kind(win[i]).StartsNode() {
+					id = next
+					next++
+				}
+				if !fn(id, win[i:i+n]) {
+					return nil
+				}
+				i, off = i+n, off+n
+				if n, err = token.Size(win[i:]); err != nil {
+					break // the window is used up, or ends inside a token
+				}
 			}
-			if !fn(id, tokenBytes[off:off+size]) {
-				return nil
-			}
-			off += size
 		}
 		nri, ok, err := s.nextRangeInfoCtx(ctx, ri)
-		if err != nil {
+		if err != nil || !ok {
 			return err
-		}
-		if !ok {
-			return nil
 		}
 		ri = nri
 	}
 }
 
 // ScanNodeRawCtx streams the subtree of node id (begin through matching end)
-// as raw encoded tokens, with the same contract as ScanRawCtx. It keeps
-// ScanNode's warm partial-index fast path and end-position memorization.
+// as raw encoded tokens, with the same contract as ScanRawCtx.
+//
+// Readers share the lock: locate's writes (partial index, checkpoint table,
+// scan counters) all go to internally-synchronized structures.
 func (s *Store) ScanNodeRawCtx(ctx context.Context, id NodeID, fn func(id NodeID, raw []byte) bool) (err error) {
 	ctx, finish, err := s.beginOp(ctx)
 	if err != nil {
@@ -344,137 +184,83 @@ func (s *Store) ScanNodeRawCtx(ctx context.Context, id NodeID, fn func(id NodeID
 	if s.closed {
 		return ErrClosed
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	return s.scanNodeRawLocked(ctx, id, fn, sc)
+	cur := s.cursor(ctx)
+	defer cur.close()
+	return s.scanNodeRawLocked(cur, id, fn)
 }
 
-func (s *Store) scanNodeRawLocked(ctx context.Context, id NodeID, fn func(id NodeID, raw []byte) bool, sc *scratch) error {
-	// Warm fast path mirrors scanNodeLocked: both token positions known and
-	// in one range — read exactly the subtree's byte span.
-	if s.partial != nil {
-		if e, ok := s.partial.lookup(id); ok && e.hasEnd && e.endLen > 0 &&
-			e.beginRange == e.endRange {
-			ri := s.byRange[e.beginRange]
-			if ri != nil && ri.version == e.beginVer && ri.version == e.endVer {
-				s.nodeLookups.Add(1)
-				s.partial.hit()
-				span := int(e.endByte + e.endLen - e.beginByte)
-				buf, err := s.recs.ReadSlice(ri.loc, rangeHeaderSize+int(e.beginByte), span)
-				if err != nil {
-					return err
-				}
-				cur := id
-				depth := 0
-				off := 0
-				for off < len(buf) {
-					size, err := token.Size(buf[off:])
-					if err != nil {
-						return err
-					}
-					k := token.Kind(buf[off])
-					nid := InvalidNode
-					if k.StartsNode() {
-						nid = cur
-						cur++
-					}
-					if k.IsBegin() {
-						depth++
-					} else if k.IsEnd() {
-						depth--
-					}
-					if !fn(nid, buf[off:off+size]) {
-						return nil
-					}
-					if depth == 0 && k.IsEnd() {
-						return nil
-					}
-					off += size
-				}
-				return nil
-			}
-		}
-	}
-	begin, beginTok, tokenBytes, err := s.locateBegin(ctx, id, sc)
+// scanNodeRawLocked is every subtree read: locate the begin token, then
+// stream tokens until the depth returns to zero, crossing into the following
+// ranges as needed. When the Partial Index already holds the end in the same
+// range the cursor was told where the subtree stops (locateBegin) and the
+// loop reads exactly that span; otherwise it finds the end and memorizes it,
+// so the next read of this node is that warm read.
+func (s *Store) scanNodeRawLocked(cur *rangeCursor, id NodeID, fn func(id NodeID, raw []byte) bool) error {
+	pos, _, e, err := s.locateBegin(cur, id)
 	if err != nil {
 		return err
 	}
-	beginSize, err := token.Size(tokenBytes[begin.byteOff:])
-	if err != nil {
-		return err
-	}
-	if !fn(id, tokenBytes[begin.byteOff:begin.byteOff+beginSize]) {
-		return nil
-	}
-	if !beginTok.IsBegin() {
-		// Leaf node: memorize it as its own end (see scanNodeLocked).
-		if s.partial != nil {
-			s.partial.recordEnd(id, begin.ri.id, begin.ri.version, begin.byteOff, begin.tokIdx,
-				int32(begin.nodesBefore), int32(beginSize))
-		}
-		return nil
-	}
-	ri := begin.ri
-	off := begin.byteOff + beginSize
-	cur := id + 1
-	depth := 1
-	tokIdx := begin.tokIdx + 1
-	nodesSeen := begin.nodesBefore + 1
+	endKnown := e.endsIn(pos.ri)
+	next := id
+	depth := 0
 	scanned := uint64(0)
-	defer func() { s.tokensScanned.Add(scanned) }()
+	defer func() {
+		// Reading a known span is not a locate scan, and the begin token was
+		// located, not scanned.
+		if !endKnown && scanned > 1 {
+			s.tokensScanned.Add(scanned - 1)
+		}
+	}()
 	for {
-		for off < len(tokenBytes) {
-			if scanned%locateCheckTokens == locateCheckTokens-1 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			size, err := token.Size(tokenBytes[off:])
+		for !pos.atRangeEnd() {
+			win, n, err := cur.tokens(pos.ri, pos.byteOff)
 			if err != nil {
 				return err
 			}
-			scanned++
-			k := token.Kind(tokenBytes[off])
-			nid := InvalidNode
-			if k.StartsNode() {
-				nid = cur
-				cur++
-				nodesSeen++
-			}
-			if k.IsBegin() {
-				depth++
-			} else if k.IsEnd() {
-				depth--
-			}
-			if !fn(nid, tokenBytes[off:off+size]) {
-				return nil
-			}
-			if depth == 0 {
-				if s.partial != nil {
-					s.partial.recordEnd(id, ri.id, ri.version, off, tokIdx,
-						int32(nodesSeen), int32(size))
+			for i := 0; ; { // every whole token of the window
+				if scanned%locateCheckTokens == locateCheckTokens-1 {
+					if err := cur.ctx.Err(); err != nil {
+						return err
+					}
 				}
-				return nil
+				scanned++
+				k := token.Kind(win[i])
+				nid := InvalidNode
+				if k.StartsNode() {
+					nid = next
+					next++
+				}
+				if k.IsBegin() {
+					depth++
+				} else if k.IsEnd() {
+					depth--
+				}
+				if !fn(nid, win[i:i+n]) {
+					return nil
+				}
+				if depth == 0 {
+					// The subtree's last token (a leaf is its own end).
+					if s.partial != nil && !endKnown {
+						s.partial.recordEnd(id, pos.ri.id, pos.ri.version, pos.byteOff, pos.tokIdx,
+							int32(pos.nodesBefore), int32(n))
+					}
+					return nil
+				}
+				pos, i = pos.past(k, n), i+n
+				if n, err = token.Size(win[i:]); err != nil {
+					break // the window is used up, or ends inside a token
+				}
 			}
-			tokIdx++
-			off += size
 		}
-		nri, ok, err := s.nextRangeInfoCtx(ctx, ri)
+		nri, ok, err := s.nextRangeInfoCtx(cur.ctx, pos.ri)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			return fmt.Errorf("core: unbalanced store: node %d has no end token", id)
 		}
-		ri = nri
-		tokenBytes, err = s.readRangeCtx(ctx, ri, sc)
-		if err != nil {
-			return err
-		}
-		off = 0
-		cur = ri.start
-		tokIdx = 0
-		nodesSeen = 0
+		pos = tokenPos{ri: nri}
+		next = nri.start
 	}
 }
 
@@ -579,17 +365,80 @@ func (s *Store) XMLString() (string, error) {
 	return xmltok.ToString(toks)
 }
 
-// NodeXMLString renders one node's subtree as an XML string. Attribute
-// nodes, which have no standalone XML form, render as name="value".
-func (s *Store) NodeXMLString(id NodeID) (string, error) {
-	toks, err := s.NodeTokens(id)
+// AppendNodeXML renders one node's subtree as XML text onto dst, straight
+// from the stored token bytes: no Token is materialized and nothing is
+// allocated beyond what dst needs to grow. Attribute nodes, which have no
+// standalone XML form, render as name="value". On error dst comes back at
+// its original length.
+func (s *Store) AppendNodeXML(ctx context.Context, dst []byte, id NodeID) (_ []byte, err error) {
+	ctx, finish, err := s.beginOp(ctx)
+	if err != nil {
+		return dst, err
+	}
+	defer finish()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	defer s.latchCorrupt(&err)
+	if s.closed {
+		return dst, ErrClosed
+	}
+	cur := s.cursor(ctx)
+	defer cur.close()
+	return s.appendNodeXMLLocked(cur, dst, id)
+}
+
+func (s *Store) appendNodeXMLLocked(cur *rangeCursor, dst []byte, id NodeID) ([]byte, error) {
+	out := dst
+	w := &cur.xml
+	w.Reset()
+	first, attr := true, false
+	var werr error
+	err := s.scanNodeRawLocked(cur, id, func(_ NodeID, raw []byte) bool {
+		k, name, value, _, err := token.View(raw)
+		if err != nil {
+			werr = err
+			return false
+		}
+		if first && k == token.BeginAttribute {
+			out = strconv.AppendQuote(append(append(out, name...), '='), string(value))
+			attr = true
+		}
+		first = false
+		if !attr { // an attribute node's end token has nothing to add
+			out, werr = xmltok.AppendToken(w, out, k, name, value)
+		}
+		return werr == nil
+	})
+	if err == nil {
+		err = werr
+	}
+	if err == nil {
+		out, err = w.Finish(out)
+	}
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// NodeXMLString renders one node's subtree as an XML string (see
+// AppendNodeXML).
+func (s *Store) NodeXMLString(id NodeID) (_ string, err error) {
+	ctx, finish, err := s.beginOp(context.Background())
 	if err != nil {
 		return "", err
 	}
-	if len(toks) > 0 && toks[0].Kind == token.BeginAttribute {
-		return fmt.Sprintf("%s=%q", toks[0].Name, toks[0].Value), nil
+	defer finish()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	defer s.latchCorrupt(&err)
+	if s.closed {
+		return "", ErrClosed
 	}
-	return xmltok.ToString(toks)
+	cur := s.cursor(ctx)
+	defer cur.close()
+	cur.out, err = s.appendNodeXMLLocked(cur, cur.out[:0], id)
+	return string(cur.out), err
 }
 
 // CheckInvariants validates cross-structure consistency: every range record
@@ -607,6 +456,8 @@ func (s *Store) checkInvariantsLocked() error {
 	ranges := 0
 	seen := map[RangeID]bool{}
 	var stack []token.Kind
+	cur := s.cursor(context.Background())
+	defer cur.close()
 
 	ri, ok, err := s.firstRange()
 	if err != nil {
@@ -624,7 +475,7 @@ func (s *Store) checkInvariantsLocked() error {
 		if s.byLoc[ri.loc] != ri {
 			return fmt.Errorf("core: byLoc[%v] does not match chain entry", ri.loc)
 		}
-		tokenBytes, err := s.readRange(ri)
+		tokenBytes, err := cur.all(ri)
 		if err != nil {
 			return err
 		}

@@ -178,7 +178,7 @@ func (r *refStore) elementIDs() []NodeID {
 
 // compare checks that the real store contents match the reference exactly —
 // same tokens, same regenerated ids, same order.
-func compareStores(t *testing.T, s *Store, ref *refStore, ctx string) {
+func compareStores(t testing.TB, s *Store, ref *refStore, ctx string) {
 	t.Helper()
 	got, err := s.ReadAll()
 	if err != nil {

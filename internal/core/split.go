@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/pagestore"
@@ -18,7 +19,9 @@ func (s *Store) splitRange(ri *rangeInfo, pos tokenPos) (*rangeInfo, error) {
 	if pos.ri != ri || pos.byteOff <= 0 || pos.byteOff >= ri.bytes {
 		return nil, fmt.Errorf("core: splitRange at invalid position %d of %v", pos.byteOff, ri)
 	}
-	tokenBytes, err := s.readRange(ri)
+	cur := s.cursor(context.Background()) // past the point of no return: no deadline
+	defer cur.close()
+	tokenBytes, err := cur.all(ri)
 	if err != nil {
 		return nil, err
 	}

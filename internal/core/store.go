@@ -127,7 +127,7 @@ type Store struct {
 
 	// Read-path counters are atomic: they are bumped by concurrent readers
 	// holding only mu.RLock.
-	tokensScanned, nodeLookups atomic.Uint64
+	tokensScanned, nodeLookups, rangeBytesRead atomic.Uint64
 
 	// checkpoints accelerates coarse-range locate replays; lock-striped and
 	// memory-only (see checkpoints.go). Nil only before initIndexes.
@@ -576,6 +576,7 @@ func (s *Store) Stats() Stats {
 		Merges:            s.merges,
 		TokensScanned:     s.tokensScanned.Load(),
 		NodeLookups:       s.nodeLookups.Load(),
+		RangeBytesRead:    s.rangeBytesRead.Load(),
 		Pool:              s.pool.Stats(),
 	}
 	if s.full != nil {
@@ -703,72 +704,6 @@ func (s *Store) applyMoves(moves []pagestore.Move) {
 		ri.loc = m.To
 		s.byLoc[m.To] = ri
 	}
-}
-
-// scratch is a per-operation reusable range buffer. Read-only operations
-// (scans, locates, navigation) funnel every range read of one operation
-// through a single pooled scratch, so a random read of a 100+ KB coarse
-// range costs zero heap allocation instead of a fresh copy per read — the
-// allocation rate that made cold coarse reads degrade with core count by
-// keeping the collector permanently busy.
-//
-// Alias discipline: a scratch holds at most ONE range's bytes; every
-// readRangeCtx into the same scratch invalidates the previous contents.
-// All scratch-using paths read ranges strictly sequentially and never keep
-// two range buffers live at once. Mutating paths pass a nil scratch and get
-// private copies, which may outlive subsequent reads.
-type scratch struct{ buf []byte }
-
-// scratchRetainBytes caps the capacity a pooled scratch keeps; an outlier
-// range does not pin its footprint in the pool forever.
-const scratchRetainBytes = 1 << 20
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-func getScratch() *scratch { return scratchPool.Get().(*scratch) }
-
-func putScratch(sc *scratch) {
-	if cap(sc.buf) > scratchRetainBytes {
-		sc.buf = nil
-	}
-	scratchPool.Put(sc)
-}
-
-// readRange returns the encoded token bytes of ri (a fresh copy).
-func (s *Store) readRange(ri *rangeInfo) ([]byte, error) {
-	return s.readRangeCtx(context.Background(), ri, nil)
-}
-
-// readRangeCtx is readRange with cooperative cancellation at page-fetch
-// boundaries (a coarse range can span a long overflow chain). Mutation
-// apply phases use plain readRange — past the point of no return an
-// operation must run to completion.
-//
-// A non-nil sc reuses (and invalidates) the scratch's buffer; the returned
-// bytes alias it and are valid only until the next read into the same
-// scratch. A nil sc allocates a private copy.
-func (s *Store) readRangeCtx(ctx context.Context, ri *rangeInfo, sc *scratch) ([]byte, error) {
-	var payload []byte
-	var err error
-	if sc != nil {
-		payload, err = s.recs.ReadCtxInto(ctx, ri.loc, sc.buf)
-		if err == nil {
-			sc.buf = payload
-		}
-	} else {
-		payload, err = s.recs.ReadCtx(ctx, ri.loc)
-	}
-	if err != nil {
-		return nil, err
-	}
-	id, _, _, _, tokenBytes, err := decodeRangeHeader(payload)
-	if err != nil {
-		return nil, err
-	}
-	if id != ri.id {
-		return nil, fmt.Errorf("core: record at %v is range %d, expected %d", ri.loc, id, ri.id)
-	}
-	return tokenBytes, nil
 }
 
 // nextRangeInfoCtx is nextRangeInfo with a cancellation check, for read

@@ -276,11 +276,13 @@ func (s *Store) InsertBeforeCtx(ctx context.Context, id NodeID, frag []Token) (_
 	if err := s.writableLocked(); err != nil {
 		return InvalidNode, err
 	}
-	pos, tok, _, err := s.locateBegin(ctx, id, nil)
+	cur := s.cursor(ctx)
+	defer cur.close()
+	pos, k, _, err := s.locateBegin(cur, id)
 	if err != nil {
 		return InvalidNode, err
 	}
-	if tok.Kind == token.BeginAttribute {
+	if k == token.BeginAttribute {
 		return InvalidNode, ErrAttrContext
 	}
 	return s.insertFragment(pos, frag)
@@ -307,18 +309,20 @@ func (s *Store) InsertAfterCtx(ctx context.Context, id NodeID, frag []Token) (_ 
 	if err := s.writableLocked(); err != nil {
 		return InvalidNode, err
 	}
-	begin, tok, tokenBytes, err := s.locateBegin(ctx, id, nil)
+	cur := s.cursor(ctx)
+	defer cur.close()
+	begin, k, e, err := s.locateBegin(cur, id)
 	if err != nil {
 		return InvalidNode, err
 	}
-	if tok.Kind == token.BeginAttribute {
+	if k == token.BeginAttribute {
 		return InvalidNode, ErrAttrContext
 	}
-	end, endBytes, err := s.locateEnd(ctx, id, begin, tok, tokenBytes, nil)
+	end, err := s.locateEnd(cur, id, begin, k, e)
 	if err != nil {
 		return InvalidNode, err
 	}
-	after, err := advance(end, endBytes)
+	after, err := advance(cur, end)
 	if err != nil {
 		return InvalidNode, err
 	}
@@ -347,18 +351,20 @@ func (s *Store) InsertIntoFirstCtx(ctx context.Context, id NodeID, frag []Token)
 	if err := s.writableLocked(); err != nil {
 		return InvalidNode, err
 	}
-	begin, tok, tokenBytes, err := s.locateBegin(ctx, id, nil)
+	cur := s.cursor(ctx)
+	defer cur.close()
+	begin, k, _, err := s.locateBegin(cur, id)
 	if err != nil {
 		return InvalidNode, err
 	}
-	if err := requireElement(tok); err != nil {
+	if err := requireElement(k); err != nil {
 		return InvalidNode, err
 	}
-	pos, err := advance(begin, tokenBytes)
+	pos, err := advance(cur, begin)
 	if err != nil {
 		return InvalidNode, err
 	}
-	pos, _, err = s.skipAttributes(ctx, pos, tokenBytes, nil)
+	pos, err = s.skipAttributes(cur, pos)
 	if err != nil {
 		return InvalidNode, err
 	}
@@ -388,29 +394,48 @@ func (s *Store) InsertIntoLastCtx(ctx context.Context, id NodeID, frag []Token) 
 	if err := s.writableLocked(); err != nil {
 		return InvalidNode, err
 	}
-	begin, tok, tokenBytes, err := s.locateBegin(ctx, id, nil)
+	cur := s.cursor(ctx)
+	defer cur.close()
+	begin, k, e, err := s.locateBegin(cur, id)
 	if err != nil {
 		return InvalidNode, err
 	}
-	if err := requireElement(tok); err != nil {
+	if err := requireElement(k); err != nil {
 		return InvalidNode, err
 	}
-	end, _, err := s.locateEnd(ctx, id, begin, tok, tokenBytes, nil)
+	end, err := s.locateEnd(cur, id, begin, k, e)
 	if err != nil {
 		return InvalidNode, err
 	}
 	return s.insertFragment(end, frag)
 }
 
-func requireElement(tok Token) error {
-	switch tok.Kind {
+func requireElement(k token.Kind) error {
+	switch k {
 	case token.BeginElement:
 		return nil
 	case token.BeginAttribute:
 		return ErrIntoAttribute
 	default:
-		return fmt.Errorf("%w (found %s)", ErrNotElement, tok.Kind)
+		return fmt.Errorf("%w (found %s)", ErrNotElement, k)
 	}
+}
+
+// locateSpan returns the token span of node id's subtree: its begin token and
+// the position right after its end token.
+func (s *Store) locateSpan(ctx context.Context, id NodeID) (begin, after tokenPos, err error) {
+	cur := s.cursor(ctx)
+	defer cur.close()
+	begin, k, e, err := s.locateBegin(cur, id)
+	if err != nil {
+		return tokenPos{}, tokenPos{}, err
+	}
+	end, err := s.locateEnd(cur, id, begin, k, e)
+	if err != nil {
+		return tokenPos{}, tokenPos{}, err
+	}
+	after, err = advance(cur, end)
+	return begin, after, err
 }
 
 // DeleteNode removes node id and its entire subtree.
@@ -431,15 +456,7 @@ func (s *Store) DeleteNodeCtx(ctx context.Context, id NodeID) (err error) {
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	begin, tok, tokenBytes, err := s.locateBegin(ctx, id, nil)
-	if err != nil {
-		return err
-	}
-	end, endBytes, err := s.locateEnd(ctx, id, begin, tok, tokenBytes, nil)
-	if err != nil {
-		return err
-	}
-	after, err := advance(end, endBytes)
+	begin, after, err := s.locateSpan(ctx, id)
 	if err != nil {
 		return err
 	}
@@ -477,15 +494,7 @@ func (s *Store) ReplaceNodeCtx(ctx context.Context, id NodeID, frag []Token) (_ 
 	if err := s.writableLocked(); err != nil {
 		return InvalidNode, err
 	}
-	begin, tok, tokenBytes, err := s.locateBegin(ctx, id, nil)
-	if err != nil {
-		return InvalidNode, err
-	}
-	end, endBytes, err := s.locateEnd(ctx, id, begin, tok, tokenBytes, nil)
-	if err != nil {
-		return InvalidNode, err
-	}
-	after, err := advance(end, endBytes)
+	begin, after, err := s.locateSpan(ctx, id)
 	if err != nil {
 		return InvalidNode, err
 	}
@@ -549,22 +558,24 @@ func (s *Store) ReplaceContentCtx(ctx context.Context, id NodeID, frag []Token) 
 	if err := s.writableLocked(); err != nil {
 		return InvalidNode, err
 	}
-	begin, tok, tokenBytes, err := s.locateBegin(ctx, id, nil)
+	cur := s.cursor(ctx)
+	defer cur.close()
+	begin, k, e, err := s.locateBegin(cur, id)
 	if err != nil {
 		return InvalidNode, err
 	}
-	if err := requireElement(tok); err != nil {
+	if err := requireElement(k); err != nil {
 		return InvalidNode, err
 	}
-	end, _, err := s.locateEnd(ctx, id, begin, tok, tokenBytes, nil)
+	contentStart, err := advance(cur, begin)
 	if err != nil {
 		return InvalidNode, err
 	}
-	contentStart, err := advance(begin, tokenBytes)
+	contentStart, err = s.skipAttributes(cur, contentStart)
 	if err != nil {
 		return InvalidNode, err
 	}
-	contentStart, _, err = s.skipAttributes(ctx, contentStart, tokenBytes, nil)
+	end, err := s.locateEnd(cur, id, begin, k, e)
 	if err != nil {
 		return InvalidNode, err
 	}

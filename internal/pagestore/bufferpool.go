@@ -49,8 +49,8 @@ const (
 // they collide on a stripe — and resident-page Views share the read lock, so
 // point reads of the same hot page scale with cores. Recency lives in
 // per-frame atomic stamps rather than a list: stamps need no exclusive
-// section on the hit path, and eviction scans the shard for the oldest
-// unpinned frame (shards are small, evictions are the cold path).
+// section on the hit path, and eviction picks the oldest unpinned frame of a
+// bounded sample, so a miss costs the same whatever the shard holds.
 type poolShard struct {
 	mu       sync.RWMutex
 	capacity int
@@ -58,9 +58,9 @@ type poolShard struct {
 }
 
 // BufferPool caches pages with pin-count-aware, approximately-LRU eviction
-// (exact under serial access; stamps may interleave under concurrency). It
-// is safe for concurrent use: the frame tables are lock-striped by page id
-// and the traffic counters are atomic. Pin/unpin semantics, checksum-on-miss,
+// (LRU over a sample of the shard; exact when the shard is no larger than the
+// sample and access is serial). It is safe for concurrent use: the frame
+// tables are lock-striped by page id and the traffic counters are atomic. Pin/unpin semantics, checksum-on-miss,
 // and flush-before-evict ordering are identical to the single-mutex pool.
 type BufferPool struct {
 	pager    Pager
@@ -257,14 +257,21 @@ func (bp *BufferPool) NewPage() (*Frame, error) {
 	return f, nil
 }
 
-// newFrameLocked makes room in sh and installs a pinned frame for id.
+// newFrameLocked makes room in sh and installs a pinned frame for id. A fill
+// that evicts takes over its victim's page buffer, so a pool at capacity
+// allocates no page memory per miss.
 func (bp *BufferPool) newFrameLocked(sh *poolShard, id PageID) (*Frame, error) {
+	var data []byte
 	if len(sh.frames) >= sh.capacity {
-		if err := bp.evictLocked(sh); err != nil {
+		var err error
+		if data, err = bp.evictLocked(sh); err != nil {
 			return nil, err
 		}
 	}
-	f := &Frame{ID: id, Data: make([]byte, bp.pager.PageSize()), pins: 1}
+	if data == nil {
+		data = make([]byte, bp.pager.PageSize())
+	}
+	f := &Frame{ID: id, Data: data, pins: 1}
 	f.stamp.Store(bp.clock.Add(1))
 	sh.frames[id] = f
 	bp.budget.Charge(budget.Pool, bp.frameCost())
@@ -278,33 +285,29 @@ func (bp *BufferPool) dropFrameLocked(sh *poolShard, id PageID) {
 	bp.budget.Discharge(budget.Pool, bp.frameCost())
 }
 
-// evictLocked drops the unpinned frame with the oldest recency stamp,
-// flushing it first if dirty. Caller holds sh.mu exclusively.
-func (bp *BufferPool) evictLocked(sh *poolShard) error {
-	var f *Frame
-	var oldest uint64
-	for _, c := range sh.frames {
-		if c.pins > 0 {
-			continue
-		}
-		if u := c.stamp.Load(); f == nil || u < oldest {
-			f, oldest = c, u
-		}
-	}
-	if f == nil {
-		return ErrPoolFull
+// evictLocked drops an unpinned frame — the least recently used of a bounded
+// sample (budget.Oldest) — flushing it first if dirty, and returns its page
+// buffer for the caller to reuse: the flush is done before anyone can write
+// into it. Caller holds sh.mu exclusively, which is also what keeps View's
+// readers (shard read lock, no pin) off the buffer.
+func (bp *BufferPool) evictLocked(sh *poolShard) ([]byte, error) {
+	f, ok := budget.Oldest(sh.frames, func(c *Frame) (uint64, bool) { return c.stamp.Load(), c.pins == 0 })
+	if !ok {
+		return nil, ErrPoolFull
 	}
 	if f.dirty {
 		StampChecksum(f.Data)
 		if err := bp.pager.WritePage(f.ID, f.Data); err != nil {
-			return err
+			return nil, err
 		}
 		bp.flushes.Add(1)
 	}
 	delete(sh.frames, f.ID)
 	bp.budget.Discharge(budget.Pool, bp.frameCost())
 	bp.evictions.Add(1)
-	return nil
+	data := f.Data
+	f.Data = nil // a holder that outlived its pin faults instead of reading another page
+	return data, nil
 }
 
 // shedForBudget drops cold frames while the pool is over its budget share.
@@ -324,7 +327,7 @@ func (bp *BufferPool) shedForBudget() {
 		}
 		sh.mu.Lock()
 		for excess > 0 {
-			if err := bp.evictLocked(sh); err != nil {
+			if _, err := bp.evictLocked(sh); err != nil {
 				break
 			}
 			b.NoteEviction(budget.Pool)

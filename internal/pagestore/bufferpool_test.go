@@ -1,6 +1,7 @@
 package pagestore
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -201,5 +202,89 @@ func TestPoolLRUOrder(t *testing.T) {
 	bp.Unpin(k, false)
 	if bp.Stats().Misses != 1 {
 		t.Error("LRU page should have been evicted")
+	}
+}
+
+// TestPoolVictimBufferReuse pins the order of a fill that takes over its
+// victim's page buffer: a dirty victim reaches the pager whole before the
+// incoming page's bytes land in the buffer, the new frame sees its own page,
+// the victim's frame lets go of the buffer, and a pool at capacity fills
+// without allocating page memory.
+func TestPoolVictimBufferReuse(t *testing.T) {
+	pager := NewMemPager(1024)
+	bp := NewBufferPool(pager, 4)
+	fill := func(f *Frame, b byte) {
+		for i := range f.Data[:bp.UsablePageSize()] {
+			f.Data[i] = b
+		}
+	}
+	var frames []*Frame
+	for i := 0; i < 8; i++ { // pages 5..8 evict the dirty 1..4
+		f, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(f, byte(i+1))
+		frames = append(frames, f)
+		if err := bp.Unpin(f, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, pager.PageSize())
+	for i, f := range frames[:4] {
+		if f.Data != nil {
+			t.Errorf("evicted frame of page %d still holds a page buffer", f.ID)
+		}
+		if err := pager.ReadPage(f.ID, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyChecksum(f.ID, buf); err != nil {
+			t.Errorf("page %d was not flushed whole before its buffer was reused: %v", f.ID, err)
+		}
+		for _, b := range buf[:bp.UsablePageSize()] {
+			if b != byte(i+1) {
+				t.Fatalf("page %d in the pager holds byte %d, want %d: the buffer was reused before the flush", f.ID, b, i+1)
+			}
+		}
+	}
+	// Reads of the evicted pages now evict in turn, through View and Fetch.
+	for i, f := range frames[:4] {
+		id, want := f.ID, byte(i+1)
+		check := func(data []byte) error {
+			if data[0] != want || data[bp.UsablePageSize()-1] != want {
+				t.Errorf("page %d read back as %d..%d, want %d", id, data[0], data[bp.UsablePageSize()-1], want)
+			}
+			return nil
+		}
+		if i%2 == 0 {
+			if err := bp.View(id, check); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		g, err := bp.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(g.Data)
+		bp.Unpin(g, false)
+	}
+	ids := []PageID{frames[4].ID, frames[5].ID, frames[6].ID, frames[7].ID, frames[0].ID, frames[1].ID}
+	n := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		n++
+		bp.View(ids[n%len(ids)], func([]byte) error { return nil }) // 6 pages through 4 frames: most miss
+	})
+	if allocs > 2.5 {
+		t.Errorf("a fill at capacity allocates %.1f objects (a Frame and a map slot are fine, more is not)", allocs)
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < 400; i++ {
+		bp.View(ids[i%len(ids)], func([]byte) error { return nil })
+	}
+	runtime.ReadMemStats(&ms1)
+	if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew > 400*256 {
+		t.Errorf("400 fills at capacity allocated %d bytes: page buffers are not being reused", grew)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // RecordStore maintains an ordered sequence of variable-length records on a
@@ -172,129 +173,66 @@ func (rs *RecordStore) inlineMax() int {
 
 // Read returns a copy of the record payload at loc.
 func (rs *RecordStore) Read(loc Loc) ([]byte, error) {
-	return rs.ReadCtx(context.Background(), loc)
+	return rs.readSlice(context.Background(), loc, 0, -1, nil, nil)
 }
 
-// ReadCtx is Read with cooperative cancellation: ctx is checked before the
-// first page view and again between overflow-chain hops, so a deadline or
-// cancellation stops a long chain walk at the next page boundary instead of
-// running it to completion. Records read whole stay whole — cancellation
-// never returns a partial payload.
-func (rs *RecordStore) ReadCtx(ctx context.Context, loc Loc) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var out []byte
-	var total int
-	next := InvalidPage
-	err := rs.pool.View(loc.Page, func(data []byte) error {
-		p := slotPage(data)
-		if p.typ() != pageData || !p.live(loc.Slot) {
-			return fmt.Errorf("%w: %v", ErrNoRecord, loc)
-		}
-		stored := p.payload(loc.Slot)
-		if len(stored) == 0 {
-			return fmt.Errorf("pagestore: empty stored payload")
-		}
-		if stored[0] == recInline {
-			out = make([]byte, len(stored)-1)
-			copy(out, stored[1:])
-			return nil
-		}
-		if len(stored) < stubSize {
-			return fmt.Errorf("pagestore: truncated overflow stub")
-		}
-		total = int(binary.LittleEndian.Uint32(stored[1:]))
-		next = PageID(binary.LittleEndian.Uint32(stored[5:]))
-		return nil
-	})
-	if err != nil || next == InvalidPage {
-		return out, err
-	}
-	out = make([]byte, 0, total)
-	for next != InvalidPage {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		err := rs.pool.View(next, func(data []byte) error {
-			used := int(binary.LittleEndian.Uint16(data[2:]))
-			out = append(out, data[ovflHeader:ovflHeader+used]...)
-			next = PageID(binary.LittleEndian.Uint32(data[4:]))
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(out) != total {
-		return nil, fmt.Errorf("pagestore: overflow chain length %d, want %d", len(out), total)
-	}
-	return out, nil
+// ChunkSize is the payload bytes one overflow page holds: page i of a spilled
+// record's chain holds payload bytes [i*ChunkSize, (i+1)*ChunkSize), and an
+// inline record is shorter than one chunk. It is the natural window for a
+// reader that wants the pages it uses and no others.
+func (rs *RecordStore) ChunkSize() int { return rs.pool.UsablePageSize() - ovflHeader }
+
+// Chain is the page directory of one spilled record, learned as reads walk
+// its overflow chain: a reader that hands the same Chain to every ReadSlice
+// of the record jumps to the page holding an offset instead of hopping there
+// from the head. It is a cache: nothing is persisted, an entry not learned
+// yet costs the hops it always did, and a Chain that disagrees with the
+// record's stub (page count, first page) is ignored. The owner drops it when
+// the record is rewritten or deleted — page ids are reused, so a stale Chain
+// whose first page happens to match would misdirect reads. Safe for
+// concurrent readers: entries are written atomically and every writer of an
+// entry writes the same value.
+type Chain struct {
+	pages []atomic.Uint32 // InvalidPage = not learned
 }
 
-// ReadCtxInto is ReadCtx reading into the caller's buffer: the payload is
-// appended to dst[:0] and the (possibly grown) slice returned, so a reader
-// that walks many records can reuse one scratch allocation. dst may be nil.
-func (rs *RecordStore) ReadCtxInto(ctx context.Context, loc Loc, dst []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := dst[:0]
-	var total int
-	next := InvalidPage
-	err := rs.pool.View(loc.Page, func(data []byte) error {
-		p := slotPage(data)
-		if p.typ() != pageData || !p.live(loc.Slot) {
-			return fmt.Errorf("%w: %v", ErrNoRecord, loc)
-		}
-		stored := p.payload(loc.Slot)
-		if len(stored) == 0 {
-			return fmt.Errorf("pagestore: empty stored payload")
-		}
-		if stored[0] == recInline {
-			out = append(out, stored[1:]...)
-			return nil
-		}
-		if len(stored) < stubSize {
-			return fmt.Errorf("pagestore: truncated overflow stub")
-		}
-		total = int(binary.LittleEndian.Uint32(stored[1:]))
-		next = PageID(binary.LittleEndian.Uint32(stored[5:]))
-		return nil
-	})
-	if err != nil || next == InvalidPage {
-		return out, err
-	}
-	for next != InvalidPage {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		err := rs.pool.View(next, func(data []byte) error {
-			used := int(binary.LittleEndian.Uint16(data[2:]))
-			out = append(out, data[ovflHeader:ovflHeader+used]...)
-			next = PageID(binary.LittleEndian.Uint32(data[4:]))
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(out) != total {
-		return nil, fmt.Errorf("pagestore: overflow chain length %d, want %d", len(out), total)
-	}
-	return out, nil
+// NewChain returns an empty directory for a record of total payload bytes.
+func (rs *RecordStore) NewChain(total int) *Chain {
+	chunk := rs.ChunkSize()
+	return &Chain{pages: make([]atomic.Uint32, (total+chunk-1)/chunk)}
 }
 
-// ReadSlice returns payload[off : off+length] of the record at loc without
-// materializing the rest of the record — the cheap path for indexed point
-// reads into large records.
-func (rs *RecordStore) ReadSlice(loc Loc, off, length int) ([]byte, error) {
+// Pages is the number of overflow pages the directory covers.
+func (c *Chain) Pages() int { return len(c.pages) }
+
+// covers reports whether the directory describes a chain of n pages headed by
+// first, adopting first when it has learned nothing yet.
+func (c *Chain) covers(n int, first PageID) bool {
+	if c == nil || n == 0 || len(c.pages) != n {
+		return false
+	}
+	return c.pages[0].CompareAndSwap(0, uint32(first)) || PageID(c.pages[0].Load()) == first
+}
+
+// ReadSlice appends payload[off : off+length] of the record at loc to dst and
+// returns the extended slice, without materializing the rest of the record —
+// the cheap path for point reads into large records. chain may be nil. ctx is
+// checked between overflow pages; cancellation never returns a partial slice.
+func (rs *RecordStore) ReadSlice(ctx context.Context, loc Loc, off, length int, dst []byte, chain *Chain) ([]byte, error) {
 	if off < 0 || length < 0 {
 		return nil, fmt.Errorf("pagestore: negative slice bounds")
 	}
-	var out []byte
+	return rs.readSlice(ctx, loc, off, length, dst, chain)
+}
+
+// readSlice is ReadSlice, with length < 0 meaning "to the end of the record".
+func (rs *RecordStore) readSlice(ctx context.Context, loc Loc, off, length int, dst []byte, chain *Chain) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	out := dst
 	var total int
-	next := InvalidPage
+	page := InvalidPage
 	err := rs.pool.View(loc.Page, func(data []byte) error {
 		p := slotPage(data)
 		if p.typ() != pageData || !p.live(loc.Slot) {
@@ -306,54 +244,72 @@ func (rs *RecordStore) ReadSlice(loc Loc, off, length int) ([]byte, error) {
 		}
 		if stored[0] == recInline {
 			body := stored[1:]
-			if off+length > len(body) {
+			if length < 0 {
+				length = len(body) - off
+			}
+			if length < 0 || off+length > len(body) {
 				return fmt.Errorf("pagestore: slice [%d:%d] beyond record of %d bytes", off, off+length, len(body))
 			}
-			out = make([]byte, length)
-			copy(out, body[off:off+length])
+			out = append(out, body[off:off+length]...)
 			return nil
 		}
 		if len(stored) < stubSize {
 			return fmt.Errorf("pagestore: truncated overflow stub")
 		}
 		total = int(binary.LittleEndian.Uint32(stored[1:]))
-		next = PageID(binary.LittleEndian.Uint32(stored[5:]))
+		page = PageID(binary.LittleEndian.Uint32(stored[5:]))
 		return nil
 	})
-	if err != nil || next == InvalidPage {
+	if err != nil || page == InvalidPage {
 		return out, err
 	}
-	// Overflowed record: walk the chain, skipping chunks before off.
-	if off+length > total {
+	if length < 0 {
+		length = total - off
+	}
+	if length < 0 || off+length > total {
 		return nil, fmt.Errorf("pagestore: slice [%d:%d] beyond record of %d bytes", off, off+length, total)
 	}
-	out = make([]byte, 0, length)
-	pos := 0
-	for next != InvalidPage && len(out) < length {
-		err := rs.pool.View(next, func(data []byte) error {
-			used := int(binary.LittleEndian.Uint16(data[2:]))
-			chunk := data[ovflHeader : ovflHeader+used]
-			if pos+used > off {
-				lo := 0
-				if off > pos {
-					lo = off - pos
-				}
-				hi := used
-				if pos+hi > off+length {
-					hi = off + length - pos
-				}
-				out = append(out, chunk[lo:hi]...)
+	// Spilled record. Every page but the last is full, so the page holding
+	// off is number off/chunk: start at the nearest one the directory knows at
+	// or before it (the head when it knows none) and walk, teaching the
+	// directory each page passed.
+	chunk := rs.ChunkSize()
+	i := 0
+	if chain.covers((total+chunk-1)/chunk, page) {
+		for j := min(off/chunk, len(chain.pages)-1); j > 0; j-- {
+			if p := PageID(chain.pages[j].Load()); p != InvalidPage {
+				i, page = j, p
+				break
 			}
-			pos += used
-			next = PageID(binary.LittleEndian.Uint32(data[4:]))
+		}
+	} else {
+		chain = nil
+	}
+	end := off + length
+	for pos := i * chunk; pos < end; i, pos = i+1, pos+chunk {
+		if page == InvalidPage {
+			return nil, fmt.Errorf("pagestore: overflow chain ended early (%d of %d bytes)", pos, total)
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		err := rs.pool.View(page, func(data []byte) error {
+			used := int(binary.LittleEndian.Uint16(data[2:]))
+			if data[0] != pageOverflow || used != min(chunk, total-pos) {
+				return fmt.Errorf("pagestore: page %d is not chunk %d of the %d-byte record at %v", page, i, total, loc)
+			}
+			if pos+used > off {
+				out = append(out, data[ovflHeader+max(off-pos, 0):ovflHeader+min(used, end-pos)]...)
+			}
+			page = PageID(binary.LittleEndian.Uint32(data[4:]))
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-	}
-	if len(out) != length {
-		return nil, fmt.Errorf("pagestore: overflow chain ended early (%d of %d bytes)", len(out), length)
+		if chain != nil && i+1 < len(chain.pages) {
+			chain.pages[i+1].Store(uint32(page))
+		}
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/failover"
 	"repro/internal/replica"
-	"repro/internal/token"
 	"repro/internal/wal"
 	"repro/internal/xmltok"
 	"repro/internal/xpath"
@@ -322,21 +322,39 @@ func (c *conn) writeJSON(v any) error {
 	return c.writeFrame(msgJSON, b)
 }
 
-// nodeXML renders one node's subtree under the caller's deadline —
-// NodeXMLString's logic on top of the ctx-aware read path.
-func nodeXML(ctx context.Context, st *core.Store, id core.NodeID) (string, error) {
-	items, err := st.ReadNodeCtx(ctx, id)
+// nodeFrameRoom is what a frame puts in front of a node's XML: the frame
+// header, a row's node id, and the length prefix of the string.
+const nodeFrameRoom = frameHeader + 2*binary.MaxVarintLen64
+
+// nodeFrameRetain caps the render buffer a connection keeps between
+// responses; one outsized node does not pin its size for the session.
+const nodeFrameRetain = 1 << 20
+
+// nodeFrame renders one node's subtree, under the caller's deadline, straight
+// into a response frame: the store appends the XML behind room for the
+// prefix, and the prefix — [length][typ][id, for a row][XML length] — is laid
+// right in front of it once the length is known. One buffer per connection,
+// reused; the XML is written once. The frame is valid until the next call.
+func (c *conn) nodeFrame(ctx context.Context, st *core.Store, typ byte, id core.NodeID) ([]byte, error) {
+	var room [nodeFrameRoom]byte
+	if cap(c.out) > nodeFrameRetain {
+		c.out = nil
+	}
+	buf, err := st.AppendNodeXML(ctx, append(c.out[:0], room[:]...), id)
+	c.out = buf
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	toks := make([]core.Token, 0, len(items))
-	for _, it := range items {
-		toks = append(toks, it.Tok)
+	pre := room[:frameHeader]
+	if typ == msgRow {
+		pre = binary.AppendUvarint(pre, uint64(id))
 	}
-	if len(toks) > 0 && toks[0].Kind == token.BeginAttribute {
-		return fmt.Sprintf("%s=%q", toks[0].Name, toks[0].Value), nil
-	}
-	return xmltok.ToString(toks)
+	pre = binary.AppendUvarint(pre, uint64(len(buf)-nodeFrameRoom))
+	binary.BigEndian.PutUint32(pre, uint32(len(pre)-4+len(buf)-nodeFrameRoom))
+	pre[4] = typ
+	frame := buf[nodeFrameRoom-len(pre):]
+	copy(frame, pre)
+	return frame, nil
 }
 
 // handleQuery streams matches as they serialize: one msgRow per node,
@@ -359,14 +377,11 @@ func (s *Server) handleQuery(c *conn, ctx context.Context, expr string, gate rep
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			xml, err := nodeXML(ctx, st, id)
+			frame, err := c.nodeFrame(ctx, st, msgRow, id)
 			if err != nil {
 				return err
 			}
-			var e enc
-			e.u64(uint64(id))
-			e.str(xml)
-			if err := c.queueFrame(msgRow, e.payload()); err != nil {
+			if err := c.send(frame, false); err != nil {
 				return err
 			}
 			sent++
@@ -407,18 +422,16 @@ func (s *Server) handleValue(c *conn, ctx context.Context, expr string, gate rep
 }
 
 func (s *Server) handleReadNode(c *conn, ctx context.Context, id core.NodeID, gate replica.ReadOptions) error {
-	var xml string
+	var frame []byte
 	err := s.withRead(gate, func(st *core.Store) error {
 		var err error
-		xml, err = nodeXML(ctx, st, id)
+		frame, err = c.nodeFrame(ctx, st, msgValueRes, id)
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	var e enc
-	e.str(xml)
-	return c.writeFrame(msgValueRes, e.payload())
+	return c.send(frame, true)
 }
 
 // runMutation wraps every mutating op with the idempotency-token protocol

@@ -141,12 +141,12 @@ func (s *Server) httpQuery(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return errors.Join(ErrBadRequest, err)
 		}
+		var xml []byte
 		for _, id := range ids {
-			xml, err := nodeXML(ctx, st, id)
-			if err != nil {
+			if xml, err = st.AppendNodeXML(ctx, xml[:0], id); err != nil {
 				return err
 			}
-			rows = append(rows, row{ID: id, XML: xml})
+			rows = append(rows, row{ID: id, XML: string(xml)})
 		}
 		return nil
 	})

@@ -389,6 +389,9 @@ type conn struct {
 	// credentials at all.
 	fleet bool
 	inOp  atomic.Bool
+	// out is the buffer node XML is rendered into, frame prefix included
+	// (nodeFrame); it is reused from response to response.
+	out []byte
 }
 
 // serveConn runs a connection's whole life: slot admission, handshake,
@@ -638,25 +641,30 @@ func (c *conn) runOp(typ byte, payload []byte) error {
 	return s.dispatch(c, ctx, typ, d, gate)
 }
 
-// writeFrame writes the frame that ends a response — the only one, or the one
-// behind the frames queueFrame buffered — and flushes, under the write timeout.
-func (c *conn) writeFrame(typ byte, payload []byte) error {
-	c.nc.SetWriteDeadline(time.Now().Add(c.srv.opt.WriteTimeout))
-	if err := writeFrame(c.bw, typ, payload); err != nil {
+// send writes one whole frame of a response. A frame that more frames follow
+// is buffered: it reaches the wire when the buffer fills — under a write
+// timeout of its own — or with the frame that ends the response (last), error
+// frame included, which flushes under the write timeout. A one-row query is
+// one write and one deadline, not two.
+func (c *conn) send(frame []byte, last bool) error {
+	if last || c.bw.Available() < len(frame) {
+		c.nc.SetWriteDeadline(time.Now().Add(c.srv.opt.WriteTimeout))
+	}
+	if _, err := c.bw.Write(frame); err != nil || !last {
 		return err
 	}
 	return c.bw.Flush()
 }
 
-// queueFrame buffers one frame of a response that more frames follow: it
-// reaches the wire when the buffer fills — under a write timeout of its own —
-// or with the writeFrame that ends the response, error frame included. A
-// one-row query is one write and one deadline, not two.
+// writeFrame sends the frame that ends a response — the only one, or the one
+// behind the frames queueFrame buffered.
+func (c *conn) writeFrame(typ byte, payload []byte) error {
+	return c.send(appendFrame(nil, typ, payload), true)
+}
+
+// queueFrame sends one frame of a response that more frames follow.
 func (c *conn) queueFrame(typ byte, payload []byte) error {
-	if c.bw.Available() < frameHeader+len(payload) {
-		c.nc.SetWriteDeadline(time.Now().Add(c.srv.opt.WriteTimeout))
-	}
-	return writeFrame(c.bw, typ, payload)
+	return c.send(appendFrame(nil, typ, payload), false)
 }
 
 func (c *conn) writeErr(err error) error {

@@ -588,3 +588,56 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 	t.Fatal("condition never met")
 }
+
+// TestNodeFramesOfEveryKind: ReadNode answers and query rows are rendered by
+// the store straight into the response frame, behind a prefix laid in once
+// the length is known. Every node of a document with attribute nodes, a
+// comment, a processing instruction, text that needs escaping, an empty
+// element and one node big enough for a three-byte length must cross the wire
+// exactly as the store renders it in process — ids included, in both shapes
+// of frame, and after the big node grew the connection's buffer.
+func TestNodeFramesOfEveryKind(t *testing.T) {
+	cfg := memCfg()
+	cfg.PageSize = 8192
+	e := start(t, cfg, server.Options{})
+	c := e.dial(server.ClientOptions{})
+	ctx := context.Background()
+	doc := `<r a="1 &amp; &quot;2&quot;" b=""><!-- c --><?p d?><e/>t &lt; u<big>` + strings.Repeat("0123456789", 3000) + `</big><k x="y">z</k></r>`
+	if _, err := c.Load(ctx, doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{`//*`, `//@*`, `//k`, `/r/big`} {
+		rows, err := c.Query(ctx, q)
+		if err != nil || len(rows) == 0 {
+			t.Fatalf("%s: %d rows, %v", q, len(rows), err)
+		}
+		for _, r := range rows {
+			want, err := e.st.NodeXMLString(r.ID)
+			if err != nil || r.XML != want {
+				t.Fatalf("%s: row of node %d is %.60q, the store renders %.60q (%v)", q, r.ID, r.XML, want, err)
+			}
+		}
+	}
+	items, err := e.st.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range items {
+		if it.ID == core.InvalidNode {
+			continue
+		}
+		want, err := e.st.NodeXMLString(it.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := c.ReadNode(ctx, it.ID); err != nil || got != want {
+			t.Fatalf("ReadNode(%d) = %.60q, the store renders %.60q (%v)", it.ID, got, want, err)
+		}
+	}
+	if _, err := c.ReadNode(ctx, 1<<40); err == nil {
+		t.Fatal("ReadNode of a node that does not exist answered")
+	}
+	if got, err := c.ReadNode(ctx, items[0].ID); err != nil || len(got) < 30000 {
+		t.Fatalf("after an error frame: %d bytes, %v", len(got), err)
+	}
+}

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -165,13 +166,17 @@ func init() {
 // frameHeader is the bytes in front of a payload: length, then type.
 const frameHeader = 5
 
+// appendFrame appends one frame to dst: length, type, payload.
+func appendFrame(dst []byte, typ byte, payload []byte) []byte {
+	dst = slices.Grow(dst, frameHeader+len(payload))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(1+len(payload)))
+	return append(append(dst, typ), payload...)
+}
+
 // writeFrame writes one frame. The caller is responsible for any write
 // deadline on w.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	hdr := make([]byte, frameHeader, frameHeader+len(payload))
-	binary.BigEndian.PutUint32(hdr, uint32(1+len(payload)))
-	hdr[4] = typ
-	_, err := w.Write(append(hdr, payload...))
+	_, err := w.Write(appendFrame(nil, typ, payload))
 	return err
 }
 

@@ -1,7 +1,6 @@
 package xmltok
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -9,93 +8,158 @@ import (
 	"repro/internal/token"
 )
 
-// Serializer writes a token stream back out as XML text. It is the inverse
-// of the Scanner for well-formed streams and is used by the store's Read
-// interface to hand XML back to applications.
+// Appender is the state of one XML rendering: which elements are open and
+// whether the last start tag still waits for its '>' (an element that closes
+// right away is written self-closing). AppendToken drives it; it is the one
+// place that knows how tokens become XML text, whether they arrive as
+// materialized Tokens (Serializer) or as the stored bytes (the store's
+// AppendNodeXML). The zero value is ready; Reset readies a used one.
+type Appender struct {
+	names   []byte // names of the open elements, back to back
+	starts  []int  // where each begins in names
+	openTag bool   // begin element written, '>' not yet emitted
+}
+
+// Reset forgets any rendering in progress, keeping the allocated state.
+func (a *Appender) Reset() {
+	a.names, a.starts, a.openTag = a.names[:0], a.starts[:0], false
+}
+
+// AppendToken appends the XML text of one token — its kind with its name and
+// value, as strings or as bytes — to dst. It is the inverse of the Scanner
+// for well-formed streams. Document brackets have no textual form.
+func AppendToken[S ~string | ~[]byte](a *Appender, dst []byte, k token.Kind, name, value S) ([]byte, error) {
+	switch k {
+	case token.BeginDocument, token.EndDocument:
+	case token.BeginElement:
+		dst = a.closeOpenTag(dst)
+		dst = append(append(dst, '<'), name...)
+		a.openTag = true
+		a.starts = append(a.starts, len(a.names))
+		a.names = append(a.names, name...)
+	case token.BeginAttribute:
+		if !a.openTag {
+			return dst, fmt.Errorf("xmltok: attribute %q outside element start", name)
+		}
+		dst = append(append(append(dst, ' '), name...), '=', '"')
+		dst = append(appendEscaped(dst, value, '"'), '"')
+	case token.EndAttribute:
+		if !a.openTag {
+			return dst, fmt.Errorf("xmltok: end-attribute outside element start")
+		}
+	case token.EndElement:
+		if len(a.starts) == 0 {
+			return dst, fmt.Errorf("xmltok: end element without open element")
+		}
+		start := a.starts[len(a.starts)-1]
+		if a.openTag {
+			dst = append(dst, '/', '>')
+			a.openTag = false
+		} else {
+			dst = append(append(append(dst, '<', '/'), a.names[start:]...), '>')
+		}
+		a.names, a.starts = a.names[:start], a.starts[:len(a.starts)-1]
+	case token.Text:
+		dst = appendEscaped(a.closeOpenTag(dst), value, '>')
+	case token.Comment:
+		dst = append(append(append(a.closeOpenTag(dst), "<!--"...), value...), "-->"...)
+	case token.PI:
+		dst = append(append(append(a.closeOpenTag(dst), '<', '?'), name...), ' ')
+		dst = append(append(dst, value...), '?', '>')
+	default:
+		return dst, fmt.Errorf("xmltok: cannot serialize %s", k)
+	}
+	return dst, nil
+}
+
+func (a *Appender) closeOpenTag(dst []byte) []byte {
+	if a.openTag {
+		dst = append(dst, '>')
+		a.openTag = false
+	}
+	return dst
+}
+
+// Finish completes the rendering: it reports an error if elements remain
+// open, and closes a start tag still waiting for its '>'.
+func (a *Appender) Finish(dst []byte) ([]byte, error) {
+	if len(a.starts) > 0 {
+		return dst, fmt.Errorf("xmltok: %d unclosed element(s) at flush", len(a.starts))
+	}
+	return a.closeOpenTag(dst), nil
+}
+
+// appendEscaped appends character data with & and < escaped, and third — '>'
+// in element content, '"' in a double-quoted attribute value.
+func appendEscaped[S ~string | ~[]byte](dst []byte, s S, third byte) []byte {
+	from := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch c := s[i]; {
+		case c == '&':
+			esc = "&amp;"
+		case c == '<':
+			esc = "&lt;"
+		case c != third:
+			continue
+		case c == '>':
+			esc = "&gt;"
+		default:
+			esc = "&quot;"
+		}
+		dst = append(append(dst, s[from:i]...), esc...)
+		from = i + 1
+	}
+	return append(dst, s[from:]...)
+}
+
+// serializerFlushBytes is how much text a Serializer gathers between writes.
+const serializerFlushBytes = 4096
+
+// Serializer writes a token stream back out as XML text: AppendToken behind
+// an io.Writer, for callers that hold Tokens and stream the result.
 type Serializer struct {
-	w       *bufio.Writer
-	stack   []string
-	openTag bool // begin element written, '>' not yet emitted
-	err     error
+	w   io.Writer
+	a   Appender
+	buf []byte
+	err error
 }
 
 // NewSerializer returns a Serializer writing to w.
 func NewSerializer(w io.Writer) *Serializer {
-	return &Serializer{w: bufio.NewWriter(w)}
+	return &Serializer{w: w}
 }
 
-// Write emits one token.
+// Write emits one token. The first error is kept and returned by every later
+// call.
 func (s *Serializer) Write(t token.Token) error {
 	if s.err != nil {
 		return s.err
 	}
-	s.err = s.write(t)
+	s.buf, s.err = AppendToken(&s.a, s.buf, t.Kind, t.Name, t.Value)
+	if s.err == nil && len(s.buf) >= serializerFlushBytes {
+		s.err = s.flush()
+	}
 	return s.err
 }
 
-func (s *Serializer) write(t token.Token) error {
-	switch t.Kind {
-	case token.BeginDocument, token.EndDocument:
-		return nil // document brackets have no textual form
-	case token.BeginElement:
-		s.closeOpenTag()
-		fmt.Fprintf(s.w, "<%s", t.Name)
-		s.openTag = true
-		s.stack = append(s.stack, t.Name)
-	case token.BeginAttribute:
-		if !s.openTag {
-			return fmt.Errorf("xmltok: attribute %q outside element start", t.Name)
-		}
-		fmt.Fprintf(s.w, ` %s="%s"`, t.Name, EscapeAttr(t.Value))
-	case token.EndAttribute:
-		if !s.openTag {
-			return fmt.Errorf("xmltok: end-attribute outside element start")
-		}
-	case token.EndElement:
-		if len(s.stack) == 0 {
-			return fmt.Errorf("xmltok: end element without open element")
-		}
-		name := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		if s.openTag {
-			s.w.WriteString("/>")
-			s.openTag = false
-		} else {
-			fmt.Fprintf(s.w, "</%s>", name)
-		}
-	case token.Text:
-		s.closeOpenTag()
-		s.w.WriteString(EscapeText(t.Value))
-	case token.Comment:
-		s.closeOpenTag()
-		fmt.Fprintf(s.w, "<!--%s-->", t.Value)
-	case token.PI:
-		s.closeOpenTag()
-		fmt.Fprintf(s.w, "<?%s %s?>", t.Name, t.Value)
-	default:
-		return fmt.Errorf("xmltok: cannot serialize %s", t.Kind)
-	}
-	return nil
+func (s *Serializer) flush() error {
+	_, err := s.w.Write(s.buf)
+	s.buf = s.buf[:0]
+	return err
 }
 
-func (s *Serializer) closeOpenTag() {
-	if s.openTag {
-		s.w.WriteByte('>')
-		s.openTag = false
-	}
-}
-
-// Flush completes serialization and flushes buffered output. It reports an
+// Flush completes serialization and writes out buffered output. It reports an
 // error if elements remain open.
 func (s *Serializer) Flush() error {
 	if s.err != nil {
 		return s.err
 	}
-	if len(s.stack) > 0 {
-		return fmt.Errorf("xmltok: %d unclosed element(s) at flush", len(s.stack))
+	if s.buf, s.err = s.a.Finish(s.buf); s.err != nil {
+		return s.err
 	}
-	s.closeOpenTag()
-	return s.w.Flush()
+	s.err = s.flush()
+	return s.err
 }
 
 // Serialize writes the whole token sequence to w as XML.
@@ -118,12 +182,3 @@ func ToString(seq []token.Token) (string, error) {
 	}
 	return sb.String(), nil
 }
-
-var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-var attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-
-// EscapeText escapes character data for element content.
-func EscapeText(s string) string { return textEscaper.Replace(s) }
-
-// EscapeAttr escapes character data for a double-quoted attribute value.
-func EscapeAttr(s string) string { return attrEscaper.Replace(s) }

@@ -86,11 +86,11 @@ func TestDocumentBracketsIgnored(t *testing.T) {
 }
 
 func TestEscapeHelpers(t *testing.T) {
-	if got := EscapeText(`a<b>&c`); got != `a&lt;b&gt;&amp;c` {
-		t.Errorf("EscapeText: %q", got)
+	if got := string(appendEscaped(nil, `a<b>&"c`, '>')); got != `a&lt;b&gt;&amp;"c` {
+		t.Errorf("text: %q", got)
 	}
-	if got := EscapeAttr(`"a"&<`); got != `&quot;a&quot;&amp;&lt;` {
-		t.Errorf("EscapeAttr: %q", got)
+	if got := string(appendEscaped(nil, []byte(`"a"&<>`), '"')); got != `&quot;a&quot;&amp;&lt;>` {
+		t.Errorf("attribute value: %q", got)
 	}
 }
 
@@ -176,4 +176,52 @@ func BenchmarkSerialize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestAppendTokenBytesAndStreaming: the writer gives the same text whether
+// names and values arrive as strings or as bytes, whether the output is one
+// slice or a stream flushed every few kilobytes, and a Reset makes an
+// Appender that stopped mid-element as good as new.
+func TestAppendTokenBytesAndStreaming(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var seq []token.Token
+	seq = append(seq, token.Elem("doc"))
+	for len(seq) < 4000 { // several flushes' worth
+		seq = append(seq, randomFragment(r, 12)...)
+	}
+	seq = append(seq, token.TextTok(`a<b>&"c"`), token.EndElem())
+	want, err := ToString(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a Appender
+	a.names = append(a.names, "stale"...)
+	a.starts, a.openTag = append(a.starts, 0), true
+	a.Reset()
+	var got []byte
+	for _, tk := range seq {
+		if got, err = AppendToken(&a, got, tk.Kind, []byte(tk.Name), []byte(tk.Value)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err = a.Finish(got); err != nil || string(got) != want {
+		t.Fatalf("from bytes: %d bytes, %v; from strings %d", len(got), err, len(want))
+	}
+	var chunks chunkCounter
+	if err := Serialize(&chunks, seq); err != nil || chunks.sb.String() != want {
+		t.Fatalf("streamed: %d bytes, %v; want %d", chunks.sb.Len(), err, len(want))
+	}
+	if chunks.n < len(want)/serializerFlushBytes/2 || chunks.n > len(want) {
+		t.Errorf("streamed %d bytes in %d writes", len(want), chunks.n)
+	}
+}
+
+type chunkCounter struct {
+	sb strings.Builder
+	n  int
+}
+
+func (c *chunkCounter) Write(p []byte) (int, error) {
+	c.n++
+	return c.sb.Write(p)
 }

@@ -786,7 +786,7 @@ func TestValueIndexRace(t *testing.T) {
 					t.Errorf("reader %d: %d matches (%v), writer was between %d and %d", r, n, err, lo, hi)
 					return
 				}
-				if len(ids) > 0 {
+				if len(ids) > 1 { // the writer deletes the first in document order: a lone id may be gone by now
 					if _, err := s.ReadNode(ids[len(ids)-1]); err != nil {
 						t.Errorf("reader %d: id %d from the index does not read: %v", r, ids[len(ids)-1], err)
 						return

@@ -3,7 +3,8 @@
 #
 # Runs formatting, vet, build, the full test suite, the race detector over
 # the concurrency-sensitive packages, a short fuzz of the xpath executors
-# against each other, and the benchmark module's smoke test
+# against each other and of the range cursor against the reference store,
+# and the benchmark module's smoke test
 # (benchmark/ is a module of its own, so ./... does not reach it). Exits
 # non-zero on the first failure. CI and pre-commit hooks should call exactly
 # this script.
@@ -30,7 +31,7 @@ go test ./...
 echo "== go test -race (lock, core, txn, fault, wal, pagestore, recover, budget, replica, server, failover, retryx, xpath, xquery)"
 go test -race ./internal/lock ./internal/core ./internal/txn ./internal/fault ./internal/wal ./internal/pagestore ./internal/recover ./internal/budget ./internal/replica ./internal/server ./internal/failover ./internal/retryx ./internal/xpath ./internal/xquery
 
-echo "== go test -race (root-package stress, chaos soak, overload paths)"
+echo "== go test -race (root-package stress incl. cold file-backed readers beside a splitting writer, chaos soak, overload paths)"
 go test -race -run 'Stress|Concurrent|Chaos|Overload|Deadline' .
 
 echo "== go test -race (partition chaos: net faults, kill -9 primary, fleet + automatic failover)"
@@ -40,6 +41,10 @@ echo "== go test -fuzz (xpath: 10s per target, so the differential checks meet f
 go test -run '^$' -fuzz FuzzXPathParser -fuzztime 10s ./internal/xpath
 go test -run '^$' -fuzz FuzzScanProgramTokens -fuzztime 10s ./internal/xpath
 go test -run '^$' -fuzz FuzzValueTable -fuzztime 10s ./internal/xpath
+
+echo "== go test -fuzz (core: 10s per target — cursor reads vs the reference store under splits and merges; node XML from stored bytes vs the old serializer)"
+go test -run '^$' -fuzz FuzzCursorDifferential -fuzztime 10s ./internal/core
+go test -run '^$' -fuzz FuzzAppendNodeXML -fuzztime 10s ./internal/core
 
 echo "== benchmark smoke (nested module: every layer probe against the current internal/* API)"
 (cd benchmark && go test ./...)

@@ -8,11 +8,14 @@
 package axml_test
 
 import (
+	"context"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pagestore"
 	"repro/internal/token"
 	"repro/internal/workload"
 	"repro/internal/xmltok"
@@ -172,5 +175,103 @@ func TestStressReadersVsSplittingWriter(t *testing.T) {
 	wg.Wait()
 	if err := s.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStressColdFileReadersVsSplittingWriter is the cold half of the stress
+// above: a file-backed store several times its 16-page pool and its 64-entry
+// Partial Index, so every reader's uniform reads miss both, fill pool frames
+// with the buffers of the frames they evict, walk and jump overflow chains by
+// directories other readers are filling, and resume from checkpoints — while
+// a writer's middle inserts split the ranges, free and reallocate their
+// chains' pages, and bump the versions all of that is stamped with. Each read
+// renders the order straight from the stored bytes and must equal the
+// generator's serialization of it, byte for byte.
+func TestStressColdFileReadersVsSplittingWriter(t *testing.T) {
+	pager, err := pagestore.OpenFilePager(filepath.Join(t.TempDir(), "cold.db"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.Open(core.Config{Mode: core.RangePartial, PartialCapacity: 64, PoolPages: 16, Pager: pager})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const orders, batch = 1200, 200 // six ranges of six or seven pages each
+	gen := workload.New(23)
+	var want []string
+	for done := 0; done < orders; done += batch {
+		var frag []core.Token
+		for j := 0; j < batch; j++ {
+			po := gen.PurchaseOrder(done + j)
+			xml, err := xmltok.ToString(po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, xml)
+			frag = append(frag, po...)
+		}
+		if _, err := s.Append(frag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var roots []core.NodeID
+	first, ok, err := s.FirstNodeID()
+	for id := first; ok && err == nil; id, ok, err = s.NextSibling(id) {
+		roots = append(roots, id)
+	}
+	if err != nil || len(roots) != orders {
+		t.Fatalf("walked %d top-level orders of %d: %v", len(roots), orders, err)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // the writer: a sibling after a uniformly chosen order, every other one deleted again
+		defer wg.Done()
+		defer close(stop)
+		pick := workload.New(5).Uniform(orders)
+		note := xmltok.MustParseFragment(`<note>split here</note>`)
+		for i := 0; i < 300; i++ {
+			id, err := s.InsertAfter(roots[pick()-1], note)
+			if err != nil {
+				t.Errorf("insert: %v", err)
+				return
+			}
+			if i%2 == 0 {
+				if err := s.DeleteNode(id); err != nil {
+					t.Errorf("delete %d: %v", id, err)
+					return
+				}
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			pick := workload.New(int64(100 + g)).Uniform(orders)
+			var buf []byte
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := pick() - 1
+				var err error
+				if buf, err = s.AppendNodeXML(context.Background(), buf[:0], roots[i]); err != nil || string(buf) != want[i] {
+					t.Errorf("reader %d: order %d (node %d) read as %q, %v", g, i, roots[i], buf, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	if st := s.Stats(); st.Pool.Evictions == 0 || st.PartialEvictions == 0 || st.Splits == 0 {
+		t.Errorf("the run was not cold or not splitting: %d pool evictions, %d partial evictions, %d splits", st.Pool.Evictions, st.PartialEvictions, st.Splits)
 	}
 }
