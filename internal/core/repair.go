@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 
 	"repro/internal/btree"
 	"repro/internal/pagestore"
@@ -166,45 +165,25 @@ func (s *Store) reloadLocked() error {
 }
 
 // BackupTo streams a consistent snapshot of the live store into a new page
-// file at dest, plus a restore sidecar at dest+".meta". Writers are held
-// off for the duration (the store lock is exclusive); the image is flushed,
-// committed and checkpointed first, so the backup cuts exactly at the
-// current state.
+// file at dest, plus a restore sidecar at dest+".meta", through
+// recov.WriteBackup. Writers are held off for the duration (the store lock
+// is exclusive); the image is flushed, committed and checkpointed first,
+// so the backup cuts exactly at the current state.
 func (s *Store) BackupTo(dest string) (recov.BackupMeta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var meta recov.BackupMeta
 	if s.closed {
-		return meta, ErrClosed
+		return recov.BackupMeta{}, ErrClosed
 	}
 	if ro, cause := s.ReadOnly(); ro {
-		return meta, fmt.Errorf("%w: store is degraded (%v); repair before taking a backup", ErrReadOnly, cause)
+		return recov.BackupMeta{}, fmt.Errorf("%w: store is degraded (%v); repair before taking a backup", ErrReadOnly, cause)
 	}
 	if !s.cfg.ReadOnly {
 		if err := s.flushLocked(); err != nil {
-			return meta, err
+			return recov.BackupMeta{}, err
 		}
 	}
 	pager := s.pool.Pager()
-	f, err := os.OpenFile(dest, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return meta, err
-	}
-	pages, err := recov.BackupPager(pager, f)
-	if err != nil {
-		f.Close()
-		os.Remove(dest)
-		return meta, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(dest)
-		return meta, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(dest)
-		return meta, err
-	}
 	var lsn uint64
 	if l, ok := pager.(interface{ LSN() uint64 }); ok {
 		lsn = l.LSN()
@@ -216,16 +195,10 @@ func (s *Store) BackupTo(dest string) (recov.BackupMeta, error) {
 	if a, ok := pager.(interface{ Archiving() bool }); ok {
 		archiving = a.Archiving()
 	}
-	meta = recov.BackupMeta{
+	return recov.WriteBackup(pager, dest, recov.BackupMeta{
 		PageSize:      pager.PageSize(),
-		Pages:         pages,
 		MetaPage:      uint32(s.recs.MetaPage()),
 		LSN:           lsn,
 		NoRollForward: !archiving,
-	}
-	if err := recov.WriteBackupMeta(dest, meta); err != nil {
-		os.Remove(dest)
-		return recov.BackupMeta{}, err
-	}
-	return meta, nil
+	}, nil)
 }

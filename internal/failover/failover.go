@@ -19,9 +19,9 @@
 //     stop acking the old leader's lease; by quorum intersection the old
 //     primary's lease has lapsed before the winner can have won.
 //   - The winner drains whatever segments remain reachable, promotes via
-//     the server's existing promotion path under the new epoch, and starts
-//     heartbeating. The new epoch is persisted in the term file, the
-//     replica sidecar, and the WAL archive's epoch manifest.
+//     the server's existing promotion path, and starts heartbeating. The
+//     new epoch is persisted in the term file and nowhere else; the replica
+//     sidecar's FencedLSN records where the hand-over cut the history.
 //   - Every write and segment-ship frame carries an epoch stamp; a node or
 //     client presenting a stale epoch gets a typed ErrFenced. A node that
 //     was primary at a lower epoch latches Fenced durably the moment it
@@ -124,12 +124,9 @@ type Node interface {
 	// archived position).
 	AppliedLSN() uint64
 	// Promote drains what remains reachable and promotes the node to
-	// primary under the given epoch. Called only after a won election.
-	Promote(ctx context.Context, epoch uint64) error
-	// ObserveEpoch mirrors a newly established epoch into the node's own
-	// durable state (the replica sidecar). Best-effort; the term file is
-	// the coordinator's source of truth.
-	ObserveEpoch(epoch uint64)
+	// primary. Called only after a won election; the coordinator records
+	// the new epoch in its term file once Promote returns.
+	Promote(ctx context.Context) error
 }
 
 // PeerClient carries the two protocol messages to a fleet member.
@@ -584,7 +581,7 @@ func (c *Coordinator) runElection(proposed uint64) {
 	// already lapsed and its writes are fenced. Drain and promote.
 	c.logf("election: won epoch %d with %d/%d votes; promoting", proposed, granted, len(c.cfg.Peers))
 	pctx, pcancel := context.WithTimeout(context.Background(), c.cfg.PromoteBudget)
-	err := c.node.Promote(pctx, proposed)
+	err := c.node.Promote(pctx)
 	pcancel()
 	if err != nil {
 		c.logf("promotion at epoch %d failed: %v", proposed, err)
@@ -607,7 +604,6 @@ func (c *Coordinator) runElection(proposed uint64) {
 	c.haveQuorum = true
 	c.suspicion = 0
 	c.mu.Unlock()
-	c.node.ObserveEpoch(proposed)
 	// Broadcast the new epoch immediately — fences the old primary on
 	// first contact and squashes any rival candidacy before its next
 	// detector tick, instead of waiting out a full lease interval.
@@ -632,7 +628,6 @@ func (c *Coordinator) adoptLocked(epoch uint64) {
 	if err := saveTerm(c.cfg.TermPath, c.term); err != nil {
 		c.logf("cannot persist adopted epoch %d: %v", epoch, err)
 	}
-	c.node.ObserveEpoch(epoch)
 }
 
 // OnLease handles a heartbeat from a claimed leader (wired from the

@@ -17,8 +17,7 @@ type fakeNode struct {
 	mu       sync.Mutex
 	role     string
 	lsn      uint64
-	promoted []uint64
-	observed []uint64
+	promoted int
 	promErr  error
 }
 
@@ -34,21 +33,15 @@ func (n *fakeNode) AppliedLSN() uint64 {
 	return n.lsn
 }
 
-func (n *fakeNode) Promote(_ context.Context, epoch uint64) error {
+func (n *fakeNode) Promote(context.Context) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.promErr != nil {
 		return n.promErr
 	}
-	n.promoted = append(n.promoted, epoch)
+	n.promoted++
 	n.role = "primary"
 	return nil
-}
-
-func (n *fakeNode) ObserveEpoch(epoch uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.observed = append(n.observed, epoch)
 }
 
 // fakeFleet routes Lease/RequestVote calls between in-process coordinators
@@ -252,10 +245,10 @@ func TestFailoverElectsHighestLSN(t *testing.T) {
 		t.Fatalf("winner epoch = %d, want >= 2", e)
 	}
 	ns["n3"].mu.Lock()
-	promoted := append([]uint64(nil), ns["n3"].promoted...)
+	promoted := ns["n3"].promoted
 	ns["n3"].mu.Unlock()
-	if len(promoted) != 1 {
-		t.Fatalf("n3 promoted %v, want exactly one promotion", promoted)
+	if promoted != 1 {
+		t.Fatalf("n3 promoted %d times, want exactly one promotion", promoted)
 	}
 }
 

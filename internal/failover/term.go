@@ -5,14 +5,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/wal"
 )
 
-// TermState is the durable per-node failover state. It is tiny and written
-// rarely (epoch adoptions, vote grants, fencing), but it must survive
-// kill -9: a node that granted a vote and forgot it could grant the same
+// TermState is the durable per-node failover state, and the one place the
+// fleet epoch is persisted. It is tiny and written rarely (epoch
+// adoptions, vote grants, fencing), but it must survive kill -9 and power
+// loss: a node that granted a vote and forgot it could grant the same
 // epoch twice, and a fenced ex-primary that forgot it was fenced could
-// resurrect and accept writes. The file is written with the same
-// tmp+fsync+rename discipline as the replica sidecar.
+// resurrect and accept writes. The file is written through
+// wal.ReplaceFile, like every other sidecar.
 type TermState struct {
 	// Epoch is the established leadership epoch: the highest epoch this
 	// node has seen carried by an elected leader (or won itself). Fencing
@@ -51,33 +54,17 @@ func loadTerm(path string) (TermState, error) {
 	return t, nil
 }
 
-// saveTerm durably replaces the term file: write a temp file, fsync it,
-// rename over the old one. The rename is the commit point.
+// saveTerm durably replaces the term file; the rename is the commit point.
 func saveTerm(path string, t TermState) error {
 	b, err := json.Marshal(t)
 	if err != nil {
 		return err
 	}
-	if dir := filepath.Dir(path); dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
+	return wal.ReplaceFile(path, nil, func(f wal.File) error {
+		_, err := f.WriteAt(b, 0)
 		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 
 	"repro/internal/pagestore"
@@ -38,27 +39,6 @@ const backupMetaSuffix = ".meta"
 // BackupMetaPath returns the sidecar path for a backup file.
 func BackupMetaPath(backupPath string) string { return backupPath + backupMetaSuffix }
 
-// WriteBackupMeta writes the sidecar for backupPath durably.
-func WriteBackupMeta(backupPath string, m BackupMeta) error {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(BackupMetaPath(backupPath), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // ReadBackupMeta reads the sidecar for backupPath.
 func ReadBackupMeta(backupPath string) (BackupMeta, error) {
 	var m BackupMeta
@@ -75,12 +55,12 @@ func ReadBackupMeta(backupPath string) (BackupMeta, error) {
 	return m, nil
 }
 
-// BackupPager streams every page behind p to w as a dense page image:
+// backupPager streams every page behind p to w as a dense page image:
 // page 0 (reserved) through MaxPageID, with freed and reserved slots
 // written as zero pages. Every allocated page is checksum-verified on the
 // way out — a backup of corrupt data is worse than no backup, so the copy
 // fails instead (run repair first). Returns the number of pages streamed.
-func BackupPager(p pagestore.Pager, w io.Writer) (uint32, error) {
+func backupPager(p pagestore.Pager, w io.Writer) (uint32, error) {
 	ext, ok := p.(interface{ MaxPageID() pagestore.PageID })
 	if !ok {
 		return 0, ErrNoExtent
@@ -141,90 +121,76 @@ type BackupOptions struct {
 // plus the BackupMeta sidecar at dest+".meta". The backup is a plain page
 // file: it can be opened directly or used as a restore base.
 func BackupFile(src, dest string, opt BackupOptions) (BackupMeta, error) {
-	var meta BackupMeta
-	out, err := os.OpenFile(dest, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return meta, err
-	}
-	cleanup := func(err error) (BackupMeta, error) {
-		out.Close()
-		os.Remove(dest)
-		return meta, err
-	}
-
-	var pages uint32
-	var lsn uint64
-	if opt.Shared {
-		pages, lsn, err = backupShared(src, opt.PageSize, opt.ArchiveDir, out)
-	} else {
-		pages, lsn, err = backupExclusive(src, opt.PageSize, opt.ArchiveDir, out)
-	}
-	if err != nil {
-		return cleanup(err)
-	}
-	if err := out.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := out.Close(); err != nil {
-		out = nil
-		os.Remove(dest)
-		return meta, err
-	}
-	meta = BackupMeta{
+	meta := BackupMeta{
 		PageSize: opt.PageSize,
-		Pages:    pages,
 		MetaPage: uint32(opt.MetaPage),
-		LSN:      lsn,
 		// Without the archive high-water mark the LSN may undercount the
 		// commits already in the image; see the field's doc.
 		NoRollForward: opt.ArchiveDir == "",
 	}
-	if err := WriteBackupMeta(dest, meta); err != nil {
+	if !opt.Shared {
+		// Exclusive: open through the WAL, replaying any committed tail into
+		// the file first.
+		wp, err := wal.OpenWithOptions(src, opt.PageSize, wal.Options{ArchiveDir: opt.ArchiveDir})
+		if err != nil {
+			return BackupMeta{}, err
+		}
+		defer wp.Close()
+		meta.LSN = wp.LSN()
+		return WriteBackup(wp, dest, meta, nil)
+	}
+	// Shared: the page file under a shared lock with durable-but-unapplied
+	// WAL batches overlaid. The LSN is the later of the log's last commit
+	// and the archive's high-water mark: the log is truncated at every
+	// checkpoint, so on a checkpointed store only the archive knows which
+	// commit the page image represents.
+	ro, err := wal.OpenReadOnly(src, opt.PageSize)
+	if err != nil {
+		return BackupMeta{}, fmt.Errorf("recover: backup: WAL barrier: %w", err)
+	}
+	defer ro.Close()
+	meta.LSN = ro.LSN()
+	if opt.ArchiveDir != "" {
+		archived, err := wal.MaxArchivedLSN(opt.ArchiveDir)
+		if err != nil {
+			return BackupMeta{}, err
+		}
+		meta.LSN = max(meta.LSN, archived)
+	}
+	return WriteBackup(ro, dest, meta, nil)
+}
+
+// WriteBackup streams every page behind p into a new backup at dest, then
+// writes meta (with Pages filled in) as its sidecar at dest+".meta". Both
+// go through wal.ReplaceFile, backup first: the sidecar is the commit
+// point — a .meta on disk means its backup is whole and durable, which
+// restore, replica bootstrap and PruneArchive rely on. An existing dest is
+// refused, and a failed backup leaves neither file behind. wrap is for
+// fault injection; nil in production.
+func WriteBackup(p pagestore.Pager, dest string, meta BackupMeta, wrap func(wal.File) wal.File) (BackupMeta, error) {
+	if _, err := os.Lstat(dest); err == nil {
+		return BackupMeta{}, fmt.Errorf("recover: backup: %s: %w", dest, fs.ErrExist)
+	}
+	err := wal.ReplaceFile(dest, wrap, func(f wal.File) error {
+		var err error
+		meta.Pages, err = backupPager(p, io.NewOffsetWriter(f, 0))
+		return err
+	})
+	if err != nil {
+		os.Remove(dest) // a failed directory fsync leaves it renamed
+		return BackupMeta{}, err
+	}
+	data, err := json.MarshalIndent(meta, "", "  ")
+	if err == nil {
+		err = wal.ReplaceFile(BackupMetaPath(dest), wrap, func(f wal.File) error {
+			_, err := f.WriteAt(append(data, '\n'), 0)
+			return err
+		})
+	}
+	if err != nil {
+		os.Remove(BackupMetaPath(dest))
 		os.Remove(dest)
 		return BackupMeta{}, err
 	}
 	return meta, nil
-}
-
-// backupExclusive opens src through the WAL (replaying any committed tail
-// into the file) and streams the result.
-func backupExclusive(src string, pageSize int, archiveDir string, w io.Writer) (uint32, uint64, error) {
-	wp, err := wal.OpenWithOptions(src, pageSize, wal.Options{ArchiveDir: archiveDir})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer wp.Close()
-	pages, err := BackupPager(wp, w)
-	if err != nil {
-		return pages, 0, err
-	}
-	return pages, wp.LSN(), nil
-}
-
-// backupShared streams src through wal.OpenReadOnly: the page file under a
-// shared lock with durable-but-unapplied WAL batches overlaid. The returned
-// LSN is the later of the log's last commit and the archive's high-water
-// mark: the log is truncated at every checkpoint, so on a checkpointed store
-// only the archive knows which commit the page image represents.
-func backupShared(src string, pageSize int, archiveDir string, w io.Writer) (uint32, uint64, error) {
-	ro, err := wal.OpenReadOnly(src, pageSize)
-	if err != nil {
-		return 0, 0, fmt.Errorf("recover: backup: WAL barrier: %w", err)
-	}
-	defer ro.Close()
-	lsn := ro.LSN()
-	if archiveDir != "" {
-		archived, err := wal.MaxArchivedLSN(archiveDir)
-		if err != nil {
-			return 0, 0, err
-		}
-		if archived > lsn {
-			lsn = archived
-		}
-	}
-	pages, err := BackupPager(ro, w)
-	if err != nil {
-		return pages, 0, err
-	}
-	return pages, lsn, nil
 }

@@ -228,6 +228,77 @@ func TestRestoreCrashMatrix(t *testing.T) {
 	}
 }
 
+// Crash a backup at every I/O boundary: the page image and then its .meta
+// each go through wal.ReplaceFile, so afterwards either neither file
+// exists or both do and restore accepts them — a .meta, which restore and
+// PruneArchive trust, never vouches for a backup that is not whole. A
+// clean backup to the same destination must then succeed.
+func TestBackupCrashMatrix(t *testing.T) {
+	dir := t.TempDir()
+	db, arch, lsn := buildArchivedStore(t, dir)
+	src, err := wal.OpenReadOnly(db, pgSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	backup := func(dest string, inj *fault.Injector) error {
+		var wrap func(wal.File) wal.File
+		if inj != nil {
+			wrap = func(f wal.File) wal.File { return fault.NewFile(inj, f) }
+		}
+		_, err := recov.WriteBackup(src, dest, recov.BackupMeta{PageSize: pgSize, MetaPage: 1, LSN: lsn}, wrap)
+		return err
+	}
+	restored := func(backup, what string) string {
+		t.Helper()
+		out := backup + ".restored"
+		if _, err := axml.RestoreFile(backup, out, arch, 0); err != nil {
+			t.Fatalf("%s: restore: %v", what, err)
+		}
+		defer os.Remove(out)
+		return xmlOf(t, out)
+	}
+
+	countDest := filepath.Join(dir, "count.bak")
+	inj := fault.NewInjector(fault.Config{})
+	if err := backup(countDest, inj); err != nil {
+		t.Fatalf("counting run: %v", err)
+	}
+	n := inj.Ops()
+	if n < 6 { // page writes, fsync and directory fsync for each file
+		t.Fatalf("counting run saw only %d ops", n)
+	}
+	t.Logf("backup crash matrix: %d I/O boundaries", n)
+	expected := restored(countDest, "counting run")
+
+	for k := 1; k <= n; k++ {
+		what := fmt.Sprintf("crash at op %d", k)
+		dest := filepath.Join(dir, fmt.Sprintf("backup-%03d.bak", k))
+		inj := fault.NewInjector(fault.Config{Seed: int64(k), CrashAtOp: k, TornWrite: k%2 == 1})
+		if err := backup(dest, inj); err == nil {
+			t.Fatalf("%s: backup succeeded, crash never fired", what)
+		}
+		_, derr := os.Stat(dest)
+		_, merr := os.Stat(recov.BackupMetaPath(dest))
+		switch {
+		case os.IsNotExist(derr) && os.IsNotExist(merr):
+		case derr == nil && merr == nil:
+			if got := restored(dest, what); got != expected {
+				t.Fatalf("%s: backup left in place restores a different document", what)
+			}
+			continue
+		default:
+			t.Fatalf("%s: backup %v, sidecar %v — exactly one of the pair exists", what, derr, merr)
+		}
+		if err := backup(dest, nil); err != nil {
+			t.Fatalf("%s: clean rerun: %v", what, err)
+		}
+		if got := restored(dest, what+", rerun"); got != expected {
+			t.Fatalf("%s: rerun restores a different document", what)
+		}
+	}
+}
+
 // failAllocPager fails the failAt-th allocation: a plain error mid-rebuild,
 // not a crash — the session survives and closes normally afterwards.
 type failAllocPager struct {

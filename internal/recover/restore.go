@@ -20,7 +20,8 @@ type RestoreOptions struct {
 	// the base backup's LSN when ArchiveDir is empty, or to the newest
 	// archived segment otherwise.
 	TargetLSN uint64
-	// WrapFile wraps the destination file for fault injection in tests.
+	// WrapFile wraps the staged destination file and the directory fsync
+	// for fault injection in tests.
 	WrapFile func(wal.File) wal.File
 }
 
@@ -31,16 +32,11 @@ type RestoreInfo struct {
 	FinalLSN        uint64
 }
 
-// restoreTmpSuffix names the staging file a restore builds before the
-// atomic rename.
-const restoreTmpSuffix = ".restore-tmp"
-
 // Restore materializes the store state at opt.TargetLSN into destPath:
 // the base backup's pages, then every archived segment in (base LSN,
-// target] replayed in order. The whole image is staged in a temporary
-// file, fsynced, and renamed onto destPath — the rename is the one atomic
-// step, so a crashed restore leaves at most a stale *.restore-tmp and
-// never a half-written destination.
+// target] replayed in order. The whole image goes through wal.ReplaceFile
+// — the rename is the one atomic step, so a crashed restore leaves at most
+// a stale destPath.tmp and never a half-written destination.
 func Restore(basePath, destPath string, opt RestoreOptions) (RestoreInfo, error) {
 	var info RestoreInfo
 	meta, err := ReadBackupMeta(basePath)
@@ -76,75 +72,56 @@ func Restore(basePath, destPath string, opt RestoreOptions) (RestoreInfo, error)
 		return info, fmt.Errorf("recover: restore: %s.wal exists; refusing to restore under a live WAL", destPath)
 	}
 
-	tmpPath := destPath + restoreTmpSuffix
-	raw, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return info, err
-	}
-	var f wal.File = raw
-	if opt.WrapFile != nil {
-		f = opt.WrapFile(f)
-	}
-	fail := func(err error) (RestoreInfo, error) {
-		f.Close()
-		os.Remove(tmpPath)
-		return info, err
-	}
-
-	// Lay down the base image, verifying every page on the way in.
-	base, err := os.ReadFile(basePath)
-	if err != nil {
-		return fail(err)
-	}
-	ps := meta.PageSize
-	if len(base) != int(meta.Pages)*ps {
-		return fail(fmt.Errorf("recover: restore: base is %d bytes, sidecar says %d pages of %d", len(base), meta.Pages, ps))
-	}
-	for id := pagestore.PageID(1); int(id) < int(meta.Pages); id++ {
-		pg := base[int(id)*ps : (int(id)+1)*ps]
-		if err := pagestore.VerifyChecksum(id, pg); err != nil {
-			return fail(fmt.Errorf("recover: restore: base backup is damaged: %w", err))
-		}
-	}
-	if _, err := f.WriteAt(base, 0); err != nil {
-		return fail(err)
-	}
-	info.PagesCopied = meta.Pages
-	info.FinalLSN = meta.LSN
-
-	// Roll forward: archived segments are a contiguous LSN sequence; a gap
-	// means the archive cannot reach the target.
-	for lsn := meta.LSN + 1; lsn <= target; lsn++ {
-		segPath := filepath.Join(opt.ArchiveDir, wal.SegmentFileName(lsn))
-		pages, segLSN, err := wal.ReadSegment(segPath, ps)
+	// The whole image is staged; only the rename brings destPath into
+	// existence.
+	err = wal.ReplaceFile(destPath, opt.WrapFile, func(f wal.File) error {
+		// Lay down the base image, verifying every page on the way in.
+		base, err := os.ReadFile(basePath)
 		if err != nil {
-			if os.IsNotExist(err) {
-				return fail(fmt.Errorf("recover: restore: archive gap: segment %d missing (have up to %d, target %d)", lsn, lsn-1, target))
+			return err
+		}
+		ps := meta.PageSize
+		if len(base) != int(meta.Pages)*ps {
+			return fmt.Errorf("recover: restore: base is %d bytes, sidecar says %d pages of %d", len(base), meta.Pages, ps)
+		}
+		for id := pagestore.PageID(1); int(id) < int(meta.Pages); id++ {
+			pg := base[int(id)*ps : (int(id)+1)*ps]
+			if err := pagestore.VerifyChecksum(id, pg); err != nil {
+				return fmt.Errorf("recover: restore: base backup is damaged: %w", err)
 			}
-			return fail(err)
 		}
-		if segLSN != 0 && segLSN != lsn {
-			return fail(fmt.Errorf("recover: restore: segment file %s carries LSN %d", wal.SegmentFileName(lsn), segLSN))
+		if _, err := f.WriteAt(base, 0); err != nil {
+			return err
 		}
-		for _, p := range pages {
-			if _, err := f.WriteAt(p.Data, int64(p.ID)*int64(ps)); err != nil {
-				return fail(err)
-			}
-		}
-		info.SegmentsApplied++
-		info.FinalLSN = lsn
-	}
+		info.PagesCopied = meta.Pages
+		info.FinalLSN = meta.LSN
 
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmpPath)
-		return info, err
-	}
-	// The atomic switch: only now does destPath come into existence.
-	if err := os.Rename(tmpPath, destPath); err != nil {
-		os.Remove(tmpPath)
+		// Roll forward: archived segments are a contiguous LSN sequence; a
+		// gap means the archive cannot reach the target.
+		for lsn := meta.LSN + 1; lsn <= target; lsn++ {
+			segPath := filepath.Join(opt.ArchiveDir, wal.SegmentFileName(lsn))
+			pages, segLSN, err := wal.ReadSegment(segPath, ps)
+			if err != nil {
+				if os.IsNotExist(err) {
+					return fmt.Errorf("recover: restore: archive gap: segment %d missing (have up to %d, target %d)", lsn, lsn-1, target)
+				}
+				return err
+			}
+			if segLSN != 0 && segLSN != lsn {
+				return fmt.Errorf("recover: restore: segment file %s carries LSN %d", wal.SegmentFileName(lsn), segLSN)
+			}
+			for _, p := range pages {
+				if _, err := f.WriteAt(p.Data, int64(p.ID)*int64(ps)); err != nil {
+					return err
+				}
+			}
+			info.SegmentsApplied++
+			info.FinalLSN = lsn
+		}
+		return nil
+	})
+	if err != nil {
+		os.Remove(destPath) // a failed directory fsync leaves it renamed
 		return info, err
 	}
 	return info, nil

@@ -147,9 +147,6 @@ type Stats struct {
 	StallCause string `json:"stall_cause,omitempty"`
 	// Promoted reports that this follower has left the follower role.
 	Promoted bool `json:"promoted,omitempty"`
-	// Epoch is the leadership epoch the follower last observed (1 before
-	// any failover ever happened).
-	Epoch uint64 `json:"epoch"`
 	// LastError is the most recent catch-up failure ("" after a clean
 	// pass) — transient transport trouble shows up here without stalling.
 	LastError string `json:"last_error,omitempty"`
@@ -513,9 +510,9 @@ func (f *Follower) CatchUp(ctx context.Context) (err error) {
 			f.state.AppliedLSN+1, segs[0].LSN, f.sourceLSN))
 	}
 
-	applied := 0
+	from := f.state.AppliedLSN
 	defer func() {
-		if applied > 0 {
+		if f.state.AppliedLSN != from {
 			if serr := f.reopenStoreLocked(); serr != nil && err == nil {
 				err = serr
 			}
@@ -535,7 +532,6 @@ func (f *Follower) CatchUp(ctx context.Context) (err error) {
 		if aerr := f.applySegmentLocked(sg.LSN, raw, pages); aerr != nil {
 			return aerr
 		}
-		applied++
 		f.segsApplied++
 		f.bytesApplied += int64(len(raw))
 		f.lagSegments--
@@ -611,16 +607,14 @@ func (f *Follower) applySegmentLocked(lsn uint64, raw []byte, pages []wal.PageIm
 	if err := f.applyPagesLocked(pages); err != nil {
 		return err
 	}
+	// The segment is archived and its pages are durable, so lsn is applied
+	// whether or not the sidecar advance reaches disk — a restart from the
+	// older position replays the local copy. Advancing in memory regardless
+	// keeps the next pass from rewriting (truncating) that copy.
 	st := f.state
 	st.AppliedLSN = lsn
-	if err := writeState(f.path, st, f.opt.Wrap); err != nil {
-		// The pages are durable but the position is not: roll the file
-		// back so disk and sidecar agree (the local archive keeps the
-		// segment; recovery or the next pass re-applies it).
-		return err
-	}
 	f.state = st
-	return nil
+	return writeState(f.path, st, f.opt.Wrap)
 }
 
 // Read runs fn against the follower's serving store, gated on replication
@@ -692,7 +686,6 @@ func (f *Follower) Stats() Stats {
 		Staleness:       time.Since(f.freshAsOf),
 		Stalled:         f.stallCause != nil,
 		Promoted:        f.promoted || f.state.Promoted,
-		Epoch:           epochOrOne(f.state.Epoch),
 	}
 	if f.stallCause != nil {
 		st.StallCause = f.stallCause.Error()
@@ -749,41 +742,6 @@ func (f *Follower) stopLoop() {
 	}
 }
 
-// epochOrOne maps the zero value of a pre-failover sidecar to epoch 1.
-func epochOrOne(e uint64) uint64 {
-	if e == 0 {
-		return 1
-	}
-	return e
-}
-
-// Epoch returns the leadership epoch the follower last observed.
-func (f *Follower) Epoch() uint64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return epochOrOne(f.state.Epoch)
-}
-
-// AdvanceEpoch durably mirrors a newly established leadership epoch into
-// the sidecar. Regressions are ignored — epochs only move forward.
-func (f *Follower) AdvanceEpoch(epoch uint64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
-	}
-	if epoch <= f.state.Epoch {
-		return nil
-	}
-	st := f.state
-	st.Epoch = epoch
-	if err := writeState(f.path, st, f.opt.Wrap); err != nil {
-		return err
-	}
-	f.state = st
-	return nil
-}
-
 // Promote ends the follower role and returns the store reopened
 // read-write, continuing the replicated history. The promotion fences the
 // old generation first — the sidecar is durably marked Promoted at the
@@ -795,21 +753,9 @@ func (f *Follower) AdvanceEpoch(epoch uint64) error {
 // that archive replay the full history across the failover (PITR intact).
 // The follower is closed afterwards whether or not the reopen succeeds; on
 // error the store file is valid at the fence LSN and can be opened
-// manually.
-//
-// Promote keeps the follower's current epoch — the manual operator path.
-// Automatic failover promotes under the election's new epoch via
-// PromoteAt.
+// manually. Automatic failover calls the same method; the election's epoch
+// lives in the coordinator's term file.
 func (f *Follower) Promote() (*core.Store, error) {
-	return f.PromoteAt(0)
-}
-
-// PromoteAt is Promote under a new leadership epoch: the epoch is durably
-// recorded in the sidecar before the reopen, and the archive's epoch
-// manifest gains an entry marking every segment from AppliedLSN+1 on as
-// written under the new primacy. epoch 0 means "keep the current epoch"
-// (manual promotion).
-func (f *Follower) PromoteAt(epoch uint64) (*core.Store, error) {
 	f.stopLoop()
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -827,18 +773,8 @@ func (f *Follower) PromoteAt(epoch uint64) (*core.Store, error) {
 	st := f.state
 	st.Promoted = true
 	st.FencedLSN = st.AppliedLSN
-	if epoch > st.Epoch {
-		st.Epoch = epoch
-	}
 	if err := writeState(f.path, st, f.opt.Wrap); err != nil {
 		return nil, err
-	}
-	if epoch > 1 {
-		// Stamp the new primacy into the archive: segments from the fence
-		// on belong to this epoch. Idempotent across promotion retries.
-		if err := wal.AppendEpoch(f.archiveDir, epoch, st.AppliedLSN+1); err != nil {
-			return nil, err
-		}
 	}
 	f.state = st
 	f.promoted = true

@@ -5,6 +5,7 @@ package replica_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -553,5 +554,125 @@ func TestPromoteWithoutCatchUp(t *testing.T) {
 	}
 	if len(segs) == 0 || segs[0].LSN != meta.LSN+1 {
 		t.Fatalf("first post-promotion segment = %+v, want LSN %d", segs, meta.LSN+1)
+	}
+}
+
+// TestParentEraEpochFilesStillWork pins compatibility with stores written
+// while the fleet epoch was also kept in the replica sidecar ("epoch") and
+// in an archive manifest (epochs.json): such a follower still resumes,
+// tails a source archive holding the manifest, promotes, and restores
+// across the failover. The rewritten sidecar drops the field — the epoch's
+// one durable home is the failover term file.
+func TestParentEraEpochFilesStillWork(t *testing.T) {
+	dir := t.TempDir()
+	p := newPrimary(t, dir)
+	p.commit()
+	base := filepath.Join(dir, "base.bak")
+	p.backup(base)
+
+	db := filepath.Join(dir, "follower.db")
+	farch := filepath.Join(dir, "follower-segments")
+	tr := func() replica.Transport {
+		return replica.NewDirTransport(p.arch, replica.DirTransportOptions{})
+	}
+	f, err := replica.Open(db, tr(), replica.Options{Store: testCfg(), Base: base, ArchiveDir: farch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.commit()
+	catchUp(t, f)
+	applied := f.Stats().AppliedLSN
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// What the older code left behind.
+	sidecar := readJSON(t, db+".replica")
+	sidecar["epoch"] = 3
+	writeJSON(t, db+".replica", sidecar)
+	manifest := []map[string]uint64{{"epoch": 1, "from_lsn": 1}, {"epoch": 3, "from_lsn": applied + 1}}
+	writeJSON(t, filepath.Join(p.arch, "epochs.json"), manifest)
+	writeJSON(t, filepath.Join(farch, "epochs.json"), manifest)
+
+	f, err = replica.Open(db, tr(), replica.Options{Store: testCfg(), ArchiveDir: farch})
+	if err != nil {
+		t.Fatalf("reopen over a sidecar carrying an epoch: %v", err)
+	}
+	if st := f.Stats(); st.AppliedLSN != applied {
+		t.Fatalf("resumed at LSN %d, want %d", st.AppliedLSN, applied)
+	}
+	p.commit()
+	p.commit()
+	catchUp(t, f)
+	if got, want := followerXML(t, f), p.xml(); got != want {
+		t.Fatal("follower did not converge past a source archive holding epochs.json")
+	}
+	p.close()
+
+	s, err := f.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frag, err := axml.ParseFragment(`<post-failover/>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots, err := axml.Query(s, `/log`)
+	if err != nil || len(roots) != 1 {
+		t.Fatalf("query root: %v", err)
+	}
+	if _, err := s.InsertIntoLast(roots[0], frag); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	finalXML, err := s.XMLString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	promoted := readJSON(t, db+".replica")
+	if _, ok := promoted["epoch"]; ok || promoted["promoted"] != true || promoted["fenced_lsn"] == nil {
+		t.Fatalf("promoted sidecar %v: want promoted with a fenced_lsn and no epoch", promoted)
+	}
+
+	restored := filepath.Join(dir, "pitr.db")
+	if _, err := recov.Restore(base, restored, recov.RestoreOptions{ArchiveDir: farch}); err != nil {
+		t.Fatalf("restore over an archive holding epochs.json: %v", err)
+	}
+	rs, err := axml.ReopenFileReadOnly(restored, axml.Config{Mode: axml.RangeOnly, PageSize: pgSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	if got, err := rs.XMLString(); err != nil || got != finalXML {
+		t.Fatalf("cross-failover restore differs from the promoted document: %v", err)
+	}
+}
+
+func readJSON(t *testing.T, path string) map[string]any {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func writeJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

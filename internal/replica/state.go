@@ -30,14 +30,11 @@ type replicaState struct {
 	// apply anything — old-generation segments arriving after a promotion
 	// must never overwrite the new timeline.
 	Promoted bool `json:"promoted,omitempty"`
-	// FencedLSN records where the promotion cut the shipped history.
+	// FencedLSN records where the promotion cut the shipped history. With
+	// the epoch in the failover coordinator's term file, it is the whole
+	// record of a hand-over. Older sidecars also carry an "epoch" field, so
+	// decoding must keep ignoring unknown fields.
 	FencedLSN uint64 `json:"fenced_lsn,omitempty"`
-	// Epoch is the leadership epoch this follower last observed (or was
-	// promoted under). Zero means pre-failover state and reads as epoch 1.
-	// The failover coordinator's term file is authoritative; the sidecar
-	// mirror makes the epoch visible to apply-side fencing and to anyone
-	// inspecting the store offline.
-	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 // stateSuffix names the follower's durable-position sidecar.
@@ -65,43 +62,18 @@ func readState(storePath string) (replicaState, error) {
 	return st, nil
 }
 
-// writeState durably replaces the sidecar: the new state is written to a
-// temporary file, fsynced, and renamed over the old one, so a crash leaves
-// either the previous position or the new one — never a torn sidecar. The
-// temporary file goes through the wrappable file layer so the crash matrix
-// sweeps these boundaries too.
+// writeState durably replaces the sidecar, so a crash leaves either the
+// previous position or the new one — never a torn sidecar. wrap reaches
+// the staged file and the directory fsync, so the crash matrix sweeps
+// these boundaries too.
 func writeState(storePath string, st replicaState, wrap func(wal.File) wal.File) error {
 	data, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
-	tmp := statePath(storePath) + ".tmp"
-	raw, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	return wal.ReplaceFile(statePath(storePath), wrap, func(f wal.File) error {
+		_, err := f.WriteAt(data, 0)
 		return err
-	}
-	var f wal.File = raw
-	if wrap != nil {
-		f = wrap(raw)
-	}
-	if _, err := f.WriteAt(data, 0); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, statePath(storePath)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }

@@ -34,11 +34,10 @@ func (n serverNode) AppliedLSN() uint64 {
 }
 
 // Promote drains whatever segments are still reachable, then promotes the
-// follower under the new epoch. The drain is best-effort and bounded by
-// ctx: during a real failover the old primary is gone, so CatchUp stops
-// making progress quickly — the loop exits on the first pass that gains
-// no LSN ground.
-func (n serverNode) Promote(ctx context.Context, epoch uint64) error {
+// follower. The drain is best-effort and bounded by ctx: during a real
+// failover the old primary is gone, so CatchUp stops making progress
+// quickly — the loop exits on the first pass that gains no LSN ground.
+func (n serverNode) Promote(ctx context.Context) error {
 	f := n.s.opt.Follower
 	if f == nil {
 		return fmt.Errorf("server: node %s is not a follower; cannot promote", n.s.opt.NodeID)
@@ -52,17 +51,8 @@ func (n serverNode) Promote(ctx context.Context, epoch uint64) error {
 			break
 		}
 	}
-	_, err := n.s.PromoteAt(epoch)
+	_, err := n.s.Promote()
 	return err
-}
-
-// ObserveEpoch mirrors a newly established epoch into the replica sidecar
-// so apply-side fencing and offline inspection see it. Best-effort: the
-// coordinator's term file is authoritative.
-func (n serverNode) ObserveEpoch(epoch uint64) {
-	if f := n.s.opt.Follower; f != nil && n.s.promoted.Load() == nil {
-		_ = f.AdvanceEpoch(epoch)
-	}
 }
 
 // AttachFailover builds, installs and starts the failover coordinator for

@@ -11,6 +11,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -29,7 +30,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/replica"
 	"repro/internal/server"
-	"repro/internal/wal"
 )
 
 // Failover protocol timings shared by the parent test and the helper
@@ -159,9 +159,24 @@ type foNode struct {
 	id      string
 	db      string
 	archive string
+	term    string
 	addr    string
 	f       *replica.Follower
 	srv     *server.Server
+}
+
+// termEpoch reads the established epoch from a node's term file.
+func termEpoch(t *testing.T, path string) uint64 {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var term failover.TermState
+	if err := json.Unmarshal(b, &term); err != nil {
+		t.Fatalf("term file %s: %v", path, err)
+	}
+	return term.Epoch
 }
 
 // startFoFollower bootstraps a follower from the helper's base backup,
@@ -174,6 +189,7 @@ func startFoFollower(t *testing.T, dir, id string, ln net.Listener, fleet []fail
 		id:      id,
 		db:      filepath.Join(dir, id+".db"),
 		archive: filepath.Join(dir, id+".archive"),
+		term:    filepath.Join(dir, id+".term"),
 		addr:    ln.Addr().String(),
 	}
 	tr := replica.NewDirTransport(filepath.Join(dir, "segments"), replica.DirTransportOptions{})
@@ -197,7 +213,7 @@ func startFoFollower(t *testing.T, dir, id string, ln net.Listener, fleet []fail
 	if _, err := srv.AttachFailover(failover.Config{
 		NodeID:        id,
 		Peers:         fleet,
-		TermPath:      filepath.Join(dir, id+".term"),
+		TermPath:      n.term,
 		LeaseInterval: foLeaseIv,
 		LeaseTimeout:  foLeaseTO,
 		Logf:          t.Logf,
@@ -437,9 +453,10 @@ func TestFailoverChaosKill9PrimaryWithPartition(t *testing.T) {
 	if err := wst.Verify(); err != nil {
 		t.Fatalf("new primary verify: %v", err)
 	}
-	// The archive's epoch manifest records the new primacy.
-	if got, err := wal.CurrentEpoch(winner.archive); err != nil || got != epoch {
-		t.Fatalf("winner archive epoch manifest = %d, %v; want %d", got, err, epoch)
+	// The winner's term file — the epoch's one durable home — records the
+	// new primacy.
+	if got := termEpoch(t, winner.term); got != epoch {
+		t.Fatalf("winner term file epoch = %d, want %d", got, epoch)
 	}
 
 	// The fleet client needs no operator: it rediscovers the new primary
@@ -553,8 +570,8 @@ func TestFailoverChaosKill9PrimaryWithPartition(t *testing.T) {
 		return f2.Stats().AppliedLSN == wst.Stats().ArchiveLSN
 	})
 	verifyReplica(t, f2)
-	if got := f2.Epoch(); got != epoch {
-		t.Fatalf("loser sidecar epoch %d after convergence, want %d", got, epoch)
+	if got := termEpoch(t, loser.term); got != epoch {
+		t.Fatalf("loser term file epoch %d after convergence, want %d", got, epoch)
 	}
 	var gotE, gotP string
 	if err := f2.Read(replica.ReadOptions{}, func(s *core.Store) error {

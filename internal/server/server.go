@@ -244,17 +244,11 @@ func (s *Server) CloseClientConns() {
 // fleet client discovers the failover. The store is returned so the
 // caller owns its lifecycle; it must outlive the server. Promoting a
 // store-backed server is an error.
-func (s *Server) Promote() (*core.Store, error) { return s.PromoteAt(0) }
-
-// PromoteAt is Promote under a leadership epoch: the promotion is recorded
-// in the replica sidecar and the WAL epoch manifest, fencing the new
-// timeline against the old primary's. Epoch 0 keeps the legacy manual
-// promotion semantics (no epoch recorded).
-func (s *Server) PromoteAt(epoch uint64) (*core.Store, error) {
+func (s *Server) Promote() (*core.Store, error) {
 	if s.opt.Follower == nil {
 		return nil, errors.New("server: not a replica; nothing to promote")
 	}
-	st, err := s.opt.Follower.PromoteAt(epoch)
+	st, err := s.opt.Follower.Promote()
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +256,7 @@ func (s *Server) PromoteAt(epoch uint64) (*core.Store, error) {
 	return st, nil
 }
 
-// PromotedStore returns the store a PromoteAt installed, or nil. The
+// PromotedStore returns the store a Promote installed, or nil. The
 // caller owns its lifecycle (Close on shutdown).
 func (s *Server) PromotedStore() *core.Store { return s.promoted.Load() }
 

@@ -61,10 +61,6 @@ func MaxArchivedLSN(dir string) (uint64, error) {
 // copy of every segment they apply, so a promoted follower owns its whole
 // point-in-time history.
 func WriteSegment(dir string, lsn uint64, batch []byte, wrap func(File) File) error {
-	return writeSegment(dir, lsn, batch, wrap)
-}
-
-func writeSegment(dir string, lsn uint64, batch []byte, wrap func(File) File) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -73,10 +69,7 @@ func writeSegment(dir string, lsn uint64, batch []byte, wrap func(File) File) er
 	if err != nil {
 		return err
 	}
-	var sf File = f
-	if wrap != nil {
-		sf = wrap(sf)
-	}
+	sf := wrapFile(f, wrap)
 	if _, err := sf.WriteAt(batch, 0); err != nil {
 		sf.Close()
 		return err

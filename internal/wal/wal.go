@@ -341,7 +341,7 @@ func recover_(path, walPath string, pageSize int, archiveDir string, wrapSeg fun
 			}
 			if archiveDir != "" && lsn != 0 {
 				// The segment bytes are exactly the batch's log bytes.
-				if err := writeSegment(archiveDir, lsn, data[batchStart:next], wrapSeg); err != nil {
+				if err := WriteSegment(archiveDir, lsn, data[batchStart:next], wrapSeg); err != nil {
 					return 0, err
 				}
 			}
@@ -685,7 +685,7 @@ func (p *Pager) syncStaged() error {
 	}
 	for _, sg := range segs {
 		sg := sg
-		if err := p.retry(func() error { return writeSegment(p.archiveDir, sg.lsn, sg.data, p.wrapSeg) }); err != nil {
+		if err := p.retry(func() error { return WriteSegment(p.archiveDir, sg.lsn, sg.data, p.wrapSeg) }); err != nil {
 			return err
 		}
 	}

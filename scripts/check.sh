@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate.
 #
-# Runs formatting, vet, build, the full test suite, the race detector over
+# Runs formatting, a guard that keeps one durable file-replace
+# implementation, vet, build, the full test suite, the race detector over
 # the concurrency-sensitive packages, a short fuzz of the xpath executors
 # against each other and of the range cursor against the reference store,
 # and the benchmark module's smoke test
@@ -16,6 +17,12 @@ unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
+    exit 1
+fi
+
+echo "== one durable-replace helper (os.Rename only in internal/wal/replace.go)"
+if git grep -n 'os\.Rename' -- '*.go' ':!*_test.go' ':!internal/wal/replace.go'; then
+    echo "use wal.ReplaceFile instead of a hand-rolled tmp+fsync+rename" >&2
     exit 1
 fi
 
@@ -34,8 +41,8 @@ go test -race ./internal/lock ./internal/core ./internal/txn ./internal/fault ./
 echo "== go test -race (root-package stress incl. cold file-backed readers beside a splitting writer, chaos soak, overload paths)"
 go test -race -run 'Stress|Concurrent|Chaos|Overload|Deadline' .
 
-echo "== go test -race (partition chaos: net faults, kill -9 primary, fleet + automatic failover)"
-go test -race -run 'TestPartitionChaos|TestNetChaos|TestFleet|TestFailover' ./internal/server ./internal/fault
+echo "== go test -race (partition chaos: net faults, kill -9 primary, fleet + automatic failover; crash sweeps of the durable-replace helper and of backup)"
+go test -race -run 'TestPartitionChaos|TestNetChaos|TestFleet|TestFailover|TestReplaceFileCrashSweep|TestBackupCrashMatrix' ./internal/server ./internal/fault ./internal/wal ./internal/recover
 
 echo "== go test -fuzz (xpath: 10s per target, so the differential checks meet fresh inputs, not only the seed corpus)"
 go test -run '^$' -fuzz FuzzXPathParser -fuzztime 10s ./internal/xpath
