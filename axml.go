@@ -314,9 +314,9 @@ func QueryExistsCtx(ctx context.Context, s *Store, expr string) (bool, error) {
 	return xpath.QueryExistsCtx(ctx, s, expr)
 }
 
-// QueryCount returns the number of nodes matching expr. For pushdown-eligible
-// expressions (including count(path)) the count is computed inside the scan
-// without collecting ids.
+// QueryCount returns the number of nodes matching expr, which is a node-set
+// expression or count() of any path. For pushdown-eligible expressions the
+// count is computed inside the scan without collecting ids.
 func QueryCount(s *Store, expr string) (int, error) {
 	return xpath.QueryCountCtx(context.Background(), s, expr)
 }

@@ -140,7 +140,6 @@ func BenchmarkParallelXPathComplex(b *testing.B) {
 	const (
 		qMulti = `//line[@no='2'][1]/item`
 		qUnion = `//purchase-order[@status='open']/customer | //purchase-order[@status='billed']/date`
-		qFLWOR = `for $l in //line[@no='1'] where $l/qty > 50 return <hot>{$l/item}</hot>`
 	)
 	for _, ax := range []struct {
 		name    string
@@ -178,6 +177,54 @@ func BenchmarkParallelXPathComplex(b *testing.B) {
 			st := s.Stats()
 			if lookups := st.PlanCacheHits + st.PlanCacheMisses; lookups > 0 {
 				b.ReportMetric(float64(st.PlanCacheHits)/float64(lookups), "cachehit")
+			}
+		})
+	}
+}
+
+// qFLWOR is the FLWOR of the complex query mix.
+const qFLWOR = `for $l in //line[@no='1'] where $l/qty > 50 return <hot>{$l/item}</hot>`
+
+// BenchmarkTreeFallback prices the tree evaluator over 1 000 orders: shapes
+// the scan cannot run, each op reading the store out, building a Doc and
+// evaluating over it, and the complex mix's FLWOR, which always builds one.
+func BenchmarkTreeFallback(b *testing.B) {
+	s, _ := ordersStore(b, core.Config{Mode: core.RangePartial}, 1000)
+	defer s.Close()
+	ctx := context.Background()
+	ids := func(q string) func() error {
+		if p, err := xpath.CompileStore(s, q); err != nil || p.Pushdown() {
+			b.Fatalf("%s: not a fallback (%v)", q, err)
+		}
+		return func() error {
+			_, err := xpath.QueryIDsCtx(ctx, s, q)
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name string
+		op   func() error
+	}{
+		{"last", ids(`//purchase-order[last()]/date`)},
+		{"numeric", ids(`//line[qty > 50]/item`)},
+		{"parent", ids(`//item/..`)},
+		{"union", ids(`//item/.. | //purchase-order[last()]/date`)},
+		{"self-value", ids(`//purchase-order//line/item[.='widget']`)},
+		{"first", func() error {
+			_, _, err := xpath.QueryFirstCtx(ctx, s, `//line[qty > 50]/item`)
+			return err
+		}},
+		{"flwor", func() error {
+			_, err := xquery.EvalStoreCtx(ctx, s, qFLWOR)
+			return err
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.op(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -6,16 +6,17 @@
 // The cache is sharded (lock per shard, like the partial index) and
 // accounted against the shared memory budget under the Plans class: each
 // entry carries a caller-estimated byte cost, and the cache evicts in
-// least-recently-used order both on a hard entry cap and when the budget
-// signals pressure. Values are opaque (any) so the core store can own the
+// (sampled) least-recently-used order both on a hard entry cap and when the
+// budget signals pressure. Values are opaque (any) so the core store can own the
 // cache without importing the query packages that populate it.
 //
 // The hit path is the store's hottest query-side lock, so it is read-only:
 // lookups take the shard RLock and record recency with one atomic stamp —
-// no list surgery, no exclusive section. Recency is therefore approximate
-// (a clock stamp compared at eviction time, not a maintained order), which
-// costs nothing in practice: shards hold at most a few dozen plans and
-// eviction scans them outright.
+// no list surgery, no exclusive section. Recency is therefore approximate:
+// a clock stamp compared at eviction time, not a maintained order, and the
+// victim is the oldest of a sample of budget.VictimSample entries — exact LRU
+// for a shard that small, and an eviction that costs the same whatever the
+// shard holds.
 package plancache
 
 import (
@@ -155,17 +156,12 @@ func (c *Cache) put(key string, val any, cost int64, cas bool, old any) bool {
 	return true
 }
 
-// evictOldestLocked removes sh's entry with the oldest recency stamp
-// (sh.mu held exclusively).
+// evictOldestLocked removes sh's least recently used entry of a bounded
+// sample (budget.Oldest), as the buffer pool and the Partial Index do (sh.mu
+// held exclusively).
 func (c *Cache) evictOldestLocked(sh *shard) {
-	var victim *entry
-	var oldest uint64
-	for _, e := range sh.entries {
-		if u := e.used.Load(); victim == nil || u < oldest {
-			victim, oldest = e, u
-		}
-	}
-	if victim == nil {
+	victim, ok := budget.Oldest(sh.entries, func(e *entry) (uint64, bool) { return e.used.Load(), true })
+	if !ok {
 		return
 	}
 	delete(sh.entries, victim.key)

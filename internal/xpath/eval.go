@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -139,12 +139,7 @@ func (c *Compiled) EvalCtx(ctx context.Context, d *Doc) ([]*Node, error) {
 
 // EvalValue evaluates the expression and returns the result as a string.
 func (c *Compiled) EvalValue(d *Doc) (string, error) {
-	return c.EvalValueCtx(context.Background(), d)
-}
-
-// EvalValueCtx is EvalValue under a context.
-func (c *Compiled) EvalValueCtx(ctx context.Context, d *Doc) (string, error) {
-	v, err := evalExpr(c.root, evalCtx{doc: d, node: d.RootNode, pos: 1, size: 1, st: &evalState{ctx: ctx}})
+	v, err := evalExpr(c.root, evalCtx{doc: d, node: d.RootNode, pos: 1, size: 1})
 	if err != nil {
 		return "", err
 	}
@@ -168,7 +163,7 @@ func QueryIDs(s *core.Store, src string) ([]core.NodeID, error) {
 
 // QueryIDsCtx is QueryIDs under a caller deadline. It routes through the
 // store's plan cache: pushdown-eligible expressions execute as a single raw
-// token scan; everything else falls back to the streaming Doc evaluator.
+// token scan; everything else falls back to the tree evaluator over a Doc.
 func QueryIDsCtx(ctx context.Context, s *core.Store, src string) ([]core.NodeID, error) {
 	p, err := CompileStore(s, src)
 	if err != nil {
@@ -257,16 +252,7 @@ func evalBinary(e *binaryExpr, ctx evalCtx) (Value, error) {
 		if l.kind != vNodeSet || r.kind != vNodeSet {
 			return Value{}, fmt.Errorf("xpath: '|' needs node sets on both sides")
 		}
-		seen := map[*Node]bool{}
-		var merged []*Node
-		for _, n := range append(append([]*Node{}, l.nodes...), r.nodes...) {
-			if !seen[n] {
-				seen[n] = true
-				merged = append(merged, n)
-			}
-		}
-		sort.Slice(merged, func(i, j int) bool { return merged[i].order < merged[j].order })
-		return nodeSet(merged), nil
+		return nodeSet(docOrder(slices.Concat(l.nodes, r.nodes))), nil
 	}
 	return boolean(compare(l, r, e.op)), nil
 }
@@ -514,22 +500,38 @@ func evalFunc(e *funcExpr, ctx evalCtx) (Value, error) {
 	}
 }
 
-// evalPath evaluates a location path through the streaming iterator chain
-// (see stream.go) and materializes the final result for the Value model.
+// evalPath evaluates a location path one whole node set per step, after
+// fusing the `//` expansion pairs mergeSteps may fuse.
 func evalPath(e *pathExpr, ctx evalCtx) ([]*Node, error) {
-	it, err := pathIter(e, ctx)
-	if err != nil {
-		return nil, err
+	var ns []*Node
+	switch {
+	case e.base != nil:
+		v, err := evalExpr(e.base, ctx)
+		if err != nil {
+			return nil, err
+		}
+		if !v.IsNodeSet() {
+			return nil, fmt.Errorf("xpath: path step applied to a non-node value")
+		}
+		ns = v.nodes
+	case e.absolute:
+		ns = []*Node{ctx.doc.RootNode}
+	default:
+		ns = []*Node{ctx.node}
 	}
-	return drain(it)
+	for _, st := range mergeSteps(e.steps) {
+		var err error
+		if ns, err = evalStep(st, ns, ctx); err != nil {
+			return nil, err
+		}
+	}
+	return ns, nil
 }
 
-// evalStep is the materializing step evaluation used at iterator-chain
-// boundaries (reverse axes, non-disjoint inputs): per input node it applies
-// axis, node test and predicates, then dedups and sorts the union.
+// evalStep applies one step to every input node — axis, node test and
+// predicates — and returns the union in document order.
 func evalStep(st step, input []*Node, ctx evalCtx) ([]*Node, error) {
 	var out []*Node
-	seen := map[*Node]bool{}
 	for _, n := range input {
 		if err := ctx.st.tick(); err != nil {
 			return nil, err
@@ -538,15 +540,106 @@ func evalStep(st step, input []*Node, ctx evalCtx) ([]*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range cands {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
+		out = append(out, cands...)
+	}
+	return docOrder(out), nil
+}
+
+// docOrder sorts ns into document order and drops duplicates, which the sort
+// puts side by side. A sorted input costs one pass.
+func docOrder(ns []*Node) []*Node {
+	slices.SortFunc(ns, func(a, b *Node) int { return a.order - b.order })
+	return slices.Compact(ns)
+}
+
+// stepCandidates computes one input node's survivors of a step: the axis,
+// the node test, then each predicate over the survivors of the one before,
+// positions counted in axis order.
+func stepCandidates(st step, n *Node, ctx evalCtx) ([]*Node, error) {
+	cands := axisNodes(st.axis, n)
+	cands = filterTest(cands, st.test)
+	for _, pred := range st.preds {
+		var kept []*Node
+		for i, c := range cands {
+			if err := ctx.st.tick(); err != nil {
+				return nil, err
+			}
+			v, err := evalExpr(pred, evalCtx{doc: ctx.doc, node: c, pos: i + 1, size: len(cands), vars: ctx.vars, st: ctx.st})
+			if err != nil {
+				return nil, err
+			}
+			// A bare number predicate means position()=N.
+			if v.kind == vNumber {
+				if int(v.n) == i+1 {
+					kept = append(kept, c)
+					break // positions are unique; no later candidate matches
+				}
+			} else if v.toBool() {
+				kept = append(kept, c)
 			}
 		}
+		cands = kept
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].order < out[j].order })
-	return out, nil
+	return cands, nil
+}
+
+// mergeSteps fuses `//` expansion pairs (descendant-or-self::node() then
+// child::T) into one descendant::T step where T's predicates are
+// position-free, so the path never enumerates the node set the expansion
+// implies. A positional predicate inhibits the fusion: it counts among the
+// children of one parent, not among all descendants.
+func mergeSteps(steps []step) []step {
+	out := make([]step, 0, len(steps))
+	for i := 0; i < len(steps); i++ {
+		st := steps[i]
+		if st.axis == axDescendantOrSelf && st.test.any && len(st.preds) == 0 && i+1 < len(steps) {
+			nx := steps[i+1]
+			if nx.axis == axChild && predsPositionFree(nx.preds) {
+				nx.axis = axDescendant
+				out = append(out, nx)
+				i++
+				continue
+			}
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
+func predsPositionFree(preds []expr) bool {
+	for _, p := range preds {
+		if _, bare := p.(*numberExpr); bare {
+			return false
+		}
+		if usesPosition(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// usesPosition reports whether e references position()/last() in the
+// current predicate's context (nested paths' own predicates establish a new
+// context and are excluded).
+func usesPosition(e expr) bool {
+	switch e := e.(type) {
+	case *funcExpr:
+		if e.name == "position" || e.name == "last" {
+			return true
+		}
+		for _, a := range e.args {
+			if usesPosition(a) {
+				return true
+			}
+		}
+	case *binaryExpr:
+		return usesPosition(e.l) || usesPosition(e.r)
+	case *negExpr:
+		return usesPosition(e.e)
+	case *pathExpr:
+		return e.base != nil && usesPosition(e.base)
+	}
+	return false
 }
 
 func axisNodes(ax axisKind, n *Node) []*Node {

@@ -87,13 +87,6 @@ func (n *Node) StringValue() string {
 // Doc is a parsed navigational view of a stored sequence.
 type Doc struct {
 	RootNode *Node
-	byID     map[core.NodeID]*Node
-}
-
-// NodeByID resolves a store node id to its view node.
-func (d *Doc) NodeByID(id core.NodeID) (*Node, bool) {
-	n, ok := d.byID[id]
-	return n, ok
 }
 
 // BuildDoc constructs the navigational view from items (token + id pairs in
@@ -103,7 +96,7 @@ func (d *Doc) NodeByID(id core.NodeID) (*Node, bool) {
 // content, or an unclosed begin. Document tokens are transparent.
 func BuildDoc(items []core.Item) (*Doc, error) {
 	root := &Node{Kind: Root}
-	d := &Doc{RootNode: root, byID: make(map[core.NodeID]*Node)}
+	d := &Doc{RootNode: root}
 	cur := root
 	order := 0
 	// stack holds the root, then one level per open begin token: the end
@@ -133,26 +126,17 @@ func BuildDoc(items []core.Item) (*Doc, error) {
 		case token.BeginElement:
 			n := &Node{Kind: Element, Name: it.Tok.Name, ID: it.ID, Parent: cur, order: order}
 			cur.Children = append(cur.Children, n)
-			d.byID[it.ID] = n
 			cur = n
 		case token.EndElement:
 			cur = cur.Parent
 		case token.BeginAttribute:
-			attr := &Node{Kind: Attribute, Name: it.Tok.Name, Value: it.Tok.Value, ID: it.ID, Parent: cur, order: order}
-			cur.Attrs = append(cur.Attrs, attr)
-			d.byID[it.ID] = attr
+			cur.Attrs = append(cur.Attrs, &Node{Kind: Attribute, Name: it.Tok.Name, Value: it.Tok.Value, ID: it.ID, Parent: cur, order: order})
 		case token.Text:
-			n := &Node{Kind: TextNode, Value: it.Tok.Value, ID: it.ID, Parent: cur, order: order}
-			cur.Children = append(cur.Children, n)
-			d.byID[it.ID] = n
+			cur.Children = append(cur.Children, &Node{Kind: TextNode, Value: it.Tok.Value, ID: it.ID, Parent: cur, order: order})
 		case token.Comment:
-			n := &Node{Kind: Comment, Value: it.Tok.Value, ID: it.ID, Parent: cur, order: order}
-			cur.Children = append(cur.Children, n)
-			d.byID[it.ID] = n
+			cur.Children = append(cur.Children, &Node{Kind: Comment, Value: it.Tok.Value, ID: it.ID, Parent: cur, order: order})
 		case token.PI:
-			n := &Node{Kind: PI, Name: it.Tok.Name, Value: it.Tok.Value, ID: it.ID, Parent: cur, order: order}
-			cur.Children = append(cur.Children, n)
-			d.byID[it.ID] = n
+			cur.Children = append(cur.Children, &Node{Kind: PI, Name: it.Tok.Name, Value: it.Tok.Value, ID: it.ID, Parent: cur, order: order})
 		}
 	}
 	if len(stack) != 1 {

@@ -8,8 +8,7 @@ import (
 
 // The query planner. A compiled expression is analyzed once and the result —
 // a Plan — is what the store-level query API caches and executes. Planning
-// classifies the expression into one of three execution strategies, from
-// cheapest to most general:
+// picks one of two execution strategies:
 //
 //  1. Pushdown: the whole expression (a location path, a union of location
 //     paths, or count() of one) compiles to a scanProgram — a small NFA the
@@ -22,21 +21,16 @@ import (
 //     scan decides from the element's own attributes and children:
 //     [@a='lit'], [@a], [name='lit'], [name], [text()='lit'] (literal on
 //     either side of '=').
-//  2. Parallel fallback: a union whose branches are all location paths but
-//     are not pushdown-eligible is evaluated branch-per-goroutine over one
-//     shared immutable Doc, with bounded fan-out.
-//  3. Serial fallback: everything else (reverse axes, last(), numeric
-//     comparisons, $var bases, nested predicate paths such as [a/b='x']) runs
-//     on the streaming Doc evaluator.
+//  2. Tree: everything else (reverse axes, last(), numeric comparisons, $var
+//     bases, nested predicate paths such as [a/b='x']) falls back to the tree
+//     evaluator over a Doc built for the call (Plan.fallback).
 type Plan struct {
 	c    *Compiled
 	prog *scanProgram // non-nil: strategy 1
-	// count is set when the expression is count(path): the program counts
-	// matches instead of collecting ids, and the result is a number.
+	// count is set when the expression is count(path) and the path pushes
+	// down: the program counts matches instead of collecting ids, and the
+	// result is a number.
 	count bool
-	// unionPaths holds the branch paths of a top-level union for strategy 2
-	// (nil when the expression is not a pure union of paths).
-	unionPaths []*pathExpr
 	// cost is the cache charge estimate in bytes.
 	cost int64
 	// probeKey is non-empty for a probe shape, which the lazy value index can
@@ -53,9 +47,6 @@ type Plan struct {
 	rest     *scanProgram
 	headDesc bool // a `//` in the head: its elements may nest
 }
-
-// Compiled returns the underlying compiled expression.
-func (p *Plan) Compiled() *Compiled { return p.c }
 
 // Pushdown reports whether the plan executes as a raw-token scan program.
 func (p *Plan) Pushdown() bool { return p.prog != nil }
@@ -178,12 +169,6 @@ func PlanQuery(c *Compiled) *Plan {
 		if !isUnion {
 			p.planProbe(paths[0])
 		}
-		return p
-	}
-	if isUnion {
-		// Not pushdown-eligible, but a pure union of paths: the branches are
-		// independent sub-expressions and run in parallel over a shared Doc.
-		p.unionPaths = paths
 	}
 	return p
 }

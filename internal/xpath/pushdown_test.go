@@ -1,15 +1,17 @@
 package xpath
 
-// Differential tests: the streaming evaluator and the pushdown scan program
-// are pinned, id for id and in document order, against an oracle that
-// replicates the old materializing evaluator (dedup map + sort at every
-// step). Any divergence in step algebra, predicate positions, dedup or
-// ordering shows up here.
+// Differential tests: the tree evaluator, the pushdown scan program and the
+// lazy value index are pinned, id for id and in document order, against an
+// oracle that evaluates every step literally (no `//` fusion; dedup map +
+// sort at every step). Any divergence in step algebra, predicate positions,
+// dedup or ordering shows up here.
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,7 +21,7 @@ import (
 	"repro/internal/xmltok"
 )
 
-// ---- oracle: the pre-streaming materializing pipeline ----
+// ---- oracle: every step literally, over the whole node set ----
 
 func oracleStep(st step, input []*Node, d *Doc) ([]*Node, error) {
 	var out []*Node
@@ -114,6 +116,19 @@ func oracleIDs(t *testing.T, d *Doc, src string) []core.NodeID {
 	return nodeIDs(ns)
 }
 
+// nodeByID finds the view node of a store id below n.
+func nodeByID(n *Node, id core.NodeID) *Node {
+	if n.Kind != Root && n.ID == id {
+		return n
+	}
+	for _, c := range slices.Concat(n.Attrs, n.Children) {
+		if m := nodeByID(c, id); m != nil {
+			return m
+		}
+	}
+	return nil
+}
+
 func idsEqual(a, b []core.NodeID) bool {
 	if len(a) != len(b) {
 		return false
@@ -149,6 +164,8 @@ var diffExprs = []string{
 	"//a[last()]", "//a[position()=2]", "//b[@n]", "//mixed/text()",
 	"//a[b]", "//a[count(b)=2]", "//*/ancestor-or-self::*",
 	"//b/preceding-sibling::*", "//a[1]/following-sibling::b",
+	// a fallback union, and positions under `//` that must not fuse
+	"//b/.. | //a[last()]", "//a//b[last()]", "//a[b][last()]/b[1]",
 }
 
 // predXML exercises predicates over children: the deciding child before and
@@ -241,7 +258,7 @@ func diffCorpus(t *testing.T, fn func(s *core.Store, d *Doc, src string)) {
 	}
 }
 
-func TestDifferentialStreamingVsOracle(t *testing.T) {
+func TestDifferentialTreeVsOracle(t *testing.T) {
 	diffCorpus(t, func(_ *core.Store, d *Doc, src string) {
 		want := oracleIDs(t, d, src)
 		c, err := Parse(src)
@@ -253,7 +270,7 @@ func TestDifferentialStreamingVsOracle(t *testing.T) {
 			t.Fatalf("eval %s: %v", src, err)
 		}
 		if got := nodeIDs(ns); !idsEqual(got, want) {
-			t.Errorf("streaming %s: got %v, want %v", src, got, want)
+			t.Errorf("tree %s: got %v, want %v", src, got, want)
 		}
 	})
 }
@@ -277,15 +294,22 @@ func TestDifferentialStoreVsOracle(t *testing.T) {
 		if ok != (len(want) > 0) || (ok && first != want[0]) {
 			t.Errorf("first %s: got %v/%v, want head of %v", src, first, ok, want)
 		}
-		n, err := QueryCountCtx(context.Background(), s, src)
-		if err != nil || n != len(want) {
-			t.Errorf("count %s: got %d (%v), want %d", src, n, err, len(want))
+		// count() of the path — of the fallback ones too, such as
+		// count(//b/..) and count(//a[last()]) — is the same number through
+		// either call.
+		for _, q := range []string{src, "count(" + src + ")"} {
+			n, err := QueryCountCtx(context.Background(), s, q)
+			if err != nil || n != len(want) {
+				t.Errorf("count %s: got %d (%v), want %d", q, n, err, len(want))
+			}
+		}
+		if v, err := QueryValueCtx(context.Background(), s, "count("+src+")"); err != nil || v != strconv.Itoa(len(want)) {
+			t.Errorf("value count(%s): got %q (%v), want %d", src, v, err, len(want))
 		}
 		// The value of a node set is the string-value of its first node.
 		wantVal := ""
 		if len(want) > 0 {
-			n, _ := d.NodeByID(want[0])
-			wantVal = n.StringValue()
+			wantVal = nodeByID(d.RootNode, want[0]).StringValue()
 		}
 		if v, err := QueryValueCtx(context.Background(), s, src); err != nil || v != wantVal {
 			t.Errorf("value %s: got %q (%v), want %q", src, v, err, wantVal)
@@ -416,13 +440,6 @@ func TestPlannerClassification(t *testing.T) {
 	}
 	// Any anchored call scans, whatever the plan: pinned with the counters in
 	// TestValueIndexCounters.
-
-	// A non-union fallback with parallel branches.
-	c, _ := Parse("//a[b] | //b/..")
-	p := PlanQuery(c)
-	if p.Pushdown() || len(p.unionPaths) != 2 {
-		t.Errorf("union fallback: pushdown=%v branches=%d", p.Pushdown(), len(p.unionPaths))
-	}
 }
 
 func TestPlanCacheCounters(t *testing.T) {

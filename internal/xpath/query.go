@@ -1,15 +1,13 @@
 package xpath
 
 // Store-level query execution: the keyed plan cache, the pushdown dispatch,
-// and the bounded-fan-out parallel fallback. These entry points are what the
-// public API (axml), the server and XQuery route through.
+// and the one fallback onto the tree evaluator (Plan.fallback). These entry
+// points are what the public API (axml), the server and XQuery route through.
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/token"
@@ -72,8 +70,28 @@ func (p *Plan) pushdown(ctx context.Context, s *core.Store, anchor core.NodeID, 
 	return r.ids, r.n, err
 }
 
-func (p *Plan) notNodeSet() error {
-	return fmt.Errorf("xpath: %q evaluates to a number, not a node set", p.c.src)
+// fallback evaluates the plan over the navigational view of the whole store,
+// or of the anchor's subtree: the one way a store-level query reaches the
+// tree evaluator, taken by whatever the scan cannot run.
+func (p *Plan) fallback(ctx context.Context, s *core.Store, anchor core.NodeID) (Value, error) {
+	s.QueryCounters().NoteFallback()
+	d, err := docFor(ctx, s, anchor)
+	if err != nil {
+		return Value{}, err
+	}
+	return evalExpr(p.c.root, evalCtx{doc: d, node: d.RootNode, pos: 1, size: 1, st: &evalState{ctx: ctx}})
+}
+
+// nodes returns a fallback's node set, or the error for any other result.
+func (p *Plan) nodes(v Value) ([]*Node, error) {
+	if v.kind != vNodeSet {
+		return nil, p.notNodeSet(v.kind)
+	}
+	return v.nodes, nil
+}
+
+func (p *Plan) notNodeSet(k valueKind) error {
+	return fmt.Errorf("xpath: %q evaluates to a %s, not a node set", p.c.src, kindName(k))
 }
 
 // IDs executes the plan — the store's cached one, or one its caller holds —
@@ -81,35 +99,25 @@ func (p *Plan) notNodeSet() error {
 // anchor's subtree's.
 func (p *Plan) IDs(ctx context.Context, s *core.Store, anchor core.NodeID) ([]core.NodeID, error) {
 	if p.count {
-		return nil, p.notNodeSet()
+		return nil, p.notNodeSet(vNumber)
 	}
 	if p.prog != nil {
 		ids, _, err := p.pushdown(ctx, s, anchor, -1)
 		return ids, err
 	}
-	s.QueryCounters().NoteFallback()
-	d, err := docFor(ctx, s, anchor)
+	v, err := p.fallback(ctx, s, anchor)
 	if err != nil {
 		return nil, err
 	}
-	var nodes []*Node
-	if len(p.unionPaths) >= 2 {
-		nodes, err = evalUnionParallel(ctx, d, p.unionPaths)
-	} else {
-		nodes, err = p.c.EvalCtx(ctx, d)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return nodeIDs(nodes), nil
+	ns, err := p.nodes(v)
+	return nodeIDs(ns), err
 }
 
-// first executes the plan and returns the first match in document order,
-// pulling lazily so both the pushdown scan and the streaming fallback stop
-// at the first hit.
+// first executes the plan and returns the first match in document order; the
+// pushdown scan stops at it.
 func (p *Plan) first(ctx context.Context, s *core.Store, anchor core.NodeID) (core.NodeID, bool, error) {
 	if p.count {
-		return core.InvalidNode, false, p.notNodeSet()
+		return core.InvalidNode, false, p.notNodeSet(vNumber)
 	}
 	if p.prog != nil {
 		ids, n, err := p.pushdown(ctx, s, anchor, 1)
@@ -118,39 +126,17 @@ func (p *Plan) first(ctx context.Context, s *core.Store, anchor core.NodeID) (co
 		}
 		return ids[0], true, nil
 	}
-	s.QueryCounters().NoteFallback()
-	d, err := docFor(ctx, s, anchor)
+	v, err := p.fallback(ctx, s, anchor)
 	if err != nil {
 		return core.InvalidNode, false, err
 	}
-	if pe, ok := p.c.root.(*pathExpr); ok {
-		it, err := pathIter(pe, evalCtx{doc: d, node: d.RootNode, pos: 1, size: 1, st: &evalState{ctx: ctx}})
-		if err != nil {
-			return core.InvalidNode, false, err
-		}
-		for {
-			n, err := it.next()
-			if err != nil {
-				return core.InvalidNode, false, err
-			}
-			if n == nil {
-				return core.InvalidNode, false, nil
-			}
-			if n.Kind != Root {
-				return n.ID, true, nil
-			}
-		}
-	}
-	nodes, err := p.c.EvalCtx(ctx, d)
-	if err != nil {
-		return core.InvalidNode, false, err
-	}
-	for _, n := range nodes {
+	ns, err := p.nodes(v)
+	for _, n := range ns {
 		if n.Kind != Root {
 			return n.ID, true, nil
 		}
 	}
-	return core.InvalidNode, false, nil
+	return core.InvalidNode, false, err
 }
 
 // nodeIDs maps view nodes to store ids, dropping the virtual root.
@@ -162,47 +148,6 @@ func nodeIDs(ns []*Node) []core.NodeID {
 		}
 	}
 	return out
-}
-
-// unionFanOut bounds the number of union branches evaluated concurrently in
-// the parallel fallback.
-const unionFanOut = 4
-
-// evalUnionParallel evaluates independent union branches concurrently over
-// one shared immutable Doc and merges the results with the union operator's
-// dedup + document-order semantics.
-func evalUnionParallel(ctx context.Context, d *Doc, paths []*pathExpr) ([]*Node, error) {
-	results := make([][]*Node, len(paths))
-	errs := make([]error, len(paths))
-	sem := make(chan struct{}, unionFanOut)
-	var wg sync.WaitGroup
-	for i, pe := range paths {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, pe *pathExpr) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = evalPath(pe, evalCtx{doc: d, node: d.RootNode, pos: 1, size: 1, st: &evalState{ctx: ctx}})
-		}(i, pe)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	seen := map[*Node]bool{}
-	var merged []*Node
-	for _, ns := range results {
-		for _, n := range ns {
-			if !seen[n] {
-				seen[n] = true
-				merged = append(merged, n)
-			}
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].order < merged[j].order })
-	return merged, nil
 }
 
 // QueryFirstCtx returns the first node matching src in document order,
@@ -223,8 +168,9 @@ func QueryExistsCtx(ctx context.Context, s *core.Store, src string) (bool, error
 }
 
 // QueryCountCtx returns the number of nodes matching src. Accepts either a
-// node-set expression or count(path) directly; the pushdown path counts
-// inside the scan without collecting ids.
+// node-set expression or count() of one; the pushdown path counts inside the
+// scan without collecting ids. On the fallback a number is the count, a node
+// set its length.
 func QueryCountCtx(ctx context.Context, s *core.Store, src string) (int, error) {
 	p, err := CompileStore(s, src)
 	if err != nil {
@@ -234,23 +180,12 @@ func QueryCountCtx(ctx context.Context, s *core.Store, src string) (int, error) 
 		_, n, err := p.pushdown(ctx, s, core.InvalidNode, 0)
 		return n, err
 	}
-	if p.count {
-		s.QueryCounters().NoteFallback()
-		d, err := FromStoreCtx(ctx, s)
-		if err != nil {
-			return 0, err
-		}
-		v, err := p.c.EvalValueCtx(ctx, d)
-		if err != nil {
-			return 0, err
-		}
-		return strconv.Atoi(v)
+	v, err := p.fallback(ctx, s, core.InvalidNode)
+	if err != nil || v.kind == vNumber {
+		return int(v.n), err
 	}
-	ids, err := p.IDs(ctx, s, core.InvalidNode)
-	if err != nil {
-		return 0, err
-	}
-	return len(ids), nil
+	ns, err := p.nodes(v)
+	return len(nodeIDs(ns)), err
 }
 
 // QueryValueCtx evaluates src and returns the XPath string-value of the
@@ -273,12 +208,8 @@ func QueryValueCtx(ctx context.Context, s *core.Store, src string) (string, erro
 		}
 		return stringValue(ctx, s, ids[0])
 	}
-	s.QueryCounters().NoteFallback()
-	d, err := FromStoreCtx(ctx, s)
-	if err != nil {
-		return "", err
-	}
-	return p.c.EvalValueCtx(ctx, d)
+	v, err := p.fallback(ctx, s, core.InvalidNode)
+	return v.toString(), err
 }
 
 // stringValue computes the XPath string-value of node id from its raw

@@ -127,8 +127,7 @@ func vxCheck(t *testing.T, s *core.Store, rng *rand.Rand, shapes int, at string)
 		}
 		wantVal := ""
 		if len(want) > 0 {
-			n, _ := d.NodeByID(want[0])
-			wantVal = n.StringValue()
+			wantVal = nodeByID(d.RootNode, want[0]).StringValue()
 		}
 		if v, err := QueryValueCtx(ctx, s, src); err != nil || v != wantVal {
 			t.Fatalf("%s: value %s: got %q (%v), want %q", at, src, v, err, wantVal)

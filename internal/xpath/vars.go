@@ -66,7 +66,7 @@ func (c *Compiled) EvalWithCtx(octx context.Context, d *Doc, ctx *Node, vars Var
 // FreeVars returns the names of the $variables the expression references,
 // in first-occurrence order. The XQuery layer uses this to detect FLWOR
 // clauses whose domains are tuple-independent and can be hoisted out of the
-// tuple loop (and evaluated in parallel).
+// tuple loop: evaluated once, not once per tuple.
 func (c *Compiled) FreeVars() []string {
 	var out []string
 	collectVars(c.root, map[string]bool{}, &out)

@@ -3,10 +3,10 @@ package xquery
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/token"
@@ -154,51 +154,23 @@ func evalNode(n node, q qenv, vars xpath.Vars) ([]token.Token, error) {
 	}
 }
 
-// flworFanOut bounds the goroutines pre-evaluating independent for-clause
-// domains concurrently.
-const flworFanOut = 4
-
 // evalFLWOR builds the tuple stream clause by clause, filters, orders, and
 // concatenates the return results. Before the tuple loop it hoists
 // tuple-independent for-clause domains: a clause whose expression references
 // no variable bound earlier in this FLWOR produces the same domain for every
-// tuple, so it is evaluated once — and independent domains are evaluated
-// concurrently over the shared immutable Doc with bounded fan-out.
+// tuple, so it is evaluated once, here.
 func evalFLWOR(f *flwor, q qenv, outer xpath.Vars) ([]token.Token, error) {
 	pre := make([]*xpath.Value, len(f.clauses))
-	preErr := make([]error, len(f.clauses))
-	{
-		bound := map[string]bool{}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, flworFanOut)
-		for i, c := range f.clauses {
-			indep := !c.isLet
-			if indep {
-				for _, v := range c.expr.FreeVars() {
-					if bound[v] {
-						indep = false
-						break
-					}
-				}
-			}
-			if indep {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(i int, c clause) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					v, err := q.evalXPath(c.expr, outer)
-					pre[i], preErr[i] = &v, err
-				}(i, c)
-			}
-			bound[c.varName] = true
-		}
-		wg.Wait()
-		for _, err := range preErr {
+	bound := map[string]bool{}
+	for i, c := range f.clauses {
+		if !c.isLet && !slices.ContainsFunc(c.expr.FreeVars(), func(v string) bool { return bound[v] }) {
+			v, err := q.evalXPath(c.expr, outer)
 			if err != nil {
 				return nil, err
 			}
+			pre[i] = &v
 		}
+		bound[c.varName] = true
 	}
 	envs := []xpath.Vars{cloneVars(outer)}
 	for ci, c := range f.clauses {

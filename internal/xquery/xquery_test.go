@@ -126,6 +126,27 @@ func TestMultipleForVars(t *testing.T) {
 	}
 }
 
+// TestFLWORHoistedDomains: two for domains that reference no earlier
+// variable (hoisted: evaluated once, before the tuple loop) and one that does
+// come out in nested-loop order, and an error in a hoisted domain is the
+// query's error.
+func TestFLWORHoistedDomains(t *testing.T) {
+	s := bookStore(t)
+	got := evalOK(t, s, `
+	  for $b in //book[@year > 1999], $x in //book[@id != "b2"]/@id, $a in $b/author
+	  return <t b="{$b/@id}" x="{$x}" a="{$a}"/>`)
+	want := `<t b="b1" x="b1" a="Stevens"/><t b="b1" x="b3" a="Stevens"/>` +
+		`<t b="b3" x="b1" a="Abiteboul"/><t b="b3" x="b1" a="Buneman"/>` +
+		`<t b="b3" x="b3" a="Abiteboul"/><t b="b3" x="b3" a="Buneman"/>`
+	if got != want {
+		t.Errorf("\n got %s\nwant %s", got, want)
+	}
+	_, err := EvalString(s, `for $b in //book, $x in $nope/title, $a in $b/author return $a`)
+	if err == nil || !strings.Contains(err.Error(), "unbound variable $nope") {
+		t.Errorf("error in a hoisted domain: %v", err)
+	}
+}
+
 func TestNestedFLWORInConstructor(t *testing.T) {
 	s := bookStore(t)
 	got := evalOK(t, s, `

@@ -4,7 +4,8 @@
 # Runs formatting, a guard that keeps one durable file-replace
 # implementation, vet, build, the full test suite, the race detector over
 # the concurrency-sensitive packages, a short fuzz of the xpath executors
-# against each other and of the range cursor against the reference store,
+# against each other, of the xquery evaluator, and of the range cursor
+# against the reference store,
 # and the benchmark module's smoke test
 # (benchmark/ is a module of its own, so ./... does not reach it). Exits
 # non-zero on the first failure. CI and pre-commit hooks should call exactly
@@ -44,10 +45,11 @@ go test -race -run 'Stress|Concurrent|Chaos|Overload|Deadline' .
 echo "== go test -race (partition chaos: net faults, kill -9 primary, fleet + automatic failover; crash sweeps of the durable-replace helper and of backup)"
 go test -race -run 'TestPartitionChaos|TestNetChaos|TestFleet|TestFailover|TestReplaceFileCrashSweep|TestBackupCrashMatrix' ./internal/server ./internal/fault ./internal/wal ./internal/recover
 
-echo "== go test -fuzz (xpath: 10s per target, so the differential checks meet fresh inputs, not only the seed corpus)"
+echo "== go test -fuzz (xpath, xquery: 10s per target, so the differential checks and the FLWOR loop meet fresh inputs, not only the seed corpus)"
 go test -run '^$' -fuzz FuzzXPathParser -fuzztime 10s ./internal/xpath
 go test -run '^$' -fuzz FuzzScanProgramTokens -fuzztime 10s ./internal/xpath
 go test -run '^$' -fuzz FuzzValueTable -fuzztime 10s ./internal/xpath
+go test -run '^$' -fuzz FuzzXQueryParser -fuzztime 10s ./internal/xquery
 
 echo "== go test -fuzz (core: 10s per target — cursor reads vs the reference store under splits and merges; node XML from stored bytes vs the old serializer)"
 go test -run '^$' -fuzz FuzzCursorDifferential -fuzztime 10s ./internal/core
