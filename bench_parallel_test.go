@@ -10,8 +10,11 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/pagestore"
@@ -507,9 +510,17 @@ func BenchmarkParallelMixed(b *testing.B) {
 // writers stage behind the running fsync and share the next one, so ns/op
 // should fall with the writer count until the log device saturates. The
 // fsyncs/commit metric is every fsync the journal issued (log, page file,
-// truncate) per committed batch.
+// truncate) per committed batch; logB/commit the bytes appended to the log
+// per batch; ckpt/1kcommit how many checkpoints a thousand batches cost;
+// pages/ckpt, ckpt-p50-us and ckpt-max-us what one of them writes and how
+// long it holds its committer, timed below the journal from its first
+// page-file write to the log fsync after the truncate.
 func BenchmarkParallelCommit(b *testing.B) {
-	wp, err := wal.Open(filepath.Join(b.TempDir(), "commit.db"), 0)
+	w := &ckptWatch{}
+	wp, err := wal.OpenWithOptions(filepath.Join(b.TempDir(), "commit.db"), 0, wal.Options{
+		WrapPager: func(p wal.InnerPager) wal.InnerPager { return ckptPages{p, w} },
+		WrapLog:   func(f wal.File) wal.File { return ckptLog{f, w} },
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -524,6 +535,7 @@ func BenchmarkParallelCommit(b *testing.B) {
 	}
 	frag := workload.New(7).PurchaseOrder(1)
 	before := s.Stats()
+	w.reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -540,9 +552,81 @@ func BenchmarkParallelCommit(b *testing.B) {
 	})
 	b.StopTimer()
 	after := s.Stats()
-	if commits := after.WALCommits - before.WALCommits; commits > 0 {
-		b.ReportMetric(float64(after.WALSyncs-before.WALSyncs)/float64(commits), "fsyncs/commit")
+	if commits := float64(after.WALCommits - before.WALCommits); commits > 0 {
+		b.ReportMetric(float64(after.WALSyncs-before.WALSyncs)/commits, "fsyncs/commit")
+		b.ReportMetric(float64(after.WALLoggedBytes-before.WALLoggedBytes)/commits, "logB/commit")
+		b.ReportMetric(float64(after.WALCheckpoints-before.WALCheckpoints)*1000/commits, "ckpt/1kcommit")
 	}
+	w.report(b)
+}
+
+// ckptWatch times checkpoints from below a journal: one starts at its first
+// page-file write (only a checkpoint writes the page file) and ends at the
+// log fsync that follows the log's truncate.
+type ckptWatch struct {
+	mu        sync.Mutex
+	start     time.Time
+	pages     int
+	truncated bool
+	took      []time.Duration
+}
+
+func (w *ckptWatch) reset() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.pages, w.took = 0, nil
+}
+
+func (w *ckptWatch) report(b *testing.B) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.took) == 0 {
+		return
+	}
+	slices.Sort(w.took)
+	b.ReportMetric(float64(w.pages)/float64(len(w.took)), "pages/ckpt")
+	b.ReportMetric(float64(w.took[len(w.took)/2].Microseconds()), "ckpt-p50-us")
+	b.ReportMetric(float64(w.took[len(w.took)-1].Microseconds()), "ckpt-max-us")
+}
+
+type ckptPages struct {
+	wal.InnerPager
+	w *ckptWatch
+}
+
+func (p ckptPages) WritePage(id pagestore.PageID, buf []byte) error {
+	p.w.mu.Lock()
+	if p.w.start.IsZero() {
+		p.w.start = time.Now()
+	}
+	p.w.pages++
+	p.w.mu.Unlock()
+	return p.InnerPager.WritePage(id, buf)
+}
+
+type ckptLog struct {
+	wal.File
+	w *ckptWatch
+}
+
+func (f ckptLog) Truncate(size int64) error {
+	f.w.mu.Lock()
+	f.w.truncated = true
+	f.w.mu.Unlock()
+	return f.File.Truncate(size)
+}
+
+func (f ckptLog) Sync() error {
+	err := f.File.Sync()
+	f.w.mu.Lock()
+	if f.w.truncated && !f.w.start.IsZero() {
+		f.w.took = append(f.w.took, time.Since(f.w.start))
+	}
+	if f.w.truncated {
+		f.w.start, f.w.truncated = time.Time{}, false
+	}
+	f.w.mu.Unlock()
+	return err
 }
 
 // BenchmarkSiblingWalk walks the whole top-level sibling chain once per

@@ -155,7 +155,7 @@ func (t *Tree[V]) insert(n *node[V], k uint64, v V) (uint64, *node[V]) {
 		if len(n.keys) <= degree {
 			return 0, nil
 		}
-		return t.splitLeaf(n)
+		return t.splitLeaf(n, i)
 	}
 	ci := childIndex(n.keys, k)
 	nk, nc := t.insert(n.children[ci], k, v)
@@ -170,8 +170,16 @@ func (t *Tree[V]) insert(n *node[V], k uint64, v V) (uint64, *node[V]) {
 	return t.splitInterior(n)
 }
 
-func (t *Tree[V]) splitLeaf(n *node[V]) (uint64, *node[V]) {
+// splitLeaf splits a leaf that the insert at index at overfilled. The last
+// leaf overfilled at its end is the tail of ascending keys — the Range Index
+// gets one whenever a new range takes the next node ids — so it keeps every
+// key but the new one and stays full; any other leaf splits in half. Both
+// halves get arrays of their own length, so no leaf pins the array it grew.
+func (t *Tree[V]) splitLeaf(n *node[V], at int) (uint64, *node[V]) {
 	mid := len(n.keys) / 2
+	if n.next == nil && at == len(n.keys)-1 {
+		mid = at
+	}
 	right := &node[V]{
 		keys: append([]uint64(nil), n.keys[mid:]...),
 		vals: append([]V(nil), n.vals[mid:]...),
@@ -181,8 +189,8 @@ func (t *Tree[V]) splitLeaf(n *node[V]) (uint64, *node[V]) {
 	if n.next != nil {
 		n.next.prev = right
 	}
-	n.keys = n.keys[:mid:mid]
-	n.vals = n.vals[:mid:mid]
+	n.keys = append([]uint64(nil), n.keys[:mid]...)
+	n.vals = append([]V(nil), n.vals[:mid]...)
 	n.next = right
 	return right.keys[0], right
 }

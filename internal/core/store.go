@@ -616,9 +616,9 @@ func (s *Store) Stats() Stats {
 		st.ArchiveLSN = hw.LSN()
 	}
 	if js, ok := s.pool.Pager().(interface {
-		JournalStats() (commits, syncs, checkpoints, failedCheckpoints uint64, logBytes int64)
+		JournalStats() (commits, syncs, checkpoints, failedCheckpoints uint64, logBytes int64, logged uint64)
 	}); ok {
-		st.WALCommits, st.WALSyncs, st.WALCheckpoints, st.WALCheckpointFailures, st.WALLogBytes = js.JournalStats()
+		st.WALCommits, st.WALSyncs, st.WALCheckpoints, st.WALCheckpointFailures, st.WALLogBytes, st.WALLoggedBytes = js.JournalStats()
 	}
 	return st
 }

@@ -167,8 +167,22 @@ type crashRun struct {
 	inj      *fault.Injector
 	ops      int   // I/O boundaries of the swept commit + close
 	acked    int   // flushes that returned nil, the prefix included
+	deltas   int   // delta records among the batches appended to the log
 	flushErr error // the swept mutate+flush
 	closeErr error
+}
+
+// deltaCounter counts the delta records in every batch appended to the log
+// (the journal appends a batch with one write).
+type deltaCounter struct {
+	wal.File
+	n *int
+}
+
+func (f deltaCounter) WriteAt(p []byte, off int64) (int, error) {
+	count := func(pagestore.PageID, []byte) error { *f.n++; return nil }
+	wal.ParseSegment("log batch", p, cmPageSize, count)
+	return f.File.WriteAt(p, off)
 }
 
 // runFaulty reopens db behind a fault-injected WAL, acknowledges g.prefix
@@ -178,9 +192,10 @@ type crashRun struct {
 func runFaulty(t *testing.T, db string, g geometry, cfg fault.Config, crashAt int) crashRun {
 	t.Helper()
 	inj := fault.NewInjector(cfg)
+	r := crashRun{inj: inj, acked: g.prefix}
 	wp, err := wal.OpenWithOptions(db, cmPageSize, wal.Options{
 		WrapPager: func(ip wal.InnerPager) wal.InnerPager { return fault.NewPager(inj, ip) },
-		WrapLog:   func(f wal.File) wal.File { return fault.NewFile(inj, f) },
+		WrapLog:   func(f wal.File) wal.File { return fault.NewFile(inj, deltaCounter{f, &r.deltas}) },
 		Retries:   -1, // crash errors are permanent; don't slow the sweep
 	})
 	if err != nil {
@@ -202,7 +217,6 @@ func runFaulty(t *testing.T, db string, g geometry, cfg fault.Config, crashAt in
 		t.Fatalf("lazy geometry too small: %d checkpoints, %d commits, %d log bytes after the prefix",
 			st.WALCheckpoints, st.WALCommits, st.WALLogBytes)
 	}
-	r := crashRun{inj: inj, acked: g.prefix}
 	before := inj.Ops()
 	if crashAt > 0 {
 		inj.ArmCrash(crashAt)
@@ -261,7 +275,13 @@ func runCrashMatrix(t *testing.T, g geometry, torn bool) {
 		// truncate, sync. Fewer means the op accounting broke.
 		t.Fatalf("counting run saw only %d ops", n)
 	}
-	t.Logf("crash matrix: %d I/O boundaries (prefix=%d torn=%v)", n, g.prefix, torn)
+	// Eager: every commit checkpoints, so every page record is a page's
+	// first since a checkpoint and must be a full image. Lazy: the log the
+	// sweep recovers from must hold deltas, or the new path goes untested.
+	if (g.prefix == 0) != (count.deltas == 0) {
+		t.Fatalf("counting run logged %d delta records (prefix=%d)", count.deltas, g.prefix)
+	}
+	t.Logf("crash matrix: %d I/O boundaries, %d delta records (prefix=%d torn=%v)", n, count.deltas, g.prefix, torn)
 
 	sawOld, sawNew, sawAckedCrash := false, false, false
 	for k := 1; k <= n; k++ {

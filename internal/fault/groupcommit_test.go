@@ -11,6 +11,7 @@ import (
 	axml "repro"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/pagestore"
 	"repro/internal/wal"
 )
 
@@ -28,6 +29,9 @@ type logWatch struct {
 	early    []uint64 // segments written ahead of the durable log
 }
 
+// lsnOnly is the delta base of a parse that wants only the batch's LSN.
+func lsnOnly(pagestore.PageID, []byte) error { return nil }
+
 type watchedLog struct {
 	wal.File
 	w *logWatch
@@ -36,7 +40,7 @@ type watchedLog struct {
 func (f watchedLog) WriteAt(p []byte, off int64) (int, error) {
 	n, err := f.File.WriteAt(p, off)
 	if err == nil {
-		if _, lsn, perr := wal.ParseSegment("log batch", p, cmPageSize); perr == nil {
+		if _, lsn, perr := wal.ParseSegment("log batch", p, cmPageSize, lsnOnly); perr == nil {
 			f.w.mu.Lock()
 			f.w.appended += int64(len(p))
 			f.w.endOf[lsn] = f.w.appended
@@ -68,7 +72,7 @@ type watchedSegment struct {
 }
 
 func (f watchedSegment) WriteAt(p []byte, off int64) (int, error) {
-	if _, lsn, err := wal.ParseSegment("segment", p, cmPageSize); err == nil {
+	if _, lsn, err := wal.ParseSegment("segment", p, cmPageSize, lsnOnly); err == nil {
 		f.w.mu.Lock()
 		if end, ok := f.w.endOf[lsn]; !ok || end > f.w.durable {
 			f.w.early = append(f.w.early, lsn)

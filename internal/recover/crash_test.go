@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	axml "repro"
@@ -141,13 +142,30 @@ func TestRestoreCrashMatrix(t *testing.T) {
 	db := filepath.Join(dir, "live.db")
 	archive := filepath.Join(dir, "segments")
 
-	// A store with archived history: load, back up, then two more commits.
+	// A store with archived history: load, back up, then more commits. The
+	// padding makes the page file large enough that the log holds several
+	// commits, so that after the backup the first commit logs its pages in
+	// full and the ones after it as deltas. The insert before the backup
+	// splits the loaded range, which rewrites every page.
 	s, err := axml.OpenFileWAL(db, testCfg(), archive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := axml.LoadXMLString(s, `<log/>`)
+	var doc strings.Builder
+	doc.WriteString("<log>")
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&doc, `<pad n="%d">padding that fills the page file</pad>`, i)
+	}
+	doc.WriteString("</log>")
+	root, err := axml.LoadXMLString(s, doc.String())
 	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := axml.ParseFragment(`<split/>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InsertIntoLast(root, split); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -183,6 +201,24 @@ func TestRestoreCrashMatrix(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	meta, err := recov.ReadBackupMeta(backup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := wal.MaxArchivedLSN(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := 0
+	count := func(pagestore.PageID, []byte) error { deltas++; return nil }
+	for lsn := meta.LSN + 1; lsn <= head; lsn++ {
+		if _, _, err := wal.ReadSegment(filepath.Join(archive, wal.SegmentFileName(lsn)), pgSize, count); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if deltas == 0 {
+		t.Fatalf("segments %d..%d hold no delta record: the sweep would not replay one", meta.LSN+1, head)
+	}
 
 	refDest := filepath.Join(dir, "ref.db")
 	if _, err := axml.RestoreFile(backup, refDest, archive, 0); err != nil {
@@ -208,7 +244,7 @@ func TestRestoreCrashMatrix(t *testing.T) {
 	if n < 3 {
 		t.Fatalf("counting run saw only %d ops", n)
 	}
-	t.Logf("restore crash matrix: %d I/O boundaries", n)
+	t.Logf("restore crash matrix: %d I/O boundaries, %d delta records replayed", n, deltas)
 
 	for k := 1; k <= n; k++ {
 		dest := filepath.Join(dir, fmt.Sprintf("restore-%03d.db", k))

@@ -97,10 +97,18 @@ func Restore(basePath, destPath string, opt RestoreOptions) (RestoreInfo, error)
 		info.FinalLSN = meta.LSN
 
 		// Roll forward: archived segments are a contiguous LSN sequence; a
-		// gap means the archive cannot reach the target.
+		// gap means the archive cannot reach the target. base stays the
+		// image so far, which a segment's deltas apply to.
+		prev := func(id pagestore.PageID, buf []byte) error {
+			clear(buf)
+			if off := int(id) * ps; off < len(base) {
+				copy(buf, base[off:])
+			}
+			return nil
+		}
 		for lsn := meta.LSN + 1; lsn <= target; lsn++ {
 			segPath := filepath.Join(opt.ArchiveDir, wal.SegmentFileName(lsn))
-			pages, segLSN, err := wal.ReadSegment(segPath, ps)
+			pages, segLSN, err := wal.ReadSegment(segPath, ps, prev)
 			if err != nil {
 				if os.IsNotExist(err) {
 					return fmt.Errorf("recover: restore: archive gap: segment %d missing (have up to %d, target %d)", lsn, lsn-1, target)
@@ -111,9 +119,14 @@ func Restore(basePath, destPath string, opt RestoreOptions) (RestoreInfo, error)
 				return fmt.Errorf("recover: restore: segment file %s carries LSN %d", wal.SegmentFileName(lsn), segLSN)
 			}
 			for _, p := range pages {
-				if _, err := f.WriteAt(p.Data, int64(p.ID)*int64(ps)); err != nil {
+				off := int(p.ID) * ps
+				if _, err := f.WriteAt(p.Data, int64(off)); err != nil {
 					return err
 				}
+				if grow := off + ps - len(base); grow > 0 {
+					base = append(base, make([]byte, grow)...)
+				}
+				copy(base[off:], p.Data)
 			}
 			info.SegmentsApplied++
 			info.FinalLSN = lsn

@@ -18,6 +18,7 @@ import (
 	axml "repro"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/pagestore"
 	recov "repro/internal/recover"
 	"repro/internal/replica"
 	"repro/internal/wal"
@@ -32,6 +33,7 @@ type crashFixture struct {
 	baseLSN  uint64
 	headLSN  uint64
 	expected map[uint64]string
+	deltas   int // delta records in the segments past the base
 }
 
 func nightlyScale(normal, nightly int) int {
@@ -46,7 +48,7 @@ func nightlyScale(normal, nightly int) int {
 // sweep also cross-checks that segment apply and restore replay agree.
 func buildCrashFixture(t *testing.T, dir string) *crashFixture {
 	t.Helper()
-	p := newPrimary(t, dir)
+	p := newPaddedPrimary(t, dir, 400)
 	p.commit()
 	base := filepath.Join(dir, "base.bak")
 	meta := p.backup(base)
@@ -66,6 +68,10 @@ func buildCrashFixture(t *testing.T, dir string) *crashFixture {
 		base: base, arch: p.arch,
 		baseLSN: meta.LSN, headLSN: head,
 		expected: make(map[uint64]string),
+		deltas:   countDeltas(t, p.arch, meta.LSN+1, head),
+	}
+	if fx.deltas == 0 {
+		t.Fatalf("segments %d..%d hold no delta record: the sweep would not apply one", meta.LSN+1, head)
 	}
 	for lsn := meta.LSN; lsn <= head; lsn++ {
 		dest := filepath.Join(dir, fmt.Sprintf("expect-%d.db", lsn))
@@ -76,6 +82,19 @@ func buildCrashFixture(t *testing.T, dir string) *crashFixture {
 		os.Remove(dest)
 	}
 	return fx
+}
+
+// countDeltas counts the delta records in archived segments from..to.
+func countDeltas(t *testing.T, arch string, from, to uint64) int {
+	t.Helper()
+	n := 0
+	count := func(pagestore.PageID, []byte) error { n++; return nil }
+	for lsn := from; lsn <= to; lsn++ {
+		if _, _, err := wal.ReadSegment(filepath.Join(arch, wal.SegmentFileName(lsn)), pgSize, count); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
 }
 
 func xmlAt(t *testing.T, db string) string {
@@ -184,7 +203,7 @@ func runReplicaCrashMatrix(t *testing.T, torn bool) {
 		// apply path stopped going through the wrapped files.
 		t.Fatalf("counting run saw only %d ops", n)
 	}
-	t.Logf("replica crash matrix: %d I/O boundaries (torn=%v)", n, torn)
+	t.Logf("replica crash matrix: %d I/O boundaries, %d delta records shipped (torn=%v)", n, fx.deltas, torn)
 
 	sawBase, sawHead, sawMid := false, false, false
 	for k := 1; k <= n; k++ {

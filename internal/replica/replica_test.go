@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,7 +39,12 @@ type primary struct {
 	n    int
 }
 
-func newPrimary(t *testing.T, dir string) *primary {
+func newPrimary(t *testing.T, dir string) *primary { return newPaddedPrimary(t, dir, 0) }
+
+// newPaddedPrimary is newPrimary with pad elements loaded ahead of the log:
+// enough of them make the page file large enough that the log holds several
+// commits between checkpoints, and their pages log as deltas.
+func newPaddedPrimary(t *testing.T, dir string, pad int) *primary {
 	t.Helper()
 	p := &primary{
 		t:    t,
@@ -55,7 +61,13 @@ func newPrimary(t *testing.T, dir string) *primary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := axml.LoadXMLString(s, `<log/>`)
+	var doc strings.Builder
+	doc.WriteString("<log>")
+	for i := 0; i < pad; i++ {
+		fmt.Fprintf(&doc, `<pad n="%d">padding that fills the page file</pad>`, i)
+	}
+	doc.WriteString("</log>")
+	root, err := axml.LoadXMLString(s, doc.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,9 @@ const batchBytes = (recHeader + 512 + 4) + (recHeader + 8 + 4)
 // A commit costs one fsync; the page file is left alone until the log has
 // outgrown 1/checkpointFraction of it, then one checkpoint (two more fsyncs)
 // folds every batch in and empties the log. The journal's own counters agree
-// with what an observer below it counts.
+// with what an observer below it counts. Commits per checkpoint follow from
+// the bytes each batch logs: a full image per page on its first touch, a
+// delta after that.
 func TestLazyCheckpoint(t *testing.T) {
 	const pages = 200
 	p, path, ids, c := openCounted(t, pages, "")
@@ -91,7 +93,7 @@ func TestLazyCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	commits, syncs, checkpoints, _, logBytes := p.JournalStats()
+	commits, syncs, checkpoints, _, logBytes, _ := p.JournalStats()
 	if n := uint64(perCheckpoint - 1); commits != n || syncs != n || checkpoints != 0 || logBytes != int64(n)*batchBytes {
 		t.Fatalf("before the threshold: commits %d syncs %d checkpoints %d log %d, want %d/%d/0/%d",
 			commits, syncs, checkpoints, logBytes, n, n, int64(n)*batchBytes)
@@ -110,7 +112,7 @@ func TestLazyCheckpoint(t *testing.T) {
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	commits, syncs, checkpoints, _, logBytes = p.JournalStats()
+	commits, syncs, checkpoints, _, logBytes, _ = p.JournalStats()
 	if n := uint64(perCheckpoint); commits != n || syncs != n+2 || checkpoints != 1 || logBytes != 0 {
 		t.Fatalf("after the threshold: commits %d syncs %d checkpoints %d log %d, want %d/%d/1/0",
 			commits, syncs, checkpoints, logBytes, n, n+2)
@@ -125,6 +127,41 @@ func TestLazyCheckpoint(t *testing.T) {
 	}
 	if st, err := os.Stat(path + ".wal"); err != nil || st.Size() != 0 {
 		t.Fatalf("log after checkpoint: %v, size %d", err, st.Size())
+	}
+
+	// One page rewritten with one byte changed per commit: the first commit
+	// after the checkpoint logs the page in full, every later one a delta
+	// of one run, so the next checkpoint comes where the threshold divided
+	// by those two sizes says — many times later than with full images.
+	const deltaBatch = (recHeader + 2 + 1 + 1 + 4) + (recHeader + 8 + 4) // offset 300 is a 2-byte uvarint
+	img := fill(0x42)
+	var logged int64
+	for i := 1; ; i++ {
+		img[300] = byte(i)
+		if err := p.WritePage(ids[0], img); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			logged = batchBytes
+		} else {
+			logged += deltaBatch
+		}
+		_, _, checkpoints, _, logBytes, _ = p.JournalStats()
+		if logged > threshold {
+			if checkpoints != 2 || logBytes != 0 {
+				t.Fatalf("commit %d crossed the threshold: %d checkpoints, log %d bytes; want 2, 0", i, checkpoints, logBytes)
+			}
+			if i < 10*perCheckpoint {
+				t.Fatalf("deltas bought only %d commits per checkpoint against %d with full images", i, perCheckpoint)
+			}
+			break
+		}
+		if checkpoints != 1 || logBytes != logged {
+			t.Fatalf("commit %d: %d checkpoints, log %d bytes; want 1, %d", i, checkpoints, logBytes, logged)
+		}
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -305,7 +342,7 @@ func TestFailingCheckpointBacksOff(t *testing.T) {
 		}
 	}
 	// Attempts at commits 1, 3, 6, 11, 20, 37: the wait doubles each time.
-	_, _, checkpoints, failed, logBytes := p.JournalStats()
+	_, _, checkpoints, failed, logBytes, _ := p.JournalStats()
 	if checkpoints != 0 || failed != 6 || failed != attempts.Load() || logBytes != commits*batchBytes {
 		t.Fatalf("%d checkpoints, %d failed (%d attempts seen), log %d bytes; want 0, 6 (6), %d",
 			checkpoints, failed, attempts.Load(), logBytes, commits*batchBytes)
@@ -322,7 +359,7 @@ func TestFailingCheckpointBacksOff(t *testing.T) {
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, checkpoints, failed, logBytes := p.JournalStats(); checkpoints != 1 || failed != 7 || logBytes != 0 {
+	if _, _, checkpoints, failed, logBytes, _ := p.JournalStats(); checkpoints != 1 || failed != 7 || logBytes != 0 {
 		t.Fatalf("after the outage: %d checkpoints, %d failed, log %d bytes; want 1, 7, 0", checkpoints, failed, logBytes)
 	}
 	// The backoff is gone with the outage: the next commit checkpoints.
@@ -332,7 +369,7 @@ func TestFailingCheckpointBacksOff(t *testing.T) {
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, checkpoints, _, _ := p.JournalStats(); checkpoints != 2 {
+	if _, _, checkpoints, _, _, _ := p.JournalStats(); checkpoints != 2 {
 		t.Fatalf("%d checkpoints after recovery, want 2", checkpoints)
 	}
 	if err := p.Close(); err != nil {
@@ -447,7 +484,7 @@ func TestGroupCommitTickets(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	commits, _, checkpoints, _, _ := p.JournalStats()
+	commits, _, checkpoints, _, _, _ := p.JournalStats()
 	if commits != writers*rounds || p.LSN() != writers*rounds {
 		t.Fatalf("commits %d, LSN %d, want %d of each", commits, p.LSN(), writers*rounds)
 	}

@@ -137,7 +137,7 @@ func TestParseSegmentValidatesRawBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pages, lsn, err := ParseSegment(name, data, ps)
+	pages, lsn, err := ParseSegment(name, data, ps, nil)
 	if err != nil {
 		t.Fatalf("ParseSegment on intact bytes: %v", err)
 	}
@@ -151,22 +151,22 @@ func TestParseSegmentValidatesRawBytes(t *testing.T) {
 	// Torn fetch: every proper prefix must fail (a transport under
 	// concurrent shipping returns exactly these).
 	for _, cut := range []int{0, 1, len(data) / 2, len(data) - 1} {
-		if _, _, err := ParseSegment(name, data[:cut], ps); err == nil {
+		if _, _, err := ParseSegment(name, data[:cut], ps, nil); err == nil {
 			t.Errorf("ParseSegment accepted a %d/%d-byte torn prefix", cut, len(data))
 		}
 	}
 	// Trailing garbage after the commit record.
-	if _, _, err := ParseSegment(name, append(append([]byte{}, data...), 0xAB), ps); err == nil {
+	if _, _, err := ParseSegment(name, append(append([]byte{}, data...), 0xAB), ps, nil); err == nil {
 		t.Error("ParseSegment accepted trailing bytes after the commit")
 	}
 	// A flipped byte in a record body breaks that record's CRC.
 	bad := append([]byte{}, data...)
 	bad[len(bad)/2] ^= 0xFF
-	if _, _, err := ParseSegment(name, bad, ps); err == nil {
+	if _, _, err := ParseSegment(name, bad, ps, nil); err == nil {
 		t.Error("ParseSegment accepted a corrupted record")
 	}
 	// Wrong page size: the page image length no longer matches.
-	if _, _, err := ParseSegment(name, data, ps*2); err == nil {
+	if _, _, err := ParseSegment(name, data, ps*2, nil); err == nil {
 		t.Error("ParseSegment accepted a segment under the wrong page size")
 	}
 }

@@ -4,8 +4,8 @@
 # Runs formatting, a guard that keeps one durable file-replace
 # implementation, vet, build, the full test suite, the race detector over
 # the concurrency-sensitive packages, a short fuzz of the xpath executors
-# against each other, of the xquery evaluator, and of the range cursor
-# against the reference store,
+# against each other, of the xquery evaluator, of the range cursor
+# against the reference store, and of the journal against its model,
 # and the benchmark module's smoke test
 # (benchmark/ is a module of its own, so ./... does not reach it). Exits
 # non-zero on the first failure. CI and pre-commit hooks should call exactly
@@ -42,8 +42,8 @@ go test -race ./internal/lock ./internal/core ./internal/txn ./internal/fault ./
 echo "== go test -race (root-package stress incl. cold file-backed readers beside a splitting writer, chaos soak, overload paths)"
 go test -race -run 'Stress|Concurrent|Chaos|Overload|Deadline' .
 
-echo "== go test -race (partition chaos: net faults, kill -9 primary, fleet + automatic failover; crash sweeps of the durable-replace helper and of backup)"
-go test -race -run 'TestPartitionChaos|TestNetChaos|TestFleet|TestFailover|TestReplaceFileCrashSweep|TestBackupCrashMatrix' ./internal/server ./internal/fault ./internal/wal ./internal/recover
+echo "== go test -race (partition chaos: net faults, kill -9 primary, fleet + automatic failover; crash sweeps of the durable-replace helper and of backup; the WAL reference model; parent-era logs and segments)"
+go test -race -run 'TestPartitionChaos|TestNetChaos|TestFleet|TestFailover|TestReplaceFileCrashSweep|TestBackupCrashMatrix|TestWALModel|TestParentEraLogAndSegments' ./internal/server ./internal/fault ./internal/wal ./internal/recover ./internal/replica
 
 echo "== go test -fuzz (xpath, xquery: 10s per target, so the differential checks and the FLWOR loop meet fresh inputs, not only the seed corpus)"
 go test -run '^$' -fuzz FuzzXPathParser -fuzztime 10s ./internal/xpath
@@ -54,6 +54,9 @@ go test -run '^$' -fuzz FuzzXQueryParser -fuzztime 10s ./internal/xquery
 echo "== go test -fuzz (core: 10s per target — cursor reads vs the reference store under splits and merges; node XML from stored bytes vs the old serializer)"
 go test -run '^$' -fuzz FuzzCursorDifferential -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz FuzzAppendNodeXML -fuzztime 10s ./internal/core
+
+echo "== go test -fuzz (wal: 10s — journal scripts with crashes against the reference model)"
+go test -run '^$' -fuzz FuzzWALModel -fuzztime 10s ./internal/wal
 
 echo "== benchmark smoke (nested module: every layer probe against the current internal/* API)"
 (cd benchmark && go test ./...)
