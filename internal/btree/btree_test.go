@@ -285,6 +285,52 @@ func TestDescendingInsert(t *testing.T) {
 	}
 }
 
+// leaves returns the leaf chain from the leftmost leaf.
+func (t *Tree[V]) leaves() []*node[V] {
+	n := t.root
+	for !n.leaf() {
+		n = n.children[0]
+	}
+	var out []*node[V]
+	for ; n != nil; n = n.next {
+		out = append(out, n)
+	}
+	return out
+}
+
+// TestAscendingInsertKeepsLeavesFull: keys arriving in ascending order, as
+// the Range Index receives them, leave every leaf but the last holding
+// degree keys in arrays of exactly that length. An insert into the middle
+// of a full leaf still splits it in half.
+func TestAscendingInsertKeepsLeavesFull(t *testing.T) {
+	tr := New[int]()
+	const n = 10*degree + 7
+	for i := 0; i < n; i++ {
+		tr.Set(uint64(2*i), i)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	leaves := tr.leaves()
+	if len(leaves) != n/degree+1 {
+		t.Fatalf("%d keys in %d leaves, want %d", n, len(leaves), n/degree+1)
+	}
+	for i, l := range leaves[:len(leaves)-1] {
+		if len(l.keys) != degree || cap(l.keys) != degree || cap(l.vals) != degree {
+			t.Fatalf("leaf %d: %d keys, capacity %d keys and %d values; want %d of each",
+				i, len(l.keys), cap(l.keys), cap(l.vals), degree)
+		}
+	}
+	tr.Set(1, -1) // into the first, full leaf
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	leaves = tr.leaves()
+	if l, r := len(leaves[0].keys), len(leaves[1].keys); l != (degree+1)/2 || r != degree+1-(degree+1)/2 {
+		t.Fatalf("a middle insert split a full leaf into %d and %d keys, want halves", l, r)
+	}
+}
+
 func BenchmarkSetSequential(b *testing.B) {
 	tr := New[int]()
 	b.ReportAllocs()

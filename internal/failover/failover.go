@@ -127,6 +127,10 @@ type Node interface {
 	// primary. Called only after a won election; the coordinator records
 	// the new epoch in its term file once Promote returns.
 	Promote(ctx context.Context) error
+	// LeaderChanged tells a follower it accepted leaderID's lease at epoch
+	// after following another leader. Called without the coordinator's
+	// lock; it must not block on the follower's apply path.
+	LeaderChanged(epoch uint64, leaderID string)
 }
 
 // PeerClient carries the two protocol messages to a fleet member.
@@ -632,10 +636,18 @@ func (c *Coordinator) adoptLocked(epoch uint64) {
 
 // OnLease handles a heartbeat from a claimed leader (wired from the
 // server's dispatch). It never errors: the reply carries everything a
-// stale or current leader needs to know.
-func (c *Coordinator) OnLease(req LeaseRequest) LeaseReply {
+// stale or current leader needs to know. Accepting a leader other than the
+// one this node followed before tells the node so (Node.LeaderChanged).
+func (c *Coordinator) OnLease(req LeaseRequest) (rep LeaseReply) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	prev := c.leaderID
+	defer func() {
+		c.mu.Unlock()
+		if rep.OK && prev != "" && prev != req.LeaderID {
+			c.logf("leader %s replaced by %s at epoch %d", prev, req.LeaderID, req.Epoch)
+			c.node.LeaderChanged(req.Epoch, req.LeaderID)
+		}
+	}()
 	if req.Epoch < c.term.Epoch {
 		return LeaseReply{Epoch: c.term.Epoch, OK: false}
 	}

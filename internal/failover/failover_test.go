@@ -19,6 +19,19 @@ type fakeNode struct {
 	lsn      uint64
 	promoted int
 	promErr  error
+	leaders  []string // LeaderChanged calls, in order
+}
+
+func (n *fakeNode) LeaderChanged(_ uint64, leaderID string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.leaders = append(n.leaders, leaderID)
+}
+
+func (n *fakeNode) leaderChanges() []string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]string(nil), n.leaders...)
 }
 
 func (n *fakeNode) Role() string {
@@ -231,6 +244,9 @@ func TestFailoverElectsHighestLSN(t *testing.T) {
 	waitFor(t, 2*time.Second, "primary quorum lease", func() bool {
 		return cs["n1"].CheckWrite(0) == nil
 	})
+	waitFor(t, 2*time.Second, "followers accepting n1", func() bool {
+		return cs["n2"].Status().LeaderID == "n1" && cs["n3"].Status().LeaderID == "n1"
+	})
 	// Kill the primary (unreachable both ways).
 	fleet.partition("a1", true)
 	cs["n1"].Close()
@@ -240,6 +256,17 @@ func TestFailoverElectsHighestLSN(t *testing.T) {
 	})
 	if got := ns["n2"].Role(); got != "replica" {
 		t.Fatalf("n2 role = %q, want replica", got)
+	}
+	// The first leader a follower accepts is no change; the winner's lease
+	// replacing n1 is, and only on the follower that still follows.
+	waitFor(t, 2*time.Second, "n2 told of the new leader", func() bool {
+		return len(ns["n2"].leaderChanges()) > 0
+	})
+	if got := ns["n2"].leaderChanges(); len(got) != 1 || got[0] != "n3" {
+		t.Fatalf("n2 leader changes = %v, want [n3]", got)
+	}
+	if got := ns["n3"].leaderChanges(); len(got) != 0 {
+		t.Fatalf("the winner was told of leader changes %v", got)
 	}
 	if e := cs["n3"].Epoch(); e < 2 {
 		t.Fatalf("winner epoch = %d, want >= 2", e)

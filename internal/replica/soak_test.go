@@ -83,10 +83,10 @@ func TestReplicaChaosSoak(t *testing.T) {
 	}
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(7))
-	p := newPrimary(t, dir)
+	p := newPaddedPrimary(t, dir, 400) // its segments carry delta records
 	p.commit()
 	base := filepath.Join(dir, "base.bak")
-	p.backup(base)
+	meta := p.backup(base)
 
 	var followers []*soakFollower
 	for i := 0; i < 2; i++ {
@@ -119,6 +119,11 @@ func TestReplicaChaosSoak(t *testing.T) {
 	p.commit()
 	head := p.wp.LSN()
 	want := p.xml()
+	if n := countDeltas(t, p.arch, meta.LSN+1, head); n == 0 {
+		t.Fatal("the soak shipped no delta record")
+	} else {
+		t.Logf("soak shipped %d delta records in %d segments", n, head-meta.LSN)
+	}
 	deadline := time.Now().Add(20 * time.Second)
 	for _, sf := range followers {
 		sf.apply.FreeSpace()

@@ -55,6 +55,18 @@ func (n serverNode) Promote(ctx context.Context) error {
 	return err
 }
 
+// LeaderChanged stalls a still-following node: its source is the primary
+// the fleet just replaced, and a revived old primary re-archives its
+// unacknowledged tail under LSNs the new primary has reused. The stall
+// waits for the follower's lock, so it runs off the lease-answering path.
+func (n serverNode) LeaderChanged(epoch uint64, leaderID string) {
+	f := n.s.opt.Follower
+	if f == nil || n.s.promoted.Load() != nil {
+		return
+	}
+	go f.Stall(fmt.Errorf("the fleet elected %s primary at epoch %d; this follower's source was deposed — re-point it at the new primary", leaderID, epoch))
+}
+
 // AttachFailover builds, installs and starts the failover coordinator for
 // this node. cfg.NodeID defaults to Options.NodeID. peers carries lease
 // and vote RPCs to the rest of the fleet — FleetPeers speaks this
