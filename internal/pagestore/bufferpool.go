@@ -19,11 +19,12 @@ var (
 // Frame is a page resident in the buffer pool. The Data slice is valid while
 // the frame is pinned; callers must not retain it past Unpin.
 type Frame struct {
-	ID    PageID
-	Data  []byte
-	pins  int
-	dirty bool
-	stamp atomic.Uint64 // last-use stamp from the pool clock
+	ID      PageID
+	Data    []byte
+	pins    int
+	dirty   bool
+	dirtyAt int           // index in the shard's dirty list while dirty
+	stamp   atomic.Uint64 // last-use stamp from the pool clock
 }
 
 // PoolStats counts buffer pool traffic. Reads of XML data flow through the
@@ -50,11 +51,47 @@ const (
 // point reads of the same hot page scale with cores. Recency lives in
 // per-frame atomic stamps rather than a list: stamps need no exclusive
 // section on the hit path, and eviction picks the oldest unpinned frame of a
-// bounded sample, so a miss costs the same whatever the shard holds.
+// bounded sample, so a miss costs the same whatever the shard holds. The
+// shard also lists its dirty frames, so a flush visits those and no others;
+// a frame leaves the list when it is written back or freed, so the list
+// never outgrows the frame table.
 type poolShard struct {
 	mu       sync.RWMutex
 	capacity int
 	frames   map[PageID]*Frame
+	dirty    []*Frame
+}
+
+// markDirty adds f to the shard's dirty list unless it is already on it.
+func (sh *poolShard) markDirty(f *Frame) {
+	if f.dirty {
+		return
+	}
+	f.dirty, f.dirtyAt = true, len(sh.dirty)
+	sh.dirty = append(sh.dirty, f)
+}
+
+// markClean takes f off the shard's dirty list, if it is on it.
+func (sh *poolShard) markClean(f *Frame) {
+	if !f.dirty {
+		return
+	}
+	last := len(sh.dirty) - 1
+	sh.dirty[f.dirtyAt], sh.dirty[last].dirtyAt = sh.dirty[last], f.dirtyAt
+	sh.dirty[last] = nil
+	sh.dirty = sh.dirty[:last]
+	f.dirty = false
+}
+
+// writeBackLocked writes a dirty frame to the pager and marks it clean.
+func (bp *BufferPool) writeBackLocked(sh *poolShard, f *Frame) error {
+	StampChecksum(f.Data)
+	if err := bp.pager.WritePage(f.ID, f.Data); err != nil {
+		return err
+	}
+	sh.markClean(f)
+	bp.flushes.Add(1)
+	return nil
 }
 
 // BufferPool caches pages with pin-count-aware, approximately-LRU eviction
@@ -253,7 +290,7 @@ func (bp *BufferPool) NewPage() (*Frame, error) {
 		bp.pager.Free(id)
 		return nil, err
 	}
-	f.dirty = true
+	sh.markDirty(f)
 	return f, nil
 }
 
@@ -296,11 +333,9 @@ func (bp *BufferPool) evictLocked(sh *poolShard) ([]byte, error) {
 		return nil, ErrPoolFull
 	}
 	if f.dirty {
-		StampChecksum(f.Data)
-		if err := bp.pager.WritePage(f.ID, f.Data); err != nil {
+		if err := bp.writeBackLocked(sh, f); err != nil {
 			return nil, err
 		}
-		bp.flushes.Add(1)
 	}
 	delete(sh.frames, f.ID)
 	bp.budget.Discharge(budget.Pool, bp.frameCost())
@@ -347,7 +382,7 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) error {
 		return fmt.Errorf("%w: page %d", ErrNotPinned, f.ID)
 	}
 	if dirty {
-		f.dirty = true
+		sh.markDirty(f)
 	}
 	f.pins--
 	if f.pins == 0 {
@@ -367,27 +402,23 @@ func (bp *BufferPool) FreePage(f *Frame) error {
 		return fmt.Errorf("%w: page %d has %d pins", ErrDoubleFree, f.ID, f.pins)
 	}
 	f.pins = 0
+	sh.markClean(f) // a freed page's contents are never written
 	delete(sh.frames, f.ID)
 	bp.budget.Discharge(budget.Pool, bp.frameCost())
 	return bp.pager.Free(f.ID)
 }
 
-// FlushAll writes back every dirty frame. Pinned frames are flushed too
-// (their contents at this instant). Shards are drained one at a time;
-// callers needing a consistent flush point (WAL commit) already exclude
-// writers.
+// FlushAll writes back every dirty frame, visiting only the shards' dirty
+// lists. Pinned frames are flushed too (their contents at this instant).
+// Shards are drained one at a time; callers needing a consistent flush point
+// (WAL commit) already exclude writers.
 func (bp *BufferPool) FlushAll() error {
 	for _, sh := range bp.shards {
 		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.dirty {
-				StampChecksum(f.Data)
-				if err := bp.pager.WritePage(f.ID, f.Data); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				f.dirty = false
-				bp.flushes.Add(1)
+		for len(sh.dirty) > 0 {
+			if err := bp.writeBackLocked(sh, sh.dirty[len(sh.dirty)-1]); err != nil {
+				sh.mu.Unlock()
+				return err
 			}
 		}
 		sh.mu.Unlock()

@@ -288,3 +288,146 @@ func TestPoolVictimBufferReuse(t *testing.T) {
 		t.Errorf("400 fills at capacity allocated %d bytes: page buffers are not being reused", grew)
 	}
 }
+
+// writeCounter counts the pager writes of each page.
+type writeCounter struct {
+	*MemPager
+	writes map[PageID]int
+}
+
+func (w *writeCounter) WritePage(id PageID, buf []byte) error {
+	w.writes[id]++
+	return w.MemPager.WritePage(id, buf)
+}
+
+func newCountedPool(capacity int) (*BufferPool, *writeCounter) {
+	w := &writeCounter{MemPager: NewMemPager(1024), writes: map[PageID]int{}}
+	return NewBufferPool(w, capacity), w
+}
+
+// checkDirtyLists verifies every shard's dirty list against its frames: it
+// holds exactly the resident dirty frames, each once, at its own index.
+func checkDirtyLists(t *testing.T, bp *BufferPool) {
+	t.Helper()
+	for si, sh := range bp.shards {
+		dirty := 0
+		for _, f := range sh.frames {
+			if f.dirty {
+				dirty++
+				if f.dirtyAt >= len(sh.dirty) || sh.dirty[f.dirtyAt] != f {
+					t.Fatalf("shard %d: dirty page %d is not at its index %d", si, f.ID, f.dirtyAt)
+				}
+			}
+		}
+		if len(sh.dirty) != dirty || len(sh.dirty) > len(sh.frames) {
+			t.Fatalf("shard %d: dirty list %d, dirty frames %d, resident %d", si, len(sh.dirty), dirty, len(sh.frames))
+		}
+	}
+}
+
+// TestPoolDirtyListEvictRefetch: a page dirtied, evicted (written back),
+// fetched again and dirtied again is written exactly once by the next
+// FlushAll, and not at all by the one after.
+func TestPoolDirtyListEvictRefetch(t *testing.T) {
+	bp, w := newCountedPool(4)
+	a, _ := bp.NewPage()
+	bp.Unpin(a, true)
+	for i := 0; i < 4; i++ { // evicts a
+		f, _ := bp.NewPage()
+		bp.Unpin(f, false)
+	}
+	if w.writes[a.ID] != 1 {
+		t.Fatalf("eviction wrote page %d %d times, want 1", a.ID, w.writes[a.ID])
+	}
+	f, err := bp.Fetch(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.Unpin(f, true)
+	checkDirtyLists(t, bp)
+	for round, want := range []int{2, 2} {
+		if err := bp.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes[a.ID] != want {
+			t.Fatalf("FlushAll %d: page %d written %d times in all, want %d", round+1, a.ID, w.writes[a.ID], want)
+		}
+		checkDirtyLists(t, bp)
+	}
+}
+
+// TestPoolFreedDirtyPageNeverWritten: freeing a dirty page takes it off the
+// dirty list, so no flush writes it.
+func TestPoolFreedDirtyPageNeverWritten(t *testing.T) {
+	bp, w := newCountedPool(8)
+	fresh, _ := bp.NewPage() // dirty from birth
+	redirtied, _ := bp.NewPage()
+	bp.Unpin(redirtied, true)
+	redirtied, _ = bp.Fetch(redirtied.ID)
+	if err := bp.FreePage(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.FreePage(redirtied); err != nil {
+		t.Fatal(err)
+	}
+	checkDirtyLists(t, bp)
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.writes) != 0 {
+		t.Fatalf("freed dirty pages were written: %v", w.writes)
+	}
+}
+
+// TestPoolDirtyListBoundedWithoutFlush: 10 000 dirtying unpins over more
+// pages than the pool holds, with no FlushAll, leave each shard's dirty list
+// no larger than its resident frames.
+func TestPoolDirtyListBoundedWithoutFlush(t *testing.T) {
+	bp, _ := newCountedPool(128) // two shards
+	var ids []PageID
+	for i := 0; i < 300; i++ {
+		f, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, f.ID)
+		bp.Unpin(f, true)
+	}
+	for i := 0; i < 10000; i++ {
+		f, err := bp.Fetch(ids[i*7919%len(ids)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bp.Unpin(f, true); err != nil {
+			t.Fatal(err)
+		}
+		if i%500 == 0 {
+			checkDirtyLists(t, bp)
+		}
+	}
+	checkDirtyLists(t, bp)
+}
+
+// TestPoolScrubSkipsDirtyFrames: a page dirty in the pool is skipped by
+// Scrub (its pager copy is legitimately stale); once flushed and clean, a
+// corrupt pager copy is reported.
+func TestPoolScrubSkipsDirtyFrames(t *testing.T) {
+	bp, w := newCountedPool(8)
+	f, _ := bp.NewPage()
+	bp.Unpin(f, true)
+	corrupt := append(make([]byte, 1023), 0xFF) // no valid checksum
+	w.MemPager.WritePage(f.ID, corrupt)
+	if errs := bp.Scrub(); len(errs) != 0 {
+		t.Fatalf("Scrub reported a page dirty in the pool: %v", errs)
+	}
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if errs := bp.Scrub(); len(errs) != 0 {
+		t.Fatalf("after FlushAll: %v", errs)
+	}
+	w.MemPager.WritePage(f.ID, corrupt)
+	if errs := bp.Scrub(); len(errs) != 1 {
+		t.Fatalf("Scrub of a clean page with a corrupt pager copy: %v", errs)
+	}
+}

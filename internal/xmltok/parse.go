@@ -29,23 +29,30 @@ func isAllSpace(s string) bool {
 
 func collect(s *Scanner, opts ParseOptions) ([]token.Token, error) {
 	var out []token.Token
+	if s.r == nil {
+		// String input: size the result once. A leaf element's two tags
+		// carry its begin, text and end (1.5 tokens per '<'), an '=' an
+		// attribute's pair; denser input grows the slice.
+		lt := strings.Count(s.src, "<")
+		out = make([]token.Token, 0, lt+lt/2+2*strings.Count(s.src, "=")+1)
+	}
 	for {
-		t, err := s.Next()
-		if err == io.EOF {
+		n := len(out)
+		var err error
+		if out, err = s.read(out); err == io.EOF {
 			return out, nil
-		}
-		if err != nil {
+		} else if err != nil {
 			return nil, err
 		}
-		switch {
-		case opts.StripWhitespace && t.Kind == token.Text && isAllSpace(t.Value):
-			continue
-		case opts.DropComments && t.Kind == token.Comment:
-			continue
-		case opts.DropPIs && t.Kind == token.PI:
-			continue
+		if len(out) > n+1 {
+			continue // an element begin and its attributes
 		}
-		out = append(out, t)
+		switch t := out[n]; {
+		case opts.StripWhitespace && t.Kind == token.Text && isAllSpace(t.Value),
+			opts.DropComments && t.Kind == token.Comment,
+			opts.DropPIs && t.Kind == token.PI:
+			out = out[:n]
+		}
 	}
 }
 
@@ -57,9 +64,10 @@ func Parse(r io.Reader, opts ParseOptions) ([]token.Token, error) {
 	return collect(NewScanner(r), opts)
 }
 
-// ParseString is Parse over a string.
+// ParseString is Parse over a string, scanned in place: the returned tokens
+// may share memory with s.
 func ParseString(s string, opts ParseOptions) ([]token.Token, error) {
-	return Parse(strings.NewReader(s), opts)
+	return collect(newScanner(s, nil, false), opts)
 }
 
 // ParseFragment tokenizes an XML fragment (any sequence of top-level nodes).
@@ -67,9 +75,10 @@ func ParseFragment(r io.Reader, opts ParseOptions) ([]token.Token, error) {
 	return collect(NewFragmentScanner(r), opts)
 }
 
-// ParseFragmentString is ParseFragment over a string.
+// ParseFragmentString is ParseFragment over a string, scanned in place: the
+// returned tokens may share memory with s.
 func ParseFragmentString(s string, opts ParseOptions) ([]token.Token, error) {
-	return ParseFragment(strings.NewReader(s), opts)
+	return collect(newScanner(s, nil, true), opts)
 }
 
 // MustParse parses a trusted document literal, panicking on error. Intended

@@ -155,10 +155,14 @@ func TestPropertyRoundTrip(t *testing.T) {
 }
 
 // mergeAdjacentText normalizes fragments where two text tokens are adjacent
-// (the parser cannot distinguish them from one).
+// (the parser cannot distinguish them from one) and drops empty text tokens
+// (an empty CDATA section scans as one; serialized, it is nothing).
 func mergeAdjacentText(seq []token.Token) []token.Token {
 	var out []token.Token
 	for _, t := range seq {
+		if t.Kind == token.Text && t.Value == "" {
+			continue
+		}
 		if t.Kind == token.Text && len(out) > 0 && out[len(out)-1].Kind == token.Text {
 			out[len(out)-1].Value += t.Value
 			continue

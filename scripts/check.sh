@@ -5,8 +5,9 @@
 # implementation, vet, build, the full test suite, the race detector over
 # the concurrency-sensitive packages, a short fuzz of the xpath executors
 # against each other, of the xquery evaluator, of the range cursor
-# against the reference store, and of the journal against its model,
-# and the benchmark module's smoke test
+# against the reference store, of the journal against its model, and of
+# the XML scanner against the one it replaced, and the benchmark module's
+# smoke test
 # (benchmark/ is a module of its own, so ./... does not reach it). Exits
 # non-zero on the first failure. CI and pre-commit hooks should call exactly
 # this script.
@@ -57,6 +58,10 @@ go test -run '^$' -fuzz FuzzAppendNodeXML -fuzztime 10s ./internal/core
 
 echo "== go test -fuzz (wal: 10s — journal scripts with crashes against the reference model)"
 go test -run '^$' -fuzz FuzzWALModel -fuzztime 10s ./internal/wal
+
+echo "== go test -fuzz (xmltok: 10s per target — the scanner's accepted output round-trips; the scanner vs the reference scanner it replaced, from strings and from a reader that crosses a refill at every token)"
+go test -run '^$' -fuzz 'FuzzParse$' -fuzztime 10s ./internal/xmltok
+go test -run '^$' -fuzz FuzzScannerDifferential -fuzztime 10s ./internal/xmltok
 
 echo "== benchmark smoke (nested module: every layer probe against the current internal/* API)"
 (cd benchmark && go test ./...)
