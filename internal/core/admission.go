@@ -1,7 +1,9 @@
 // Admission control: a semaphore with a bounded wait queue in front of every
-// public store operation. Under overload the store degrades predictably —
-// excess work waits briefly, then is shed with a typed ErrOverloaded —
-// instead of piling goroutines onto s.mu until latency and memory collapse.
+// public store operation, and the two prologues (readOp, writeOp) through
+// which every gated operation enters the store. Under overload the store
+// degrades predictably — excess work waits briefly, then is shed with a
+// typed ErrOverloaded — instead of piling goroutines onto s.mu until latency
+// and memory collapse.
 // The paper's theme of bounded lazy structures (a partial index that refuses
 // to grow past its budget) applied to concurrency itself.
 package core
@@ -120,15 +122,56 @@ func isCritical(ctx context.Context) bool {
 	return v
 }
 
-// beginOp is the prologue of every public operation: it applies the
-// configured OpTimeout (only when the caller brought no deadline of its
-// own), then passes admission control. On success the returned context
-// carries the deadline and finish must be deferred; on failure the typed
-// error is returned as the operation's result.
+// readOp is how every gated read enters the store: admission and OpTimeout
+// (beginOp), the shared lock, the corruption latch, the closed check, then fn
+// with a pooled cursor that reads under the operation's context. A checksum
+// failure fn returns degrades the store to read-only.
 //
-// Only outermost entry points call beginOp. Internal code paths — and
-// composite public helpers that chain other public calls — must not, or a
-// held slot would wait on a second slot and the gate could self-deadlock.
+// Only outermost entry points call readOp or writeOp. Internal code paths —
+// and composite public helpers that chain other public calls — must not, or
+// a held slot would wait on a second slot and the gate could self-deadlock.
+func (s *Store) readOp(ctx context.Context, fn func(cur *rangeCursor) error) (err error) {
+	ctx, finish, err := s.beginOp(ctx)
+	if err != nil {
+		return err
+	}
+	defer finish()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	defer s.latchCorrupt(&err)
+	if s.closed {
+		return ErrClosed
+	}
+	cur := s.cursor(ctx)
+	defer cur.close()
+	return fn(cur)
+}
+
+// writeOp is readOp for mutators: the exclusive lock, and writableLocked in
+// place of the closed check, so a closed, read-only or degraded store
+// rejects the write and an admitted one starts a new generation.
+func (s *Store) writeOp(ctx context.Context, fn func(cur *rangeCursor) error) (err error) {
+	ctx, finish, err := s.beginOp(ctx)
+	if err != nil {
+		return err
+	}
+	defer finish()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer s.latchCorrupt(&err)
+	if err := s.writableLocked(); err != nil {
+		return err
+	}
+	cur := s.cursor(ctx)
+	defer cur.close()
+	return fn(cur)
+}
+
+// beginOp applies the configured OpTimeout (only when the caller brought no
+// deadline of its own), then passes admission control. On success the
+// returned context carries the deadline and finish must be deferred; on
+// failure the typed error is returned as the operation's result. readOp and
+// writeOp are its only callers.
 func (s *Store) beginOp(ctx context.Context) (opCtx context.Context, finish func(), err error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -23,19 +23,20 @@ func (s *Store) maybeCoalesce(ri *rangeInfo) {
 	}
 	// Merge leftward first (prev absorbs ri), then rightward.
 	if prev, ok, err := s.prevRangeInfo(ri); err == nil && ok {
-		if merged, err := s.coalescePair(prev, ri); err == nil && merged {
+		if merged, err := s.coalescePair(prev, ri, s.cfg.CoalesceBytes); err == nil && merged {
 			ri = prev
 		}
 	}
 	if next, ok, err := s.nextRangeInfo(ri); err == nil && ok {
-		s.coalescePair(ri, next)
+		s.coalescePair(ri, next, s.cfg.CoalesceBytes)
 	}
 }
 
 // coalescePair merges b (the document-order successor) into a when the
-// policy allows. Reports whether a merge happened.
-func (s *Store) coalescePair(a, b *rangeInfo) (bool, error) {
-	if a.bytes+b.bytes > s.cfg.CoalesceBytes {
+// policy allows, with at most maxBytes in the merged range. Reports whether a
+// merge happened.
+func (s *Store) coalescePair(a, b *rangeInfo, maxBytes int) (bool, error) {
+	if a.bytes+b.bytes > maxBytes {
 		return false, nil
 	}
 	if a.nodes > 0 && b.nodes > 0 && b.start != a.end()+1 {

@@ -30,52 +30,33 @@ func (s *Store) Parent(id NodeID) (NodeID, bool, error) {
 }
 
 // ParentCtx is Parent under a context.
-func (s *Store) ParentCtx(ctx context.Context, id NodeID) (NodeID, bool, error) {
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return InvalidNode, false, err
-	}
-	defer finish()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return InvalidNode, false, ErrClosed
-	}
-	// Cached parent links survive all mutations that keep the child alive:
-	// deleting or replacing the parent removes the whole subtree, so a live
-	// child's parent id can never be stale. The cache is gated on the
-	// entry's begin-token validity, which any mutation that removes the
-	// child necessarily invalidates.
-	if s.partial != nil {
-		if e, ok := s.partial.lookup(id); ok && e.hasParent {
-			ri := s.byRange[e.beginRange]
-			if ri != nil && ri.version == e.beginVer {
-				s.partial.hit()
-				if e.parentID == InvalidNode {
-					return InvalidNode, false, nil
+func (s *Store) ParentCtx(ctx context.Context, id NodeID) (parent NodeID, ok bool, err error) {
+	err = s.readOp(ctx, func(cur *rangeCursor) error {
+		// Cached parent links survive all mutations that keep the child
+		// alive: deleting or replacing the parent removes the whole subtree,
+		// so a live child's parent id can never be stale. The cache is gated
+		// on the entry's begin-token validity, which any mutation that
+		// removes the child necessarily invalidates.
+		if s.partial != nil {
+			if e, hit := s.partial.lookup(id); hit && e.hasParent {
+				ri := s.byRange[e.beginRange]
+				if ri != nil && ri.version == e.beginVer {
+					s.partial.hit()
+					parent, ok = e.parentID, e.parentID != InvalidNode
+					return nil
 				}
-				return e.parentID, true, nil
 			}
 		}
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	begin, _, _, err := s.locateBegin(cur, id)
-	if err != nil {
-		return InvalidNode, false, err
-	}
-	parent, ok, err := s.findEnclosing(cur, begin)
-	if err != nil {
-		return InvalidNode, false, err
-	}
-	if s.partial != nil {
-		if ok {
-			s.partial.setParent(id, parent)
-		} else {
-			s.partial.setParent(id, InvalidNode)
+		begin, _, _, err := s.locateBegin(cur, id)
+		if err != nil {
+			return err
 		}
-	}
-	return parent, ok, nil
+		if parent, ok, err = s.findEnclosing(cur, begin); err == nil && s.partial != nil {
+			s.partial.setParent(id, parent) // InvalidNode for a top-level node
+		}
+		return err
+	})
+	return parent, ok, err
 }
 
 // findEnclosing locates the node whose begin token is still open at pos
@@ -159,35 +140,23 @@ func (s *Store) FirstChild(id NodeID) (NodeID, bool, error) {
 }
 
 // FirstChildCtx is FirstChild under a context.
-func (s *Store) FirstChildCtx(ctx context.Context, id NodeID) (NodeID, bool, error) {
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return InvalidNode, false, err
-	}
-	defer finish()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return InvalidNode, false, ErrClosed
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	begin, k, _, err := s.locateBegin(cur, id)
-	if err != nil {
-		return InvalidNode, false, err
-	}
-	if !k.IsBegin() || k == token.BeginAttribute {
-		return InvalidNode, false, nil // leaves and attributes have no children
-	}
-	pos, err := advance(cur, begin)
-	if err != nil {
-		return InvalidNode, false, err
-	}
-	pos, err = s.skipAttributes(cur, pos)
-	if err != nil {
-		return InvalidNode, false, err
-	}
-	return s.nodeAt(cur, pos) // none: the element is empty
+func (s *Store) FirstChildCtx(ctx context.Context, id NodeID) (child NodeID, ok bool, err error) {
+	err = s.readOp(ctx, func(cur *rangeCursor) error {
+		begin, k, _, err := s.locateBegin(cur, id)
+		if err != nil || !k.IsBegin() || k == token.BeginAttribute {
+			return err // leaves and attributes have no children
+		}
+		pos, err := advance(cur, begin)
+		if err != nil {
+			return err
+		}
+		if pos, err = s.skipAttributes(cur, pos); err != nil {
+			return err
+		}
+		child, ok, err = s.nodeAt(cur, pos) // none: the element is empty
+		return err
+	})
+	return child, ok, err
 }
 
 // NextSibling returns the node following id under the same parent
@@ -197,35 +166,24 @@ func (s *Store) NextSibling(id NodeID) (NodeID, bool, error) {
 }
 
 // NextSiblingCtx is NextSibling under a context.
-func (s *Store) NextSiblingCtx(ctx context.Context, id NodeID) (NodeID, bool, error) {
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return InvalidNode, false, err
-	}
-	defer finish()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return InvalidNode, false, ErrClosed
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	begin, k, e, err := s.locateBegin(cur, id)
-	if err != nil {
-		return InvalidNode, false, err
-	}
-	if k == token.BeginAttribute {
-		return InvalidNode, false, nil
-	}
-	end, err := s.locateEnd(cur, id, begin, k, e)
-	if err != nil {
-		return InvalidNode, false, err
-	}
-	pos, err := advance(cur, end)
-	if err != nil {
-		return InvalidNode, false, err
-	}
-	return s.nodeAt(cur, pos) // none: the parent closes here
+func (s *Store) NextSiblingCtx(ctx context.Context, id NodeID) (sibling NodeID, ok bool, err error) {
+	err = s.readOp(ctx, func(cur *rangeCursor) error {
+		begin, k, e, err := s.locateBegin(cur, id)
+		if err != nil || k == token.BeginAttribute {
+			return err
+		}
+		end, err := s.locateEnd(cur, id, begin, k, e)
+		if err != nil {
+			return err
+		}
+		pos, err := advance(cur, end)
+		if err != nil {
+			return err
+		}
+		sibling, ok, err = s.nodeAt(cur, pos) // none: the parent closes here
+		return err
+	})
+	return sibling, ok, err
 }
 
 // PrevSibling returns the node preceding id under the same parent.
@@ -272,57 +230,45 @@ func (s *Store) Attributes(id NodeID) ([]NodeID, error) {
 }
 
 // AttributesCtx is Attributes under a context.
-func (s *Store) AttributesCtx(ctx context.Context, id NodeID) ([]NodeID, error) {
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer finish()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	begin, k, _, err := s.locateBegin(cur, id)
-	if err != nil {
-		return nil, err
-	}
-	if k != token.BeginElement {
-		return nil, nil
-	}
-	pos, err := advance(cur, begin)
-	if err != nil {
-		return nil, err
-	}
-	var out []NodeID
-	depth := 0
-	for {
-		var ok bool
-		pos, ok, err = s.normalizeForward(cur, pos)
-		if err != nil || !ok {
-			return out, err
+func (s *Store) AttributesCtx(ctx context.Context, id NodeID) (attrs []NodeID, err error) {
+	err = s.readOp(ctx, func(cur *rangeCursor) error {
+		begin, k, _, err := s.locateBegin(cur, id)
+		if err != nil || k != token.BeginElement {
+			return err
 		}
-		raw, err := cur.token(pos.ri, pos.byteOff)
+		pos, err := advance(cur, begin)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		k := token.Kind(raw[0])
-		if depth == 0 {
-			if k != token.BeginAttribute {
-				return out, nil
+		for depth := 0; ; {
+			var ok bool
+			if pos, ok, err = s.normalizeForward(cur, pos); err != nil || !ok {
+				return err
 			}
-			out = append(out, pos.ri.start+NodeID(pos.nodesBefore))
+			raw, err := cur.token(pos.ri, pos.byteOff)
+			if err != nil {
+				return err
+			}
+			k := token.Kind(raw[0])
+			if depth == 0 {
+				if k != token.BeginAttribute {
+					return nil
+				}
+				attrs = append(attrs, pos.ri.start+NodeID(pos.nodesBefore))
+			}
+			// Step one token, tracking attribute nesting across ranges.
+			if k.IsBegin() {
+				depth++
+			} else if k.IsEnd() {
+				depth--
+			}
+			pos = pos.past(k, len(raw))
 		}
-		// Step one token, tracking attribute nesting across ranges.
-		if k.IsBegin() {
-			depth++
-		} else if k.IsEnd() {
-			depth--
-		}
-		pos = pos.past(k, len(raw))
+	})
+	if err != nil {
+		return nil, err
 	}
+	return attrs, nil
 }
 
 // Children returns all child node ids of element id, in document order.
@@ -356,51 +302,43 @@ func (s *Store) CompareDocOrder(a, b NodeID) (int, error) {
 }
 
 // CompareDocOrderCtx is CompareDocOrder under a context.
-func (s *Store) CompareDocOrderCtx(ctx context.Context, a, b NodeID) (int, error) {
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return 0, err
-	}
-	defer finish()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	posA, _, _, err := s.locateBegin(cur, a)
-	if err != nil || a == b {
-		return 0, err
-	}
-	posB, _, _, err := s.locateBegin(cur, b)
-	if err != nil {
-		return 0, err
-	}
-	if posA.ri == posB.ri {
-		if posA.byteOff < posB.byteOff {
-			return -1, nil
+func (s *Store) CompareDocOrderCtx(ctx context.Context, a, b NodeID) (order int, err error) {
+	err = s.readOp(ctx, func(cur *rangeCursor) error {
+		posA, _, _, err := s.locateBegin(cur, a)
+		if err != nil || a == b {
+			return err
 		}
-		return 1, nil
-	}
-	// Walk the range chain in document order; the range seen first wins.
-	ri, ok, err := s.firstRange()
-	if err != nil {
-		return 0, err
-	}
-	for ok {
-		switch ri {
-		case posA.ri:
-			return -1, nil
-		case posB.ri:
-			return 1, nil
-		}
-		ri, ok, err = s.nextRangeInfoCtx(ctx, ri)
+		posB, _, _, err := s.locateBegin(cur, b)
 		if err != nil {
-			return 0, err
+			return err
 		}
+		order = 1
+		if posA.ri == posB.ri {
+			if posA.byteOff < posB.byteOff {
+				order = -1
+			}
+			return nil
+		}
+		// Walk the range chain in document order; the range seen first wins.
+		ri, ok, err := s.firstRange()
+		for ; ok && err == nil; ri, ok, err = s.nextRangeInfoCtx(cur.ctx, ri) {
+			switch ri {
+			case posA.ri:
+				order = -1
+				return nil
+			case posB.ri:
+				return nil
+			}
+		}
+		if err == nil {
+			err = fmt.Errorf("core: ranges of %d and %d not found in chain", a, b)
+		}
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("core: ranges of %d and %d not found in chain", a, b)
+	return order, nil
 }
 
 // normalizeForward moves a boundary position (at range end) forward to the

@@ -15,10 +15,9 @@ import (
 // identifiers are regenerated during the scan by replaying the ID factory
 // from each range's start id — they are never read from storage.
 //
-// Every outermost entry point passes admission control (beginOp) before
-// taking the store lock and observes the operation context at page-fetch
-// boundaries. Composite helpers (ReadAll, Tokens, WriteXML, ...) chain one
-// gated call and add no gate of their own.
+// Every outermost entry point enters through readOp and observes the
+// operation context at page-fetch boundaries. Composite helpers (ReadAll,
+// Tokens, WriteXML, ...) chain one gated call and add no gate of their own.
 
 // Scan streams every token of the store in document order, with regenerated
 // node ids. fn returning false stops the scan. A checksum failure surfaced
@@ -109,62 +108,51 @@ func (s *Store) ScanRawCtx(ctx context.Context, fn func(id NodeID, raw []byte) b
 
 // scanRaw is every whole-store scan; searching says whether the tokens it
 // passes count as scanned.
-func (s *Store) scanRaw(ctx context.Context, fn func(id NodeID, raw []byte) bool, searching bool) (err error) {
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return err
-	}
-	defer finish()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	defer s.latchCorrupt(&err)
-	if s.closed {
-		return ErrClosed
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	ri, ok, err := s.firstRange()
-	if err != nil || !ok {
-		return err
-	}
-	scanned := uint64(0)
-	if searching {
-		defer func() { s.tokensScanned.Add(scanned) }()
-	}
-	for {
-		next := ri.start
-		for off := 0; off < ri.bytes; {
-			win, n, err := cur.tokens(ri, off)
-			if err != nil {
-				return err
-			}
-			for i := 0; ; { // every whole token of the window
-				if scanned%locateCheckTokens == locateCheckTokens-1 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-				scanned++
-				id := InvalidNode
-				if token.Kind(win[i]).StartsNode() {
-					id = next
-					next++
-				}
-				if !fn(id, win[i:i+n]) {
-					return nil
-				}
-				i, off = i+n, off+n
-				if n, err = token.Size(win[i:]); err != nil {
-					break // the window is used up, or ends inside a token
-				}
-			}
-		}
-		nri, ok, err := s.nextRangeInfoCtx(ctx, ri)
+func (s *Store) scanRaw(ctx context.Context, fn func(id NodeID, raw []byte) bool, searching bool) error {
+	return s.readOp(ctx, func(cur *rangeCursor) error {
+		ri, ok, err := s.firstRange()
 		if err != nil || !ok {
 			return err
 		}
-		ri = nri
-	}
+		scanned := uint64(0)
+		if searching {
+			defer func() { s.tokensScanned.Add(scanned) }()
+		}
+		for {
+			next := ri.start
+			for off := 0; off < ri.bytes; {
+				win, n, err := cur.tokens(ri, off)
+				if err != nil {
+					return err
+				}
+				for i := 0; ; { // every whole token of the window
+					if scanned%locateCheckTokens == locateCheckTokens-1 {
+						if err := cur.ctx.Err(); err != nil {
+							return err
+						}
+					}
+					scanned++
+					id := InvalidNode
+					if token.Kind(win[i]).StartsNode() {
+						id = next
+						next++
+					}
+					if !fn(id, win[i:i+n]) {
+						return nil
+					}
+					i, off = i+n, off+n
+					if n, err = token.Size(win[i:]); err != nil {
+						break // the window is used up, or ends inside a token
+					}
+				}
+			}
+			nri, ok, err := s.nextRangeInfoCtx(cur.ctx, ri)
+			if err != nil || !ok {
+				return err
+			}
+			ri = nri
+		}
+	})
 }
 
 // ScanNodeRawCtx streams the subtree of node id (begin through matching end)
@@ -172,21 +160,10 @@ func (s *Store) scanRaw(ctx context.Context, fn func(id NodeID, raw []byte) bool
 //
 // Readers share the lock: locate's writes (partial index, checkpoint table,
 // scan counters) all go to internally-synchronized structures.
-func (s *Store) ScanNodeRawCtx(ctx context.Context, id NodeID, fn func(id NodeID, raw []byte) bool) (err error) {
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return err
-	}
-	defer finish()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	defer s.latchCorrupt(&err)
-	if s.closed {
-		return ErrClosed
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	return s.scanNodeRawLocked(cur, id, fn)
+func (s *Store) ScanNodeRawCtx(ctx context.Context, id NodeID, fn func(id NodeID, raw []byte) bool) error {
+	return s.readOp(ctx, func(cur *rangeCursor) error {
+		return s.scanNodeRawLocked(cur, id, fn)
+	})
 }
 
 // scanNodeRawLocked is every subtree read: locate the begin token, then
@@ -317,31 +294,18 @@ func (s *Store) FirstNodeID() (NodeID, bool, error) {
 }
 
 // FirstNodeIDCtx is FirstNodeID under a context.
-func (s *Store) FirstNodeIDCtx(ctx context.Context) (NodeID, bool, error) {
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return InvalidNode, false, err
-	}
-	defer finish()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return InvalidNode, false, ErrClosed
-	}
-	ri, ok, err := s.firstRange()
-	if err != nil || !ok {
-		return InvalidNode, false, err
-	}
-	for {
-		if ri.nodes > 0 {
-			return ri.start, true, nil
+func (s *Store) FirstNodeIDCtx(ctx context.Context) (first NodeID, ok bool, err error) {
+	err = s.readOp(ctx, func(cur *rangeCursor) error {
+		ri, more, err := s.firstRange()
+		for ; more && err == nil; ri, more, err = s.nextRangeInfoCtx(cur.ctx, ri) {
+			if ri.nodes > 0 {
+				first, ok = ri.start, true
+				return nil
+			}
 		}
-		nri, ok, err := s.nextRangeInfoCtx(ctx, ri)
-		if err != nil || !ok {
-			return InvalidNode, false, err
-		}
-		ri = nri
-	}
+		return err
+	})
+	return first, ok, err
 }
 
 // WriteXML serializes the whole store as XML text.
@@ -370,21 +334,13 @@ func (s *Store) XMLString() (string, error) {
 // allocated beyond what dst needs to grow. Attribute nodes, which have no
 // standalone XML form, render as name="value". On error dst comes back at
 // its original length.
-func (s *Store) AppendNodeXML(ctx context.Context, dst []byte, id NodeID) (_ []byte, err error) {
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return dst, err
-	}
-	defer finish()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	defer s.latchCorrupt(&err)
-	if s.closed {
-		return dst, ErrClosed
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	return s.appendNodeXMLLocked(cur, dst, id)
+func (s *Store) AppendNodeXML(ctx context.Context, dst []byte, id NodeID) (out []byte, err error) {
+	out = dst
+	err = s.readOp(ctx, func(cur *rangeCursor) (err error) {
+		out, err = s.appendNodeXMLLocked(cur, dst, id)
+		return err
+	})
+	return out, err
 }
 
 func (s *Store) appendNodeXMLLocked(cur *rangeCursor, dst []byte, id NodeID) ([]byte, error) {
@@ -423,22 +379,13 @@ func (s *Store) appendNodeXMLLocked(cur *rangeCursor, dst []byte, id NodeID) ([]
 
 // NodeXMLString renders one node's subtree as an XML string (see
 // AppendNodeXML).
-func (s *Store) NodeXMLString(id NodeID) (_ string, err error) {
-	ctx, finish, err := s.beginOp(context.Background())
-	if err != nil {
-		return "", err
-	}
-	defer finish()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	defer s.latchCorrupt(&err)
-	if s.closed {
-		return "", ErrClosed
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	cur.out, err = s.appendNodeXMLLocked(cur, cur.out[:0], id)
-	return string(cur.out), err
+func (s *Store) NodeXMLString(id NodeID) (xml string, err error) {
+	err = s.readOp(context.Background(), func(cur *rangeCursor) (err error) {
+		cur.out, err = s.appendNodeXMLLocked(cur, cur.out[:0], id)
+		xml = string(cur.out)
+		return err
+	})
+	return xml, err
 }
 
 // CheckInvariants validates cross-structure consistency: every range record

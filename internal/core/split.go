@@ -5,11 +5,65 @@ import (
 	"fmt"
 
 	"repro/internal/pagestore"
+	"repro/internal/token"
 )
 
-// Range splitting — the mechanism that makes every XUpdate insert cheap
-// (Section 4.2): a split touches exactly one range (two record writes) and
-// one or two range-index entries, never one entry per node.
+// Range placement and splitting — the mechanism that makes every XUpdate
+// insert cheap (Section 4.2): an insert places one new range, and a split
+// touches exactly one range (two record writes) and one or two range-index
+// entries, never one entry per node.
+
+// placeRange is how every range is born: the one new range of an insert, each
+// range of a bulk load, and a split's tail. It gives the range a fresh range
+// id, writes its record immediately before the token position pos —
+// splitting pos.ri when pos falls strictly inside it; a zero pos means the
+// end of the chain — and registers it. The full index is left to the caller:
+// fresh content is added to it, a split's tail is rebased in it.
+func (s *Store) placeRange(pos tokenPos, start NodeID, nodes, toks int, tokenBytes []byte) (*rangeInfo, error) {
+	ri := &rangeInfo{id: s.allocRangeID(), start: start, nodes: nodes, toks: toks, bytes: len(tokenBytes)}
+	rec := encodeRangeRecord(ri.id, ri.start, ri.nodes, ri.toks, tokenBytes)
+	var loc pagestore.Loc
+	var moves []pagestore.Move
+	var err error
+	switch {
+	case pos.ri == nil:
+		loc, moves, err = s.recs.InsertLast(rec)
+	case pos.byteOff == 0:
+		loc, moves, err = s.recs.InsertBefore(pos.ri.loc, rec)
+	case pos.atRangeEnd():
+		loc, moves, err = s.recs.InsertAfter(pos.ri.loc, rec)
+	default:
+		if _, err := s.splitRange(pos.ri, pos); err != nil {
+			return nil, err
+		}
+		loc, moves, err = s.recs.InsertAfter(pos.ri.loc, rec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.applyMoves(moves)
+	ri.loc = loc
+	s.register(ri)
+	return ri, nil
+}
+
+// newRange places frag at pos as one range of fresh contiguous ids (see
+// placeRange) and indexes it in the full index. Returns the first new id.
+func (s *Store) newRange(pos tokenPos, frag []Token) (NodeID, error) {
+	n := token.NodeCount(frag)
+	start := s.allocIDs(n)
+	tokenBytes := token.EncodeAll(frag)
+	ri, err := s.placeRange(pos, start, n, len(frag), tokenBytes)
+	if err != nil {
+		return InvalidNode, err
+	}
+	if s.full != nil {
+		if err := s.full.addFragment(ri, tokenBytes); err != nil {
+			return InvalidNode, err
+		}
+	}
+	return start, nil
+}
 
 // splitRange cuts ri at pos (strictly inside the range), leaving the head
 // tokens in ri and creating a new range for the tail. The tail inherits the
@@ -28,53 +82,34 @@ func (s *Store) splitRange(ri *rangeInfo, pos tokenPos) (*rangeInfo, error) {
 	headBytes := tokenBytes[:pos.byteOff]
 	tailBytes := tokenBytes[pos.byteOff:]
 
-	oldNodes, oldToks, oldStart := ri.nodes, ri.toks, ri.start
 	headNodes, headToks := pos.nodesBefore, pos.tokIdx
-	tailNodes := oldNodes - headNodes
-	tailToks := oldToks - headToks
+	tailNodes := ri.nodes - headNodes
+	tailToks := ri.toks - headToks
 	if tailNodes < 0 || tailToks <= 0 {
 		return nil, fmt.Errorf("core: split accounting error (head %d/%d of %v)", headNodes, headToks, ri)
 	}
-
-	tail := &rangeInfo{
-		id:    s.allocRangeID(),
-		start: oldStart + NodeID(headNodes),
-		nodes: tailNodes,
-		toks:  tailToks,
-		bytes: len(tailBytes),
-	}
+	tailStart := ri.start + NodeID(headNodes)
 
 	// Rewrite the head first (a shrink, so ri never relocates and the page
-	// gains room for the tail record).
-	if headNodes == 0 && oldNodes > 0 {
+	// gains room for the tail record). The tail's share of the counters
+	// leaves with it here and comes back when the tail is placed.
+	if headNodes == 0 && ri.nodes > 0 {
 		// The head keeps no ids: pull ri out of the interval index.
-		s.rindex.Delete(uint64(oldStart))
+		s.rindex.Delete(uint64(ri.start))
 	}
-	ri.nodes = headNodes
-	ri.toks = headToks
-	s.bytes -= uint64(ri.bytes - len(headBytes))
-	ri.bytes = len(headBytes)
+	s.nodes -= uint64(tailNodes)
+	s.tokens -= uint64(tailToks)
+	s.bytes -= uint64(len(tailBytes))
+	ri.nodes, ri.toks, ri.bytes = headNodes, headToks, len(headBytes)
 	if err := s.writeRangeRecord(ri, headBytes); err != nil {
 		return nil, err
 	}
 
-	// Insert the tail record right after the head.
-	rec := encodeRangeRecord(tail.id, tail.start, tail.nodes, tail.toks, tailBytes)
-	loc, moves, err := s.recs.InsertAfter(ri.loc, rec)
+	// Place the tail record right after the head.
+	tail, err := s.placeRange(tokenPos{ri: ri, byteOff: ri.bytes}, tailStart, tailNodes, tailToks, tailBytes)
 	if err != nil {
 		return nil, err
 	}
-	s.applyMoves(moves)
-	tail.loc = loc
-
-	// Register the tail without re-counting node/token aggregates (they
-	// merely moved between ranges); only the byte total changes.
-	s.byRange[tail.id] = tail
-	s.byLoc[tail.loc] = tail
-	if tail.nodes > 0 {
-		s.rindex.Set(uint64(tail.start), tail)
-	}
-	s.bytes += uint64(tail.bytes)
 
 	// The full index must be told that the tail's nodes changed range and
 	// offsets — the eager maintenance cost the paper measures.
@@ -85,52 +120,4 @@ func (s *Store) splitRange(ri *rangeInfo, pos tokenPos) (*rangeInfo, error) {
 	}
 	s.splits++
 	return tail, nil
-}
-
-// insertNewRange creates a range for the encoded fragment and splices its
-// record in immediately before the token position pos (splitting pos.ri when
-// pos falls strictly inside it). Returns the new range.
-func (s *Store) insertNewRange(pos tokenPos, start NodeID, nodes, toks int, tokenBytes []byte) (*rangeInfo, error) {
-	nr := &rangeInfo{
-		id:    s.allocRangeID(),
-		start: start,
-		nodes: nodes,
-		toks:  toks,
-		bytes: len(tokenBytes),
-	}
-	rec := encodeRangeRecord(nr.id, nr.start, nr.nodes, nr.toks, tokenBytes)
-
-	var loc pagestore.Loc
-	var moves []pagestore.Move
-	var err error
-	switch {
-	case pos.byteOff == 0:
-		loc, moves, err = s.recs.InsertBefore(pos.ri.loc, rec)
-	case pos.atRangeEnd():
-		loc, moves, err = s.recs.InsertAfter(pos.ri.loc, rec)
-	default:
-		if _, err := s.splitRange(pos.ri, pos); err != nil {
-			return nil, err
-		}
-		loc, moves, err = s.recs.InsertAfter(pos.ri.loc, rec)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.applyMoves(moves)
-	nr.loc = loc
-	s.byRange[nr.id] = nr
-	s.byLoc[nr.loc] = nr
-	if nr.nodes > 0 {
-		s.rindex.Set(uint64(nr.start), nr)
-	}
-	s.nodes += uint64(nr.nodes)
-	s.tokens += uint64(nr.toks)
-	s.bytes += uint64(nr.bytes)
-	if s.full != nil {
-		if err := s.full.addFragment(nr, tokenBytes); err != nil {
-			return nil, err
-		}
-	}
-	return nr, nil
 }

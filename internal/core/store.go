@@ -228,31 +228,7 @@ func Open(cfg Config) (*Store, error) {
 	if pager == nil {
 		pager = pagestore.NewMemPager(cfg.PageSize)
 	}
-	b := budget.New(cfg.MemoryBudget)
-	pool := pagestore.NewBufferPool(pager, cfg.PoolPages)
-	pool.SetBudget(b)
-	recs, err := pagestore.CreateRecordStore(pool)
-	if err != nil {
-		return nil, err
-	}
-	s := &Store{
-		cfg:       cfg,
-		pool:      pool,
-		recs:      recs,
-		rindex:    btree.New[*rangeInfo](),
-		byRange:   make(map[RangeID]*rangeInfo),
-		byLoc:     make(map[pagestore.Loc]*rangeInfo),
-		nextID:    1,
-		nextRange: 1,
-		budget:    b,
-		adm:       newAdmission(cfg.MaxConcurrentOps, cfg.MaxQueuedOps),
-	}
-	s.releaseFn = func() { s.adm.release() }
-	s.plans = plancache.New(cfg.PlanCacheEntries, b)
-	if err := s.initIndexes(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return newStore(cfg, pager, pagestore.CreateRecordStore)
 }
 
 // Reopen rebuilds a store from an existing pager (written by a previous
@@ -265,10 +241,26 @@ func Reopen(cfg Config, pager pagestore.Pager, metaPage pagestore.PageID) (*Stor
 		return nil, fmt.Errorf("%w: FullIndex mode allocates index pages at open and cannot run read-only", ErrReadOnly)
 	}
 	cfg.Pager = pager
+	s, err := newStore(cfg, pager, func(pool *pagestore.BufferPool) (*pagestore.RecordStore, error) {
+		return pagestore.OpenRecordStore(pool, metaPage)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := s.rebuild(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newStore is what Open and Reopen share: a buffer pool over pager charged
+// to the store's memory budget, the record store records creates or opens in
+// it, the admission gate, the plan cache and empty indexes.
+func newStore(cfg Config, pager pagestore.Pager, records func(*pagestore.BufferPool) (*pagestore.RecordStore, error)) (*Store, error) {
 	b := budget.New(cfg.MemoryBudget)
 	pool := pagestore.NewBufferPool(pager, cfg.PoolPages)
 	pool.SetBudget(b)
-	recs, err := pagestore.OpenRecordStore(pool, metaPage)
+	recs, err := records(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -283,13 +275,10 @@ func Reopen(cfg Config, pager pagestore.Pager, metaPage pagestore.PageID) (*Stor
 		nextRange: 1,
 		budget:    b,
 		adm:       newAdmission(cfg.MaxConcurrentOps, cfg.MaxQueuedOps),
+		plans:     plancache.New(cfg.PlanCacheEntries, b),
 	}
 	s.releaseFn = func() { s.adm.release() }
-	s.plans = plancache.New(cfg.PlanCacheEntries, b)
 	if err := s.initIndexes(); err != nil {
-		return nil, err
-	}
-	if err := s.rebuild(); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -72,6 +72,44 @@ func TestXMLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEmptyCDATAKeepsIDs: a store loaded from XML with an empty CDATA
+// section, written out and loaded again, has the same nodes under the same
+// ids — the section was never a node.
+func TestEmptyCDATAKeepsIDs(t *testing.T) {
+	load := func(src string) (*Store, []Item) {
+		toks, err := xmltok.ParseString(src, xmltok.ParseOptions{}) // keeps whitespace, so empty text too
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := openStore(t, Config{})
+		if _, err := s.Append(toks); err != nil {
+			t.Fatal(err)
+		}
+		items, err := s.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, items
+	}
+	s, want := load(`<a><![CDATA[]]><b>x<![CDATA[]]></b><![CDATA[]]><c/></a>`)
+	var out strings.Builder
+	if err := s.WriteXML(&out); err != nil {
+		t.Fatal(err)
+	}
+	s2, got := load(out.String())
+	if n, n2 := s.Stats().Nodes, s2.Stats().Nodes; n != 4 || n2 != n {
+		t.Fatalf("nodes %d, after reload %d; want 4 both times", n, n2)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("reload has %d items, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("item %d after reload: %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestReadNode(t *testing.T) {
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {

@@ -11,15 +11,14 @@ import (
 // XUpdate operations — the store interface of the paper's Table 1.
 //
 // Every insert allocates a fresh contiguous batch of node ids and creates
-// exactly one new range; when the insertion point falls strictly inside an
-// existing range, that range is split in two. This is the example walked
-// through in Section 4.5 of the paper.
+// exactly one new range, placed by placeRange (split.go); when the insertion
+// point falls strictly inside an existing range, that range is split in two.
+// This is the example walked through in Section 4.5 of the paper.
 //
-// Mutators pass admission control (beginOp) before taking the exclusive
-// lock. The operation context governs only the locate phase — once a
-// mutation starts applying (deleteSpan, insertFragment, record writes) it
-// runs to completion regardless of the deadline, so a timeout can never
-// leave a half-applied update behind.
+// Mutators enter through writeOp. The operation context governs only the
+// locate phase — once a mutation starts applying (deleteSpan,
+// insertFragment, record writes) it runs to completion regardless of the
+// deadline, so a timeout can never leave a half-applied update behind.
 
 func checkFragment(frag []Token) error {
 	if err := token.ValidateFragment(frag); err != nil {
@@ -38,58 +37,28 @@ func (s *Store) Append(frag []Token) (NodeID, error) {
 
 // AppendCtx is Append under a context (admission control only — appends
 // have no locate phase to cancel).
-func (s *Store) AppendCtx(ctx context.Context, frag []Token) (_ NodeID, err error) {
+func (s *Store) AppendCtx(ctx context.Context, frag []Token) (first NodeID, err error) {
 	if err := checkFragment(frag); err != nil {
 		return InvalidNode, err
 	}
-	_, finish, err := s.beginOp(ctx)
+	err = s.writeOp(ctx, func(*rangeCursor) error {
+		chunk := s.cfg.MaxRangeTokens
+		if chunk <= 0 {
+			chunk = len(frag)
+		}
+		first = s.nextID
+		for off := 0; off < len(frag); off += chunk {
+			if _, err := s.newRange(tokenPos{}, frag[off:min(off+chunk, len(frag))]); err != nil {
+				return err
+			}
+		}
+		s.inserts++
+		return nil
+	})
 	if err != nil {
 		return InvalidNode, err
 	}
-	defer finish()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.latchCorrupt(&err)
-	if err := s.writableLocked(); err != nil {
-		return InvalidNode, err
-	}
-	chunk := s.cfg.MaxRangeTokens
-	if chunk <= 0 {
-		chunk = len(frag)
-	}
-	firstID := s.nextID
-	for off := 0; off < len(frag); off += chunk {
-		end := off + chunk
-		if end > len(frag) {
-			end = len(frag)
-		}
-		part := frag[off:end]
-		n := token.NodeCount(part)
-		start := s.allocIDs(n)
-		tokenBytes := token.EncodeAll(part)
-		ri := &rangeInfo{
-			id:    s.allocRangeID(),
-			start: start,
-			nodes: n,
-			toks:  len(part),
-			bytes: len(tokenBytes),
-		}
-		rec := encodeRangeRecord(ri.id, ri.start, ri.nodes, ri.toks, tokenBytes)
-		loc, moves, err := s.recs.InsertLast(rec)
-		if err != nil {
-			return InvalidNode, err
-		}
-		s.applyMoves(moves)
-		ri.loc = loc
-		s.register(ri)
-		if s.full != nil {
-			if err := s.full.addFragment(ri, tokenBytes); err != nil {
-				return InvalidNode, err
-			}
-		}
-	}
-	s.inserts++
-	return firstID, nil
+	return first, nil
 }
 
 // AppendStream bulk-loads tokens from a pull source with constant memory:
@@ -99,95 +68,61 @@ func (s *Store) AppendCtx(ctx context.Context, frag []Token) (_ NodeID, err erro
 // well-formed fragment; violations are detected incrementally and abort the
 // load mid-way (ranges already appended remain — callers wanting atomicity
 // should stage into a fresh store).
-func (s *Store) AppendStream(next func() (Token, error)) (_ NodeID, err error) {
-	_, finish, err := s.beginOp(nil)
-	if err != nil {
-		return InvalidNode, err
-	}
-	defer finish()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.latchCorrupt(&err)
-	if err := s.writableLocked(); err != nil {
-		return InvalidNode, err
-	}
-	chunk := s.cfg.MaxRangeTokens
-	if chunk <= 0 {
-		chunk = 1024
-	}
-	firstID := s.nextID
-	var buf []Token
-	depth := 0
-	sawAny := false
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
+func (s *Store) AppendStream(next func() (Token, error)) (first NodeID, err error) {
+	err = s.writeOp(context.Background(), func(*rangeCursor) error {
+		chunk := s.cfg.MaxRangeTokens
+		if chunk <= 0 {
+			chunk = 1024
 		}
-		n := token.NodeCount(buf)
-		start := s.allocIDs(n)
-		tokenBytes := token.EncodeAll(buf)
-		ri := &rangeInfo{
-			id:    s.allocRangeID(),
-			start: start,
-			nodes: n,
-			toks:  len(buf),
-			bytes: len(tokenBytes),
+		first = s.nextID
+		var buf []Token
+		depth, sawAny := 0, false
+		for {
+			t, err := next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			// Incremental well-formedness: balance only (the full fragment
+			// rules are enforced by the token source, typically xmltok).
+			if t.IsBegin() {
+				depth++
+			} else if t.IsEnd() {
+				depth--
+				if depth < 0 {
+					return fmt.Errorf("%w: end token without begin", ErrBadFragment)
+				}
+			} else if !t.StartsNode() {
+				return fmt.Errorf("%w: invalid token kind %s", ErrBadFragment, t.Kind)
+			}
+			sawAny = true
+			if buf = append(buf, t); len(buf) >= chunk {
+				if _, err := s.newRange(tokenPos{}, buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
 		}
-		rec := encodeRangeRecord(ri.id, ri.start, ri.nodes, ri.toks, tokenBytes)
-		loc, moves, err := s.recs.InsertLast(rec)
-		if err != nil {
-			return err
+		if depth != 0 {
+			return fmt.Errorf("%w: %d unclosed begin token(s)", ErrBadFragment, depth)
 		}
-		s.applyMoves(moves)
-		ri.loc = loc
-		s.register(ri)
-		if s.full != nil {
-			if err := s.full.addFragment(ri, tokenBytes); err != nil {
+		if !sawAny {
+			return fmt.Errorf("%w: empty stream", ErrBadFragment)
+		}
+		if len(buf) > 0 {
+			if _, err := s.newRange(tokenPos{}, buf); err != nil {
 				return err
 			}
 		}
-		buf = buf[:0]
+		s.inserts++
 		return nil
-	}
-	for {
-		t, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return InvalidNode, err
-		}
-		// Incremental well-formedness: balance only (the full fragment
-		// rules are enforced by the token source, typically xmltok).
-		if t.IsBegin() {
-			depth++
-		} else if t.IsEnd() {
-			depth--
-			if depth < 0 {
-				return InvalidNode, fmt.Errorf("%w: end token without begin", ErrBadFragment)
-			}
-		} else if !t.StartsNode() {
-			return InvalidNode, fmt.Errorf("%w: invalid token kind %s", ErrBadFragment, t.Kind)
-		}
-		sawAny = true
-		buf = append(buf, t)
-		if len(buf) >= chunk {
-			if err := flush(); err != nil {
-				return InvalidNode, err
-			}
-		}
-	}
-	if depth != 0 {
-		return InvalidNode, fmt.Errorf("%w: %d unclosed begin token(s)", ErrBadFragment, depth)
-	}
-	if !sawAny {
-		return InvalidNode, fmt.Errorf("%w: empty stream", ErrBadFragment)
-	}
-	if err := flush(); err != nil {
+	})
+	if err != nil {
 		return InvalidNode, err
 	}
-	s.inserts++
-	return firstID, nil
+	return first, nil
 }
 
 // Compact is a maintenance operation: one pass over the range chain merging
@@ -196,63 +131,57 @@ func (s *Store) AppendStream(next func() (Token, error)) (_ NodeID, err error) {
 // It undoes update-driven fragmentation — the offline counterpart of the
 // adaptive CoalesceBytes policy.
 func (s *Store) Compact(maxRangeBytes int) (merged int, err error) {
-	_, finish, err := s.beginOp(nil)
-	if err != nil {
-		return 0, err
-	}
-	defer finish()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.latchCorrupt(&err)
-	if err := s.writableLocked(); err != nil {
-		return 0, err
-	}
 	if maxRangeBytes <= 0 {
 		maxRangeBytes = s.cfg.PageSize
 	}
-	saved := s.cfg.CoalesceBytes
-	s.cfg.CoalesceBytes = maxRangeBytes
-	defer func() { s.cfg.CoalesceBytes = saved }()
-
-	ri, ok, err := s.firstRange()
-	if err != nil {
-		return 0, err
-	}
-	for ok {
-		did, err := func() (bool, error) {
-			nxt, ok2, err := s.nextRangeInfo(ri)
-			if err != nil || !ok2 {
-				return false, err
+	err = s.writeOp(context.Background(), func(*rangeCursor) error {
+		ri, ok, err := s.firstRange()
+		for ok && err == nil {
+			var nxt *rangeInfo
+			if nxt, ok, err = s.nextRangeInfo(ri); !ok || err != nil {
+				break
 			}
-			return s.coalescePair(ri, nxt)
-		}()
-		if err != nil {
-			return merged, err
+			var did bool
+			if did, err = s.coalescePair(ri, nxt, maxRangeBytes); did {
+				merged++ // ri absorbed its successor; try again from ri
+			} else {
+				ri = nxt
+			}
 		}
-		if did {
-			merged++
-			continue // ri absorbed its successor; try again from ri
-		}
-		nxt, ok2, err := s.nextRangeInfo(ri)
-		if err != nil {
-			return merged, err
-		}
-		ri, ok = nxt, ok2
-	}
-	return merged, nil
+		return err
+	})
+	return merged, err
 }
 
 // insertFragment splices frag in immediately before pos, as one new range
 // with fresh contiguous ids. Returns the first new id.
 func (s *Store) insertFragment(pos tokenPos, frag []Token) (NodeID, error) {
-	n := token.NodeCount(frag)
-	start := s.allocIDs(n)
-	tokenBytes := token.EncodeAll(frag)
-	if _, err := s.insertNewRange(pos, start, n, len(frag), tokenBytes); err != nil {
+	id, err := s.newRange(pos, frag)
+	if err == nil {
+		s.inserts++
+	}
+	return id, err
+}
+
+// insertAt is every insert of one fragment at a located position: where
+// returns the position (before which the fragment goes) from the cursor,
+// under writeOp.
+func (s *Store) insertAt(ctx context.Context, frag []Token, where func(cur *rangeCursor) (tokenPos, error)) (first NodeID, err error) {
+	if err := checkFragment(frag); err != nil {
 		return InvalidNode, err
 	}
-	s.inserts++
-	return start, nil
+	err = s.writeOp(ctx, func(cur *rangeCursor) error {
+		pos, err := where(cur)
+		if err != nil {
+			return err
+		}
+		first, err = s.insertFragment(pos, frag)
+		return err
+	})
+	if err != nil {
+		return InvalidNode, err
+	}
+	return first, nil
 }
 
 // InsertBefore inserts frag as the preceding sibling(s) of node id.
@@ -261,31 +190,14 @@ func (s *Store) InsertBefore(id NodeID, frag []Token) (NodeID, error) {
 }
 
 // InsertBeforeCtx is InsertBefore under a context.
-func (s *Store) InsertBeforeCtx(ctx context.Context, id NodeID, frag []Token) (_ NodeID, err error) {
-	if err := checkFragment(frag); err != nil {
-		return InvalidNode, err
-	}
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return InvalidNode, err
-	}
-	defer finish()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.latchCorrupt(&err)
-	if err := s.writableLocked(); err != nil {
-		return InvalidNode, err
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	pos, k, _, err := s.locateBegin(cur, id)
-	if err != nil {
-		return InvalidNode, err
-	}
-	if k == token.BeginAttribute {
-		return InvalidNode, ErrAttrContext
-	}
-	return s.insertFragment(pos, frag)
+func (s *Store) InsertBeforeCtx(ctx context.Context, id NodeID, frag []Token) (NodeID, error) {
+	return s.insertAt(ctx, frag, func(cur *rangeCursor) (tokenPos, error) {
+		pos, k, _, err := s.locateBegin(cur, id)
+		if err == nil && k == token.BeginAttribute {
+			err = ErrAttrContext
+		}
+		return pos, err
+	})
 }
 
 // InsertAfter inserts frag as the following sibling(s) of node id.
@@ -294,39 +206,21 @@ func (s *Store) InsertAfter(id NodeID, frag []Token) (NodeID, error) {
 }
 
 // InsertAfterCtx is InsertAfter under a context.
-func (s *Store) InsertAfterCtx(ctx context.Context, id NodeID, frag []Token) (_ NodeID, err error) {
-	if err := checkFragment(frag); err != nil {
-		return InvalidNode, err
-	}
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return InvalidNode, err
-	}
-	defer finish()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.latchCorrupt(&err)
-	if err := s.writableLocked(); err != nil {
-		return InvalidNode, err
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	begin, k, e, err := s.locateBegin(cur, id)
-	if err != nil {
-		return InvalidNode, err
-	}
-	if k == token.BeginAttribute {
-		return InvalidNode, ErrAttrContext
-	}
-	end, err := s.locateEnd(cur, id, begin, k, e)
-	if err != nil {
-		return InvalidNode, err
-	}
-	after, err := advance(cur, end)
-	if err != nil {
-		return InvalidNode, err
-	}
-	return s.insertFragment(after, frag)
+func (s *Store) InsertAfterCtx(ctx context.Context, id NodeID, frag []Token) (NodeID, error) {
+	return s.insertAt(ctx, frag, func(cur *rangeCursor) (tokenPos, error) {
+		begin, k, e, err := s.locateBegin(cur, id)
+		if err != nil {
+			return tokenPos{}, err
+		}
+		if k == token.BeginAttribute {
+			return tokenPos{}, ErrAttrContext
+		}
+		end, err := s.locateEnd(cur, id, begin, k, e)
+		if err != nil {
+			return tokenPos{}, err
+		}
+		return advance(cur, end)
+	})
 }
 
 // InsertIntoFirst inserts frag as the first content of element id (after its
@@ -336,39 +230,21 @@ func (s *Store) InsertIntoFirst(id NodeID, frag []Token) (NodeID, error) {
 }
 
 // InsertIntoFirstCtx is InsertIntoFirst under a context.
-func (s *Store) InsertIntoFirstCtx(ctx context.Context, id NodeID, frag []Token) (_ NodeID, err error) {
-	if err := checkFragment(frag); err != nil {
-		return InvalidNode, err
-	}
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return InvalidNode, err
-	}
-	defer finish()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.latchCorrupt(&err)
-	if err := s.writableLocked(); err != nil {
-		return InvalidNode, err
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	begin, k, _, err := s.locateBegin(cur, id)
-	if err != nil {
-		return InvalidNode, err
-	}
-	if err := requireElement(k); err != nil {
-		return InvalidNode, err
-	}
-	pos, err := advance(cur, begin)
-	if err != nil {
-		return InvalidNode, err
-	}
-	pos, err = s.skipAttributes(cur, pos)
-	if err != nil {
-		return InvalidNode, err
-	}
-	return s.insertFragment(pos, frag)
+func (s *Store) InsertIntoFirstCtx(ctx context.Context, id NodeID, frag []Token) (NodeID, error) {
+	return s.insertAt(ctx, frag, func(cur *rangeCursor) (tokenPos, error) {
+		begin, k, _, err := s.locateBegin(cur, id)
+		if err != nil {
+			return tokenPos{}, err
+		}
+		if err := requireElement(k); err != nil {
+			return tokenPos{}, err
+		}
+		pos, err := advance(cur, begin)
+		if err != nil {
+			return tokenPos{}, err
+		}
+		return s.skipAttributes(cur, pos)
+	})
 }
 
 // InsertIntoLast inserts frag as the last content of element id — the
@@ -379,35 +255,17 @@ func (s *Store) InsertIntoLast(id NodeID, frag []Token) (NodeID, error) {
 }
 
 // InsertIntoLastCtx is InsertIntoLast under a context.
-func (s *Store) InsertIntoLastCtx(ctx context.Context, id NodeID, frag []Token) (_ NodeID, err error) {
-	if err := checkFragment(frag); err != nil {
-		return InvalidNode, err
-	}
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return InvalidNode, err
-	}
-	defer finish()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.latchCorrupt(&err)
-	if err := s.writableLocked(); err != nil {
-		return InvalidNode, err
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	begin, k, e, err := s.locateBegin(cur, id)
-	if err != nil {
-		return InvalidNode, err
-	}
-	if err := requireElement(k); err != nil {
-		return InvalidNode, err
-	}
-	end, err := s.locateEnd(cur, id, begin, k, e)
-	if err != nil {
-		return InvalidNode, err
-	}
-	return s.insertFragment(end, frag)
+func (s *Store) InsertIntoLastCtx(ctx context.Context, id NodeID, frag []Token) (NodeID, error) {
+	return s.insertAt(ctx, frag, func(cur *rangeCursor) (tokenPos, error) {
+		begin, k, e, err := s.locateBegin(cur, id)
+		if err != nil {
+			return tokenPos{}, err
+		}
+		if err := requireElement(k); err != nil {
+			return tokenPos{}, err
+		}
+		return s.locateEnd(cur, id, begin, k, e)
+	})
 }
 
 func requireElement(k token.Kind) error {
@@ -421,21 +279,30 @@ func requireElement(k token.Kind) error {
 	}
 }
 
-// locateSpan returns the token span of node id's subtree: its begin token and
-// the position right after its end token.
-func (s *Store) locateSpan(ctx context.Context, id NodeID) (begin, after tokenPos, err error) {
-	cur := s.cursor(ctx)
-	defer cur.close()
+// deleteNodeLocked removes node id's subtree and returns the position where
+// it used to be (ri == nil when the store became empty).
+func (s *Store) deleteNodeLocked(cur *rangeCursor, id NodeID) (tokenPos, error) {
 	begin, k, e, err := s.locateBegin(cur, id)
 	if err != nil {
-		return tokenPos{}, tokenPos{}, err
+		return tokenPos{}, err
 	}
 	end, err := s.locateEnd(cur, id, begin, k, e)
 	if err != nil {
-		return tokenPos{}, tokenPos{}, err
+		return tokenPos{}, err
 	}
-	after, err = advance(cur, end)
-	return begin, after, err
+	after, err := advance(cur, end)
+	if err != nil {
+		return tokenPos{}, err
+	}
+	pos, err := s.deleteSpan(begin, after)
+	if err != nil {
+		return tokenPos{}, err
+	}
+	if s.partial != nil {
+		s.partial.removeNode(id)
+	}
+	s.deletes++
+	return pos, nil
 }
 
 // DeleteNode removes node id and its entire subtree.
@@ -444,32 +311,14 @@ func (s *Store) DeleteNode(id NodeID) error {
 }
 
 // DeleteNodeCtx is DeleteNode under a context.
-func (s *Store) DeleteNodeCtx(ctx context.Context, id NodeID) (err error) {
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
+func (s *Store) DeleteNodeCtx(ctx context.Context, id NodeID) error {
+	return s.writeOp(ctx, func(cur *rangeCursor) error {
+		pos, err := s.deleteNodeLocked(cur, id)
+		if err == nil {
+			s.maybeCoalesce(pos.ri)
+		}
 		return err
-	}
-	defer finish()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.latchCorrupt(&err)
-	if err := s.writableLocked(); err != nil {
-		return err
-	}
-	begin, after, err := s.locateSpan(ctx, id)
-	if err != nil {
-		return err
-	}
-	pos, err := s.deleteSpan(begin, after)
-	if err != nil {
-		return err
-	}
-	if s.partial != nil {
-		s.partial.removeNode(id)
-	}
-	s.deletes++
-	s.maybeCoalesce(pos.ri)
-	return nil
+	})
 }
 
 // ReplaceNode replaces node id (and subtree) with frag, returning the first
@@ -478,60 +327,12 @@ func (s *Store) ReplaceNode(id NodeID, frag []Token) (NodeID, error) {
 	return s.ReplaceNodeCtx(context.Background(), id, frag)
 }
 
-// ReplaceNodeCtx is ReplaceNode under a context.
-func (s *Store) ReplaceNodeCtx(ctx context.Context, id NodeID, frag []Token) (_ NodeID, err error) {
-	if err := checkFragment(frag); err != nil {
-		return InvalidNode, err
-	}
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return InvalidNode, err
-	}
-	defer finish()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.latchCorrupt(&err)
-	if err := s.writableLocked(); err != nil {
-		return InvalidNode, err
-	}
-	begin, after, err := s.locateSpan(ctx, id)
-	if err != nil {
-		return InvalidNode, err
-	}
-	pos, err := s.deleteSpan(begin, after)
-	if err != nil {
-		return InvalidNode, err
-	}
-	if s.partial != nil {
-		s.partial.removeNode(id)
-	}
-	s.deletes++
-	if pos.ri == nil {
-		// The store became empty: plain append.
-		n := token.NodeCount(frag)
-		start := s.allocIDs(n)
-		tokenBytes := token.EncodeAll(frag)
-		ri := &rangeInfo{
-			id: s.allocRangeID(), start: start, nodes: n,
-			toks: len(frag), bytes: len(tokenBytes),
-		}
-		rec := encodeRangeRecord(ri.id, ri.start, ri.nodes, ri.toks, tokenBytes)
-		loc, moves, err := s.recs.InsertLast(rec)
-		if err != nil {
-			return InvalidNode, err
-		}
-		s.applyMoves(moves)
-		ri.loc = loc
-		s.register(ri)
-		if s.full != nil {
-			if err := s.full.addFragment(ri, tokenBytes); err != nil {
-				return InvalidNode, err
-			}
-		}
-		s.inserts++
-		return start, nil
-	}
-	return s.insertFragment(pos, frag)
+// ReplaceNodeCtx is ReplaceNode under a context. When the node was all the
+// store held, the fragment is placed in the emptied store.
+func (s *Store) ReplaceNodeCtx(ctx context.Context, id NodeID, frag []Token) (NodeID, error) {
+	return s.insertAt(ctx, frag, func(cur *rangeCursor) (tokenPos, error) {
+		return s.deleteNodeLocked(cur, id)
+	})
 }
 
 // ReplaceContent replaces the content of element id (children; the attribute
@@ -541,56 +342,46 @@ func (s *Store) ReplaceContent(id NodeID, frag []Token) (NodeID, error) {
 }
 
 // ReplaceContentCtx is ReplaceContent under a context.
-func (s *Store) ReplaceContentCtx(ctx context.Context, id NodeID, frag []Token) (_ NodeID, err error) {
+func (s *Store) ReplaceContentCtx(ctx context.Context, id NodeID, frag []Token) (first NodeID, err error) {
 	if len(frag) > 0 {
 		if err := checkFragment(frag); err != nil {
 			return InvalidNode, err
 		}
 	}
-	ctx, finish, err := s.beginOp(ctx)
-	if err != nil {
-		return InvalidNode, err
-	}
-	defer finish()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.latchCorrupt(&err)
-	if err := s.writableLocked(); err != nil {
-		return InvalidNode, err
-	}
-	cur := s.cursor(ctx)
-	defer cur.close()
-	begin, k, e, err := s.locateBegin(cur, id)
-	if err != nil {
-		return InvalidNode, err
-	}
-	if err := requireElement(k); err != nil {
-		return InvalidNode, err
-	}
-	contentStart, err := advance(cur, begin)
-	if err != nil {
-		return InvalidNode, err
-	}
-	contentStart, err = s.skipAttributes(cur, contentStart)
-	if err != nil {
-		return InvalidNode, err
-	}
-	end, err := s.locateEnd(cur, id, begin, k, e)
-	if err != nil {
-		return InvalidNode, err
-	}
-	pos := end
-	hasContent := !(contentStart.ri == end.ri && contentStart.tokIdx == end.tokIdx)
-	if hasContent {
-		pos, err = s.deleteSpan(contentStart, end)
+	err = s.writeOp(ctx, func(cur *rangeCursor) error {
+		begin, k, e, err := s.locateBegin(cur, id)
 		if err != nil {
-			return InvalidNode, err
+			return err
 		}
-		s.deletes++
+		if err := requireElement(k); err != nil {
+			return err
+		}
+		contentStart, err := advance(cur, begin)
+		if err != nil {
+			return err
+		}
+		if contentStart, err = s.skipAttributes(cur, contentStart); err != nil {
+			return err
+		}
+		pos, err := s.locateEnd(cur, id, begin, k, e)
+		if err != nil {
+			return err
+		}
+		if contentStart.ri != pos.ri || contentStart.tokIdx != pos.tokIdx { // the element has content
+			if pos, err = s.deleteSpan(contentStart, pos); err != nil {
+				return err
+			}
+			s.deletes++
+		}
+		if len(frag) == 0 {
+			s.maybeCoalesce(pos.ri)
+			return nil
+		}
+		first, err = s.insertFragment(pos, frag)
+		return err
+	})
+	if err != nil {
+		return InvalidNode, err
 	}
-	if len(frag) == 0 {
-		s.maybeCoalesce(pos.ri)
-		return InvalidNode, nil
-	}
-	return s.insertFragment(pos, frag)
+	return first, nil
 }

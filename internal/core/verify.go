@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 )
@@ -21,27 +22,18 @@ import (
 // Verify counts as one operation for admission control (a full scrub is
 // expensive and should not dogpile an overloaded store), but runs to
 // completion once admitted — it does not observe the operation deadline.
-func (s *Store) Verify() (err error) {
-	_, finish, err := s.beginOp(nil)
-	if err != nil {
-		return err
-	}
-	defer finish()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	defer s.latchCorrupt(&err)
-	if s.closed {
-		return ErrClosed
-	}
-	var errs []error
-	for _, e := range s.pool.Scrub() {
-		errs = append(errs, fmt.Errorf("scrub: %w", e))
-	}
-	if e := s.recs.VerifyChains(); e != nil {
-		errs = append(errs, fmt.Errorf("record chains: %w", e))
-	}
-	if e := s.checkInvariantsLocked(); e != nil {
-		errs = append(errs, fmt.Errorf("invariants: %w", e))
-	}
-	return errors.Join(errs...)
+func (s *Store) Verify() error {
+	return s.readOp(context.Background(), func(*rangeCursor) error {
+		var errs []error
+		for _, e := range s.pool.Scrub() {
+			errs = append(errs, fmt.Errorf("scrub: %w", e))
+		}
+		if e := s.recs.VerifyChains(); e != nil {
+			errs = append(errs, fmt.Errorf("record chains: %w", e))
+		}
+		if e := s.checkInvariantsLocked(); e != nil {
+			errs = append(errs, fmt.Errorf("invariants: %w", e))
+		}
+		return errors.Join(errs...)
+	})
 }

@@ -21,8 +21,9 @@ import (
 // applied.
 
 // idemKey scopes a token to its tenant gate, by identity: two tenants
-// reusing the same token string never collide, and the auth-disabled
-// shared gate still scopes consistently across sessions.
+// reusing the same token string never collide, and sessions without a
+// tenant (nil gate: auth disabled, or the fleet credential) share one
+// scope.
 type idemKey struct {
 	gate  *tenantGate
 	token string

@@ -24,14 +24,15 @@ type Tenant struct {
 }
 
 // tenantGate is the runtime form: a semaphore plus a bounded FIFO wait
-// queue, the same shape as core's admission controller.
+// queue, the same shape as core's admission controller. Sessions without a
+// tenant — unauthenticated ones and those holding the fleet credential — have
+// a nil gate.
 type tenantGate struct {
 	name    string
 	sem     chan struct{} // nil: unlimited
 	queue   chan struct{}
 	waiting atomic.Int64
 	shed    atomic.Int64
-	inOps   atomic.Int64
 }
 
 func newTenantGate(cfg Tenant) *tenantGate {
@@ -52,22 +53,15 @@ func newTenantGate(cfg Tenant) *tenantGate {
 // deadline expires while queued leaves with the context error. The
 // returned release is idempotent: op teardown paths can overlap (a drain
 // racing normal completion), and a double release must not mint an extra
-// slot another tenant op would then squeeze through.
+// slot another tenant op would then squeeze through. A nil or unlimited
+// gate admits at once and hands back a release with nothing to do.
 func (g *tenantGate) acquire(ctx context.Context) (release func(), err error) {
-	if g.sem == nil {
-		g.inOps.Add(1)
-		var once sync.Once
-		return func() { once.Do(func() { g.inOps.Add(-1) }) }, nil
+	if g == nil || g.sem == nil {
+		return noRelease, nil
 	}
 	grant := func() func() {
-		g.inOps.Add(1)
 		var once sync.Once
-		return func() {
-			once.Do(func() {
-				g.inOps.Add(-1)
-				<-g.sem
-			})
-		}
+		return func() { once.Do(func() { <-g.sem }) }
 	}
 	select {
 	case g.sem <- struct{}{}:
@@ -93,3 +87,5 @@ func (g *tenantGate) acquire(ctx context.Context) (release func(), err error) {
 		return nil, fmt.Errorf("tenant %q queued past deadline: %w", g.name, ctx.Err())
 	}
 }
+
+func noRelease() {}

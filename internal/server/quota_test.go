@@ -1,6 +1,7 @@
 // White-box tests for the per-tenant admission gate: queue-slot hygiene
-// when a queued caller's context dies, idempotent release, and FIFO grant
-// order with shedding at a full queue.
+// when a queued caller's context dies, idempotent release, FIFO grant order
+// with shedding at a full queue, and a free pass for sessions without a
+// quota.
 package server
 
 import (
@@ -57,8 +58,8 @@ func TestTenantGateCtxCancelWhileQueued(t *testing.T) {
 		t.Fatalf("acquire after canceled waiter: %v", err)
 	}
 	rel()
-	if n := g.inOps.Load(); n != 0 {
-		t.Fatalf("inOps = %d after all releases, want 0", n)
+	if n := len(g.sem); n != 0 {
+		t.Fatalf("%d slots held after all releases, want 0", n)
 	}
 }
 
@@ -84,20 +85,36 @@ func TestTenantGateDoubleReleaseSafe(t *testing.T) {
 		t.Fatalf("second concurrent acquire: got %v, want DeadlineExceeded (cap must stay 1)", err)
 	}
 	hold()
-	if n := g.inOps.Load(); n != 0 {
-		t.Fatalf("inOps = %d, want 0", n)
+	if n := len(g.sem); n != 0 {
+		t.Fatalf("%d slots held, want 0", n)
 	}
 
-	// The unlimited gate's release must be idempotent too.
-	u := newTenantGate(Tenant{Name: "u"})
-	urel, err := u.acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	// An unlimited gate's release, and a nil gate's, must be safe to call
+	// twice too.
+	for _, u := range []*tenantGate{newTenantGate(Tenant{Name: "u"}), nil} {
+		urel, err := u.acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		urel()
+		urel()
 	}
-	urel()
-	urel()
-	if n := u.inOps.Load(); n != 0 {
-		t.Fatalf("unlimited gate inOps = %d after double release, want 0", n)
+}
+
+// TestUnlimitedGateAllocatesNothing: sessions without a quota — a nil gate,
+// or a tenant with MaxConcurrentOps 0 — pay no allocation per operation.
+func TestUnlimitedGateAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	for _, g := range []*tenantGate{nil, newTenantGate(Tenant{Name: "u"})} {
+		if n := testing.AllocsPerRun(100, func() {
+			rel, err := g.acquire(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel()
+		}); n != 0 {
+			t.Errorf("gate %v: acquire+release allocates %.1f times, want 0", g, n)
+		}
 	}
 }
 
@@ -150,6 +167,6 @@ func TestTenantGateFIFOFairnessAtFullQueue(t *testing.T) {
 		}
 	}
 	gateWaitFor(t, "gate to go idle", func() bool {
-		return g.inOps.Load() == 0 && g.waiting.Load() == 0 && len(g.queue) == 0
+		return len(g.sem) == 0 && g.waiting.Load() == 0 && len(g.queue) == 0
 	})
 }

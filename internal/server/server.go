@@ -116,10 +116,8 @@ type ServedStats struct {
 
 // Server serves the wire protocol over one store or one replica.
 type Server struct {
-	opt       Options
-	tenants   map[string]*tenantGate // auth token -> gate
-	open      *tenantGate            // auth-disabled shared gate, nil otherwise
-	fleetGate *tenantGate            // gate for FleetToken sessions, nil when unset
+	opt     Options
+	tenants map[string]*tenantGate // auth token -> gate
 
 	connSlots    chan struct{}
 	slotWaiters  atomic.Int64
@@ -177,14 +175,8 @@ func New(opt Options) (*Server, error) {
 		}
 		s.tenants[token] = newTenantGate(t)
 	}
-	if len(s.tenants) == 0 {
-		s.open = newTenantGate(Tenant{Name: "default"})
-	}
-	if opt.FleetToken != "" {
-		if _, clash := s.tenants[opt.FleetToken]; clash {
-			return nil, errors.New("server: FleetToken must not equal a tenant token")
-		}
-		s.fleetGate = newTenantGate(Tenant{Name: "fleet"})
+	if _, clash := s.tenants[opt.FleetToken]; clash { // "" is never a tenant token
+		return nil, errors.New("server: FleetToken must not equal a tenant token")
 	}
 	return s, nil
 }
@@ -278,9 +270,6 @@ func (s *Server) Stats() ServedStats {
 
 func (s *Server) quotaShed() int64 {
 	var n int64
-	if s.open != nil {
-		n += s.open.shed.Load()
-	}
 	for _, g := range s.tenants {
 		n += g.shed.Load()
 	}
@@ -372,7 +361,7 @@ type conn struct {
 	nc   net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-	gate *tenantGate
+	gate *tenantGate // nil: no tenant quota
 	sid  uint64
 	// ver is the protocol version the hello negotiated. v2 sessions carry
 	// no epoch field in mutation and segment-ship payloads; the decoders
@@ -497,17 +486,16 @@ func (c *conn) handshake() error {
 	if err != nil {
 		return err
 	}
+	// Fleet and unauthenticated sessions keep the nil gate: no quota.
 	switch {
-	case s.fleetGate != nil && token == s.opt.FleetToken:
+	case s.opt.FleetToken != "" && token == s.opt.FleetToken:
 		// The dedicated fleet credential; this is the ONLY token that
 		// grants the failover plane on a server with a FleetToken set.
 		c.fleet = true
-		c.gate = s.fleetGate
-	case s.open != nil:
-		c.gate = s.open
+	case len(s.tenants) == 0:
 		// With no credentials configured anywhere the plane is open; the
 		// moment a FleetToken exists, anonymous sessions lose it.
-		c.fleet = s.fleetGate == nil
+		c.fleet = s.opt.FleetToken == ""
 	default:
 		g, ok := s.tenants[token]
 		if !ok {

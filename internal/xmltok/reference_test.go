@@ -526,6 +526,9 @@ func (s *refScanner) scanBang() (token.Token, error) {
 			sb.WriteByte(c)
 			if tail == [3]byte{']', ']', '>'} {
 				str := sb.String()
+				if len(str) == 3 {
+					return s.scan() // an empty section is no text node
+				}
 				return token.TextTok(str[:len(str)-3]), nil
 			}
 		}

@@ -571,7 +571,8 @@ func (s *Scanner) scanPI(out []token.Token, i int) ([]token.Token, error) {
 }
 
 // scanBang handles what follows "<!" at src[i]: comments, CDATA at the start
-// of content, and DOCTYPE.
+// of content, and DOCTYPE. An empty CDATA section yields no token: an empty
+// text node would serialize as nothing and vanish on reload.
 func (s *Scanner) scanBang(out []token.Token, i int) ([]token.Token, error) {
 	src := s.src
 	if len(src)-i < 2 {
@@ -601,6 +602,9 @@ func (s *Scanner) scanBang(out []token.Token, i int) ([]token.Token, error) {
 			return out, err
 		}
 		s.pos = next
+		if text == "" {
+			return out, nil
+		}
 		return append(out, token.TextTok(text)), nil
 	case src[i] == 'D' || src[i] == 'd':
 		// DOCTYPE: skipped, tracking bracket nesting for an internal subset.

@@ -101,6 +101,23 @@ func TestCDATA(t *testing.T) {
 	assertTokens(t, got, want)
 }
 
+// TestEmptyCDATA: an empty CDATA section is no text node, from a string or
+// from a reader, at the start of content or after other content.
+func TestEmptyCDATA(t *testing.T) {
+	for src, want := range map[string][]token.Token{
+		`<a><![CDATA[]]></a>`:                 {token.Elem("a"), token.EndElem()},
+		`<a><![CDATA[]]><b/><![CDATA[]]></a>`: {token.Elem("a"), token.Elem("b"), token.EndElem(), token.EndElem()},
+		`<a>x<![CDATA[]]></a>`:                {token.Elem("a"), token.TextTok("x"), token.EndElem()},
+	} {
+		assertTokens(t, scanAll(t, src), want)
+		got, err := Parse(&dribbleReader{src: src}, ParseOptions{})
+		if err != nil {
+			t.Fatalf("%q from a reader: %v", src, err)
+		}
+		assertTokens(t, got, want)
+	}
+}
+
 func TestCDATAFoldedIntoText(t *testing.T) {
 	got := scanAll(t, `<a>pre<![CDATA[mid]]>post</a>`)
 	// The leading text run absorbs the CDATA and following text.

@@ -156,7 +156,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 
 // mergeAdjacentText normalizes fragments where two text tokens are adjacent
 // (the parser cannot distinguish them from one) and drops empty text tokens
-// (an empty CDATA section scans as one; serialized, it is nothing).
+// (serialized, one is nothing).
 func mergeAdjacentText(seq []token.Token) []token.Token {
 	var out []token.Token
 	for _, t := range seq {

@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate.
 #
-# Runs formatting, a guard that keeps one durable file-replace
-# implementation, vet, build, the full test suite, the race detector over
+# Runs formatting, guards that keep one durable file-replace
+# implementation, one way into the store and one way to create a range,
+# vet, build, the full test suite, the race detector over
 # the concurrency-sensitive packages, a short fuzz of the xpath executors
 # against each other, of the xquery evaluator, of the range cursor
 # against the reference store, of the journal against its model, and of
@@ -25,6 +26,30 @@ fi
 echo "== one durable-replace helper (os.Rename only in internal/wal/replace.go)"
 if git grep -n 'os\.Rename' -- '*.go' ':!*_test.go' ':!internal/wal/replace.go'; then
     echo "use wal.ReplaceFile instead of a hand-rolled tmp+fsync+rename" >&2
+    exit 1
+fi
+
+echo "== one way into the store, one way to make a range (internal/core: s.beginOp( only in readOp and writeOp; encodeRangeRecord( only in placeRange and writeRangeRecord)"
+# only_in PATTERN FUNCS fails when a non-test internal/core line holding the
+# fixed string PATTERN sits in a function whose header does not match the
+# awk regex FUNCS. git grep -p prints each match's enclosing function header
+# (file=N=...) before it; the declaration of PATTERN's own function is
+# skipped.
+only_in() {
+    git grep -n -p -F -e "$1" -- 'internal/core/*.go' ':!*_test.go' | awk -v pat="$1" -v funcs="$2" '
+        $0 == "--" { next }
+        /^[^:=]*=[0-9]+=/ { header = $0; next }
+        { line = $0; sub(/^[^:]*:[0-9]+:/, "", line) }
+        index(line, "func " pat) == 1 { next }
+        header !~ funcs { print; bad = 1 }
+        END { exit bad }'
+}
+if ! only_in 's.beginOp(' '[)] (readOp|writeOp)[(]'; then
+    echo "enter the store through readOp or writeOp, not beginOp" >&2
+    exit 1
+fi
+if ! only_in 'encodeRangeRecord(' '[)] (placeRange|writeRangeRecord)[(]'; then
+    echo "create a range with placeRange (or rewrite one with writeRangeRecord)" >&2
     exit 1
 fi
 
