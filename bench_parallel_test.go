@@ -510,11 +510,15 @@ func BenchmarkParallelMixed(b *testing.B) {
 // writers stage behind the running fsync and share the next one, so ns/op
 // should fall with the writer count until the log device saturates. The
 // fsyncs/commit metric is every fsync the journal issued (log, page file,
-// truncate) per committed batch; logB/commit the bytes appended to the log
-// per batch; ckpt/1kcommit how many checkpoints a thousand batches cost;
-// pages/ckpt, ckpt-p50-us and ckpt-max-us what one of them writes and how
-// long it holds its committer, timed below the journal from its first
-// page-file write to the log fsync after the truncate.
+// the one ending a checkpoint) per committed batch; commits/logsync the
+// mean group size (WALCommits ÷ WALLogSyncs); logB/commit the bytes
+// appended to the log per batch; ckpt/1kcommit how many checkpoints a
+// thousand batches cost. Below the journal, logsync-p50-us is how long one
+// commit's log fsync takes and grew/logsync the share of them covering a
+// batch written past the log's previous end of file — a fsync that must
+// commit the inode's new size as well; pages/ckpt, ckpt-p50-us and
+// ckpt-max-us are what one checkpoint writes and how long it holds its
+// committer, from its first page-file write to the log fsync that ends it.
 func BenchmarkParallelCommit(b *testing.B) {
 	w := &ckptWatch{}
 	wp, err := wal.OpenWithOptions(filepath.Join(b.TempDir(), "commit.db"), 0, wal.Options{
@@ -554,32 +558,43 @@ func BenchmarkParallelCommit(b *testing.B) {
 	after := s.Stats()
 	if commits := float64(after.WALCommits - before.WALCommits); commits > 0 {
 		b.ReportMetric(float64(after.WALSyncs-before.WALSyncs)/commits, "fsyncs/commit")
+		b.ReportMetric(commits/float64(after.WALLogSyncs-before.WALLogSyncs), "commits/logsync")
 		b.ReportMetric(float64(after.WALLoggedBytes-before.WALLoggedBytes)/commits, "logB/commit")
 		b.ReportMetric(float64(after.WALCheckpoints-before.WALCheckpoints)*1000/commits, "ckpt/1kcommit")
 	}
 	w.report(b)
 }
 
-// ckptWatch times checkpoints from below a journal: one starts at its first
+// ckptWatch times the journal from below. A checkpoint starts at its first
 // page-file write (only a checkpoint writes the page file) and ends at the
-// log fsync that follows the log's truncate.
+// log fsync after it; every other log fsync makes batches durable, and is
+// timed on its own and marked grown when a batch it covers was written past
+// the log's end of file.
 type ckptWatch struct {
-	mu        sync.Mutex
-	start     time.Time
-	pages     int
-	truncated bool
-	took      []time.Duration
+	mu      sync.Mutex
+	start   time.Time
+	pages   int
+	took    []time.Duration
+	eof     int64 // the log's size as its writes and truncates left it
+	grew    bool  // a write since the last log fsync began extended the log
+	logSync []time.Duration
+	grown   int // log fsyncs that covered a write past the end of file
 }
 
 func (w *ckptWatch) reset() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.pages, w.took = 0, nil
+	w.pages, w.took, w.logSync, w.grown = 0, nil, nil, 0
 }
 
 func (w *ckptWatch) report(b *testing.B) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if n := len(w.logSync); n > 0 {
+		slices.Sort(w.logSync)
+		b.ReportMetric(float64(w.logSync[n/2].Nanoseconds())/1e3, "logsync-p50-us")
+		b.ReportMetric(float64(w.grown)/float64(n), "grew/logsync")
+	}
 	if len(w.took) == 0 {
 		return
 	}
@@ -609,21 +624,40 @@ type ckptLog struct {
 	w *ckptWatch
 }
 
+func (f ckptLog) WriteAt(p []byte, off int64) (int, error) {
+	f.w.mu.Lock()
+	if end := off + int64(len(p)); end > f.w.eof {
+		f.w.eof, f.w.grew = end, true
+	}
+	f.w.mu.Unlock()
+	return f.File.WriteAt(p, off)
+}
+
 func (f ckptLog) Truncate(size int64) error {
 	f.w.mu.Lock()
-	f.w.truncated = true
+	f.w.eof = size
 	f.w.mu.Unlock()
 	return f.File.Truncate(size)
 }
 
 func (f ckptLog) Sync() error {
-	err := f.File.Sync()
 	f.w.mu.Lock()
-	if f.w.truncated && !f.w.start.IsZero() {
+	grew := f.w.grew
+	f.w.grew = false
+	f.w.mu.Unlock()
+	began := time.Now()
+	err := f.File.Sync()
+	took := time.Since(began)
+	f.w.mu.Lock()
+	if f.w.start.IsZero() {
+		f.w.logSync = append(f.w.logSync, took)
+		if grew {
+			f.w.grown++
+		}
+	} else {
 		f.w.took = append(f.w.took, time.Since(f.w.start))
-	}
-	if f.w.truncated {
-		f.w.start, f.w.truncated = time.Time{}, false
+		f.w.start = time.Time{}
+		f.w.grew = f.w.grew || grew // the checkpoint's fsync covered no batch
 	}
 	f.w.mu.Unlock()
 	return err

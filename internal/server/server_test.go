@@ -519,7 +519,7 @@ func TestHTTPFacade(t *testing.T) {
 		t.Fatalf("readyz: %d %q", code, body)
 	}
 	if code, body := httpGet(t, ts.URL+"/stats"); code != 200 || !strings.Contains(body, `"role":"primary"`) ||
-		!strings.Contains(body, `"WALCommits"`) || !strings.Contains(body, `"WALLogBytes"`) || !strings.Contains(body, `"WALLoggedBytes"`) ||
+		!strings.Contains(body, `"WALCommits"`) || !strings.Contains(body, `"WALLogSyncs"`) || !strings.Contains(body, `"WALLogBytes"`) || !strings.Contains(body, `"WALLoggedBytes"`) ||
 		!strings.Contains(body, `"ValueIndexHits"`) || !strings.Contains(body, `"ValueIndexBytes"`) {
 		t.Fatalf("stats: %d %q", code, body)
 	}

@@ -63,7 +63,7 @@ func TestFailedCheckpointKeepsCommit(t *testing.T) {
 	if p.LSN() != 2 {
 		t.Fatalf("LSN %d after a durable commit, want 2", p.LSN())
 	}
-	if _, _, checkpoints, failed, logBytes, _ := p.JournalStats(); checkpoints != 1 || failed != 1 || logBytes == 0 {
+	if _, _, checkpoints, failed, logBytes, _, _ := p.JournalStats(); checkpoints != 1 || failed != 1 || logBytes == 0 {
 		t.Fatalf("checkpoints %d (%d failed), log %d bytes: the failed checkpoint must be counted and leave the log in place", checkpoints, failed, logBytes)
 	}
 	seg2 := filepath.Join(arch, SegmentFileName(2))
@@ -102,7 +102,7 @@ func TestFailedCheckpointKeepsCommit(t *testing.T) {
 		if p.LSN() != lsn {
 			t.Fatalf("LSN after recommit: %d, want %d", p.LSN(), lsn)
 		}
-		_, _, checkpoints, failed, logBytes, _ := p.JournalStats()
+		_, _, checkpoints, failed, logBytes, _, _ := p.JournalStats()
 		if lsn == 3 && (checkpoints != 1 || failed != 1 || logBytes == 0) {
 			t.Fatalf("commit 3: checkpoints %d (%d failed), log %d bytes: the retry must wait out the backoff", checkpoints, failed, logBytes)
 		}
