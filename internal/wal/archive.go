@@ -281,7 +281,7 @@ func ReadSegment(path string, pageSize int, base func(pagestore.PageID, []byte) 
 // image yields a page that fails its checksum, never a silent hybrid.
 // Segments holding only full images never call base.
 func ParseSegment(name string, data []byte, pageSize int, base func(pagestore.PageID, []byte) error) ([]PageImage, uint64, error) {
-	pages, lsn, next, err := readBatch(data, 0, pageSize, base)
+	pages, lsn, next, err := readBatch(data, 0, pageSize, 0, base)
 	if err != nil {
 		return nil, 0, fmt.Errorf("wal: segment %s: %w", name, err)
 	}
@@ -294,10 +294,11 @@ func ParseSegment(name string, data []byte, pageSize int, base func(pagestore.Pa
 // ParseLog scans raw sidecar-log bytes and returns the newest full image
 // of every page its complete batches hold (later batches win, deltas
 // resolved against earlier images in the log) and the last commit LSN
-// seen. Torn tails are silently discarded, mirroring recovery. Online
-// backup uses this to apply the "WAL barrier": a shared-lock reader folds
-// in batches a concurrent writer has made durable but not yet applied to
-// the page file.
+// seen. A torn tail, and everything from the first batch out of LSN
+// sequence on (an earlier lap's bytes), is silently discarded, mirroring
+// recovery. Online backup uses this to apply the "WAL barrier": a
+// shared-lock reader folds in batches a concurrent writer has made durable
+// but not yet applied to the page file.
 func ParseLog(data []byte, pageSize int) (map[pagestore.PageID][]byte, uint64, error) {
 	return replayLog(data, pageSize, nil)
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -123,3 +124,44 @@ func TestDoubleCloseAfterFailure(t *testing.T) {
 }
 
 var _ pagestore.Pager = (*Pager)(nil)
+
+// A cleanly closed store is one complete page file beside an empty log,
+// however many laps the log ran: Close truncates it once its checkpoint has
+// made everything in it redundant, and both ways of reopening see every
+// commit.
+func TestCloseLeavesEmptyLog(t *testing.T) {
+	s := openLapStore(t)
+	for lap := 0; lap < 3; lap++ {
+		for k := 0; k < 4; k++ {
+			s.commit(k, byte(0x10*lap+k))
+		}
+		s.checkpoint()
+	}
+	s.commit(0, 0x40) // still in the log when Close begins
+	if err := s.p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(s.path + ".wal"); err != nil || st.Size() != 0 {
+		t.Fatalf("log after a clean close: %v, %d bytes", err, st.Size())
+	}
+	check := func(what string, read func(pagestore.PageID, []byte) error) {
+		buf := make([]byte, 512)
+		for id, img := range s.want {
+			if err := read(id, buf); err != nil || !bytes.Equal(buf, img) {
+				t.Fatalf("page %d through %s: %#x, want %#x (err %v)", id, what, buf[0], img[0], err)
+			}
+		}
+	}
+	ro, err := OpenReadOnly(s.path, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("a read-only open", ro.ReadPage)
+	ro.Close()
+	p, err := Open(s.path, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	check("a reopen", p.ReadPage)
+}

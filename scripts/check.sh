@@ -3,6 +3,7 @@
 #
 # Runs formatting, guards that keep one durable file-replace
 # implementation, one way into the store and one way to create a range,
+# and a log that is rewound rather than truncated and synced in one place,
 # vet, build, the full test suite, the race detector over
 # the concurrency-sensitive packages, a short fuzz of the xpath executors
 # against each other, of the xquery evaluator, of the range cursor
@@ -30,13 +31,13 @@ if git grep -n 'os\.Rename' -- '*.go' ':!*_test.go' ':!internal/wal/replace.go';
 fi
 
 echo "== one way into the store, one way to make a range (internal/core: s.beginOp( only in readOp and writeOp; encodeRangeRecord( only in placeRange and writeRangeRecord)"
-# only_in PATTERN FUNCS fails when a non-test internal/core line holding the
-# fixed string PATTERN sits in a function whose header does not match the
-# awk regex FUNCS. git grep -p prints each match's enclosing function header
-# (file=N=...) before it; the declaration of PATTERN's own function is
-# skipped.
+# only_in PATTERN FUNCS [PATHSPEC] fails when a non-test line holding the
+# fixed string PATTERN, in internal/core unless PATHSPEC names other files,
+# sits in a function whose header does not match the awk regex FUNCS. git
+# grep -p prints each match's enclosing function header (file=N=...) before
+# it; the declaration of PATTERN's own function is skipped.
 only_in() {
-    git grep -n -p -F -e "$1" -- 'internal/core/*.go' ':!*_test.go' | awk -v pat="$1" -v funcs="$2" '
+    git grep -n -p -F -e "$1" -- "${3:-internal/core/*.go}" ':!*_test.go' | awk -v pat="$1" -v funcs="$2" '
         $0 == "--" { next }
         /^[^:=]*=[0-9]+=/ { header = $0; next }
         { line = $0; sub(/^[^:]*:[0-9]+:/, "", line) }
@@ -50,6 +51,20 @@ if ! only_in 's.beginOp(' '[)] (readOp|writeOp)[(]'; then
 fi
 if ! only_in 'encodeRangeRecord(' '[)] (placeRange|writeRangeRecord)[(]'; then
     echo "create a range with placeRange (or rewrite one with writeRangeRecord)" >&2
+    exit 1
+fi
+
+echo "== a log rewound, not truncated, and synced in one place (internal/wal: .Truncate( only in Close, Open and rewind; Fdatasync only in datasync_linux.go; wal.Sync only in syncLog)"
+if ! only_in '.Truncate(' ' (Close|Open|OpenWithOptions|rewind)[(]' 'internal/wal/*.go'; then
+    echo "a checkpoint rewinds the log (rewind, which alone shrinks an outgrown file); only Close and Open may truncate it otherwise" >&2
+    exit 1
+fi
+if git grep -n 'Fdatasync' -- '*.go' ':!internal/wal/datasync_linux.go'; then
+    echo "sync the log through logFile.Sync, whose datasync lives in internal/wal/datasync_linux.go" >&2
+    exit 1
+fi
+if ! only_in 'wal.Sync' '[)] syncLog[(]' 'internal/wal/*.go'; then
+    echo "sync the log with syncLog, which counts every log fsync" >&2
     exit 1
 fi
 
@@ -68,8 +83,8 @@ go test -race ./internal/lock ./internal/core ./internal/txn ./internal/fault ./
 echo "== go test -race (root-package stress incl. cold file-backed readers beside a splitting writer, chaos soak, overload paths)"
 go test -race -run 'Stress|Concurrent|Chaos|Overload|Deadline' .
 
-echo "== go test -race (partition chaos: net faults, kill -9 primary, fleet + automatic failover; crash sweeps of the durable-replace helper and of backup; the WAL reference model; parent-era logs and segments)"
-go test -race -run 'TestPartitionChaos|TestNetChaos|TestFleet|TestFailover|TestReplaceFileCrashSweep|TestBackupCrashMatrix|TestWALModel|TestParentEraLogAndSegments' ./internal/server ./internal/fault ./internal/wal ./internal/recover ./internal/replica
+echo "== go test -race (partition chaos: net faults, kill -9 primary, fleet + automatic failover; crash sweeps of the durable-replace helper and of backup; the WAL reference model and the crashes a recycled log must survive; parent-era logs and segments)"
+go test -race -run 'TestPartitionChaos|TestNetChaos|TestFleet|TestFailover|TestReplaceFileCrashSweep|TestBackupCrashMatrix|TestWALModel|TestCrashAfterRewindKeepsCheckpoint|TestTornBatchOverAlignedLap|TestCloseLeavesEmptyLog|TestParentEraLogAndSegments' ./internal/server ./internal/fault ./internal/wal ./internal/recover ./internal/replica
 
 echo "== go test -fuzz (xpath, xquery: 10s per target, so the differential checks and the FLWOR loop meet fresh inputs, not only the seed corpus)"
 go test -run '^$' -fuzz FuzzXPathParser -fuzztime 10s ./internal/xpath
