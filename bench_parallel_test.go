@@ -9,6 +9,7 @@ package axml_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -285,33 +286,49 @@ func BenchmarkPushdownPointSkip(b *testing.B) {
 
 const qPointFmt = `/purchase-orders/purchase-order[@id='PO-%06d']`
 
-// BenchmarkValueIndexPoint is q-point once its shape's value table stands: a
-// different order every op, no write in between.
+// BenchmarkValueIndexPoint is q-point once its shape's value table stands: an
+// order drawn uniformly from the sources every op, as the `query` workload
+// draws them, no write in between. With 256 sources every query text fits the
+// plan cache; with 1 000 — the workload's mix — the texts outnumber its 512
+// entries, and only a plan keyed by shape still hits. planhits/lookup is the
+// plan cache's hit share over the timed ops: two lookups each, the plan and
+// the value table.
 func BenchmarkValueIndexPoint(b *testing.B) {
-	for _, n := range []int{1000, 20000} {
-		b.Run(fmt.Sprintf("orders=%d", n), func(b *testing.B) {
+	for _, c := range []struct{ orders, sources int }{{1000, 256}, {20000, 256}, {1000, 1000}} {
+		b.Run(fmt.Sprintf("orders=%d/sources=%d", c.orders, c.sources), func(b *testing.B) {
+			n := c.orders
 			s, _ := ordersStore(b, core.Config{Mode: core.RangePartial}, n)
 			defer s.Close()
 			ctx := context.Background()
-			qs := make([]string, 256) // fewer sources than the plan cache holds
+			qs := make([]string, c.sources)
 			for i := range qs {
 				qs[i] = fmt.Sprintf(qPointFmt, i*n/len(qs))
 				if _, err := xpath.QueryIDsCtx(ctx, s, qs[i]); err != nil { // planned; first sight, fill, hits
 					b.Fatal(err)
 				}
 			}
+			draws := make([]string, 1<<14)
+			rng := rand.New(rand.NewSource(2005))
+			for i := range draws {
+				draws[i] = qs[rng.Intn(len(qs))]
+			}
+			before := s.Stats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ids, err := xpath.QueryIDsCtx(ctx, s, qs[i%len(qs)])
+				q := draws[i%len(draws)]
+				ids, err := xpath.QueryIDsCtx(ctx, s, q)
 				if err != nil || len(ids) != 1 {
-					b.Fatalf("%s: %d ids, %v", qs[i%len(qs)], len(ids), err)
+					b.Fatalf("%s: %d ids, %v", q, len(ids), err)
 				}
 			}
 			b.StopTimer()
-			if st := s.Stats(); st.ValueIndexFills != 1 || st.ValueIndexHits < uint64(b.N) {
+			st := s.Stats()
+			if st.ValueIndexFills != 1 || st.ValueIndexHits < uint64(b.N) {
 				b.Fatalf("not measured on hits: %d fills, %d hits of %d", st.ValueIndexFills, st.ValueIndexHits, b.N)
 			}
+			hits, misses := st.PlanCacheHits-before.PlanCacheHits, st.PlanCacheMisses-before.PlanCacheMisses
+			b.ReportMetric(float64(hits)/float64(hits+misses), "planhits/lookup")
 		})
 	}
 }

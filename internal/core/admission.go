@@ -10,7 +10,9 @@ package core
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // AdmissionStats counts admission-control outcomes.
@@ -131,11 +133,11 @@ func isCritical(ctx context.Context) bool {
 // and composite public helpers that chain other public calls — must not, or
 // a held slot would wait on a second slot and the gate could self-deadlock.
 func (s *Store) readOp(ctx context.Context, fn func(cur *rangeCursor) error) (err error) {
-	ctx, finish, err := s.beginOp(ctx)
+	ctx, end, err := s.beginOp(ctx)
 	if err != nil {
 		return err
 	}
-	defer finish()
+	defer end.finish()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	defer s.latchCorrupt(&err)
@@ -151,11 +153,11 @@ func (s *Store) readOp(ctx context.Context, fn func(cur *rangeCursor) error) (er
 // place of the closed check, so a closed, read-only or degraded store
 // rejects the write and an admitted one starts a new generation.
 func (s *Store) writeOp(ctx context.Context, fn func(cur *rangeCursor) error) (err error) {
-	ctx, finish, err := s.beginOp(ctx)
+	ctx, end, err := s.beginOp(ctx)
 	if err != nil {
 		return err
 	}
-	defer finish()
+	defer end.finish()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.latchCorrupt(&err)
@@ -169,34 +171,111 @@ func (s *Store) writeOp(ctx context.Context, fn func(cur *rangeCursor) error) (e
 
 // beginOp applies the configured OpTimeout (only when the caller brought no
 // deadline of its own), then passes admission control. On success the
-// returned context carries the deadline and finish must be deferred; on
+// returned context carries the deadline and end.finish must be deferred; on
 // failure the typed error is returned as the operation's result. readOp and
 // writeOp are its only callers.
-func (s *Store) beginOp(ctx context.Context) (opCtx context.Context, finish func(), err error) {
+func (s *Store) beginOp(ctx context.Context) (opCtx context.Context, end opEnd, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if isCritical(ctx) {
-		return ctx, noopFinish, nil
+		return ctx, opEnd{}, nil
 	}
-	var cancel context.CancelFunc
+	var d *deadlineCtx
 	if s.cfg.OpTimeout > 0 {
 		if _, has := ctx.Deadline(); !has {
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.OpTimeout)
+			d = newDeadlineCtx(ctx, s.cfg.OpTimeout)
+			ctx = d
 		}
 	}
 	if err := s.adm.acquire(ctx); err != nil {
-		if cancel != nil {
-			cancel()
-		}
-		return ctx, nil, err
+		d.end(context.Canceled)
+		return ctx, opEnd{}, err
 	}
-	if cancel == nil {
-		// Common path (no per-op deadline): the cached release closure
-		// avoids a per-operation allocation.
-		return ctx, s.releaseFn, nil
-	}
-	return ctx, func() { s.adm.release(); cancel() }, nil
+	return ctx, opEnd{adm: s.adm, ctx: d}, nil
 }
 
-func noopFinish() {}
+// opEnd ends an admitted operation: it returns the admission slot and ends
+// the OpTimeout context, either of which may be absent. A value, so the
+// deferred call allocates nothing.
+type opEnd struct {
+	adm *admission
+	ctx *deadlineCtx
+}
+
+func (e opEnd) finish() {
+	e.adm.release()
+	e.ctx.end(context.Canceled)
+}
+
+// deadlineCtx is a context with a deadline that arms no timer until someone
+// waits on it. An uncontended operation only ever polls Err (a cursor does at
+// every page fetch), which reads the clock; the timer that closes Done, and
+// the hook that forwards the parent's cancellation to it, are set up by the
+// first Done call — a queued admission, a lock wait — so an operation that
+// never waits pays one allocation and no timer.
+type deadlineCtx struct {
+	context.Context // the parent
+	deadline        time.Time
+	ended           atomic.Bool // err is set: done, if made, is closed
+	mu              sync.Mutex
+	err             error
+	done            chan struct{}
+	timer           *time.Timer
+	unhook          func() bool // stops forwarding the parent's cancellation
+}
+
+func newDeadlineCtx(parent context.Context, timeout time.Duration) *deadlineCtx {
+	return &deadlineCtx{Context: parent, deadline: time.Now().Add(timeout)}
+}
+
+func (c *deadlineCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func (c *deadlineCtx) Err() error {
+	if c.ended.Load() {
+		return c.end(nil)
+	}
+	if err := c.Context.Err(); err != nil {
+		return c.end(err)
+	}
+	if !time.Now().Before(c.deadline) {
+		return c.end(context.DeadlineExceeded)
+	}
+	return nil
+}
+
+func (c *deadlineCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done == nil {
+		c.done = make(chan struct{})
+		if c.err != nil {
+			close(c.done)
+		} else {
+			c.timer = time.AfterFunc(time.Until(c.deadline), func() { c.end(context.DeadlineExceeded) })
+			c.unhook = context.AfterFunc(c.Context, func() { c.end(c.Context.Err()) })
+		}
+	}
+	return c.done
+}
+
+// end makes err the context's error if it has none yet (nil: only reads it),
+// closing done and disarming what Done armed, and returns the error. Safe
+// on a nil context, where it does nothing.
+func (c *deadlineCtx) end(err error) error {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil && err != nil {
+		c.err = err
+		c.ended.Store(true)
+		if c.done != nil {
+			close(c.done)
+			c.timer.Stop()
+			c.unhook()
+		}
+	}
+	return c.err
+}

@@ -155,6 +155,88 @@ func TestOpTimeoutBoundsQueueWait(t *testing.T) {
 	}
 }
 
+// TestOpTimeoutArmsNoTimer: an uncontended operation under OpTimeout, whose
+// caller brought no deadline, waits on nothing, so it arms no timer and
+// forwards no cancellation: it costs one allocation, its context, over the
+// same operation on a store without OpTimeout. A deadline is still there to
+// poll, and a queued wait still honors it (TestOpTimeoutBoundsQueueWait).
+func TestOpTimeoutArmsNoTimer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	allocs := func(cfg Config) float64 {
+		s := openStore(t, cfg)
+		root, err := s.Append(figure1())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, _, err := s.Parent(root + 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain, timed := allocs(Config{}), allocs(Config{OpTimeout: 10 * time.Second})
+	if timed > plain+1 {
+		t.Errorf("an uncontended op under OpTimeout allocates %v, without it %v: want at most one more", timed, plain)
+	}
+}
+
+// TestDeadlineCtxContract: the OpTimeout context keeps the context contract
+// although it arms its timer late. Done closes at the deadline and when the
+// parent is cancelled — before or after the first Done call — and Err agrees;
+// a context derived from it is cancelled with it; ending it is final.
+func TestDeadlineCtxContract(t *testing.T) {
+	closes := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		case <-time.After(5 * time.Second):
+			return false
+		}
+	}
+	d := newDeadlineCtx(context.Background(), 20*time.Millisecond)
+	if err := d.Err(); err != nil {
+		t.Fatalf("fresh: %v", err)
+	}
+	child, cancelChild := context.WithCancel(d)
+	defer cancelChild()
+	if !closes(d.Done()) || !errors.Is(d.Err(), context.DeadlineExceeded) {
+		t.Fatalf("at the deadline: %v", d.Err())
+	}
+	if !closes(child.Done()) {
+		t.Fatal("a derived context outlived the deadline")
+	}
+
+	for _, doneFirst := range []bool{true, false} {
+		parent, cancel := context.WithCancel(context.Background())
+		d := newDeadlineCtx(parent, time.Hour)
+		var done <-chan struct{}
+		if doneFirst {
+			done = d.Done()
+		}
+		cancel()
+		if !doneFirst {
+			if err := d.Err(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("parent cancelled, Done not called: Err %v", err)
+			}
+			done = d.Done()
+		}
+		if !closes(done) || !errors.Is(d.Err(), context.Canceled) {
+			t.Fatalf("parent cancelled (Done first %v): Err %v", doneFirst, d.Err())
+		}
+	}
+
+	d = newDeadlineCtx(context.Background(), time.Hour)
+	d.end(context.Canceled)
+	if !closes(d.Done()) || !errors.Is(d.Err(), context.Canceled) {
+		t.Fatalf("ended: Err %v", d.Err())
+	}
+	if dl, ok := d.Deadline(); !ok || time.Until(dl) < 59*time.Minute {
+		t.Fatalf("deadline %v %v", dl, ok)
+	}
+}
+
 func TestAdmissionDisabled(t *testing.T) {
 	s := openStore(t, Config{MaxConcurrentOps: -1})
 	if _, err := s.Append(figure1()); err != nil {

@@ -134,10 +134,7 @@ type Store struct {
 	checkpoints *checkpointTable
 
 	// adm gates public entry points under overload (nil = gate off).
-	// releaseFn is the cached slot-release closure handed out by beginOp on
-	// the common (no per-op deadline) path, so admission adds no allocation.
-	adm       *admission
-	releaseFn func()
+	adm *admission
 	// budget is the shared memory budget across pool/partial/checkpoints/
 	// plans (nil = unlimited).
 	budget *budget.Budget
@@ -277,7 +274,6 @@ func newStore(cfg Config, pager pagestore.Pager, records func(*pagestore.BufferP
 		adm:       newAdmission(cfg.MaxConcurrentOps, cfg.MaxQueuedOps),
 		plans:     plancache.New(cfg.PlanCacheEntries, b),
 	}
-	s.releaseFn = func() { s.adm.release() }
 	if err := s.initIndexes(); err != nil {
 		return nil, err
 	}
@@ -543,7 +539,8 @@ func (s *Store) OpContext(ctx context.Context) (context.Context, context.CancelF
 	}
 	if s.cfg.OpTimeout > 0 && !isCritical(ctx) {
 		if _, has := ctx.Deadline(); !has {
-			return context.WithTimeout(ctx, s.cfg.OpTimeout)
+			d := newDeadlineCtx(ctx, s.cfg.OpTimeout)
+			return d, func() { d.end(context.Canceled) }
 		}
 	}
 	return ctx, func() {}

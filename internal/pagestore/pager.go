@@ -195,7 +195,11 @@ func (p *MemPager) Close() error {
 // hold a writable view of the same store: the second open fails fast with
 // ErrStoreLocked instead of silently destroying the WAL discipline.
 type FilePager struct {
-	mu       sync.Mutex
+	// mu's read side is taken by ReadPage, Sync and the counters, which only
+	// read the allocation state: concurrent preads run in parallel, and a
+	// checkpoint's fsync does not stall them. Writes, allocation, Free and
+	// Close take the write side.
+	mu       sync.RWMutex
 	f        *os.File
 	pageSize int
 	npages   int // allocated pages, excluding the reserved slot
@@ -310,8 +314,8 @@ func (p *FilePager) check(id PageID) error {
 
 // ReadPage implements Pager.
 func (p *FilePager) ReadPage(id PageID, buf []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	if err := p.check(id); err != nil {
 		return err
 	}
@@ -358,23 +362,23 @@ func (p *FilePager) Free(id PageID) error {
 
 // PageCount implements Pager.
 func (p *FilePager) PageCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return p.npages
 }
 
 // MaxPageID returns the highest page id ever allocated (scrub extent).
 func (p *FilePager) MaxPageID() PageID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return p.highest
 }
 
 // Sync flushes the underlying file to stable storage. A read-only pager
 // has nothing to flush.
 func (p *FilePager) Sync() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	if p.closed {
 		return ErrClosed
 	}

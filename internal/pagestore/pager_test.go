@@ -2,8 +2,13 @@ package pagestore
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func testPagers(t *testing.T) map[string]Pager {
@@ -166,6 +171,81 @@ func TestFilePagerPersistence(t *testing.T) {
 	}
 	if !bytes.HasPrefix(got, []byte("hello persistent world")) {
 		t.Errorf("persisted data lost: %q", got[:30])
+	}
+}
+
+// TestFilePagerReadsBesideSync: reads share the pager's lock with Sync and
+// with each other, writes and Close do not. A ReadPage completes while the
+// read side is held, as it is across a Sync's fsync; readers and syncers
+// running beside a Close see their pages or ErrClosed, never a read of a
+// closed file. Run under -race by scripts/check.sh.
+func TestFilePagerReadsBesideSync(t *testing.T) {
+	fp, err := OpenFilePager(filepath.Join(t.TempDir(), "shared.db"), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pages = 16
+	page := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 1024) }
+	var ids []PageID
+	for i := 0; i < pages; i++ {
+		id, err := fp.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fp.WritePage(id, page(i)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+
+	fp.mu.RLock() // a Sync in its fsync
+	read := make(chan error, 1)
+	go func() { read <- fp.ReadPage(ids[0], make([]byte, 1024)) }()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ReadPage waited for a Sync")
+	}
+	fp.mu.RUnlock()
+
+	var wg sync.WaitGroup
+	var ops atomic.Int64
+	errs := make(chan error, 8)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, 1024)
+			for k := g; ; k++ {
+				ops.Add(1)
+				var err error
+				if g == 0 {
+					err = fp.Sync()
+				} else if err = fp.ReadPage(ids[k%pages], buf); err == nil && !bytes.Equal(buf, page(k%pages)) {
+					err = errors.New("page read back wrong")
+				}
+				if err != nil {
+					if !errors.Is(err, ErrClosed) {
+						errs <- err
+					}
+					return
+				}
+			}
+		}(g)
+	}
+	for ops.Load() < 400 {
+		runtime.Gosched()
+	}
+	if err := fp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("beside Close: %v", err)
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package plancache implements a keyed, size-bounded, concurrency-safe cache
 // for compiled query plans. Parsing and planning an XPath/XQuery expression
 // costs far more than executing it on a warm store, so repeated queries —
-// the dominant shape of server traffic — should pay it once.
+// the dominant shape of server traffic — should pay it once. The callers
+// choose the keys: XPath keys a plan by its shape (its source with the string
+// literals emptied), so one entry serves every literal; XQuery by its text.
 //
 // The cache is sharded (lock per shard, like the partial index) and
 // accounted against the shared memory budget under the Plans class: each
@@ -20,6 +22,7 @@
 package plancache
 
 import (
+	"hash/maphash"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -76,15 +79,14 @@ func New(maxEntries int, bud *budget.Budget) *Cache {
 	return c
 }
 
-// fnv-1a; plans are few and keys are whole expressions, so a simple hash is
-// plenty.
+// shardSeed seeds shardFor, per process: placement need not repeat across
+// runs, as eviction's sampling already does not.
+var shardSeed = maphash.MakeSeed()
+
+// shardFor picks key's shard with the runtime's string hash: every query
+// hashes its key (a few dozen bytes) on every lookup.
 func shardFor(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h % shardCount
+	return uint32(maphash.String(shardSeed, key) % shardCount)
 }
 
 // Get returns the cached plan for key, bumping its recency. The value is
@@ -96,13 +98,28 @@ func (c *Cache) Get(key string) (any, bool) {
 	}
 	sh := &c.shards[shardFor(key)]
 	sh.mu.RLock()
-	e, ok := sh.entries[key]
+	return c.found(sh, sh.entries[key])
+}
+
+// GetBytes is Get for a key held in a byte slice, which a lookup neither
+// copies nor keeps: a caller can build keys in a buffer of its own.
+func (c *Cache) GetBytes(key []byte) (any, bool) {
+	if c == nil {
+		return nil, false
+	}
+	sh := &c.shards[maphash.Bytes(shardSeed, key)%shardCount]
+	sh.mu.RLock()
+	return c.found(sh, sh.entries[string(key)])
+}
+
+// found ends a lookup that met e (nil: no entry) under sh's read lock.
+func (c *Cache) found(sh *shard, e *entry) (any, bool) {
 	var v any
-	if ok {
+	if e != nil {
 		v = e.val
 	}
 	sh.mu.RUnlock()
-	if !ok {
+	if e == nil {
 		c.misses.Add(1)
 		return nil, false
 	}

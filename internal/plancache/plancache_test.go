@@ -40,6 +40,37 @@ func TestHitMissCounters(t *testing.T) {
 	}
 }
 
+// TestGetBytesIsGet: a key in a byte slice finds what Put stored under the
+// same string, in the shard Get would look in, counts as Get counts, and a
+// hit allocates nothing.
+func TestGetBytesIsGet(t *testing.T) {
+	c := New(64, nil)
+	var nilCache *Cache
+	if _, ok := nilCache.GetBytes([]byte("a")); ok {
+		t.Fatal("nil cache must miss")
+	}
+	for i := 0; i < 32; i++ {
+		c.Put(fmt.Sprintf("xp:key-%d", i), i, 10)
+	}
+	key := make([]byte, 0, 16)
+	for i := 0; i < 32; i++ {
+		key = fmt.Appendf(key[:0], "xp:key-%d", i)
+		if v, ok := c.GetBytes(key); !ok || v.(int) != i {
+			t.Fatalf("%s: %v %v", key, v, ok)
+		}
+	}
+	if _, ok := c.GetBytes([]byte("xp:absent")); ok {
+		t.Fatal("unexpected hit")
+	}
+	if st := c.Snapshot(); st.Hits != 32 || st.Misses != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+	key = append(key[:0], "xp:key-7"...)
+	if n := testing.AllocsPerRun(100, func() { c.GetBytes(key) }); n != 0 {
+		t.Fatalf("a hit allocates %v", n)
+	}
+}
+
 // TestBytesUnderAndShare: entries of different kinds share the cache, told
 // apart by key prefix; Share is the Plans slice of the budget.
 func TestBytesUnderAndShare(t *testing.T) {

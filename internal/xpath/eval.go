@@ -92,6 +92,7 @@ type evalCtx struct {
 	pos  int // 1-based position within the current predicate's node list
 	size int
 	vars Vars
+	lits []string // the string literals, by slot (literalExpr)
 	st   *evalState
 }
 
@@ -127,7 +128,7 @@ func (c *Compiled) Eval(d *Doc) ([]*Node, error) {
 // evalCheckSteps units of work, so a deadline or cancellation cuts a long
 // evaluation short.
 func (c *Compiled) EvalCtx(ctx context.Context, d *Doc) ([]*Node, error) {
-	v, err := evalExpr(c.root, evalCtx{doc: d, node: d.RootNode, pos: 1, size: 1, st: &evalState{ctx: ctx}})
+	v, err := evalExpr(c.root, evalCtx{doc: d, node: d.RootNode, pos: 1, size: 1, lits: c.lits, st: &evalState{ctx: ctx}})
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +140,7 @@ func (c *Compiled) EvalCtx(ctx context.Context, d *Doc) ([]*Node, error) {
 
 // EvalValue evaluates the expression and returns the result as a string.
 func (c *Compiled) EvalValue(d *Doc) (string, error) {
-	v, err := evalExpr(c.root, evalCtx{doc: d, node: d.RootNode, pos: 1, size: 1})
+	v, err := evalExpr(c.root, evalCtx{doc: d, node: d.RootNode, pos: 1, size: 1, lits: c.lits})
 	if err != nil {
 		return "", err
 	}
@@ -165,11 +166,12 @@ func QueryIDs(s *core.Store, src string) ([]core.NodeID, error) {
 // store's plan cache: pushdown-eligible expressions execute as a single raw
 // token scan; everything else falls back to the tree evaluator over a Doc.
 func QueryIDsCtx(ctx context.Context, s *core.Store, src string) ([]core.NodeID, error) {
-	p, err := CompileStore(s, src)
+	var buf litBuf
+	b, err := compileStore(s, src, buf[:0])
 	if err != nil {
 		return nil, err
 	}
-	return p.IDs(ctx, s, core.InvalidNode)
+	return b.IDs(ctx, s, core.InvalidNode)
 }
 
 func kindName(k valueKind) string {
@@ -188,7 +190,7 @@ func kindName(k valueKind) string {
 func evalExpr(e expr, ctx evalCtx) (Value, error) {
 	switch e := e.(type) {
 	case *literalExpr:
-		return str(e.s), nil
+		return str(ctx.lits[e.slot]), nil
 	case *numberExpr:
 		return num(e.v), nil
 	case *negExpr:
@@ -564,7 +566,7 @@ func stepCandidates(st step, n *Node, ctx evalCtx) ([]*Node, error) {
 			if err := ctx.st.tick(); err != nil {
 				return nil, err
 			}
-			v, err := evalExpr(pred, evalCtx{doc: ctx.doc, node: c, pos: i + 1, size: len(cands), vars: ctx.vars, st: ctx.st})
+			v, err := evalExpr(pred, evalCtx{doc: ctx.doc, node: c, pos: i + 1, size: len(cands), vars: ctx.vars, lits: ctx.lits, st: ctx.st})
 			if err != nil {
 				return nil, err
 			}

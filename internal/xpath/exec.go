@@ -162,6 +162,7 @@ const (
 
 type scanExec struct {
 	prog    *scanProgram
+	lits    []string // the run's string literals, by slot: a copy, so a caller's buffer stays its own
 	emit    func(core.NodeID) bool
 	frames  []xframe
 	watch   []watcher
@@ -185,9 +186,9 @@ type scanExec struct {
 
 var execPool = sync.Pool{New: func() any { return new(scanExec) }}
 
-func newScanExec(prog *scanProgram, emit func(core.NodeID) bool) *scanExec {
+func newScanExec(prog *scanProgram, lits []string, emit func(core.NodeID) bool) *scanExec {
 	e := execPool.Get().(*scanExec)
-	*e = scanExec{prog: prog, emit: emit, frames: e.frames[:0], watch: e.watch[:0], cands: e.cands[:0], capBuf: e.capBuf[:0]}
+	*e = scanExec{prog: prog, lits: append(e.lits[:0], lits...), emit: emit, frames: e.frames[:0], watch: e.watch[:0], cands: e.cands[:0], capBuf: e.capBuf[:0]}
 	// Frame 0 is the virtual root, holding every branch's start state. For
 	// anchored scans the anchor's begin token is processed as the root's
 	// first child — the same shape BuildDoc gives a subtree.
@@ -196,6 +197,7 @@ func newScanExec(prog *scanProgram, emit func(core.NodeID) bool) *scanExec {
 }
 
 func (e *scanExec) release() {
+	clear(e.lits)
 	e.prog = nil
 	e.emit = nil
 	e.capture = nil
@@ -370,7 +372,7 @@ func (e *scanExec) onAttribute(top int, id core.NodeID, raw []byte) {
 	}
 	for m := f.want & tab.kindAtoms[atomAttr] &^ sat; m != 0; m &= m - 1 {
 		a := bits.TrailingZeros64(m)
-		if at := &e.prog.atoms[a]; string(name) == at.name && (at.has || string(val) == at.lit) {
+		if at := &e.prog.atoms[a]; string(name) == at.name && (at.has || string(val) == e.lits[at.slot]) {
 			f.sat |= 1 << a
 			if e.capture != nil {
 				e.captured(top, val)
@@ -412,14 +414,14 @@ func (e *scanExec) onText(li int, raw []byte) {
 		if !w.ok {
 			continue
 		}
-		if rest := e.prog.atoms[w.atom].lit[w.off:]; len(val) <= len(rest) && rest[:len(val)] == string(val) {
+		if rest := e.lits[e.prog.atoms[w.atom].slot][w.off:]; len(val) <= len(rest) && rest[:len(val)] == string(val) {
 			w.off += len(val)
 		} else {
 			w.ok = false
 		}
 	}
 	for m := texts; m != 0; m &= m - 1 {
-		if a := bits.TrailingZeros64(m); string(val) == e.prog.atoms[a].lit {
+		if a := bits.TrailingZeros64(m); string(val) == e.lits[e.prog.atoms[a].slot] {
 			l.sat |= 1 << a
 		}
 	}
@@ -627,7 +629,7 @@ func (e *scanExec) pop(top int) {
 			if n == 1 {
 				e.capBuf = e.capBuf[:0] // no enclosing watcher needs the bytes
 			}
-		case w.ok && w.off == len(e.prog.atoms[w.atom].lit):
+		case w.ok && w.off == len(e.lits[e.prog.atoms[w.atom].slot]):
 			e.frames[li].sat |= 1 << w.atom
 		}
 	}
@@ -664,14 +666,15 @@ func (e *scanExec) finish() error {
 	return nil
 }
 
-// runProgram executes prog against the store, emitting matching node ids in
-// document order. anchor == InvalidNode scans the whole store; otherwise the
-// scan covers only the anchor's subtree (the anchor acting as the context
-// node, exactly like evaluating against BuildDoc(ReadNode(anchor))). emit
-// returning false stops the scan early. fill is nil except for a fill, which
-// collects the atom's values and counts the tokens read.
-func runProgram(ctx context.Context, s *core.Store, prog *scanProgram, anchor core.NodeID, emit func(core.NodeID) bool, fill *tableBuilder) error {
-	e := newScanExec(prog, emit)
+// runProgram executes prog, its literal slots bound to lits, against the
+// store, emitting matching node ids in document order. anchor == InvalidNode
+// scans the whole store; otherwise the scan covers only the anchor's subtree
+// (the anchor acting as the context node, exactly like evaluating against
+// BuildDoc(ReadNode(anchor))). emit returning false stops the scan early.
+// fill is nil except for a fill, which collects the atom's values and counts
+// the tokens read.
+func runProgram(ctx context.Context, s *core.Store, prog *scanProgram, lits []string, anchor core.NodeID, emit func(core.NodeID) bool, fill *tableBuilder) error {
+	e := newScanExec(prog, lits, emit)
 	defer e.release()
 	var err error
 	if fill != nil {

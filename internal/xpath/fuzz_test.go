@@ -3,6 +3,8 @@ package xpath
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -141,9 +143,9 @@ func fuzzStream(data []byte) [][]byte {
 
 // runTokens drives the executor the way a store scan does: ids count the
 // node-starting tokens.
-func runTokens(prog *scanProgram, raws [][]byte, fill *tableBuilder) ([]core.NodeID, error) {
+func runTokens(prog *scanProgram, lits []string, raws [][]byte, fill *tableBuilder) ([]core.NodeID, error) {
 	var out []core.NodeID
-	e := newScanExec(prog, func(id core.NodeID) bool {
+	e := newScanExec(prog, lits, func(id core.NodeID) bool {
 		out = append(out, id)
 		return true
 	})
@@ -211,7 +213,7 @@ func FuzzScanProgramTokens(f *testing.F) {
 			d, _ = BuildDoc(items)
 		}
 		for _, p := range progs {
-			got, err := runTokens(p.prog, raws, nil)
+			got, err := runTokens(p.prog, p.c.lits, raws, nil)
 			if d == nil {
 				continue // malformed: any error or answer, but no panic
 			}
@@ -272,11 +274,11 @@ func FuzzValueTable(f *testing.F) {
 		raws := fuzzStream(data)
 		for _, ps := range plans {
 			b := tableBuilder{vals: make(map[string]*valueList), max: unbudgetedTableBytes}
-			_, fillErr := runTokens(ps[0].fillProgram(), raws, &b)
+			_, fillErr := runTokens(ps[0].fillProgram(), nil, raws, &b)
 			table := b.table(0)
 			held := len(table.vals)
 			for _, p := range ps {
-				want, err := runTokens(p.prog, raws, nil)
+				want, err := runTokens(p.prog, p.c.lits, raws, nil)
 				// A literal scan that decided a child or text atom early skips
 				// tokens the fill has to read: there the fill alone may fail.
 				if (err != nil) != (fillErr != nil) && (err != nil || p.prog.atoms[0].kind == atomAttr) {
@@ -285,7 +287,7 @@ func FuzzValueTable(f *testing.F) {
 				if fillErr != nil {
 					continue
 				}
-				got, n, _, _ := p.answer(context.Background(), nil, table, -1) // no rest: the store is not touched
+				got, n, _, _ := Bound{p, p.c.src, p.c.lits}.answer(context.Background(), nil, table, -1) // no rest: the store is not touched
 				if !idsEqual(got, want) || n != len(want) {
 					t.Fatalf("%s: table %v, scan %v", p.c.src, got, want)
 				}
@@ -298,6 +300,141 @@ func FuzzValueTable(f *testing.F) {
 			// concatenation.
 			if p := ps[0]; fillErr == nil && held != 0 && p.probePos == 0 && p.prog.atoms[0].kind != atomChild {
 				t.Fatalf("%s: the table holds %d values no literal scan matches", ps[0].c.src, held)
+			}
+		}
+	})
+}
+
+// planShapeExprs are FuzzPlanShape's queries beyond the differential corpus:
+// literals inside function calls, one literal value repeated, and shapes
+// only the tree evaluator runs.
+var planShapeExprs = []string{
+	`//a[contains(b, 'x')]/e`, `//a[starts-with(e, 'E')]/@id`, `//a[concat(b, 'y') = 'xy']`,
+	`//a[substring(b, 1, 1) = 'x']`, `//a[normalize-space(b) = 'x']`, `string(//a[@id='1']/e)`,
+	`count(//a[b='x'])`, `count(//a[@id='1'] | //a[@id='2'])`, `//a[@id='1' or @id='1']`,
+	`//a[b='x'][e='x']`, `//a[@id='3']/..`, `//b[.='x']`, `//a[b!='x']`, `//a[@id > '2']`,
+	`//a[b='x']/e | //a[@id='2']`, `concat('a', "b")`, `//a[c/d='y']/e`, `//a[b='x' and e='E1']/@id`,
+}
+
+// planShapeVocab is what a one-digit literal of FuzzPlanShape stands for:
+// values the documents hold, so substituted literals match something.
+var planShapeVocab = []string{"", "1", "2", "x", "y", "xyz", "E1", "z", "tail", "k"}
+
+// withLits is src with its i-th string literal replaced by the i-th
+// comma-separated field of set (a one-digit field names a planShapeVocab
+// value; a missing field is empty), quoted by quote unless the value holds
+// that quote.
+func withLits(src, set string, quote byte) string {
+	toks, err := lex(src)
+	if err != nil {
+		return src
+	}
+	fields := strings.Split(set, ",")
+	var out strings.Builder
+	from, i := 0, 0
+	for _, t := range toks {
+		if t.kind != tString {
+			continue
+		}
+		var v string
+		if i < len(fields) {
+			v = fields[i]
+		}
+		i++
+		if len(v) == 1 && v[0] >= '0' && v[0] <= '9' {
+			v = planShapeVocab[v[0]-'0']
+		}
+		q := quote
+		if strings.IndexByte(v, q) >= 0 {
+			q ^= '\'' ^ '"'
+			v = strings.ReplaceAll(v, string(q), "")
+		}
+		out.WriteString(src[from:t.pos])
+		out.WriteByte(q)
+		out.WriteString(v)
+		out.WriteByte(q)
+		from = t.pos + len(t.text) + 2
+	}
+	out.WriteString(src[from:])
+	return out.String()
+}
+
+// FuzzPlanShape: a query of the differential corpus asked with two literal
+// sets in turn — A, B, then A again, each three times so the value index
+// marks, fills and hits — answers through its shape's one cached plan exactly
+// what a fresh parse and plan of the same text answers on a store with no
+// plan cache: ids, first, count and value, errors included.
+func FuzzPlanShape(f *testing.F) {
+	f.Add(uint16(12), uint8(0), "1", "2")                                          // diffExprs: //a[@id='1']
+	f.Add(uint16(len(diffExprs)+20), uint8(1), "3", "0")                           // predExprs: //*[text()='x']
+	f.Add(uint16(len(diffExprs)+len(predExprs)+8), uint8(0), "1,2", "2,1")         // //a[@id='1' or @id='1']
+	f.Add(uint16(len(diffExprs)+len(predExprs)+17), uint8(2), "3,6", "6,3")        // two literals, two atoms
+	f.Add(uint16(len(diffExprs)+len(predExprs)+15), uint8(1), "a,b", "it's,\"q\"") // scalars, both quotes
+	f.Add(uint16(len(diffExprs)+len(predExprs)+10), uint8(0), "3", "")             // fallback, empty literal
+	f.Add(uint16(len(diffExprs)+len(predExprs)+0), uint8(3), "3", "y")             // in a function call
+	f.Add(uint16(len(diffExprs)+len(predExprs)+7), uint8(0), "1,2", "2,2")         // count of a union
+	f.Add(uint16(len(diffExprs)+len(predExprs)+5), uint8(1), "1", "0")
+	f.Add(uint16(1), uint8(0), `//a[@x="it's"]/b['"' = concat('x', "y")]`, "") // source in a: quotes in quotes             // string() of a probe
+	queries := append(append(append([]string(nil), diffExprs...), predExprs...), planShapeExprs...)
+	docs := []string{nestedXML, predXML}
+	type pair struct{ cached, fresh *core.Store }
+	var stores []pair
+	for _, xml := range docs {
+		toks, err := xmltok.ParseString(xml, xmltok.ParseOptions{StripWhitespace: true})
+		if err != nil {
+			f.Fatal(err)
+		}
+		var p pair
+		for i, cfg := range []core.Config{{Mode: core.RangePartial}, {Mode: core.RangePartial, PlanCacheEntries: -1}} {
+			s, err := core.Open(cfg)
+			if err != nil {
+				f.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Append(toks); err != nil {
+				f.Fatal(err)
+			}
+			if i == 0 {
+				p.cached = s
+			} else {
+				p.fresh = s
+			}
+		}
+		stores = append(stores, p)
+	}
+	ctx := context.Background()
+	answers := func(s *core.Store, src string) string {
+		ids, err := QueryIDsCtx(ctx, s, src)
+		first, ok, ferr := QueryFirstCtx(ctx, s, src)
+		n, cerr := QueryCountCtx(ctx, s, src)
+		v, verr := QueryValueCtx(ctx, s, src)
+		return fmt.Sprint(ids, err, first, ok, ferr, n, cerr, v, verr)
+	}
+	f.Fuzz(func(t *testing.T, which uint16, quotes uint8, a, b string) {
+		// Read as a query, a literal set is arbitrary source: where shapeKey
+		// finds literals is where Parse does.
+		if c, err := Parse(a); err == nil {
+			if _, lits := shapeKey(nil, a, nil); !slices.Equal(lits, c.lits) {
+				t.Fatalf("%q: shapeKey's literals %q, Parse's %q", a, lits, c.lits)
+			}
+		}
+		q := queries[int(which)%len(queries)]
+		if !strings.ContainsAny(q, `'"`) {
+			return // no literal to substitute
+		}
+		// The corpus's own queries run over their own document; the rest over
+		// predXML, whose values planShapeVocab names.
+		st := stores[1]
+		if int(which)%len(queries) < len(diffExprs) {
+			st = stores[0]
+		}
+		qa, qb := withLits(q, a, "'\""[quotes&1]), withLits(q, b, "'\""[quotes>>1&1])
+		for _, src := range []string{qa, qb, qa} {
+			want := answers(st.fresh, src)
+			for i := 0; i < 3; i++ {
+				if got := answers(st.cached, src); got != want {
+					t.Fatalf("%s (after %s): shape-cached plan %s, fresh plan %s", src, qa, got, want)
+				}
 			}
 		}
 	})

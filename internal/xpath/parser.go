@@ -175,12 +175,12 @@ func (l *lexer) next() error {
 		l.emit(tOp, string(c))
 		l.pos++
 	case c == '\'' || c == '"':
-		end := strings.IndexByte(l.src[l.pos+1:], c)
-		if end < 0 {
+		text, end, ok := literalAt(l.src, l.pos)
+		if !ok {
 			return l.errf("unterminated string literal")
 		}
-		l.emit(tString, l.src[l.pos+1:l.pos+1+end])
-		l.pos += end + 2
+		l.emit(tString, text)
+		l.pos = end
 	case c >= '0' && c <= '9':
 		return l.lexNumber()
 	case isNameByte(rune(c)):
@@ -209,6 +209,51 @@ func (l *lexer) next() error {
 	return nil
 }
 
+// literalAt reads the string literal whose opening quote is src[i]: its
+// text, and the offset just past its closing quote. ok is false when it is
+// not closed.
+func literalAt(src string, i int) (text string, end int, ok bool) {
+	n := strings.IndexByte(src[i+1:], src[i])
+	if n < 0 {
+		return "", 0, false
+	}
+	return src[i+1 : i+1+n], i + n + 2, true
+}
+
+// shapeKey appends to dst the plan-cache key of src's shape — "xp:", then
+// src with each string literal replaced by an empty one in single quotes —
+// and appends src's string literals to lits in source order, the order Parse
+// gives them their slots. It finds them by the lexer's own rule: a quote
+// outside a literal can only begin one, since no other token holds a quote,
+// and literalAt ends it. Source with an unclosed literal gets an empty key.
+// Whether source lexes and parses is decided by its text outside the
+// literals, which the key holds: source Parse rejects never finds a plan.
+func shapeKey(dst []byte, src string, lits []string) ([]byte, []string) {
+	dst = append(dst, "xp:"...)
+	from := 0 // src[:from] is in the key
+	for q := nextQuote(src, 0); q >= 0; q = nextQuote(src, from) {
+		text, end, ok := literalAt(src, q)
+		if !ok {
+			return dst[:0], lits
+		}
+		dst = append(append(dst, src[from:q]...), "''"...)
+		lits = append(lits, text)
+		from = end
+	}
+	return append(dst, src[from:]...), lits
+}
+
+// nextQuote is the offset of the first quote of either kind in src[from:],
+// or -1.
+func nextQuote(src string, from int) int {
+	for i := from; i < len(src); i++ {
+		if c := src[i]; c == '\'' || c == '"' {
+			return i
+		}
+	}
+	return -1
+}
+
 func (l *lexer) lexNumber() error {
 	start := l.pos
 	for l.pos < len(l.src) && (l.src[l.pos] >= '0' && l.src[l.pos] <= '9' || l.src[l.pos] == '.') {
@@ -233,7 +278,10 @@ type binaryExpr struct {
 
 type negExpr struct{ e expr }
 
-type literalExpr struct{ s string }
+// literalExpr is a string literal, by its slot: the literal's rank among the
+// expression's string literals in source order. Its value is bound per
+// evaluation (evalCtx.lits), so one plan serves every literal of its shape.
+type literalExpr struct{ slot int }
 
 type numberExpr struct{ v float64 }
 
@@ -292,6 +340,7 @@ type parser struct {
 	src  string
 	toks []lexTok
 	i    int
+	lits []string // the string literals met so far, by slot
 }
 
 // Parse compiles an XPath expression.
@@ -308,13 +357,14 @@ func Parse(src string) (*Compiled, error) {
 	if p.cur().kind != tEOF {
 		return nil, p.errf("trailing input")
 	}
-	return &Compiled{src: src, root: e}, nil
+	return &Compiled{src: src, root: e, lits: p.lits}, nil
 }
 
 // Compiled is a parsed, reusable XPath expression.
 type Compiled struct {
 	src  string
 	root expr
+	lits []string // its own string literals, by slot
 }
 
 // String returns the source expression.
@@ -427,7 +477,8 @@ func (p *parser) parsePrimary() (expr, error) {
 	switch t := p.cur(); t.kind {
 	case tString:
 		p.advance()
-		return &literalExpr{t.text}, nil
+		p.lits = append(p.lits, t.text)
+		return &literalExpr{slot: len(p.lits) - 1}, nil
 	case tNumber:
 		p.advance()
 		return &numberExpr{t.num}, nil

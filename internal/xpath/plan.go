@@ -23,7 +23,7 @@ import (
 //     either side of '=').
 //  2. Tree: everything else (reverse axes, last(), numeric comparisons, $var
 //     bases, nested predicate paths such as [a/b='x']) falls back to the tree
-//     evaluator over a Doc built for the call (Plan.fallback).
+//     evaluator over a Doc built for the call (Bound.fallback).
 type Plan struct {
 	c    *Compiled
 	prog *scanProgram // non-nil: strategy 1
@@ -38,7 +38,7 @@ type Plan struct {
 	// to and including the path's first predicate, a lone equality atom — and a
 	// rest. The key is the head with the literal blanked and the atom's kind
 	// spelled, so every rest and every literal of one head share a table. The
-	// literal is prog.atoms[0].lit.
+	// literal is the one in prog.atoms[0]'s slot.
 	probeKey string
 	head     *pathExpr // the head alone: what the fill scan runs
 	// The rest: [probePos] right after the atom (0: none), then the steps that
@@ -118,7 +118,7 @@ const (
 type scanAtom struct {
 	kind atomKind
 	name string
-	lit  string
+	slot int  // the literal compared with: the run's lits[slot]
 	has  bool // existence test: any value satisfies it
 }
 
@@ -418,7 +418,7 @@ func predAtom(e expr) (scanAtom, bool) {
 	if b.op != "=" || !ok || !aok {
 		return a, false
 	}
-	a.lit, a.has = lit.s, false
+	a.slot, a.has = lit.slot, false
 	return a, true
 }
 

@@ -23,7 +23,7 @@ import (
 
 // ---- oracle: every step literally, over the whole node set ----
 
-func oracleStep(st step, input []*Node, d *Doc) ([]*Node, error) {
+func oracleStep(st step, input []*Node, d *Doc, lits []string) ([]*Node, error) {
 	var out []*Node
 	seen := map[*Node]bool{}
 	for _, n := range input {
@@ -32,7 +32,7 @@ func oracleStep(st step, input []*Node, d *Doc) ([]*Node, error) {
 		for _, pred := range st.preds {
 			var kept []*Node
 			for i, c := range cands {
-				v, err := evalExpr(pred, evalCtx{doc: d, node: c, pos: i + 1, size: len(cands)})
+				v, err := evalExpr(pred, evalCtx{doc: d, node: c, pos: i + 1, size: len(cands), lits: lits})
 				if err != nil {
 					return nil, err
 				}
@@ -57,13 +57,13 @@ func oracleStep(st step, input []*Node, d *Doc) ([]*Node, error) {
 	return out, nil
 }
 
-func oraclePath(e *pathExpr, d *Doc) ([]*Node, error) {
+func oraclePath(e *pathExpr, d *Doc, lits []string) ([]*Node, error) {
 	if e.base != nil {
 		return nil, fmt.Errorf("oracle: variable base unsupported")
 	}
 	cur := []*Node{d.RootNode}
 	for _, st := range e.steps {
-		next, err := oracleStep(st, cur, d)
+		next, err := oracleStep(st, cur, d, lits)
 		if err != nil {
 			return nil, err
 		}
@@ -72,19 +72,19 @@ func oraclePath(e *pathExpr, d *Doc) ([]*Node, error) {
 	return cur, nil
 }
 
-func oracleNodes(e expr, d *Doc) ([]*Node, error) {
+func oracleNodes(e expr, d *Doc, lits []string) ([]*Node, error) {
 	switch e := e.(type) {
 	case *pathExpr:
-		return oraclePath(e, d)
+		return oraclePath(e, d, lits)
 	case *binaryExpr:
 		if e.op != "|" {
 			return nil, fmt.Errorf("oracle: unsupported operator %q", e.op)
 		}
-		l, err := oracleNodes(e.l, d)
+		l, err := oracleNodes(e.l, d, lits)
 		if err != nil {
 			return nil, err
 		}
-		r, err := oracleNodes(e.r, d)
+		r, err := oracleNodes(e.r, d, lits)
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +109,7 @@ func oracleIDs(t *testing.T, d *Doc, src string) []core.NodeID {
 	if err != nil {
 		t.Fatalf("parse %s: %v", src, err)
 	}
-	ns, err := oracleNodes(c.root, d)
+	ns, err := oracleNodes(c.root, d, c.lits)
 	if err != nil {
 		t.Fatalf("oracle %s: %v", src, err)
 	}
@@ -468,9 +468,48 @@ func TestPlanCacheCounters(t *testing.T) {
 	}
 }
 
+// TestUnseenLiteralReusesPlan: plans are keyed by shape. Once a query has
+// been asked, the same query with other string literals — a point probe, a
+// count, a fallback, two literals, either quote — plans nothing: no plan-cache
+// miss, no new entry, and each answers for its own literals.
+func TestUnseenLiteralReusesPlan(t *testing.T) {
+	s, d := diffStore(t, catalogXML)
+	ctx := context.Background()
+	for _, c := range []struct{ seen, unseen string }{
+		{"//book[@id='b1']/title", "//book[@id='b3']/title"},
+		{"count(//book[author='Stevens'])", `count(//book[author="Buneman"])`},
+		{"//book[title='Data on the Web']/..", "//book[title='TCP/IP Illustrated']/.."},
+		{"//book[@id='b1' or author='x']", "//book[@id='b9' or author='Stevens']"},
+	} {
+		if _, err := QueryCountCtx(ctx, s, c.seen); err != nil {
+			t.Fatalf("%s: %v", c.seen, err)
+		}
+		before := s.Stats()
+		n, err := QueryCountCtx(ctx, s, c.unseen)
+		if err != nil {
+			t.Fatalf("%s: %v", c.unseen, err)
+		}
+		after := s.Stats()
+		if after.PlanCacheMisses != before.PlanCacheMisses || after.PlanCacheEntries != before.PlanCacheEntries {
+			t.Errorf("%s after %s: plan-cache misses %d -> %d, entries %d -> %d", c.unseen, c.seen,
+				before.PlanCacheMisses, after.PlanCacheMisses, before.PlanCacheEntries, after.PlanCacheEntries)
+		}
+		q := c.unseen
+		if !strings.HasPrefix(q, "count(") {
+			q = "count(" + q + ")"
+		}
+		if want, err := Parse(q); err != nil {
+			t.Fatal(err)
+		} else if v, err := want.EvalValue(d); err != nil || v != strconv.Itoa(n) {
+			t.Errorf("%s: %d, evaluator %s (%v)", c.unseen, n, v, err)
+		}
+	}
+}
+
 func TestPlanCacheEvictionUnderBudget(t *testing.T) {
 	// A tiny memory budget forces the plan cache to evict while queries keep
-	// answering correctly.
+	// answering correctly. Plans are keyed by shape, so each query differs in
+	// a number, which stays in the shape, not only in its literal.
 	s, err := core.Open(core.Config{Mode: core.RangePartial, MemoryBudget: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -481,7 +520,7 @@ func TestPlanCacheEvictionUnderBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		q := fmt.Sprintf("//book[@id='b%d']", i)
+		q := fmt.Sprintf("//book[@id='b%d'][%d]", i, i+1)
 		if _, err := QueryIDsCtx(context.Background(), s, q); err != nil {
 			t.Fatal(err)
 		}
@@ -568,5 +607,22 @@ func TestPushdownAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(20, run); got > c.max {
 			t.Errorf("%s (write %v): %v allocs/run, want <= %v", c.src, c.write, got, c.max)
 		}
+	}
+	// The plan is the shape's: a literal no run has asked, of the shape every
+	// run above has, costs what the seen literal does (the last row).
+	unseen := make([]string, 21)
+	for i := range unseen {
+		unseen[i] = fmt.Sprintf("/purchase-orders/purchase-order[@id='PO-%06d']", 100+i)
+	}
+	asked := 0
+	got := testing.AllocsPerRun(20, func() {
+		src := unseen[asked]
+		asked++
+		if ids, err := QueryIDsCtx(context.Background(), s, src); err != nil || len(ids) != 1 {
+			t.Fatalf("%s: %v %v", src, ids, err)
+		}
+	})
+	if got > 2 {
+		t.Errorf("an unseen literal of a seen shape: %v allocs/run, want <= 2", got)
 	}
 }

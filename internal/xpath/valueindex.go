@@ -168,20 +168,20 @@ func (b *tableBuilder) table(gen uint64) *valueTable {
 // performs no store operation: no lock, no admission slot. A limited ask
 // (limit > 0) uses a table but never builds one: its literal scan stops at the
 // first match, a fill reads the whole document.
-func (p *Plan) probe(ctx context.Context, s *core.Store, limit int) (ids []core.NodeID, n int, ok bool, err error) {
+func (b Bound) probe(ctx context.Context, s *core.Store, limit int) (ids []core.NodeID, n int, ok bool, err error) {
 	pc, q := s.PlanCache(), s.QueryCounters()
 	gen := s.Generation()
-	v, _ := pc.Get(p.probeKey)
+	v, _ := pc.Get(b.probeKey)
 	mark, isMark := v.(shapeMark)
 	if t, isTable := v.(*valueTable); isTable && t.gen == gen {
-		if ids, n, ok, err = p.answer(ctx, s, t, limit); ok {
+		if ids, n, ok, err = b.answer(ctx, s, t, limit); ok {
 			q.NoteValueHit()
 			return ids, n, true, err
 		}
 	} else if !isMark || mark.gen != gen {
-		pc.Replace(p.probeKey, v, shapeMark{gen: gen}, 0) // first sight at gen
-	} else if limit <= 0 && mark.state == markSeen && pc.Replace(p.probeKey, mark, shapeMark{gen, markFilling}, 0) {
-		return p.fill(ctx, s, gen, limit)
+		pc.Replace(b.probeKey, v, shapeMark{gen: gen}, 0) // first sight at gen
+	} else if limit <= 0 && mark.state == markSeen && pc.Replace(b.probeKey, mark, shapeMark{gen, markFilling}, 0) {
+		return b.fill(ctx, s, gen, limit)
 	}
 	q.NoteValueMiss(false, false)
 	return nil, 0, false, nil
@@ -190,31 +190,31 @@ func (p *Plan) probe(ctx context.Context, s *core.Store, limit int) (ids []core.
 // fill runs the fill scan for the one reader that turned the shape's mark to
 // markFilling, publishes the table if no write was admitted meanwhile and
 // answers from it. An abandoned fill answers nothing: the caller scans.
-func (p *Plan) fill(ctx context.Context, s *core.Store, gen uint64, limit int) (ids []core.NodeID, n int, ok bool, err error) {
+func (b Bound) fill(ctx context.Context, s *core.Store, gen uint64, limit int) (ids []core.NodeID, n int, ok bool, err error) {
 	pc, q := s.PlanCache(), s.QueryCounters()
-	b := tableBuilder{vals: make(map[string]*valueList), max: pc.Share()}
-	if b.max == 0 {
-		b.max = unbudgetedTableBytes
+	tb := tableBuilder{vals: make(map[string]*valueList), max: pc.Share()}
+	if tb.max == 0 {
+		tb.max = unbudgetedTableBytes
 	}
-	err = runProgram(ctx, s, p.fillProgram(), core.InvalidNode, func(core.NodeID) bool { return true }, &b)
+	err = runProgram(ctx, s, b.fillProgram(), nil, core.InvalidNode, func(core.NodeID) bool { return true }, &tb)
 	switch {
 	case err != nil:
-		pc.Replace(p.probeKey, shapeMark{gen, markFilling}, shapeMark{gen: gen}, 0) // the next ask may try again
+		pc.Replace(b.probeKey, shapeMark{gen, markFilling}, shapeMark{gen: gen}, 0) // the next ask may try again
 		return nil, 0, true, err
-	case b.over():
-		pc.Replace(p.probeKey, shapeMark{gen, markFilling}, shapeMark{gen, markAbandoned}, 0)
+	case tb.over():
+		pc.Replace(b.probeKey, shapeMark{gen, markFilling}, shapeMark{gen, markAbandoned}, 0)
 		q.NoteValueMiss(false, true)
 		return nil, 0, false, nil
 	}
 	q.NoteValueMiss(true, false)
-	t := b.table(gen)
+	t := tb.table(gen)
 	if s.Generation() == gen {
-		pc.Put(p.probeKey, t, b.cost)
+		pc.Put(b.probeKey, t, tb.cost)
 	}
-	return p.answer(ctx, s, t, limit)
+	return b.answer(ctx, s, t, limit)
 }
 
-// answer is the pushdown result from table t (limit as in Plan.pushdown):
+// answer is the pushdown result from table t (limit as in Bound.pushdown):
 // look up the literal, apply [N], then run the rest anchored at each element
 // left. ok == false hands the query to the literal scan — the oracle — in
 // three cases, all decided from what the code holds:
@@ -227,14 +227,14 @@ func (p *Plan) fill(ctx context.Context, s *core.Store, gen uint64, limit int) (
 //     reads see the store as it is now: only a generation still equal to the
 //     table's after them says that they, too, saw the table's state. A head
 //     element deleted meanwhile fails its read and is caught by the same test.
-func (p *Plan) answer(ctx context.Context, s *core.Store, t *valueTable, limit int) (ids []core.NodeID, n int, ok bool, err error) {
-	if l := t.vals[p.prog.atoms[0].lit]; l != nil {
+func (b Bound) answer(ctx context.Context, s *core.Store, t *valueTable, limit int) (ids []core.NodeID, n int, ok bool, err error) {
+	if l := t.vals[b.lits[b.prog.atoms[0].slot]]; l != nil {
 		ids = l.ids
-		if p.probePos > 0 {
-			ids = l.nth(p.probePos)
+		if b.probePos > 0 {
+			ids = l.nth(b.probePos)
 		}
 	}
-	if p.rest == nil {
+	if b.rest == nil {
 		n = len(ids)
 		switch {
 		case limit == 0:
@@ -245,10 +245,10 @@ func (p *Plan) answer(ctx context.Context, s *core.Store, t *valueTable, limit i
 		// Clipped to its length: a caller's append copies, never writes the table.
 		return ids[:n:n], n, true, nil
 	}
-	if len(ids) > 1 && p.headDesc || len(ids)*tailReadTokens > t.tokens {
+	if len(ids) > 1 && b.headDesc || len(ids)*tailReadTokens > t.tokens {
 		return nil, 0, false, nil
 	}
-	var r struct { // as in Plan.pushdown
+	var r struct { // as in Bound.pushdown
 		ids []core.NodeID
 		n   int
 	}
@@ -260,7 +260,7 @@ func (p *Plan) answer(ctx context.Context, s *core.Store, t *valueTable, limit i
 		return r.n != limit
 	}
 	for i := 0; i < len(ids) && err == nil && (limit <= 0 || r.n < limit); i++ {
-		err = runProgram(ctx, s, p.rest, ids[i], emit, nil)
+		err = runProgram(ctx, s, b.rest, b.lits, ids[i], emit, nil)
 	}
 	if s.Generation() != t.gen {
 		return nil, 0, false, nil

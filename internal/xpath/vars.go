@@ -54,13 +54,13 @@ func (c *Compiled) EvalWith(d *Doc, vars Vars) (Value, error) {
 // EvalWithContext evaluates with bindings against an explicit context node
 // (relative paths start there).
 func (c *Compiled) EvalWithContext(d *Doc, ctx *Node, vars Vars) (Value, error) {
-	return evalExpr(c.root, evalCtx{doc: d, node: ctx, pos: 1, size: 1, vars: vars})
+	return evalExpr(c.root, evalCtx{doc: d, node: ctx, pos: 1, size: 1, vars: vars, lits: c.lits})
 }
 
 // EvalWithCtx is EvalWithContext under an operation context: evaluation
 // loops poll ctx so deadlines and cancellation cut long evaluations short.
 func (c *Compiled) EvalWithCtx(octx context.Context, d *Doc, ctx *Node, vars Vars) (Value, error) {
-	return evalExpr(c.root, evalCtx{doc: d, node: ctx, pos: 1, size: 1, vars: vars, st: &evalState{ctx: octx}})
+	return evalExpr(c.root, evalCtx{doc: d, node: ctx, pos: 1, size: 1, vars: vars, lits: c.lits, st: &evalState{ctx: octx}})
 }
 
 // FreeVars returns the names of the $variables the expression references,

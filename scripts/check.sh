@@ -6,7 +6,7 @@
 # and a log that is rewound rather than truncated and synced in one place,
 # vet, build, the full test suite, the race detector over
 # the concurrency-sensitive packages, a short fuzz of the xpath executors
-# against each other, of the xquery evaluator, of the range cursor
+# against each other and of shape-keyed plans against fresh ones, of the xquery evaluator, of the range cursor
 # against the reference store, of the journal against its model, and of
 # the XML scanner against the one it replaced, and the benchmark module's
 # smoke test
@@ -86,10 +86,11 @@ go test -race -run 'Stress|Concurrent|Chaos|Overload|Deadline' .
 echo "== go test -race (partition chaos: net faults, kill -9 primary, fleet + automatic failover; crash sweeps of the durable-replace helper and of backup; the WAL reference model and the crashes a recycled log must survive; parent-era logs and segments)"
 go test -race -run 'TestPartitionChaos|TestNetChaos|TestFleet|TestFailover|TestReplaceFileCrashSweep|TestBackupCrashMatrix|TestWALModel|TestCrashAfterRewindKeepsCheckpoint|TestTornBatchOverAlignedLap|TestCloseLeavesEmptyLog|TestParentEraLogAndSegments' ./internal/server ./internal/fault ./internal/wal ./internal/recover ./internal/replica
 
-echo "== go test -fuzz (xpath, xquery: 10s per target, so the differential checks and the FLWOR loop meet fresh inputs, not only the seed corpus)"
+echo "== go test -fuzz (xpath, xquery: 10s per target, so the differential checks, the shape-keyed plans and the FLWOR loop meet fresh inputs, not only the seed corpus)"
 go test -run '^$' -fuzz FuzzXPathParser -fuzztime 10s ./internal/xpath
 go test -run '^$' -fuzz FuzzScanProgramTokens -fuzztime 10s ./internal/xpath
 go test -run '^$' -fuzz FuzzValueTable -fuzztime 10s ./internal/xpath
+go test -run '^$' -fuzz FuzzPlanShape -fuzztime 10s ./internal/xpath
 go test -run '^$' -fuzz FuzzXQueryParser -fuzztime 10s ./internal/xquery
 
 echo "== go test -fuzz (core: 10s per target — cursor reads vs the reference store under splits and merges; node XML from stored bytes vs the old serializer)"
