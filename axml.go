@@ -29,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/pagestore"
 	"repro/internal/token"
-	"repro/internal/txn"
 	"repro/internal/wal"
 	"repro/internal/xmltok"
 	"repro/internal/xpath"
@@ -52,16 +51,9 @@ type (
 	Token = core.Token
 	// Item is a token paired with the id of the node it starts.
 	Item = core.Item
-	// TxManager coordinates concurrent transactions over one Store with
-	// hierarchical locking, deadlock handling and a stuck-transaction
-	// watchdog.
-	TxManager = txn.Manager
-	// Tx is one transaction: strict two-phase locked reads and updates with
-	// rollback on Abort.
-	Tx = txn.Tx
-	// TxOptions tunes lock-wait timeouts, watchdog behavior and RunInTx
-	// retry backoff.
-	TxOptions = txn.Options
+	// Batch is the handle Store.Update passes its function: updates that
+	// commit together, as one WAL batch, or not at all.
+	Batch = core.Batch
 )
 
 // Index modes (the experimental axis of the paper's Table 5).
@@ -96,29 +88,7 @@ var (
 	// ErrReadOnlyFile is returned by mutations on a store opened with
 	// ReopenFileReadOnly.
 	ErrReadOnlyFile = pagestore.ErrReadOnlyFile
-	// ErrDeadlock is returned to the victim of a lock-wait cycle; RunInTx
-	// retries it automatically.
-	ErrDeadlock = txn.ErrDeadlock
-	// ErrLockTimeout is returned when a lock wait exceeds its context
-	// deadline or the manager's default timeout.
-	ErrLockTimeout = txn.ErrLockTimeout
-	// ErrTxDone is returned by operations on a committed or aborted Tx.
-	ErrTxDone = txn.ErrTxDone
-	// ErrManagerClosed is returned to lock waiters when the TxManager shuts
-	// down under them.
-	ErrManagerClosed = txn.ErrManagerClosed
-	// ErrStuckAborted is returned by operations on a transaction the
-	// watchdog force-aborted for holding locks too long.
-	ErrStuckAborted = txn.ErrStuckAborted
 )
-
-// NewTxManager wraps a store with a transaction manager using default
-// concurrency options.
-func NewTxManager(s *Store) *TxManager { return txn.NewManager(s) }
-
-// NewTxManagerOpts wraps a store with a transaction manager using explicit
-// lock-timeout, watchdog and retry options.
-func NewTxManagerOpts(s *Store, o TxOptions) *TxManager { return txn.NewManagerOpts(s, o) }
 
 // Open creates a fresh store.
 func Open(cfg Config) (*Store, error) { return core.Open(cfg) }

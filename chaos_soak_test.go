@@ -1,10 +1,10 @@
-// Chaos soak: concurrent readers, writers and transactions hammer one
+// Chaos soak: concurrent readers, writers and batches hammer one
 // WAL-backed store while the harness injects slow I/O, a full disk and
 // admission-gate pressure. The pass criteria are the overload-proofing
 // contract itself:
 //
 //   - every error any worker sees is typed (ErrOverloaded, a context
-//     deadline, ENOSPC, ErrReadOnly, a lock error) — never a raw internal
+//     deadline, ENOSPC, ErrReadOnly) — never a raw internal
 //     failure or a corrupt-page report;
 //   - nothing deadlocks: the soak completes under a watchdog;
 //   - the heap stays bounded by the configured MemoryBudget plus slack;
@@ -54,11 +54,6 @@ func allowedChaosErr(err error) bool {
 		syscall.ENOSPC,           //
 		axml.ErrReadOnly,         // degrade latch after a failed commit
 		axml.ErrNoSuchNode,       // racing a concurrent delete
-		axml.ErrDeadlock,         // lock-cycle victim
-		axml.ErrLockTimeout,      // lock wait past deadline
-		axml.ErrTxDone,           // op after forced abort
-		axml.ErrStuckAborted,     // watchdog-aborted transaction
-		axml.ErrManagerClosed,    // manager shutdown under a waiter
 	} {
 		if errors.Is(err, target) {
 			return true
@@ -241,12 +236,11 @@ func TestChaosSoak(t *testing.T) {
 		}(int64(200 + w))
 	}
 
-	// Transactional workers: strict-2PL read/insert pairs under a tight
-	// per-transaction deadline — these exercise lock timeouts, deadlock
-	// retries and, when the gate sheds mid-transaction, critical-context
-	// rollback.
-	m := axml.NewTxManagerOpts(s, axml.TxOptions{LockTimeout: 50 * time.Millisecond})
-	defer m.Close()
+	// Batch workers: read/insert/delete batches under a tight per-batch
+	// deadline — these exercise commits through the faulty WAL and aborts
+	// (a deadline or a shed mid-batch, a failed commit) that reload the
+	// store beside readers and plain writers.
+	var batchesDone atomic.Uint64
 	for x := 0; x < 2; x++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -254,18 +248,21 @@ func TestChaosSoak(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for !stopped() {
 				ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-				err := m.RunInTx(ctx, func(tx *axml.Tx) error {
-					if _, err := tx.ReadNode(core.NodeID(1 + rng.Uint64()%maxSeedID)); err != nil {
+				err := s.Update(ctx, func(b *axml.Batch) error {
+					if _, err := b.ReadNode(core.NodeID(1 + rng.Uint64()%maxSeedID)); err != nil {
 						return err
 					}
-					id, err := tx.InsertIntoLast(root, frags[rng.Intn(len(frags))])
+					id, err := b.InsertIntoLast(root, frags[rng.Intn(len(frags))])
 					if err != nil {
 						return err
 					}
-					return tx.DeleteNode(id)
+					return b.DeleteNode(id)
 				})
 				cancel()
-				report("txn", err)
+				if err == nil {
+					batchesDone.Add(1)
+				}
+				report("batch", err)
 			}
 		}(int64(300 + x))
 	}
@@ -330,8 +327,8 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal("no operation succeeded during the soak")
 	}
 	adm := s.Stats().Admission
-	t.Logf("soak: %d ops succeeded, %d typed errors, admission %+v",
-		opsDone.Load(), errsTyped.Load(), adm)
+	t.Logf("soak: %d ops succeeded (%d batches, %.0f/s), %d typed errors, admission %+v",
+		opsDone.Load(), batchesDone.Load(), float64(batchesDone.Load())/duration.Seconds(), errsTyped.Load(), adm)
 	if adm.Queued == 0 || adm.Shed == 0 {
 		t.Errorf("soak never saturated the admission gate (%+v); overload path untested", adm)
 	}

@@ -206,8 +206,8 @@ func run(db, modeName string, args []string) error {
 }
 
 // runOpts executes one CLI command under the -timeout/-readonly options.
-// The context deadline is honored twice over: lock waits inside transactional
-// commands return typed timeout errors, and the outer select abandons any
+// The context deadline is honored twice over: the XUpdate commands' batches
+// abort with a typed deadline error, and the outer select abandons any
 // command still running at the deadline — so even commands with no natural
 // cancellation point (a huge dump, a scan on a cold disk) exit promptly and
 // nonzero.
@@ -414,29 +414,24 @@ func runCmd(ctx context.Context, db, modeName string, opts cliOpts, args []strin
 		if err != nil {
 			return err
 		}
-		tm := axml.NewTxManager(s)
-		defer tm.Close()
 		var newID axml.NodeID
-		err = tm.RunInTx(ctx, func(tx *axml.Tx) error {
+		err = s.Update(ctx, func(b *axml.Batch) error {
 			var err error
 			switch cmd {
 			case "insert-last":
-				newID, err = tx.InsertIntoLast(id, frag)
+				newID, err = b.InsertIntoLast(id, frag)
 			case "insert-first":
-				newID, err = tx.InsertIntoFirst(id, frag)
+				newID, err = b.InsertIntoFirst(id, frag)
 			case "insert-before":
-				newID, err = tx.InsertBefore(id, frag)
+				newID, err = b.InsertBefore(id, frag)
 			case "insert-after":
-				newID, err = tx.InsertAfter(id, frag)
+				newID, err = b.InsertAfter(id, frag)
 			case "replace":
-				newID, err = tx.ReplaceNode(id, frag)
+				newID, err = b.ReplaceNode(id, frag)
 			}
 			return err
 		})
 		if err != nil {
-			return err
-		}
-		if err := s.Flush(); err != nil {
 			return err
 		}
 		fmt.Printf("ok: new content starts at id %d\n", newID)
@@ -446,14 +441,9 @@ func runCmd(ctx context.Context, db, modeName string, opts cliOpts, args []strin
 		if err != nil {
 			return err
 		}
-		tm := axml.NewTxManager(s)
-		defer tm.Close()
-		if err := tm.RunInTx(ctx, func(tx *axml.Tx) error {
-			return tx.DeleteNode(id)
+		if err := s.Update(ctx, func(b *axml.Batch) error {
+			return b.DeleteNode(id)
 		}); err != nil {
-			return err
-		}
-		if err := s.Flush(); err != nil {
 			return err
 		}
 		fmt.Println("ok")

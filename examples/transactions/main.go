@@ -1,83 +1,79 @@
-// Transactions over the store (the paper's future-work concurrency design):
-// strict two-phase locking over the document→ancestor→node hierarchy,
-// deadlock detection, and logical undo. Two writers work disjoint subtrees
-// concurrently; an abort rolls a multi-operation change back; an XQuery view
-// over the committed state closes the loop.
+// Batches over the store: Store.Update applies several updates as one unit.
+// A committed batch lands whole — on a write-ahead-logged store it is one WAL
+// batch, durable when Update returns. A batch whose function returns an
+// error leaves no trace: the pages it dirtied never left memory, so the
+// store reloads what the pager holds and every node keeps the id it had. An
+// XQuery view over the committed state closes the loop.
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
-	"sync"
 
 	axml "repro"
-	"repro/internal/core"
-	"repro/internal/txn"
 	"repro/internal/xmltok"
 )
 
 func main() {
-	store, err := core.Open(core.Config{Mode: core.RangePartial})
+	store, err := axml.Open(axml.Config{Mode: axml.RangePartial})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer store.Close()
-	m := txn.NewManager(store)
-	defer m.Close()
+	ctx := context.Background()
 
 	// Seed: a warehouse with two zones.
-	seed := m.Begin()
-	if _, err := seed.Append(xmltok.MustParse(
-		`<warehouse><zone id="A"/><zone id="B"/></warehouse>`)); err != nil {
+	// warehouse=1, zoneA=2 (@id=3), zoneB=4 (@id=5)
+	if _, err := axml.LoadXMLString(store, `<warehouse><zone id="A"/><zone id="B"/></warehouse>`); err != nil {
 		log.Fatal(err)
 	}
-	seed.Commit()
-	// warehouse=1, zoneA=2 (@id=3), zoneB=4 (@id=5)
 
-	// 1. Disjoint writers in parallel: each stocks its own zone.
-	var wg sync.WaitGroup
-	stock := func(zone core.NodeID, item string, n int) {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			for {
-				tx := m.Begin()
-				frag := xmltok.MustParseFragment(fmt.Sprintf(`<item sku="%s-%d"/>`, item, i))
-				_, err := tx.InsertIntoLast(zone, frag)
-				if err == nil {
-					tx.Commit()
-					break
-				}
-				tx.Abort()
-				if !errors.Is(err, txn.ErrDeadlock) {
-					log.Fatal(err)
-				}
+	// 1. A committed batch: stock both zones and retire nothing.
+	err = store.Update(ctx, func(b *axml.Batch) error {
+		for i := 0; i < 3; i++ {
+			if _, err := b.InsertIntoLast(2, xmltok.MustParseFragment(fmt.Sprintf(`<item sku="bolt-%d"/>`, i))); err != nil {
+				return err
+			}
+			if _, err := b.InsertIntoLast(4, xmltok.MustParseFragment(fmt.Sprintf(`<item sku="nut-%d"/>`, i))); err != nil {
+				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	wg.Add(2)
-	go stock(2, "bolt", 50)
-	go stock(4, "nut", 50)
-	wg.Wait()
 	count, _ := axml.QueryValue(store, "count(//item)")
-	fmt.Printf("after concurrent stocking: %s items\n", count)
+	fmt.Printf("after the committed batch: %s items\n", count)
 
-	// 2. A multi-operation transaction that aborts: nothing survives.
-	tx := m.Begin()
-	if _, err := tx.InsertIntoLast(2, xmltok.MustParseFragment(`<item sku="mistake"/>`)); err != nil {
+	// 2. A batch that aborts: it adds an item and drops zone B entirely,
+	// then changes its mind. Nothing survives, and zone B is node 4 again.
+	before, _ := store.XMLString()
+	errChangedMind := errors.New("changed my mind")
+	err = store.Update(ctx, func(b *axml.Batch) error {
+		if _, err := b.InsertIntoLast(2, xmltok.MustParseFragment(`<item sku="mistake"/>`)); err != nil {
+			return err
+		}
+		if err := b.DeleteNode(4); err != nil {
+			return err
+		}
+		if _, err := b.ReadNode(4); err == nil {
+			return errors.New("zone B still readable inside the batch")
+		}
+		return errChangedMind
+	})
+	if !errors.Is(err, errChangedMind) {
 		log.Fatal(err)
 	}
-	if err := tx.DeleteNode(4); err != nil { // drop zone B entirely
+	after, _ := store.XMLString()
+	zoneB, err := store.NodeXMLString(4)
+	if err != nil {
 		log.Fatal(err)
 	}
-	mid, _ := axml.QueryValue(store, "count(//zone)")
-	fmt.Printf("inside doomed transaction: %s zones\n", mid)
-	if err := tx.Abort(); err != nil {
-		log.Fatal(err)
-	}
-	after, _ := axml.QueryValue(store, "count(//zone)")
 	bad, _ := axml.QueryValue(store, `count(//item[@sku="mistake"])`)
-	fmt.Printf("after abort: %s zones, %s mistakes\n", after, bad)
+	fmt.Printf("after the aborted batch: unchanged=%v, %s mistakes, node 4 is %.30s...\n", before == after, bad, zoneB)
 
 	// 3. An XQuery report over the committed state.
 	report, err := axml.XQueryString(store, `

@@ -107,23 +107,6 @@ func (a *admission) snapshot() AdmissionStats {
 	}
 }
 
-// criticalKey marks contexts that must not be shed or timed out.
-type criticalKey struct{}
-
-// WithCritical marks ctx as carrying a critical internal operation: it
-// bypasses admission control and the configured OpTimeout. Transaction
-// rollback uses it — shedding half of an abort would leave the store with
-// partial effects that strict two-phase locking promised to undo.
-func WithCritical(ctx context.Context) context.Context {
-	return context.WithValue(ctx, criticalKey{}, true)
-}
-
-// isCritical reports whether WithCritical marked ctx.
-func isCritical(ctx context.Context) bool {
-	v, _ := ctx.Value(criticalKey{}).(bool)
-	return v
-}
-
 // readOp is how every gated read enters the store: admission and OpTimeout
 // (beginOp), the shared lock, the corruption latch, the closed check, then fn
 // with a pooled cursor that reads under the operation's context. A checksum
@@ -177,9 +160,6 @@ func (s *Store) writeOp(ctx context.Context, fn func(cur *rangeCursor) error) (e
 func (s *Store) beginOp(ctx context.Context) (opCtx context.Context, end opEnd, err error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if isCritical(ctx) {
-		return ctx, opEnd{}, nil
 	}
 	var d *deadlineCtx
 	if s.cfg.OpTimeout > 0 {

@@ -119,6 +119,19 @@ func (t *checkpointTable) shedForBudget() {
 	}
 }
 
+// reset drops every memoized run, giving its memory back to the budget.
+func (t *checkpointTable) reset() {
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		for _, rc := range sh.m {
+			t.budget.Discharge(budget.Checkpoints, rc.cost())
+		}
+		clear(sh.m)
+		sh.mu.Unlock()
+	}
+}
+
 func (t *checkpointTable) shard(rng RangeID) *ckptShard {
 	h := uint32(rng) * 2654435769
 	return &t.shards[h>>28%ckptShardCount]

@@ -97,6 +97,9 @@ func entryOps() []entryOp {
 		write("ReplaceNodeCtx", func(s *Store) error { return drop(s.ReplaceNodeCtx(ctx, 2, frag())) }),
 		write("ReplaceContent", func(s *Store) error { return drop(s.ReplaceContent(2, frag())) }),
 		write("ReplaceContentCtx", func(s *Store) error { return drop(s.ReplaceContentCtx(ctx, 2, frag())) }),
+		write("Update", func(s *Store) error {
+			return s.Update(ctx, func(b *Batch) error { return drop(b.InsertIntoLast(1, frag())) })
+		}),
 	}
 }
 

@@ -7,7 +7,7 @@
 // and never renumbered: they are part of the wire protocol.
 //
 // The registry lives in core because core sits at the bottom of the import
-// graph — everything that owns sentinels (txn, replica, recover, server)
+// graph — everything that owns sentinels (replica, recover, server)
 // already imports core and registers its own in an init. core itself
 // registers its sentinels plus those of the packages below it (pagestore,
 // context).
@@ -52,12 +52,8 @@ const (
 	CodeStoreLocked  ErrCode = 31
 	CodeReadOnlyFile ErrCode = 32
 
-	// transactions / locking
-	CodeDeadlock      ErrCode = 40
-	CodeLockTimeout   ErrCode = 41
-	CodeTxDone        ErrCode = 42
-	CodeManagerClosed ErrCode = 43
-	CodeStuckAborted  ErrCode = 44
+	// 40–44 were the transaction layer's lock and transaction errors, retired
+	// with it. The registry is append-only: never reuse them.
 
 	// replication
 	CodeReplicaStalled    ErrCode = 50
@@ -113,10 +109,10 @@ var errReg = struct {
 //
 // retryable means: the condition is transient and the *whole operation* is
 // safe and sensible to re-run after a jittered backoff — an admission shed,
-// a tenant quota shed, a deadlock victim, a drain in progress. It does NOT
+// a tenant quota shed, a drain in progress. It does NOT
 // mean "might eventually work" (a corrupt page might be repaired someday;
 // retrying does not repair it). The flag is the single source of truth the
-// resilient client, the replication transports, and RunInTx all classify
+// resilient client and the replication transports both classify
 // from — no layer keeps its own list of retryable sentinels.
 func RegisterErrCode(code ErrCode, sentinel error, retryable bool) {
 	if code == CodeOK || code == CodeUnknown || sentinel == nil {

@@ -83,23 +83,6 @@ func TestAdmissionQueuesThenSheds(t *testing.T) {
 	}
 }
 
-func TestAdmissionCriticalBypass(t *testing.T) {
-	s := openStore(t, Config{MaxConcurrentOps: 1, MaxQueuedOps: 1})
-	if _, err := s.Append(figure1()); err != nil {
-		t.Fatal(err)
-	}
-	release, parkedDone := parkReader(t, s)
-	defer func() { close(release); <-parkedDone }()
-
-	// With the only slot held, a critical operation must neither queue nor
-	// shed: rollback and repair paths depend on this.
-	ctx, cancel := context.WithTimeout(WithCritical(context.Background()), 2*time.Second)
-	defer cancel()
-	if _, err := s.ReadAllCtx(ctx); err != nil {
-		t.Fatalf("critical op blocked by a saturated gate: %v", err)
-	}
-}
-
 func TestAdmissionQueuedOpExpires(t *testing.T) {
 	s := openStore(t, Config{MaxConcurrentOps: 1, MaxQueuedOps: 4})
 	if _, err := s.Append(figure1()); err != nil {

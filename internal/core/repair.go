@@ -135,22 +135,25 @@ func (s *Store) Repair(apply bool) (*RepairReport, error) {
 	return rep, nil
 }
 
-// reloadLocked rebuilds every piece of in-memory state from the (just
-// repaired) pages, as Reopen would: fresh buffer pool over the same pager,
-// record store reopened at the same meta page, indexes reconstructed.
+// reloadLocked rebuilds every piece of in-memory state from the pages the
+// pager holds (just repaired, or as they were before an aborted batch), as
+// Reopen would: the buffer pool emptied, the record store reopened at the
+// same meta page, indexes reconstructed.
 func (s *Store) reloadLocked() error {
-	pager := s.pool.Pager()
-	metaPage := s.recs.MetaPage()
-	pool := pagestore.NewBufferPool(pager, s.cfg.PoolPages)
-	recs, err := pagestore.OpenRecordStore(pool, metaPage)
+	s.pool.Discard()
+	recs, err := pagestore.OpenRecordStore(s.pool, s.recs.MetaPage())
 	if err != nil {
 		return err
 	}
-	s.pool = pool
 	s.recs = recs
 	s.rindex = btree.New[*rangeInfo]()
 	s.byRange = make(map[RangeID]*rangeInfo)
 	s.byLoc = make(map[pagestore.Loc]*rangeInfo)
+	// initIndexes makes new ones; give the old ones' memory back first.
+	s.checkpoints.reset()
+	if s.partial != nil {
+		s.partial.reset()
+	}
 	s.partial = nil
 	s.full = nil
 	s.nodes, s.tokens, s.bytes = 0, 0, 0

@@ -537,7 +537,7 @@ func (s *Store) OpContext(ctx context.Context) (context.Context, context.CancelF
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.cfg.OpTimeout > 0 && !isCritical(ctx) {
+	if s.cfg.OpTimeout > 0 {
 		if _, has := ctx.Deadline(); !has {
 			d := newDeadlineCtx(ctx, s.cfg.OpTimeout)
 			return d, func() { d.end(context.Canceled) }

@@ -42,22 +42,28 @@ func (s *Store) AppendCtx(ctx context.Context, frag []Token) (first NodeID, err 
 		return InvalidNode, err
 	}
 	err = s.writeOp(ctx, func(*rangeCursor) error {
-		chunk := s.cfg.MaxRangeTokens
-		if chunk <= 0 {
-			chunk = len(frag)
-		}
-		first = s.nextID
-		for off := 0; off < len(frag); off += chunk {
-			if _, err := s.newRange(tokenPos{}, frag[off:min(off+chunk, len(frag))]); err != nil {
-				return err
-			}
-		}
-		s.inserts++
-		return nil
+		first, err = s.appendLocked(frag)
+		return err
 	})
 	if err != nil {
 		return InvalidNode, err
 	}
+	return first, nil
+}
+
+// appendLocked is Append under writeOp.
+func (s *Store) appendLocked(frag []Token) (NodeID, error) {
+	chunk := s.cfg.MaxRangeTokens
+	if chunk <= 0 {
+		chunk = len(frag)
+	}
+	first := s.nextID
+	for off := 0; off < len(frag); off += chunk {
+		if _, err := s.newRange(tokenPos{}, frag[off:min(off+chunk, len(frag))]); err != nil {
+			return InvalidNode, err
+		}
+	}
+	s.inserts++
 	return first, nil
 }
 
@@ -163,25 +169,32 @@ func (s *Store) insertFragment(pos tokenPos, frag []Token) (NodeID, error) {
 	return id, err
 }
 
-// insertAt is every insert of one fragment at a located position: where
-// returns the position (before which the fragment goes) from the cursor,
-// under writeOp.
-func (s *Store) insertAt(ctx context.Context, frag []Token, where func(cur *rangeCursor) (tokenPos, error)) (first NodeID, err error) {
+// locator finds the position an insert relative to node id goes before.
+// The public inserts and Batch's share these, under writeOp.
+type locator func(s *Store, cur *rangeCursor, id NodeID) (tokenPos, error)
+
+// insertAt is every public insert of one fragment at a located position.
+func (s *Store) insertAt(ctx context.Context, id NodeID, frag []Token, where locator) (first NodeID, err error) {
 	if err := checkFragment(frag); err != nil {
 		return InvalidNode, err
 	}
 	err = s.writeOp(ctx, func(cur *rangeCursor) error {
-		pos, err := where(cur)
-		if err != nil {
-			return err
-		}
-		first, err = s.insertFragment(pos, frag)
+		first, err = s.insertLocked(cur, id, frag, where)
 		return err
 	})
 	if err != nil {
 		return InvalidNode, err
 	}
 	return first, nil
+}
+
+// insertLocked splices frag in where the locator puts it.
+func (s *Store) insertLocked(cur *rangeCursor, id NodeID, frag []Token, where locator) (NodeID, error) {
+	pos, err := where(s, cur, id)
+	if err != nil {
+		return InvalidNode, err
+	}
+	return s.insertFragment(pos, frag)
 }
 
 // InsertBefore inserts frag as the preceding sibling(s) of node id.
@@ -191,13 +204,16 @@ func (s *Store) InsertBefore(id NodeID, frag []Token) (NodeID, error) {
 
 // InsertBeforeCtx is InsertBefore under a context.
 func (s *Store) InsertBeforeCtx(ctx context.Context, id NodeID, frag []Token) (NodeID, error) {
-	return s.insertAt(ctx, frag, func(cur *rangeCursor) (tokenPos, error) {
-		pos, k, _, err := s.locateBegin(cur, id)
-		if err == nil && k == token.BeginAttribute {
-			err = ErrAttrContext
-		}
-		return pos, err
-	})
+	return s.insertAt(ctx, id, frag, (*Store).before)
+}
+
+// before locates node id's begin token.
+func (s *Store) before(cur *rangeCursor, id NodeID) (tokenPos, error) {
+	pos, k, _, err := s.locateBegin(cur, id)
+	if err == nil && k == token.BeginAttribute {
+		err = ErrAttrContext
+	}
+	return pos, err
 }
 
 // InsertAfter inserts frag as the following sibling(s) of node id.
@@ -207,20 +223,23 @@ func (s *Store) InsertAfter(id NodeID, frag []Token) (NodeID, error) {
 
 // InsertAfterCtx is InsertAfter under a context.
 func (s *Store) InsertAfterCtx(ctx context.Context, id NodeID, frag []Token) (NodeID, error) {
-	return s.insertAt(ctx, frag, func(cur *rangeCursor) (tokenPos, error) {
-		begin, k, e, err := s.locateBegin(cur, id)
-		if err != nil {
-			return tokenPos{}, err
-		}
-		if k == token.BeginAttribute {
-			return tokenPos{}, ErrAttrContext
-		}
-		end, err := s.locateEnd(cur, id, begin, k, e)
-		if err != nil {
-			return tokenPos{}, err
-		}
-		return advance(cur, end)
-	})
+	return s.insertAt(ctx, id, frag, (*Store).after)
+}
+
+// after locates the token following node id's subtree.
+func (s *Store) after(cur *rangeCursor, id NodeID) (tokenPos, error) {
+	begin, k, e, err := s.locateBegin(cur, id)
+	if err != nil {
+		return tokenPos{}, err
+	}
+	if k == token.BeginAttribute {
+		return tokenPos{}, ErrAttrContext
+	}
+	end, err := s.locateEnd(cur, id, begin, k, e)
+	if err != nil {
+		return tokenPos{}, err
+	}
+	return advance(cur, end)
 }
 
 // InsertIntoFirst inserts frag as the first content of element id (after its
@@ -231,20 +250,23 @@ func (s *Store) InsertIntoFirst(id NodeID, frag []Token) (NodeID, error) {
 
 // InsertIntoFirstCtx is InsertIntoFirst under a context.
 func (s *Store) InsertIntoFirstCtx(ctx context.Context, id NodeID, frag []Token) (NodeID, error) {
-	return s.insertAt(ctx, frag, func(cur *rangeCursor) (tokenPos, error) {
-		begin, k, _, err := s.locateBegin(cur, id)
-		if err != nil {
-			return tokenPos{}, err
-		}
-		if err := requireElement(k); err != nil {
-			return tokenPos{}, err
-		}
-		pos, err := advance(cur, begin)
-		if err != nil {
-			return tokenPos{}, err
-		}
-		return s.skipAttributes(cur, pos)
-	})
+	return s.insertAt(ctx, id, frag, (*Store).intoFirst)
+}
+
+// intoFirst locates the first content position of element id.
+func (s *Store) intoFirst(cur *rangeCursor, id NodeID) (tokenPos, error) {
+	begin, k, _, err := s.locateBegin(cur, id)
+	if err != nil {
+		return tokenPos{}, err
+	}
+	if err := requireElement(k); err != nil {
+		return tokenPos{}, err
+	}
+	pos, err := advance(cur, begin)
+	if err != nil {
+		return tokenPos{}, err
+	}
+	return s.skipAttributes(cur, pos)
 }
 
 // InsertIntoLast inserts frag as the last content of element id — the
@@ -256,16 +278,19 @@ func (s *Store) InsertIntoLast(id NodeID, frag []Token) (NodeID, error) {
 
 // InsertIntoLastCtx is InsertIntoLast under a context.
 func (s *Store) InsertIntoLastCtx(ctx context.Context, id NodeID, frag []Token) (NodeID, error) {
-	return s.insertAt(ctx, frag, func(cur *rangeCursor) (tokenPos, error) {
-		begin, k, e, err := s.locateBegin(cur, id)
-		if err != nil {
-			return tokenPos{}, err
-		}
-		if err := requireElement(k); err != nil {
-			return tokenPos{}, err
-		}
-		return s.locateEnd(cur, id, begin, k, e)
-	})
+	return s.insertAt(ctx, id, frag, (*Store).intoLast)
+}
+
+// intoLast locates element id's end token.
+func (s *Store) intoLast(cur *rangeCursor, id NodeID) (tokenPos, error) {
+	begin, k, e, err := s.locateBegin(cur, id)
+	if err != nil {
+		return tokenPos{}, err
+	}
+	if err := requireElement(k); err != nil {
+		return tokenPos{}, err
+	}
+	return s.locateEnd(cur, id, begin, k, e)
 }
 
 func requireElement(k token.Kind) error {
@@ -313,12 +338,17 @@ func (s *Store) DeleteNode(id NodeID) error {
 // DeleteNodeCtx is DeleteNode under a context.
 func (s *Store) DeleteNodeCtx(ctx context.Context, id NodeID) error {
 	return s.writeOp(ctx, func(cur *rangeCursor) error {
-		pos, err := s.deleteNodeLocked(cur, id)
-		if err == nil {
-			s.maybeCoalesce(pos.ri)
-		}
-		return err
+		return s.deleteLocked(cur, id)
 	})
+}
+
+// deleteLocked is DeleteNode under writeOp.
+func (s *Store) deleteLocked(cur *rangeCursor, id NodeID) error {
+	pos, err := s.deleteNodeLocked(cur, id)
+	if err == nil {
+		s.maybeCoalesce(pos.ri)
+	}
+	return err
 }
 
 // ReplaceNode replaces node id (and subtree) with frag, returning the first
@@ -330,9 +360,7 @@ func (s *Store) ReplaceNode(id NodeID, frag []Token) (NodeID, error) {
 // ReplaceNodeCtx is ReplaceNode under a context. When the node was all the
 // store held, the fragment is placed in the emptied store.
 func (s *Store) ReplaceNodeCtx(ctx context.Context, id NodeID, frag []Token) (NodeID, error) {
-	return s.insertAt(ctx, frag, func(cur *rangeCursor) (tokenPos, error) {
-		return s.deleteNodeLocked(cur, id)
-	})
+	return s.insertAt(ctx, id, frag, (*Store).deleteNodeLocked)
 }
 
 // ReplaceContent replaces the content of element id (children; the attribute
@@ -349,39 +377,44 @@ func (s *Store) ReplaceContentCtx(ctx context.Context, id NodeID, frag []Token) 
 		}
 	}
 	err = s.writeOp(ctx, func(cur *rangeCursor) error {
-		begin, k, e, err := s.locateBegin(cur, id)
-		if err != nil {
-			return err
-		}
-		if err := requireElement(k); err != nil {
-			return err
-		}
-		contentStart, err := advance(cur, begin)
-		if err != nil {
-			return err
-		}
-		if contentStart, err = s.skipAttributes(cur, contentStart); err != nil {
-			return err
-		}
-		pos, err := s.locateEnd(cur, id, begin, k, e)
-		if err != nil {
-			return err
-		}
-		if contentStart.ri != pos.ri || contentStart.tokIdx != pos.tokIdx { // the element has content
-			if pos, err = s.deleteSpan(contentStart, pos); err != nil {
-				return err
-			}
-			s.deletes++
-		}
-		if len(frag) == 0 {
-			s.maybeCoalesce(pos.ri)
-			return nil
-		}
-		first, err = s.insertFragment(pos, frag)
+		first, err = s.replaceContentLocked(cur, id, frag)
 		return err
 	})
 	if err != nil {
 		return InvalidNode, err
 	}
 	return first, nil
+}
+
+// replaceContentLocked is ReplaceContent under writeOp.
+func (s *Store) replaceContentLocked(cur *rangeCursor, id NodeID, frag []Token) (NodeID, error) {
+	begin, k, e, err := s.locateBegin(cur, id)
+	if err != nil {
+		return InvalidNode, err
+	}
+	if err := requireElement(k); err != nil {
+		return InvalidNode, err
+	}
+	contentStart, err := advance(cur, begin)
+	if err != nil {
+		return InvalidNode, err
+	}
+	if contentStart, err = s.skipAttributes(cur, contentStart); err != nil {
+		return InvalidNode, err
+	}
+	pos, err := s.locateEnd(cur, id, begin, k, e)
+	if err != nil {
+		return InvalidNode, err
+	}
+	if contentStart.ri != pos.ri || contentStart.tokIdx != pos.tokIdx { // the element has content
+		if pos, err = s.deleteSpan(contentStart, pos); err != nil {
+			return InvalidNode, err
+		}
+		s.deletes++
+	}
+	if len(frag) == 0 {
+		s.maybeCoalesce(pos.ri)
+		return InvalidNode, nil
+	}
+	return s.insertFragment(pos, frag)
 }

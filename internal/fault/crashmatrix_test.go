@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -24,6 +25,12 @@ import (
 // reopened (running WAL recovery) and must (a) pass a full Verify scrub and
 // (b) contain exactly the acknowledged commits, or those plus the one that
 // was in flight — never fewer, never a hybrid.
+//
+// The batch variant sweeps one Store.Update instead of one insert + Flush:
+// an insert, a delete and a replace on different pages, committed as one WAL
+// batch, which must land whole or not at all. It also checks that the
+// read-only open of a crashed store sees what recovery makes of it, and that
+// a point-in-time restore splits exactly at the batch's LSN.
 //
 // Two geometries. "eager" is a store so small that the log outgrows its
 // share of the page file with every commit, so the checkpoint runs inside
@@ -50,6 +57,7 @@ type geometry struct {
 	orders         int
 	maxRangeTokens int
 	prefix         int
+	batch          bool // the swept commit is one multi-op Update
 }
 
 func eagerGeometry() geometry { return geometry{orders: nightlyScale(40, 120)} }
@@ -142,6 +150,9 @@ func buildBase(t *testing.T, db string, g geometry) []string {
 // way through the document in the lazy one, so that the batches waiting in
 // the log dirty different pages and the checkpoint has several to write.
 func mutate(s *core.Store, g geometry, i int) error {
+	if g.batch && i == g.prefix {
+		return mutateBatch(s, g)
+	}
 	frag, err := axml.ParseFragment(fmt.Sprintf(`<order id="new-%d"><item>widget</item></order>`, i))
 	if err != nil {
 		return err
@@ -160,6 +171,39 @@ func mutate(s *core.Store, g geometry, i int) error {
 	}
 	_, err = s.InsertAfter(anchor, frag)
 	return err
+}
+
+// mutateBatch is the batch variant's swept commit: one Update that inserts
+// an order, deletes another and replaces a third, an eighth, three eighths
+// and seven eighths of the way through the document, so the three dirty
+// different pages.
+func mutateBatch(s *core.Store, g geometry) error {
+	var ids [3]core.NodeID
+	for i, n := range []int{g.orders / 8, 3 * g.orders / 8, 7 * g.orders / 8} {
+		id, ok, err := axml.QueryFirst(s, fmt.Sprintf(`/orders/order[@id="%d"]`, n))
+		if err != nil || !ok {
+			return fmt.Errorf("no order %d: %v", n, err)
+		}
+		ids[i] = id
+	}
+	ins, err := axml.ParseFragment(`<order id="batch-new"><item>widget</item></order>`)
+	if err != nil {
+		return err
+	}
+	rep, err := axml.ParseFragment(`<order id="batch-replaced"><item>gadget</item></order>`)
+	if err != nil {
+		return err
+	}
+	return s.Update(context.Background(), func(b *core.Batch) error {
+		if _, err := b.InsertAfter(ids[0], ins); err != nil {
+			return err
+		}
+		if err := b.DeleteNode(ids[1]); err != nil {
+			return err
+		}
+		_, err := b.ReplaceNode(ids[2], rep)
+		return err
+	})
 }
 
 // crashRun is what one faulty run of the matrix workload observed.
@@ -256,6 +300,22 @@ func validate(t *testing.T, db string) string {
 	return xml
 }
 
+// readOnlyXML opens db read-only, as a crash left it, and returns the
+// document it sees.
+func readOnlyXML(t *testing.T, db string) string {
+	t.Helper()
+	s, err := axml.ReopenFileReadOnly(db, axml.Config{PageSize: cmPageSize})
+	if err != nil {
+		t.Fatalf("read-only open: %v", err)
+	}
+	defer s.Close()
+	xml, err := s.XMLString()
+	if err != nil {
+		t.Fatalf("read-only read: %v", err)
+	}
+	return xml
+}
+
 func runCrashMatrix(t *testing.T, g geometry, torn bool) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.db")
@@ -291,7 +351,12 @@ func runCrashMatrix(t *testing.T, g geometry, torn bool) {
 		if !r.inj.Crashed() {
 			t.Fatalf("crash at op %d never fired (flush %v, close %v)", k, r.flushErr, r.closeErr)
 		}
-		switch xml := validate(t, db); {
+		ro := readOnlyXML(t, db)
+		xml := validate(t, db)
+		if ro != xml {
+			t.Fatalf("crash at op %d: the read-only open sees\n%s\nrecovery made\n%s", k, ro, xml)
+		}
+		switch {
 		case xml == states[r.acked]:
 			if r.acked == g.prefix {
 				sawOld = true
@@ -325,6 +390,74 @@ func TestCrashMatrix(t *testing.T) {
 func TestCrashMatrixTornWrites(t *testing.T) {
 	t.Run("eager", func(t *testing.T) { runCrashMatrix(t, eagerGeometry(), true) })
 	t.Run("lazy", func(t *testing.T) { runCrashMatrix(t, lazyGeometry(), true) })
+}
+
+// TestBatchCrashMatrix sweeps a crash over every I/O boundary of one
+// multi-op Update's commit, in both geometries, with plain and torn writes,
+// then restores the batch's archive to the LSN before it and to its own.
+func TestBatchCrashMatrix(t *testing.T) {
+	for _, geo := range []struct {
+		name string
+		g    geometry
+	}{{"eager", eagerGeometry()}, {"lazy", lazyGeometry()}} {
+		g := geo.g
+		g.batch = true
+		for _, torn := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/torn=%v", geo.name, torn), func(t *testing.T) { runCrashMatrix(t, g, torn) })
+		}
+		t.Run(geo.name+"/pitr", func(t *testing.T) { batchPITR(t, g) })
+	}
+}
+
+// batchPITR runs the batch variant's workload on an archiving store with a
+// backup cut before the swept batch, then restores to the batch's LSN−1
+// (none of it) and to its LSN (all of it).
+func batchPITR(t *testing.T, g geometry) {
+	dir := t.TempDir()
+	db, archive, backup := filepath.Join(dir, "pitr.db"), filepath.Join(dir, "archive"), filepath.Join(dir, "backup.db")
+	states := buildBase(t, db, g)
+	wp, err := wal.OpenWithOptions(db, cmPageSize, wal.Options{ArchiveDir: archive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.Reopen(core.Config{PageSize: cmPageSize}, wp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < g.prefix; i++ {
+		if err := mutate(s, g, i); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.BackupTo(backup); err != nil {
+		t.Fatal(err)
+	}
+	if err := mutate(s, g, g.prefix); err != nil {
+		t.Fatal(err)
+	}
+	lsn := s.Stats().ArchiveLSN
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		lsn  uint64
+		want string
+	}{{lsn - 1, states[g.prefix]}, {lsn, states[g.prefix+1]}} {
+		dest := filepath.Join(dir, fmt.Sprintf("restored-%d.db", tc.lsn))
+		from := archive
+		if tc.lsn == 0 { // target 0 means the newest segment; the base alone is LSN 0
+			from = ""
+		}
+		if _, err := axml.RestoreFile(backup, dest, from, tc.lsn); err != nil {
+			t.Fatal(err)
+		}
+		if got := validate(t, dest); got != tc.want {
+			t.Fatalf("restore to LSN %d (the batch is %d) holds neither the state before the batch nor the one after:\n%s", tc.lsn, lsn, got)
+		}
+	}
 }
 
 // TestTransientCommitRetry: a transient injected failure inside the WAL

@@ -106,10 +106,22 @@ type BufferPool struct {
 	budget   *budget.Budget // nil = unaccounted; set before first use
 
 	clock     atomic.Uint64 // recency stamps
+	held      atomic.Bool   // a batch is open: see BeginHold
+	hold      holdState
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 	flushes   atomic.Uint64
+}
+
+// holdState is what the pool remembers while a batch is open: the pages it
+// allocated, which an abort gives back, and the pages it freed, which only a
+// commit gives back. Only the batch's writer touches it (under the store's
+// exclusive lock); the mutex keeps the pool safe on its own terms.
+type holdState struct {
+	mu    sync.Mutex
+	fresh map[PageID]struct{}
+	freed []PageID
 }
 
 // frameOverhead approximates the per-frame bookkeeping bytes beyond the page
@@ -291,6 +303,11 @@ func (bp *BufferPool) NewPage() (*Frame, error) {
 		return nil, err
 	}
 	sh.markDirty(f)
+	if bp.held.Load() {
+		bp.hold.mu.Lock()
+		bp.hold.fresh[id] = struct{}{}
+		bp.hold.mu.Unlock()
+	}
 	return f, nil
 }
 
@@ -326,10 +343,21 @@ func (bp *BufferPool) dropFrameLocked(sh *poolShard, id PageID) {
 // sample (budget.Oldest) — flushing it first if dirty, and returns its page
 // buffer for the caller to reuse: the flush is done before anyone can write
 // into it. Caller holds sh.mu exclusively, which is also what keeps View's
-// readers (shard read lock, no pin) off the buffer.
+// readers (shard read lock, no pin) off the buffer. While a batch holds the
+// pool only clean frames go; with none, it returns a nil buffer and the
+// shard grows past its capacity instead.
 func (bp *BufferPool) evictLocked(sh *poolShard) ([]byte, error) {
-	f, ok := budget.Oldest(sh.frames, func(c *Frame) (uint64, bool) { return c.stamp.Load(), c.pins == 0 })
+	held := bp.held.Load()
+	if held && len(sh.dirty) >= len(sh.frames) {
+		return nil, nil
+	}
+	f, ok := budget.Oldest(sh.frames, func(c *Frame) (uint64, bool) {
+		return c.stamp.Load(), c.pins == 0 && !(held && c.dirty)
+	})
 	if !ok {
+		if held {
+			return nil, nil
+		}
 		return nil, ErrPoolFull
 	}
 	if f.dirty {
@@ -362,7 +390,7 @@ func (bp *BufferPool) shedForBudget() {
 		}
 		sh.mu.Lock()
 		for excess > 0 {
-			if _, err := bp.evictLocked(sh); err != nil {
+			if data, err := bp.evictLocked(sh); err != nil || data == nil {
 				break
 			}
 			b.NoteEviction(budget.Pool)
@@ -393,7 +421,9 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) error {
 
 // FreePage removes the page from the pool and returns it to the pager. The
 // page must not be pinned (beyond the caller's single pin, which is
-// consumed).
+// consumed). While a batch holds the pool, a page the batch did not allocate
+// goes back to the pager only when the batch commits: an abort still needs
+// its old contents.
 func (bp *BufferPool) FreePage(f *Frame) error {
 	sh := bp.shard(f.ID)
 	sh.mu.Lock()
@@ -405,7 +435,85 @@ func (bp *BufferPool) FreePage(f *Frame) error {
 	sh.markClean(f) // a freed page's contents are never written
 	delete(sh.frames, f.ID)
 	bp.budget.Discharge(budget.Pool, bp.frameCost())
+	if bp.held.Load() {
+		bp.hold.mu.Lock()
+		defer bp.hold.mu.Unlock()
+		if _, ok := bp.hold.fresh[f.ID]; !ok {
+			bp.hold.freed = append(bp.hold.freed, f.ID)
+			return nil
+		}
+		delete(bp.hold.fresh, f.ID)
+	}
 	return bp.pager.Free(f.ID)
+}
+
+// BeginHold opens a batch: until EndHold, no dirty frame is written back to
+// the pager (a shard with no clean frame to evict grows past its capacity),
+// pages freed are kept from the pager, and pages allocated are remembered.
+// The pager therefore holds exactly the state from before the batch until it
+// ends: no steal, so an abort has nothing to undo. The caller must exclude
+// every other user of the pool for the whole batch.
+func (bp *BufferPool) BeginHold() {
+	bp.hold.mu.Lock()
+	bp.hold.fresh = make(map[PageID]struct{})
+	bp.hold.freed = nil
+	bp.hold.mu.Unlock()
+	bp.held.Store(true)
+}
+
+// EndHold closes a batch. On commit the pages it freed go back to the pager
+// and the pool is trimmed to its capacity, writing back what it evicts; the
+// caller then writes back the rest (FlushAll). On abort every frame is
+// dropped unwritten and the pages the batch allocated go back to the pager,
+// which then holds the state from before the batch.
+func (bp *BufferPool) EndHold(commit bool) error {
+	bp.held.Store(false)
+	bp.hold.mu.Lock()
+	fresh, freed := bp.hold.fresh, bp.hold.freed
+	bp.hold.fresh, bp.hold.freed = nil, nil
+	bp.hold.mu.Unlock()
+	if !commit {
+		bp.Discard()
+		freed = freed[:0] // the batch's frees never happened
+		for id := range fresh {
+			freed = append(freed, id)
+		}
+	}
+	for _, id := range freed {
+		if err := bp.pager.Free(id); err != nil {
+			return err
+		}
+	}
+	if !commit {
+		return nil
+	}
+	for _, sh := range bp.shards {
+		var err error
+		sh.mu.Lock()
+		for err == nil && len(sh.frames) > sh.capacity {
+			_, err = bp.evictLocked(sh)
+		}
+		sh.mu.Unlock()
+		if err != nil && !errors.Is(err, ErrPoolFull) { // pinned frames stay
+			return err
+		}
+	}
+	return nil
+}
+
+// Discard drops every frame without writing it back, so the next fetch of
+// any page reads the pager's copy. The caller must exclude every other user
+// of the pool.
+func (bp *BufferPool) Discard() {
+	for _, sh := range bp.shards {
+		sh.mu.Lock()
+		for id := range sh.frames {
+			bp.dropFrameLocked(sh, id)
+		}
+		clear(sh.dirty)
+		sh.dirty = sh.dirty[:0]
+		sh.mu.Unlock()
+	}
 }
 
 // FlushAll writes back every dirty frame, visiting only the shards' dirty
@@ -475,6 +583,17 @@ func (bp *BufferPool) PinnedCount() int {
 			}
 		}
 		sh.mu.Unlock()
+	}
+	return n
+}
+
+// Resident returns the number of frames in the pool (for tests).
+func (bp *BufferPool) Resident() int {
+	n := 0
+	for _, sh := range bp.shards {
+		sh.mu.RLock()
+		n += len(sh.frames)
+		sh.mu.RUnlock()
 	}
 	return n
 }

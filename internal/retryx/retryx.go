@@ -1,11 +1,11 @@
 // Package retryx is the one retry loop the whole system shares: capped,
 // jittered exponential backoff, always bounded by the caller's context.
 //
-// Before this package, three hand-rolled copies of the same loop lived in
-// replica.DirTransport (Temporary() fetch errors), the follower's
-// fetch-validate path, and txn.RunInTx (deadlock victims) — each with its
-// own jitter, its own cap, and its own idea of when a context deadline
-// cuts the loop. The resilient network client would have been a fourth.
+// Before this package, hand-rolled copies of the same loop lived in
+// replica.DirTransport (Temporary() fetch errors) and the follower's
+// fetch-validate path — each with its own jitter, its own cap, and its own
+// idea of when a context deadline cuts the loop. The resilient network
+// client would have been another.
 // One policy, one loop, one guarantee: no retry path in the system can
 // outlive the context that asked for the work.
 //

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/replica"
-	_ "repro/internal/txn" // register its wire codes for the sweep
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -136,7 +135,7 @@ func TestHostileErrFrame(t *testing.T) {
 // TestRetryabilityRegistryCoverage pins the retryability classification of
 // every registered code, exhaustively. Adding a new sentinel without
 // deciding its retryability here fails the test — the registry is the one
-// list the resilient client, the replication transports, and RunInTx all
+// list the resilient client and the replication transports both
 // classify from, so "forgot to decide" must be a compile-adjacent failure,
 // not a silent non-retryable default in production.
 func TestRetryabilityRegistryCoverage(t *testing.T) {
@@ -156,12 +155,6 @@ func TestRetryabilityRegistryCoverage(t *testing.T) {
 		core.CodeCorruptPage:  false,
 		core.CodeStoreLocked:  false,
 		core.CodeReadOnlyFile: false,
-
-		core.CodeDeadlock:      true,
-		core.CodeLockTimeout:   false,
-		core.CodeTxDone:        false,
-		core.CodeManagerClosed: false,
-		core.CodeStuckAborted:  false,
 
 		core.CodeReplicaStalled:    false,
 		core.CodeTooStale:          false,

@@ -9,6 +9,7 @@ package xpath
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -21,7 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/token"
-	"repro/internal/txn"
+
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -137,7 +138,7 @@ func vxCheck(t *testing.T, s *core.Store, rng *rand.Rand, shapes int, at string)
 
 // vxMutate applies one random mutation. Errors a mutator returns for a
 // target that a previous step removed are part of the interleaving.
-func vxMutate(t *testing.T, s *core.Store, tm *txn.Manager, rng *rand.Rand) string {
+func vxMutate(t *testing.T, s *core.Store, rng *rand.Rand) string {
 	t.Helper()
 	d, err := FromStore(s)
 	if err != nil {
@@ -197,18 +198,20 @@ func vxMutate(t *testing.T, s *core.Store, tm *txn.Manager, rng *rand.Rand) stri
 		}
 	case 9:
 		_, err = s.ReplaceContent(pick(elems), vxChild(rng))
-	case 10, 11: // a transaction, committed or aborted, probed while open
-		tx := tm.Begin()
-		_, err = tx.InsertIntoLast(root, vxOrder(rng))
-		if err == nil && len(elems) > 0 {
-			err = tx.DeleteNode(pick(elems))
-		}
-		vxCheck(t, s, rng, 3, "inside the transaction")
-		vxCheck(t, s, rng, 3, "inside the transaction, again")
-		if op == 10 && err == nil {
-			err = tx.Commit()
-		} else if aerr := tx.Abort(); aerr != nil {
-			t.Fatalf("abort: %v", aerr)
+	case 10, 11: // a batch, committed or aborted, probed after it returns
+		errAbort := errors.New("abort")
+		err = s.Update(context.Background(), func(b *core.Batch) error {
+			_, err := b.InsertIntoLast(root, vxOrder(rng))
+			if err == nil && len(elems) > 0 {
+				err = b.DeleteNode(pick(elems))
+			}
+			if err == nil && op == 11 {
+				err = errAbort
+			}
+			return err
+		})
+		if errors.Is(err, errAbort) {
+			err = nil
 		}
 	case 12:
 		err = s.Flush()
@@ -250,7 +253,6 @@ func TestValueIndexDifferential(t *testing.T) {
 				if _, err := s.Append(vxDoc(rng, 3+rng.Intn(5))); err != nil {
 					t.Fatal(err)
 				}
-				tm := txn.NewManager(s)
 				at := fmt.Sprintf("%v granular=%v seed %d: loaded", mode, granular, seed)
 				for step := 0; step < 8; step++ {
 					// Up to three asks of each shape between two writes: first
@@ -258,7 +260,7 @@ func TestValueIndexDifferential(t *testing.T) {
 					for round := rng.Intn(4); round > 0; round-- {
 						vxCheck(t, s, rng, 4, at)
 					}
-					at = fmt.Sprintf("%v granular=%v seed %d step %d: %s", mode, granular, seed, step, vxMutate(t, s, tm, rng))
+					at = fmt.Sprintf("%v granular=%v seed %d step %d: %s", mode, granular, seed, step, vxMutate(t, s, rng))
 					vxCheck(t, s, rng, 2, at)
 				}
 				if err := s.CheckInvariants(); err != nil {
@@ -267,7 +269,6 @@ func TestValueIndexDifferential(t *testing.T) {
 				st := s.Stats()
 				hits += st.ValueIndexHits
 				fills += st.ValueIndexFills
-				tm.Close()
 				s.Close()
 			}
 		}

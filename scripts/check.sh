@@ -3,6 +3,7 @@
 #
 # Runs formatting, guards that keep one durable file-replace
 # implementation, one way into the store and one way to create a range,
+# one place that holds the buffer pool for a batch,
 # and a log that is rewound rather than truncated and synced in one place,
 # vet, build, the full test suite, the race detector over
 # the concurrency-sensitive packages, a short fuzz of the xpath executors
@@ -54,6 +55,12 @@ if ! only_in 'encodeRangeRecord(' '[)] (placeRange|writeRangeRecord)[(]'; then
     exit 1
 fi
 
+echo "== one batch hold (BeginHold/EndHold only in internal/core/batch.go and the pool itself)"
+if git grep -n -e '\.BeginHold(' -e '\.EndHold(' -- '*.go' ':!*_test.go' ':!internal/core/batch.go' ':!internal/pagestore/bufferpool.go'; then
+    echo "hold the buffer pool only through Store.Update (internal/core/batch.go)" >&2
+    exit 1
+fi
+
 echo "== a log rewound, not truncated, and synced in one place (internal/wal: .Truncate( only in Close, Open and rewind; Fdatasync only in datasync_linux.go; wal.Sync only in syncLog)"
 if ! only_in '.Truncate(' ' (Close|Open|OpenWithOptions|rewind)[(]' 'internal/wal/*.go'; then
     echo "a checkpoint rewinds the log (rewind, which alone shrinks an outgrown file); only Close and Open may truncate it otherwise" >&2
@@ -77,11 +84,11 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race (lock, core, txn, fault, wal, pagestore, recover, budget, replica, server, failover, retryx, xpath, xquery)"
-go test -race ./internal/lock ./internal/core ./internal/txn ./internal/fault ./internal/wal ./internal/pagestore ./internal/recover ./internal/budget ./internal/replica ./internal/server ./internal/failover ./internal/retryx ./internal/xpath ./internal/xquery
+echo "== go test -race (core incl. the Update batches beside readers and writers, fault, wal, pagestore, recover, budget, replica, server, failover, retryx, xpath, xquery)"
+go test -race ./internal/core ./internal/fault ./internal/wal ./internal/pagestore ./internal/recover ./internal/budget ./internal/replica ./internal/server ./internal/failover ./internal/retryx ./internal/xpath ./internal/xquery
 
-echo "== go test -race (root-package stress incl. cold file-backed readers beside a splitting writer, chaos soak, overload paths)"
-go test -race -run 'Stress|Concurrent|Chaos|Overload|Deadline' .
+echo "== go test -race (root-package stress incl. cold file-backed readers beside a splitting writer, chaos soak, overload paths, an open batch beside a flushing writer)"
+go test -race -run 'Stress|Concurrent|Chaos|Overload|Deadline|Batch' .
 
 echo "== go test -race (partition chaos: net faults, kill -9 primary, fleet + automatic failover; crash sweeps of the durable-replace helper and of backup; the WAL reference model and the crashes a recycled log must survive; parent-era logs and segments)"
 go test -race -run 'TestPartitionChaos|TestNetChaos|TestFleet|TestFailover|TestReplaceFileCrashSweep|TestBackupCrashMatrix|TestWALModel|TestCrashAfterRewindKeepsCheckpoint|TestTornBatchOverAlignedLap|TestCloseLeavesEmptyLog|TestParentEraLogAndSegments' ./internal/server ./internal/fault ./internal/wal ./internal/recover ./internal/replica

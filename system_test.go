@@ -1,6 +1,8 @@
 package axml_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -9,7 +11,6 @@ import (
 	axml "repro"
 	"repro/internal/core"
 	"repro/internal/schema"
-	"repro/internal/txn"
 	"repro/internal/wal"
 	"repro/internal/workload"
 	"repro/internal/xmltok"
@@ -17,7 +18,7 @@ import (
 
 // TestSystemEndToEnd drives the entire stack in one scenario: a generated
 // auction catalog is schema-validated, stream-loaded onto a WAL-backed page
-// file, queried with XPath and XQuery, updated transactionally (including an
+// file, queried with XPath and XQuery, updated in batches (including an
 // abort), compacted, crashed, recovered, and verified.
 func TestSystemEndToEnd(t *testing.T) {
 	dir := t.TempDir()
@@ -88,29 +89,31 @@ func TestSystemEndToEnd(t *testing.T) {
 		t.Fatalf("hot auctions: %s", hot)
 	}
 
-	// --- Transactional updates: place bids concurrently, abort one batch.
-	m := txn.NewManager(store)
-	defer m.Close()
+	// --- Batched updates: place bids in one batch, abort another.
 	ids, err := axml.Query(store, `//open_auction[bids < 5]`)
 	if err != nil || len(ids) == 0 {
 		t.Fatalf("low-bid auctions: %d, %v", len(ids), err)
 	}
-	tx := m.Begin()
-	for _, id := range ids[:3] {
-		if _, err := tx.InsertIntoLast(id, xmltok.MustParseFragment(
-			`<bid_history><bid amount="99.50"/></bid_history>`)); err != nil {
-			t.Fatal(err)
+	ctx := context.Background()
+	if err := store.Update(ctx, func(b *axml.Batch) error {
+		for _, id := range ids[:3] {
+			if _, err := b.InsertIntoLast(id, xmltok.MustParseFragment(
+				`<bid_history><bid amount="99.50"/></bid_history>`)); err != nil {
+				return err
+			}
 		}
-	}
-	if err := tx.Commit(); err != nil {
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	doomed := m.Begin()
-	if err := doomed.DeleteNode(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := doomed.Abort(); err != nil {
-		t.Fatal(err)
+	errDoomed := errors.New("doomed")
+	if err := store.Update(ctx, func(b *axml.Batch) error {
+		if err := b.DeleteNode(ids[0]); err != nil {
+			return err
+		}
+		return errDoomed
+	}); !errors.Is(err, errDoomed) {
+		t.Fatalf("doomed batch: %v", err)
 	}
 	v, _ := axml.QueryValue(store, `count(//bid_history)`)
 	if v != "3" {
