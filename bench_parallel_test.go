@@ -756,7 +756,7 @@ func BenchmarkParallelColdFileRead(b *testing.B) {
 	var roots []core.NodeID
 	depth := 0
 	err = s.ScanRawCtx(context.Background(), func(id core.NodeID, raw []byte) bool {
-		switch k := token.Kind(raw[0]); {
+		switch k := token.KindOf(raw[0]); {
 		case k.IsBegin():
 			if depth == 0 {
 				roots = append(roots, id)

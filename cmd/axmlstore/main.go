@@ -471,6 +471,7 @@ func runCmd(ctx context.Context, db, modeName string, opts cliOpts, args []strin
 		fmt.Fprintf(w, "nodes:               %d\n", st.Nodes)
 		fmt.Fprintf(w, "tokens:              %d\n", st.Tokens)
 		fmt.Fprintf(w, "encoded bytes:       %d\n", st.Bytes)
+		fmt.Fprintf(w, "name ids:            %d\n", st.NameIDs)
 		fmt.Fprintf(w, "ranges:              %d\n", st.Ranges)
 		fmt.Fprintf(w, "range index entries: %d\n", st.RangeIndexEntries)
 		fmt.Fprintf(w, "full index entries:  %d\n", st.FullIndexEntries)

@@ -184,7 +184,7 @@ func (b *Batch) ReadNode(id NodeID) ([]Item, error) {
 	}
 	var out []Item
 	var derr error
-	err := b.s.scanNodeRawLocked(b.cur, id, decoded(func(it Item) bool {
+	err := b.s.scanNodeRawLocked(b.cur, id, b.s.decoded(func(it Item) bool {
 		out = append(out, it)
 		return true
 	}, &derr))

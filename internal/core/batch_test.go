@@ -292,6 +292,11 @@ func TestBatchAbortRestoresExactly(t *testing.T) {
 					s, before := build(), takeSnapshot(t, build())
 					var highWater NodeID
 					var nodesAtEnd uint64
+					// The batch's first insert brings names the store has not
+					// seen (new, n, f): the abort forgets them, and the next
+					// insert that uses them gets the ids the batch gave them.
+					namesBefore := s.dict.AppendTable(nil)
+					var namesInBatch []byte
 					batch := func(b *Batch) error {
 						rng := rand.New(rand.NewSource(1))
 						ops := 3
@@ -317,6 +322,7 @@ func TestBatchAbortRestoresExactly(t *testing.T) {
 							t.Errorf("the large batch holds only %d frames; it must dirty more than %d", s.pool.Resident(), 2*poolPages)
 						}
 						highWater, nodesAtEnd = s.nextID, s.nodes
+						namesInBatch = s.dict.AppendTable(nil)
 						return nil
 					}
 					err := s.Update(context.Background(), func(b *Batch) error {
@@ -329,6 +335,19 @@ func TestBatchAbortRestoresExactly(t *testing.T) {
 						t.Fatalf("Update: %v", err)
 					}
 					before.sameAs(t, s)
+					if got := s.dict.AppendTable(nil); string(got) != string(namesBefore) {
+						t.Fatalf("names after the abort %q, want %q", got, namesBefore)
+					}
+					again, err := s.InsertIntoLast(1, frag(`<new n="0"><f>again</f></new>`))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := s.dict.AppendTable(nil); len(got) <= len(namesBefore) || len(got) > len(namesInBatch) || string(got) != string(namesInBatch[:len(got)]) {
+						t.Fatalf("names after the abort and one insert %q, the aborted batch had %q", got, namesInBatch)
+					}
+					if err := s.DeleteNode(again); err != nil {
+						t.Fatal(err)
+					}
 					id, err := s.InsertIntoLast(1, frag(`<after/>`))
 					if err != nil {
 						t.Fatal(err)

@@ -178,7 +178,7 @@ func (c *rangeCursor) kind(pos tokenPos) (token.Kind, error) {
 	if err != nil {
 		return token.Invalid, err
 	}
-	return token.Kind(raw[0]), nil
+	return token.KindOf(raw[0]), nil
 }
 
 // all returns every token byte of ri.

@@ -199,7 +199,7 @@ func checkNode(t testing.TB, s *Store, ref *refStore, id NodeID, what string) {
 	// The raw scan passes the same tokens, as stored bytes, with the same ids.
 	j := 0
 	err = s.ScanNodeRawCtx(context.Background(), id, func(nid NodeID, raw []byte) bool {
-		if j < len(want) && (nid != want[j].ID || !bytes.Equal(raw, token.Append(nil, want[j].Tok))) {
+		if tok, _, err := s.dict.Decode(raw); j < len(want) && (nid != want[j].ID || err != nil || tok != want[j].Tok) {
 			t.Fatalf("%s: ScanNodeRaw(%d) token %d differs (id %d, want %d)", what, id, j, nid, want[j].ID)
 		}
 		j++
@@ -259,7 +259,7 @@ func checkRanges(t testing.TB, s *Store, ref *refStore, what string) {
 			if !bytes.Equal(raw, all[off:off+len(raw)]) {
 				t.Fatalf("%s: %v: windowed token at %d differs from the whole read", what, ri, off)
 			}
-			tok, _, err := token.Decode(raw)
+			tok, _, err := s.dict.Decode(raw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -536,7 +536,7 @@ func TestChainDirectoryLifecycle(t *testing.T) {
 	i := indexOf(t, ref, deep)
 	size := 0
 	for _, it := range ref.items[i:ref.subtreeEnd(i)] {
-		size += token.EncodedSize(it.Tok)
+		size += len(s.dict.Append(nil, it.Tok)) // every name has its id by now
 	}
 	if _, warmBytes := views(func() {
 		if _, err := s.ReadNode(deep); err != nil {

@@ -107,7 +107,7 @@ func entryOps() []entryOp {
 // accessors, diagnostics, and lifecycle and maintenance calls that take the
 // lock themselves.
 var ungated = map[string]bool{
-	"ArchiveDir": true, "BackupTo": true, "CheckInvariants": true, "Close": true,
+	"ArchiveDir": true, "BackupTo": true, "CheckInvariants": true, "Close": true, "Dict": true,
 	"Exists": true, "Flush": true, "Generation": true, "Health": true,
 	"MetaPage": true, "Mode": true, "OpContext": true, "PlanCache": true,
 	"QueryCounters": true, "ReadOnly": true, "Repair": true, "Stats": true,

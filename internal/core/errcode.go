@@ -10,7 +10,7 @@
 // graph — everything that owns sentinels (replica, recover, server)
 // already imports core and registers its own in an init. core itself
 // registers its sentinels plus those of the packages below it (pagestore,
-// context).
+// token, context).
 package core
 
 import (
@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/pagestore"
 	recov "repro/internal/recover"
+	"repro/internal/token"
 )
 
 // ErrCode is a stable integer identifier of one typed error sentinel.
@@ -51,6 +52,9 @@ const (
 	CodeCorruptPage  ErrCode = 30
 	CodeStoreLocked  ErrCode = 31
 	CodeReadOnlyFile ErrCode = 32
+	// CodeUnknownName: stored bytes name a dictionary id the store's name
+	// dictionary does not hold — corruption, latched like a checksum failure.
+	CodeUnknownName ErrCode = 33
 
 	// 40–44 were the transaction layer's lock and transaction errors, retired
 	// with it. The registry is append-only: never reuse them.
@@ -240,6 +244,7 @@ func init() {
 	RegisterErrCode(CodeCorruptPage, pagestore.ErrCorruptPage, false)
 	RegisterErrCode(CodeStoreLocked, pagestore.ErrStoreLocked, false)
 	RegisterErrCode(CodeReadOnlyFile, pagestore.ErrReadOnlyFile, false)
+	RegisterErrCode(CodeUnknownName, token.ErrUnknownName, false)
 
 	// recover sits below core in the import graph (core/repair.go uses it),
 	// so core registers its sentinel too.

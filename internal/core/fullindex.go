@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/diskbtree"
 	"repro/internal/pagestore"
+	"repro/internal/token"
 )
 
 // The full index — the baseline the paper argues against (Section 4.1).
@@ -130,7 +131,7 @@ func (fx *fullIndex) removeInterval(start NodeID, n int) error {
 // indexNodes walks encoded tokens assigning ids from ri.start and invokes fn
 // for each node-starting token.
 func indexNodes(ri *rangeInfo, tokenBytes []byte, fn func(NodeID, fullEntry) error) error {
-	r := newTokenReader(tokenBytes)
+	r := token.NewReader(tokenBytes) // Skip reads sizes and kinds, never names
 	cur := ri.start
 	tokIdx := 0
 	for r.More() {

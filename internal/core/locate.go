@@ -132,7 +132,7 @@ func (s *Store) locateBegin(cur *rangeCursor, id NodeID) (tokenPos, token.Kind, 
 				builder = append(builder, replayCheckpoint{next: next, tokIdx: int32(tokIdx), byteOff: int32(off)})
 				cpLen++
 			}
-			if k := token.Kind(win[i]); k.StartsNode() {
+			if k := token.KindOf(win[i]); k.StartsNode() {
 				if next == id {
 					pos := tokenPos{ri: ri, tokIdx: tokIdx, byteOff: off, nodesBefore: int(id - ri.start)}
 					if s.partial != nil {
@@ -190,7 +190,7 @@ func (s *Store) locateEnd(cur *rangeCursor, id NodeID, begin tokenPos, k token.K
 				return tokenPos{}, err
 			}
 			scanned++
-			k := token.Kind(raw[0])
+			k := token.KindOf(raw[0])
 			if k.IsBegin() {
 				depth++
 			} else if k.IsEnd() {
@@ -237,7 +237,7 @@ func advance(cur *rangeCursor, pos tokenPos) (tokenPos, error) {
 	if err != nil {
 		return tokenPos{}, err
 	}
-	return pos.past(token.Kind(raw[0]), len(raw)), nil
+	return pos.past(token.KindOf(raw[0]), len(raw)), nil
 }
 
 // skipAttributes advances pos (which must sit just after an element's begin
@@ -260,7 +260,7 @@ func (s *Store) skipAttributes(cur *rangeCursor, pos tokenPos) (tokenPos, error)
 			if err != nil {
 				return tokenPos{}, err
 			}
-			k := token.Kind(raw[0])
+			k := token.KindOf(raw[0])
 			if depth == 0 && k != token.BeginAttribute {
 				return pos, nil
 			}

@@ -114,7 +114,7 @@ func (s *Store) scanOpenBegins(cur *rangeCursor, ri *rangeInfo, limit int) ([]No
 		}
 		off += len(raw)
 		scanned++
-		k := token.Kind(raw[0])
+		k := token.KindOf(raw[0])
 		var nodeID NodeID
 		if k.StartsNode() {
 			nodeID = next
@@ -249,7 +249,7 @@ func (s *Store) AttributesCtx(ctx context.Context, id NodeID) (attrs []NodeID, e
 			if err != nil {
 				return err
 			}
-			k := token.Kind(raw[0])
+			k := token.KindOf(raw[0])
 			if depth == 0 {
 				if k != token.BeginAttribute {
 					return nil

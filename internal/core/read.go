@@ -31,7 +31,7 @@ func (s *Store) Scan(fn func(Item) bool) error {
 // so a deadline cuts a long scan short with context.DeadlineExceeded.
 func (s *Store) ScanCtx(ctx context.Context, fn func(Item) bool) error {
 	var derr error
-	err := s.scanRaw(ctx, decoded(fn, &derr), false) // reading everything is not a search
+	err := s.scanRaw(ctx, s.decoded(fn, &derr), false) // reading everything is not a search
 	if derr != nil {
 		return derr
 	}
@@ -39,11 +39,11 @@ func (s *Store) ScanCtx(ctx context.Context, fn func(Item) bool) error {
 }
 
 // decoded adapts a consumer of materialized tokens to the raw scans: each
-// token is decoded on its way through. A decode failure stops the scan and is
-// left in *errp.
-func decoded(fn func(Item) bool, errp *error) func(NodeID, []byte) bool {
+// token is decoded on its way through the store's dictionary, so a name
+// costs no allocation. A decode failure stops the scan and is left in *errp.
+func (s *Store) decoded(fn func(Item) bool, errp *error) func(NodeID, []byte) bool {
 	return func(id NodeID, raw []byte) bool {
-		t, _, err := token.Decode(raw)
+		t, _, err := s.dict.Decode(raw)
 		if err != nil {
 			*errp = err
 			return false
@@ -87,7 +87,7 @@ func (s *Store) ScanNode(id NodeID, fn func(Item) bool) error {
 // control.
 func (s *Store) ScanNodeCtx(ctx context.Context, id NodeID, fn func(Item) bool) error {
 	var derr error
-	err := s.ScanNodeRawCtx(ctx, id, decoded(fn, &derr))
+	err := s.ScanNodeRawCtx(ctx, id, s.decoded(fn, &derr))
 	if derr != nil {
 		return derr
 	}
@@ -98,7 +98,8 @@ func (s *Store) ScanNodeCtx(ctx context.Context, id NodeID, fn func(Item) bool) 
 // encoded bytes, with regenerated node ids (InvalidNode for tokens that do
 // not start a node). It is the zero-allocation substrate of the pushed-down
 // query executor: no Token structs are materialized and no strings are
-// copied — use token.View inside fn to inspect names and values in place.
+// copied — use the store's Dict().View inside fn to inspect names and values
+// in place.
 // The raw slice is only valid for the duration of the callback. fn returning
 // false stops the scan. The tokens it passes count as scanned: this is how a
 // query without an index finds its nodes.
@@ -133,7 +134,7 @@ func (s *Store) scanRaw(ctx context.Context, fn func(id NodeID, raw []byte) bool
 					}
 					scanned++
 					id := InvalidNode
-					if token.Kind(win[i]).StartsNode() {
+					if token.KindOf(win[i]).StartsNode() {
 						id = next
 						next++
 					}
@@ -201,7 +202,7 @@ func (s *Store) scanNodeRawLocked(cur *rangeCursor, id NodeID, fn func(id NodeID
 					}
 				}
 				scanned++
-				k := token.Kind(win[i])
+				k := token.KindOf(win[i])
 				nid := InvalidNode
 				if k.StartsNode() {
 					nid = next
@@ -350,7 +351,7 @@ func (s *Store) appendNodeXMLLocked(cur *rangeCursor, dst []byte, id NodeID) ([]
 	first, attr := true, false
 	var werr error
 	err := s.scanNodeRawLocked(cur, id, func(_ NodeID, raw []byte) bool {
-		k, name, value, _, err := token.View(raw)
+		k, name, value, _, err := s.dict.View(raw)
 		if err != nil {
 			werr = err
 			return false
@@ -443,7 +444,7 @@ func (s *Store) checkInvariantsLocked() error {
 			}
 		}
 		// Token nesting across the whole sequence must balance.
-		r := newTokenReader(tokenBytes)
+		r := s.dict.NewReader(tokenBytes)
 		for r.More() {
 			t, err := r.Next()
 			if err != nil {

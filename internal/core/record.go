@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/pagestore"
 	"repro/internal/token"
 )
 
@@ -48,18 +49,59 @@ func decodeRangeHeader(payload []byte) (id RangeID, start NodeID, nodes, toks in
 }
 
 // countNodesInPrefix returns how many node-starting tokens occur in the
-// first `limit` bytes of encoded tokens, along with the token count.
+// first `limit` bytes of encoded tokens, along with the token count. It
+// steps with token.Size and reads kind bytes only, so it needs no name
+// dictionary: salvage checks records with it before it has one.
 func countNodesInPrefix(tokenBytes []byte, limit int) (nodes, toks int, err error) {
-	r := token.NewReader(tokenBytes[:limit])
-	for r.More() {
-		t, err := r.Next()
+	for b := tokenBytes[:limit]; len(b) > 0; toks++ {
+		n, err := token.Size(b)
 		if err != nil {
 			return 0, 0, err
 		}
-		if t.StartsNode() {
+		if token.KindOf(b[0]).StartsNode() {
 			nodes++
 		}
-		toks++
+		b = b[n:]
 	}
 	return nodes, toks, nil
+}
+
+// The meta page's user blob: the id allocators' high-water marks, then the
+// name dictionary's table (token.Dict.AppendTable) to the end of the blob.
+// A store written before names had ids has the 12 allocator bytes only.
+//
+//	nextID     uint64
+//	nextRange  uint32
+//	names      ...
+const allocStateSize = 8 + 4
+
+func appendAllocState(dst []byte, nextID NodeID, nextRange RangeID) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(nextID))
+	return binary.LittleEndian.AppendUint32(dst, uint32(nextRange))
+}
+
+// decodeAllocState splits the meta blob; names aliases user.
+func decodeAllocState(user []byte) (nextID NodeID, nextRange RangeID, names []byte, ok bool) {
+	if len(user) < allocStateSize {
+		return 0, 0, nil, false
+	}
+	nextID = NodeID(binary.LittleEndian.Uint64(user[0:]))
+	nextRange = RangeID(binary.LittleEndian.Uint32(user[8:]))
+	return nextID, nextRange, user[allocStateSize:], true
+}
+
+// The name dictionary's second copy is a record in the data chain, ahead of
+// every range, so that salvage finds the names without the meta page: a range
+// header with range id 0 (range ids start at 1) and zero counts, then the
+// same table as the meta blob.
+const dictRecordID RangeID = 0
+
+func encodeDictRecord(table []byte) []byte {
+	return append(make([]byte, rangeHeaderSize, rangeHeaderSize+len(table)), table...)
+}
+
+// dictLimit is the most table bytes the meta page has room for beside the
+// allocator marks; a name past it stays inline.
+func dictLimit(recs *pagestore.RecordStore) int {
+	return recs.MaxUserMeta() - allocStateSize
 }

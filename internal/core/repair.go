@@ -1,24 +1,46 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/btree"
 	"repro/internal/pagestore"
 	recov "repro/internal/recover"
+	"repro/internal/token"
 )
 
 // rangeCodec teaches the recovery layer this store's record semantics: a
-// payload is a range record, validated end to end by replaying its token
-// stream and cross-checking the header counts — node ids are never stored,
-// so a record whose tokens replay to the declared counts is fully usable.
-type rangeCodec struct{}
+// payload is a range record, validated end to end by stepping through its
+// token stream and cross-checking the header counts — node ids are never
+// stored, so a record whose tokens replay to the declared counts is fully
+// usable. Checking a record reads kind bytes and sizes only, never a name,
+// so it needs no dictionary.
+//
+// The codec also carries the name dictionary from salvage to rebuild: the
+// meta page's table when the meta page has one, else the longest table a
+// dictionary record in the chain holds (an older copy is a prefix of a newer
+// one). Use one codec per salvage.
+type rangeCodec struct {
+	names    []byte
+	fromMeta bool
+}
 
-func (rangeCodec) Inspect(payload []byte) (recov.RecordMeta, error) {
+func (c *rangeCodec) Inspect(payload []byte) (recov.RecordMeta, error) {
 	id, start, nodes, toks, tokenBytes, err := decodeRangeHeader(payload)
 	if err != nil {
 		return recov.RecordMeta{}, err
+	}
+	if id == dictRecordID {
+		if start != 0 || nodes != 0 || toks != 0 {
+			return recov.RecordMeta{}, fmt.Errorf("core: dictionary record claims %d nodes/%d tokens from id %d", nodes, toks, start)
+		}
+		if err := token.NewDict(len(tokenBytes), nil).Load(tokenBytes); err != nil {
+			return recov.RecordMeta{}, fmt.Errorf("core: dictionary record: %w", err)
+		}
+		if !c.fromMeta && len(tokenBytes) > len(c.names) {
+			c.names = tokenBytes
+		}
+		return recov.RecordMeta{ID: recov.SideRecordID}, nil
 	}
 	gotNodes, gotToks, err := countNodesInPrefix(tokenBytes, len(tokenBytes))
 	if err != nil {
@@ -35,18 +57,26 @@ func (rangeCodec) Inspect(payload []byte) (recov.RecordMeta, error) {
 	return meta, nil
 }
 
-func (rangeCodec) DecodeAlloc(user []byte) (nextKey, nextID uint64, ok bool) {
-	if len(user) < 12 {
+func (c *rangeCodec) DecodeAlloc(user []byte) (nextKey, nextID uint64, ok bool) {
+	id, rng, names, ok := decodeAllocState(user)
+	if !ok {
 		return 0, 0, false
 	}
-	return binary.LittleEndian.Uint64(user[0:]), uint64(binary.LittleEndian.Uint32(user[8:])), true
+	if len(names) > 0 {
+		c.names, c.fromMeta = names, true
+	}
+	return uint64(id), uint64(rng), true
 }
 
-func (rangeCodec) EncodeAlloc(nextKey, nextID uint64) []byte {
-	out := make([]byte, 12)
-	binary.LittleEndian.PutUint64(out[0:], nextKey)
-	binary.LittleEndian.PutUint32(out[8:], uint32(nextID))
-	return out
+func (c *rangeCodec) EncodeAlloc(nextKey, nextID uint64) []byte {
+	return append(appendAllocState(nil, NodeID(nextKey), RangeID(nextID)), c.names...)
+}
+
+func (c *rangeCodec) SideRecord() []byte {
+	if len(c.names) == 0 {
+		return nil
+	}
+	return encodeDictRecord(c.names)
 }
 
 // RepairReport is the outcome of a salvage pass, plus whether a rebuild
@@ -60,7 +90,7 @@ type RepairReport struct {
 // classified, the surviving record chain reassembled, losses quantified.
 // It is the page-level half of verification and the dry run of repair.
 func SalvageScan(pager pagestore.Pager, metaPage pagestore.PageID) (*RepairReport, error) {
-	res, err := recov.Salvage(pager, metaPage, rangeCodec{})
+	res, err := recov.Salvage(pager, metaPage, &rangeCodec{})
 	if err != nil {
 		return nil, err
 	}
@@ -72,13 +102,14 @@ func SalvageScan(pager pagestore.Pager, metaPage pagestore.PageID) (*RepairRepor
 // generation, the meta page switched over, and the old generation zeroed.
 // With a WAL-backed pager the rebuild is one atomic batch.
 func RepairPager(pager pagestore.Pager, metaPage pagestore.PageID, apply bool) (*RepairReport, error) {
-	res, err := recov.Salvage(pager, metaPage, rangeCodec{})
+	codec := &rangeCodec{}
+	res, err := recov.Salvage(pager, metaPage, codec)
 	if err != nil {
 		return nil, err
 	}
 	rep := &RepairReport{Result: *res}
 	if apply && !res.Clean {
-		if err := recov.Rebuild(pager, metaPage, res, rangeCodec{}); err != nil {
+		if err := recov.Rebuild(pager, metaPage, res, codec); err != nil {
 			return rep, err
 		}
 		rep.Applied = true
@@ -160,6 +191,8 @@ func (s *Store) reloadLocked() error {
 	s.nextID = 1
 	s.nextRange = 1
 	s.savedID, s.savedRange = 0, 0
+	s.dictLoc = pagestore.NilLoc // rebuild finds it and loads the names
+
 	s.gen.Add(1) // the content is now whatever survived
 	if err := s.initIndexes(); err != nil {
 		return err

@@ -52,7 +52,7 @@ func (s *Store) placeRange(pos tokenPos, start NodeID, nodes, toks int, tokenByt
 func (s *Store) newRange(pos tokenPos, frag []Token) (NodeID, error) {
 	n := token.NodeCount(frag)
 	start := s.allocIDs(n)
-	tokenBytes := token.EncodeAll(frag)
+	tokenBytes := s.dict.EncodeAll(frag)
 	ri, err := s.placeRange(pos, start, n, len(frag), tokenBytes)
 	if err != nil {
 		return InvalidNode, err

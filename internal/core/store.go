@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -15,9 +14,6 @@ import (
 	"repro/internal/plancache"
 	"repro/internal/token"
 )
-
-// newTokenReader is a local alias so files in this package read naturally.
-func newTokenReader(b []byte) *token.Reader { return token.NewReader(b) }
 
 // Config selects the store's indexing configuration and storage geometry.
 // The zero value is usable: RangeOnly mode with default page geometry.
@@ -115,9 +111,18 @@ type Store struct {
 	nextID    NodeID
 	nextRange RangeID
 	// savedID/savedRange are the allocator marks on the meta page: as read
-	// at reopen, or as last saved (zero on a fresh store).
+	// at reopen, or as last saved (zero on a fresh store). savedNames is how
+	// many of dict's names both of its copies hold.
 	savedID    NodeID
 	savedRange RangeID
+	savedNames int
+
+	// dict is the store-wide name dictionary every range is encoded and
+	// decoded through. One object for the store's life: a reload replaces
+	// its table, not it. Its table is saved twice, in the meta page's blob
+	// and in the chain record at dictLoc (NilLoc until the first name).
+	dict    *token.Dict
+	dictLoc pagestore.Loc
 
 	nodes  uint64
 	tokens uint64
@@ -270,10 +275,12 @@ func newStore(cfg Config, pager pagestore.Pager, records func(*pagestore.BufferP
 		byLoc:     make(map[pagestore.Loc]*rangeInfo),
 		nextID:    1,
 		nextRange: 1,
+		dictLoc:   pagestore.NilLoc,
 		budget:    b,
 		adm:       newAdmission(cfg.MaxConcurrentOps, cfg.MaxQueuedOps),
 		plans:     plancache.New(cfg.PlanCacheEntries, b),
 	}
+	s.dict = token.NewDict(dictLimit(recs), s.degrade)
 	if err := s.initIndexes(); err != nil {
 		return nil, err
 	}
@@ -304,6 +311,10 @@ func (s *Store) rebuild() error {
 			scanErr = err
 			return false
 		}
+		if id == dictRecordID {
+			s.dictLoc = loc // the names are read from the meta page below
+			return true
+		}
 		ri := &rangeInfo{
 			id: id, start: start, nodes: nodes,
 			loc: loc, toks: toks, bytes: len(tokenBytes),
@@ -330,14 +341,13 @@ func (s *Store) rebuild() error {
 		return scanErr
 	}
 	// Restore allocator high-water marks (they may exceed what live ranges
-	// imply, because deleted ids are never reused).
+	// imply, because deleted ids are never reused) and the names.
 	meta, err := s.recs.UserMeta()
 	if err != nil {
 		return err
 	}
-	if len(meta) >= 12 {
-		id := NodeID(binary.LittleEndian.Uint64(meta[0:]))
-		rng := RangeID(binary.LittleEndian.Uint32(meta[8:]))
+	id, rng, names, ok := decodeAllocState(meta)
+	if ok {
 		s.savedID, s.savedRange = id, rng
 		if id > s.nextID {
 			s.nextID = id
@@ -346,6 +356,10 @@ func (s *Store) rebuild() error {
 			s.nextRange = rng
 		}
 	}
+	if err := s.dict.Load(names); err != nil {
+		return fmt.Errorf("core: meta page: %w", err)
+	}
+	s.savedNames = s.dict.Len()
 	return nil
 }
 
@@ -428,21 +442,48 @@ func (s *Store) flushLocked() error {
 	return j.Checkpoint()
 }
 
-// saveAllocState records the id allocators' high-water marks on the meta
-// page. It skips the write when they have not moved since the last save: a
-// flush that follows another writer's flush then dirties nothing, stages
-// nothing, and only waits for the fsync already under way.
+// saveAllocState records the id allocators' high-water marks and the name
+// dictionary on the meta page, and the dictionary again in its chain record
+// when it has grown. Every flush calls it before it writes pages back, so a
+// name is logged in the same WAL batch as the first page that uses its id.
+// It skips the write when nothing has moved since the last save: a flush
+// that follows another writer's flush then dirties nothing, stages nothing,
+// and only waits for the fsync already under way.
 func (s *Store) saveAllocState() error {
-	if s.savedID == s.nextID && s.savedRange == s.nextRange {
+	names := s.dict.Len()
+	if s.savedID == s.nextID && s.savedRange == s.nextRange && s.savedNames == names {
 		return nil
 	}
-	meta := make([]byte, 12)
-	binary.LittleEndian.PutUint64(meta[0:], uint64(s.nextID))
-	binary.LittleEndian.PutUint32(meta[8:], uint32(s.nextRange))
+	if s.savedNames != names {
+		if err := s.saveDictRecord(); err != nil {
+			return err
+		}
+	}
+	meta := s.dict.AppendTable(appendAllocState(nil, s.nextID, s.nextRange))
 	if err := s.recs.SetUserMeta(meta); err != nil {
 		return err
 	}
-	s.savedID, s.savedRange = s.nextID, s.nextRange
+	s.savedID, s.savedRange, s.savedNames = s.nextID, s.nextRange, names
+	return nil
+}
+
+// saveDictRecord writes the dictionary's chain record: first in the chain
+// when it is new, in place after that.
+func (s *Store) saveDictRecord() error {
+	rec := encodeDictRecord(s.dict.AppendTable(nil))
+	var loc pagestore.Loc
+	var moves []pagestore.Move
+	var err error
+	if s.dictLoc.IsNil() {
+		loc, moves, err = s.recs.InsertFirst(rec)
+	} else {
+		loc, moves, err = s.recs.Update(s.dictLoc, rec)
+	}
+	if err != nil {
+		return err
+	}
+	s.applyMoves(moves)
+	s.dictLoc = loc
 	return nil
 }
 
@@ -563,6 +604,7 @@ func (s *Store) Stats() Stats {
 		TokensScanned:     s.tokensScanned.Load(),
 		NodeLookups:       s.nodeLookups.Load(),
 		RangeBytesRead:    s.rangeBytesRead.Load(),
+		NameIDs:           s.dict.Len(),
 		Pool:              s.pool.Stats(),
 	}
 	if s.full != nil {
@@ -679,9 +721,14 @@ func (s *Store) unregister(ri *rangeInfo) {
 	s.bytes -= uint64(ri.bytes)
 }
 
-// applyMoves repairs byLoc and rangeInfo locations after page splits.
+// applyMoves repairs byLoc, rangeInfo and dictionary record locations
+// after page splits.
 func (s *Store) applyMoves(moves []pagestore.Move) {
 	for _, m := range moves {
+		if m.From == s.dictLoc {
+			s.dictLoc = m.To
+			continue
+		}
 		ri, ok := s.byLoc[m.From]
 		if !ok {
 			continue
@@ -704,32 +751,27 @@ func (s *Store) nextRangeInfoCtx(ctx context.Context, ri *rangeInfo) (*rangeInfo
 // nextRangeInfo returns the range following ri in document order.
 func (s *Store) nextRangeInfo(ri *rangeInfo) (*rangeInfo, bool, error) {
 	loc, ok, err := s.recs.Next(ri.loc)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	nri, ok := s.byLoc[loc]
-	if !ok {
-		return nil, false, fmt.Errorf("core: record at %v has no range info", loc)
-	}
-	return nri, true, nil
+	return s.rangeAt(loc, ok, err, s.recs.Next)
 }
 
 // prevRangeInfo returns the range preceding ri in document order.
 func (s *Store) prevRangeInfo(ri *rangeInfo) (*rangeInfo, bool, error) {
 	loc, ok, err := s.recs.Prev(ri.loc)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	pri, ok := s.byLoc[loc]
-	if !ok {
-		return nil, false, fmt.Errorf("core: record at %v has no range info", loc)
-	}
-	return pri, true, nil
+	return s.rangeAt(loc, ok, err, s.recs.Prev)
 }
 
 // firstRange returns the first range in document order.
 func (s *Store) firstRange() (*rangeInfo, bool, error) {
 	loc, ok, err := s.recs.First()
+	return s.rangeAt(loc, ok, err, s.recs.Next)
+}
+
+// rangeAt returns the range of the chain record at loc (as a chain walk
+// returned it), taking one more step past the dictionary's record.
+func (s *Store) rangeAt(loc pagestore.Loc, ok bool, err error, step func(pagestore.Loc) (pagestore.Loc, bool, error)) (*rangeInfo, bool, error) {
+	if err == nil && ok && loc == s.dictLoc {
+		loc, ok, err = step(loc)
+	}
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -739,6 +781,11 @@ func (s *Store) firstRange() (*rangeInfo, bool, error) {
 	}
 	return ri, true, nil
 }
+
+// Dict returns the store's name dictionary: decode the raw tokens of
+// ScanRawCtx and ScanNodeRawCtx through it. It is the same object for the
+// store's life.
+func (s *Store) Dict() *token.Dict { return s.dict }
 
 // writeRangeRecord rewrites ri's record after its content changed, fixing
 // location maps for any relocations, and bumps the range version.

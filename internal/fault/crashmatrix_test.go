@@ -153,7 +153,9 @@ func mutate(s *core.Store, g geometry, i int) error {
 	if g.batch && i == g.prefix {
 		return mutateBatch(s, g)
 	}
-	frag, err := axml.ParseFragment(fmt.Sprintf(`<order id="new-%d"><item>widget</item></order>`, i))
+	// note-i is a name no commit before this one used: the swept commit
+	// carries the name dictionary's growth in its batch.
+	frag, err := axml.ParseFragment(fmt.Sprintf(`<order id="new-%d"><item>widget</item><note-%d/></order>`, i, i))
 	if err != nil {
 		return err
 	}
@@ -190,7 +192,7 @@ func mutateBatch(s *core.Store, g geometry) error {
 	if err != nil {
 		return err
 	}
-	rep, err := axml.ParseFragment(`<order id="batch-replaced"><item>gadget</item></order>`)
+	rep, err := axml.ParseFragment(`<order id="batch-replaced"><item>gadget</item><batch-note/></order>`)
 	if err != nil {
 		return err
 	}

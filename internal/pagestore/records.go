@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -121,7 +122,7 @@ func (rs *RecordStore) writeMeta(b []byte, user []byte) {
 	binary.LittleEndian.PutUint32(b[2:], uint32(rs.head))
 	binary.LittleEndian.PutUint32(b[6:], uint32(rs.tail))
 	binary.LittleEndian.PutUint16(b[10:], uint16(len(user)))
-	copy(b[12:], user)
+	copy(b[metaHeader:], user)
 }
 
 func (rs *RecordStore) syncMeta() error {
@@ -133,15 +134,26 @@ func (rs *RecordStore) syncMeta() error {
 	// Preserve the user blob.
 	ul := binary.LittleEndian.Uint16(mf.Data[10:])
 	user := make([]byte, ul)
-	copy(user, mf.Data[12:12+int(ul)])
+	copy(user, mf.Data[metaHeader:metaHeader+int(ul)])
 	rs.writeMeta(mf.Data, user)
 	return nil
 }
 
-// SetUserMeta stores an application blob (up to page size - 12 bytes) in the
-// meta page. The core store persists its ID allocator state here.
+// metaHeader is the meta page's bytes ahead of the user blob: type, flags,
+// head, tail and the blob's length.
+const metaHeader = 12
+
+// MaxUserMeta returns the largest blob SetUserMeta accepts: what the page
+// holds after the header, and no more than its uint16 length field counts.
+func (rs *RecordStore) MaxUserMeta() int {
+	return min(rs.pool.UsablePageSize()-metaHeader, math.MaxUint16)
+}
+
+// SetUserMeta stores an application blob (up to MaxUserMeta bytes) in the
+// meta page. The core store persists its ID allocator state and its name
+// dictionary here.
 func (rs *RecordStore) SetUserMeta(user []byte) error {
-	if len(user) > rs.pool.UsablePageSize()-12 {
+	if len(user) > rs.MaxUserMeta() {
 		return ErrTooLarge
 	}
 	mf, err := rs.pool.Fetch(rs.meta)
@@ -162,7 +174,7 @@ func (rs *RecordStore) UserMeta() ([]byte, error) {
 	defer rs.pool.Unpin(mf, false)
 	ul := int(binary.LittleEndian.Uint16(mf.Data[10:]))
 	out := make([]byte, ul)
-	copy(out, mf.Data[12:12+ul])
+	copy(out, mf.Data[metaHeader:metaHeader+ul])
 	return out, nil
 }
 

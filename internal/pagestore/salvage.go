@@ -100,13 +100,13 @@ func inspectMeta(b []byte) PageInfo {
 	info := PageInfo{Kind: KindMeta}
 	usable := len(b) - PageTrailerSize
 	ul := int(binary.LittleEndian.Uint16(b[10:]))
-	if 12+ul > usable {
+	if metaHeader+ul > usable {
 		info.Err = fmt.Errorf("pagestore: meta user blob of %d bytes overruns the page", ul)
 		return info
 	}
 	info.MetaHead = PageID(binary.LittleEndian.Uint32(b[2:]))
 	info.MetaTail = PageID(binary.LittleEndian.Uint32(b[6:]))
-	info.MetaUser = append([]byte(nil), b[12:12+ul]...)
+	info.MetaUser = append([]byte(nil), b[metaHeader:metaHeader+ul]...)
 	if info.MetaHead == InvalidPage || info.MetaTail == InvalidPage {
 		info.Err = fmt.Errorf("pagestore: meta page names invalid chain endpoints (head %d, tail %d)", info.MetaHead, info.MetaTail)
 	}

@@ -27,7 +27,8 @@ func (rp *recordingPager) Allocate() (pagestore.PageID, error) {
 const rebuildPoolFrames = 128
 
 // Rebuild writes res's salvaged records as a fresh record-store generation
-// side by side with the damaged one, then switches the store over by
+// side by side with the damaged one — behind the codec's side record, with
+// the codec's meta blob — then switches the store over by
 // copying the new meta image onto metaPage and zeroing every page of the
 // old generation (a zero page carries a zero CRC trailer, which verifies
 // clean). When p commits through a WAL (anything implementing Commit()
@@ -58,6 +59,11 @@ func rebuild(p pagestore.Pager, metaPage pagestore.PageID, res *Result, codec Co
 	rs, err := pagestore.CreateRecordStore(pool)
 	if err != nil {
 		return fmt.Errorf("recover: rebuild: %w", err)
+	}
+	if side := codec.SideRecord(); side != nil {
+		if _, _, err := rs.InsertLast(side); err != nil {
+			return fmt.Errorf("recover: rebuild: insert side record: %w", err)
+		}
 	}
 	for _, rec := range res.records {
 		if _, _, err := rs.InsertLast(rec.Payload); err != nil {

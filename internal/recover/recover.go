@@ -56,18 +56,33 @@ type RecordMeta struct {
 // Span > 0.
 func (m RecordMeta) End() uint64 { return m.Key + m.Span - 1 }
 
+// SideRecordID is the record ID of a side record: store-wide state the
+// owning store keeps in its chain, beside the meta page, so that salvage
+// finds it without the meta page (core's name dictionary). Salvage hands a
+// side record to the Codec's Inspect and keeps nothing else of it — it is
+// not counted, ordered or conflict-checked — and Rebuild writes the Codec's
+// SideRecord at the head of the new chain instead.
+const SideRecordID = 0
+
 // Codec teaches the recovery layer the owning store's record semantics
 // without importing it (core implements this, avoiding an import cycle).
+// A Codec may learn store-wide state from what Salvage shows it (side
+// records, the meta blob) and give it back to Rebuild, so one Codec serves
+// one Salvage and the Rebuild that follows it.
 type Codec interface {
 	// Inspect validates one record payload end to end (the core store
-	// replays its token stream) and returns its identity. An error marks
-	// the record lost.
+	// steps through its token stream) and returns its identity; ID
+	// SideRecordID marks a side record. An error marks the record lost.
 	Inspect(payload []byte) (RecordMeta, error)
 	// DecodeAlloc parses the allocator state from the meta page's user
-	// blob; ok is false when the blob is absent or malformed.
+	// blob; ok is false when the blob is absent or malformed. Salvage calls
+	// it after every Inspect.
 	DecodeAlloc(user []byte) (nextKey, nextID uint64, ok bool)
-	// EncodeAlloc serializes allocator state for the rebuilt meta page.
+	// EncodeAlloc serializes the rebuilt meta page's user blob.
 	EncodeAlloc(nextKey, nextID uint64) []byte
+	// SideRecord returns the side record the rebuilt chain starts with, or
+	// nil for none.
+	SideRecord() []byte
 }
 
 // PageFault describes one quarantined page.
@@ -329,6 +344,9 @@ func Salvage(p pagestore.Pager, metaPage pagestore.PageID, codec Codec) (*Result
 					res.Lost++
 					res.Notes = append(res.Notes, fmt.Sprintf("page %d slot %d: invalid record: %v", pg, raw.Slot, err))
 					continue
+				}
+				if meta.ID == SideRecordID {
+					continue // the codec has it; Rebuild asks for it anew
 				}
 				fr.recs = append(fr.recs, SalvagedRecord{Meta: meta, Payload: payload})
 			}

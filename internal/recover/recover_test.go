@@ -319,3 +319,45 @@ func copyFile(t *testing.T, src, dst string) {
 		t.Fatal(err)
 	}
 }
+
+// zeroPage overwrites page pg with zeros, as a lost write or a wiped sector
+// would leave it.
+func zeroPage(t *testing.T, db string, pg int) {
+	t.Helper()
+	f, err := os.OpenFile(db, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(make([]byte, pgSize), int64(pg)*pgSize); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A store whose meta page is lost keeps every name it uses: salvage takes
+// the chain head from the data pages and the names from the dictionary's
+// copy in the chain, and the rebuilt store reads back byte for byte.
+func TestRepairLostMetaPage(t *testing.T) {
+	dir := t.TempDir()
+	const frags = 40
+	db := buildStore(t, dir, frags)
+	want := xmlOf(t, db)
+	zeroPage(t, db, 1) // the meta page
+
+	rep, err := axml.RepairFile(db, testCfg(), true, "")
+	if err != nil {
+		t.Fatalf("repair -apply: %v", err)
+	}
+	if !rep.Applied || len(rep.Missing) != 0 || rep.Lost != 0 {
+		t.Fatalf("repair: applied=%v missing=%v lost=%d notes=%v", rep.Applied, rep.Missing, rep.Lost, rep.Notes)
+	}
+	if rep.Salvaged != frags {
+		t.Errorf("salvaged %d records, want %d", rep.Salvaged, frags)
+	}
+	if _, err := axml.VerifyFileReport(db, testCfg()); err != nil {
+		t.Errorf("verify after repair: %v", err)
+	}
+	if got := xmlOf(t, db); got != want {
+		t.Errorf("repaired document:\n  got  %q\n  want %q", got, want)
+	}
+}

@@ -207,6 +207,50 @@ func TestFollowerTailsPrimary(t *testing.T) {
 	}
 }
 
+// TestFollowerLearnsNewNames: commits that bring names the base backup never
+// saw carry them to the follower with the pages that use them — the name
+// dictionary rides the meta page in the same segment.
+func TestFollowerLearnsNewNames(t *testing.T) {
+	dir := t.TempDir()
+	p := newPrimary(t, dir)
+	defer p.close()
+	base := filepath.Join(dir, "base.bak")
+	p.backup(base)
+	f, err := replica.Open(filepath.Join(dir, "follower.db"),
+		replica.NewDirTransport(p.arch, replica.DirTransportOptions{}),
+		replica.Options{Store: testCfg(), Base: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i := 0; i < 4; i++ {
+		frag, err := axml.ParseFragment(fmt.Sprintf(`<item%d sku%d="s"><qty%d>%d</qty%d></item%d>`, i, i, i, i, i, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.s.InsertIntoLast(p.root, frag); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		catchUp(t, f)
+		if got, want := followerXML(t, f), p.xml(); got != want {
+			t.Fatalf("after commit %d the follower reads\n got %s\nwant %s", i, got, want)
+		}
+	}
+	var names int
+	if err := f.Read(replica.ReadOptions{}, func(s *core.Store) error {
+		names = s.Stats().NameIDs
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := p.s.Stats().NameIDs; names != want || want < 12 {
+		t.Fatalf("follower holds %d names, primary %d (want at least 12)", names, want)
+	}
+}
+
 // TestFollowerResumesAcrossReopen pins the durable position: a closed
 // follower reopens without a base and picks up exactly where it stopped.
 func TestFollowerResumesAcrossReopen(t *testing.T) {

@@ -155,6 +155,7 @@ func TestRetryabilityRegistryCoverage(t *testing.T) {
 		core.CodeCorruptPage:  false,
 		core.CodeStoreLocked:  false,
 		core.CodeReadOnlyFile: false,
+		core.CodeUnknownName:  false,
 
 		core.CodeReplicaStalled:    false,
 		core.CodeTooStale:          false,

@@ -2,8 +2,12 @@ package token
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -263,5 +267,137 @@ func BenchmarkReaderSkip(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+func TestDictRoundTrip(t *testing.T) {
+	seq := []Token{
+		{Kind: BeginDocument}, Elem("order"), Attr("id", "7"), EndAttr(),
+		Elem("line"), TextTok("bolt"), EndElem(), PITok("pi", "d"), CommentTok("c"),
+		Elem("order"), Elem(""), EndElem(), EndElem(), EndElem(), {Kind: EndDocument},
+	}
+	d := NewDict(1<<10, nil)
+	enc := d.EncodeAll(seq)
+	if d.Len() != 4 { // order, id, line, pi; the empty name stays inline
+		t.Fatalf("Len = %d, want 4", d.Len())
+	}
+	if len(enc) >= len(EncodeAll(seq)) {
+		t.Fatalf("id form %d bytes, inline %d", len(enc), len(EncodeAll(seq)))
+	}
+	back, err := d.DecodeAll(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, seq) {
+		t.Fatalf("round trip:\n got %v\nwant %v", back, seq)
+	}
+	// The second <order> reuses the first one's id: one byte, kind|flag, type.
+	if got := d.Append(nil, Elem("order")); !bytes.Equal(got, []byte{byte(BeginElement) | nameRef, 0, 0}) {
+		t.Fatalf("Elem(order) encodes as %x", got)
+	}
+	// View hands out the interned name.
+	k, name, _, n, err := d.View(enc[2:])
+	if err != nil || k != BeginElement || string(name) != "order" || n != 3 {
+		t.Fatalf("View = %v %q %d %v", k, name, n, err)
+	}
+	// The table reloads to the same ids.
+	d2 := NewDict(1<<10, nil)
+	if err := d2.Load(d.AppendTable(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := d2.DecodeAll(enc); err != nil || !reflect.DeepEqual(back, seq) {
+		t.Fatalf("decode through a reloaded table: %v", err)
+	}
+}
+
+func TestDictErrors(t *testing.T) {
+	var heard []error
+	d := NewDict(1<<10, func(err error) { heard = append(heard, err) })
+	enc := d.EncodeAll([]Token{Elem("a"), EndElem()})
+	// Inline-only decoding (and a decoder that predates ids) rejects them.
+	if _, _, err := Decode(enc); !errors.Is(err, ErrUnknownName) {
+		t.Fatalf("inline Decode of an id: %v, want ErrUnknownName", err)
+	}
+	if Kind(enc[0]).Valid() {
+		t.Fatal("an id-form kind byte is a valid kind to a decoder that masks nothing")
+	}
+	// An id past the table is a typed error the dictionary reports.
+	if _, _, err := d.Decode([]byte{byte(BeginElement) | nameRef, 0, 9}); !errors.Is(err, ErrUnknownName) {
+		t.Fatalf("unknown id: %v", err)
+	}
+	if _, _, _, _, err := d.View([]byte{byte(BeginElement) | nameRef, 0, 9}); !errors.Is(err, ErrUnknownName) {
+		t.Fatalf("unknown id in View: %v", err)
+	}
+	if len(heard) != 2 {
+		t.Fatalf("onBad heard %d errors, want 2", len(heard))
+	}
+	// Size steps over an id without a dictionary, and only a named kind
+	// may carry the flag.
+	if n, err := Size(enc); err != nil || n != 3 {
+		t.Fatalf("Size = %d, %v", n, err)
+	}
+	if _, err := Size([]byte{byte(EndElement) | nameRef, 0}); !errors.Is(err, ErrBadKind) {
+		t.Fatalf("flag on a nameless kind: %v", err)
+	}
+	// One encoding per token: an overlong varint is rejected.
+	if _, err := Size([]byte{byte(EndElement), 0x80, 0x00}); !errors.Is(err, ErrBadVarint) {
+		t.Fatalf("overlong type varint: %v", err)
+	}
+	// A malformed table leaves the dictionary as it was.
+	if err := d.Load([]byte{1, 'a', 1, 'a'}); err == nil {
+		t.Fatal("a table naming a twice loaded")
+	}
+	if err := d.Load([]byte{5, 'a'}); err == nil {
+		t.Fatal("a cut-short table loaded")
+	}
+	if d.Len() != 1 {
+		t.Fatalf("Len = %d after failed loads, want 1", d.Len())
+	}
+}
+
+func TestDictLimit(t *testing.T) {
+	d := NewDict(8, nil) // room for "abc" and "de" (4 + 3 bytes), not "fgh"
+	enc := d.EncodeAll([]Token{Elem("abc"), Elem("de"), Elem("fgh"), EndElem(), EndElem(), EndElem()})
+	if d.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", d.Len())
+	}
+	if KindOf(enc[6]) != BeginElement || enc[6]&nameRef != 0 {
+		t.Fatalf("the name past the limit is not inline: %x", enc)
+	}
+	back, err := d.DecodeAll(enc)
+	if err != nil || back[2].Name != "fgh" {
+		t.Fatalf("decode: %v %v", back, err)
+	}
+}
+
+// TestDictConcurrentLearnAndDecode: readers decode bytes through a Dict
+// while a writer keeps teaching it names; a reader handed bytes sees every id
+// in them.
+func TestDictConcurrentLearnAndDecode(t *testing.T) {
+	d := NewDict(1<<16, nil)
+	encoded := make(chan []byte, 64)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range encoded {
+				tok, _, err := d.Decode(b)
+				if err != nil || !strings.HasPrefix(tok.Name, "name-") {
+					t.Errorf("decode %x: %v %v", b, tok, err)
+				}
+				if _, name, _, _, err := d.View(b); err != nil || string(name) != tok.Name {
+					t.Errorf("view %x: %q %v", b, name, err)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		encoded <- d.Append(nil, Elem(fmt.Sprintf("name-%d", i%500)))
+	}
+	close(encoded)
+	wg.Wait()
+	if d.Len() != 500 {
+		t.Fatalf("Len = %d, want 500", d.Len())
 	}
 }

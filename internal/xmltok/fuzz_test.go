@@ -108,31 +108,86 @@ func (d *dribbleReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// FuzzTokenCodec feeds arbitrary bytes to the binary token decoder: it must
-// never panic or over-read, and every decoded prefix must re-encode to the
-// same bytes.
+// FuzzTokenCodec checks the binary token codec in both of its name forms.
+// Arbitrary bytes, decoded inline and against a dictionary of arbitrary
+// names, never panic or over-read, and every token decoded re-encodes to the
+// same bytes (one encoding per token): Size and View agree with Decode on
+// every one. And whatever the scanner accepts round-trips, encoded inline
+// and through a dictionary that only ever learns names.
 func FuzzTokenCodec(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(token.EncodeAll([]token.Token{
+	tokens := []token.Token{
 		token.Elem("a"), token.Attr("k", "v"), token.EndAttr(),
-		token.TextTok("x"), token.EndElem(),
-	}))
-	f.Add([]byte{0xFF, 0x00, 0x80})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		pos := 0
-		for pos < len(data) {
-			tok, n, err := token.Decode(data[pos:])
+		token.TextTok("x"), token.PITok("p", "d"), token.EndElem(),
+	}
+	withIDs := token.NewDict(1<<10, nil)
+	f.Add(token.EncodeAll(tokens), "a,k", purchaseOrder)
+	f.Add(withIDs.EncodeAll(tokens), "a,k,p", parseSeeds[1])
+	f.Add([]byte{0xFF, 0x00, 0x80}, "", "")
+	f.Add([]byte{0x83, 0x00, 0x05}, "x", "<a/>")           // an id past the table
+	f.Add([]byte{0x84, 0x00}, "", "")                      // an id flag on a nameless kind
+	f.Add([]byte{0x03, 0x80, 0x00, 0x01, 'a'}, "", "<a/>") // an overlong type varint
+	for _, src := range parseSeeds {
+		f.Add([]byte(nil), "", src)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, names, src string) {
+		d := token.NewDict(1<<10, nil)
+		for _, name := range strings.Split(names, ",") {
+			d.Append(nil, token.Elem(name)) // learns name
+		}
+		for _, dict := range []*token.Dict{nil, d} {
+			for pos := 0; pos < len(data); {
+				tok, n, err := dict.Decode(data[pos:])
+				if err != nil {
+					break
+				}
+				if n <= 0 || pos+n > len(data) {
+					t.Fatalf("decode consumed %d of %d remaining", n, len(data)-pos)
+				}
+				if size, err := token.Size(data[pos:]); err != nil || size != n {
+					t.Fatalf("Size says %d (%v), Decode consumed %d", size, err, n)
+				}
+				k, name, value, size, err := dict.View(data[pos:])
+				if err != nil || size != n || k != tok.Kind || string(name) != tok.Name || string(value) != tok.Value {
+					t.Fatalf("View disagrees with Decode at %d: %v %q %q %d %v", pos, k, name, value, size, err)
+				}
+				var re []byte
+				if token.KindOf(data[pos]) == token.Kind(data[pos]) {
+					re = token.Append(nil, tok)
+				} else {
+					re = dict.Append(nil, tok) // dict holds tok.Name: no new name
+				}
+				if string(re) != string(data[pos:pos+n]) {
+					t.Fatalf("re-encode mismatch at %d: %x, want %x", pos, re, data[pos:pos+n])
+				}
+				pos += n
+			}
+		}
+
+		toks, err := ParseString(src, ParseOptions{})
+		if err != nil {
+			return
+		}
+		before := d.Len()
+		for _, dict := range []*token.Dict{nil, d} {
+			enc := dict.EncodeAll(toks)
+			back, err := dict.DecodeAll(enc)
 			if err != nil {
-				return
+				t.Fatalf("decode of an encoding: %v", err)
 			}
-			if n <= 0 || pos+n > len(data) {
-				t.Fatalf("decode consumed %d of %d remaining", n, len(data)-pos)
+			if len(back) != len(toks) {
+				t.Fatalf("%d tokens back, %d encoded", len(back), len(toks))
 			}
-			re := token.Append(nil, tok)
-			if string(re) != string(data[pos:pos+n]) {
-				t.Fatalf("re-encode mismatch at %d", pos)
+			for i := range toks {
+				if back[i] != toks[i] {
+					t.Fatalf("token %d: %v back, %v encoded", i, back[i], toks[i])
+				}
 			}
-			pos += n
+			if dict == nil {
+				continue
+			}
+			if d.Len() < before {
+				t.Fatal("the dictionary forgot names")
+			}
 		}
 	})
 }

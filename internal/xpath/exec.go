@@ -3,8 +3,9 @@ package xpath
 // The pushdown executor: runs a scanProgram directly over the store's raw
 // token stream (ScanRawCtx / ScanNodeRawCtx). One pass, no navigational
 // view, no intermediate node sets; names and values are compared in place
-// with token.View, so the steady-state execution allocates nothing beyond
-// the pooled stacks.
+// with the store's Dict().View (a name by id is the dictionary's interned
+// copy), so the steady-state execution allocates nothing beyond the pooled
+// stacks.
 //
 // The machine is a stack automaton mirroring the token nesting: each open
 // element holds a frame of NFA state sets (see scanProgram and xframe).
@@ -182,6 +183,8 @@ type scanExec struct {
 	// purpose: ahead of frames these cost every scan 4–5 % (EXPERIMENTS E12).
 	capture func(id, parent core.NodeID, ord int32, val []byte) bool
 	capBuf  []byte
+	// dict decodes names: the store's, or nil for inline names only.
+	dict *token.Dict
 }
 
 var execPool = sync.Pool{New: func() any { return new(scanExec) }}
@@ -201,6 +204,7 @@ func (e *scanExec) release() {
 	e.prog = nil
 	e.emit = nil
 	e.capture = nil
+	e.dict = nil
 	execPool.Put(e)
 }
 
@@ -221,7 +225,7 @@ func (e *scanExec) onToken(id core.NodeID, raw []byte) bool {
 	if len(raw) == 0 {
 		return e.fail(errMalformedStream)
 	}
-	k := token.Kind(raw[0])
+	k := token.KindOf(raw[0])
 	if e.skip > 0 {
 		switch {
 		case k.IsBegin():
@@ -295,7 +299,7 @@ func (e *scanExec) fail(err error) bool {
 }
 
 func (e *scanExec) pushElement(id core.NodeID, raw []byte) {
-	_, name, _, _, err := token.View(raw)
+	_, name, _, _, err := e.dict.View(raw)
 	if err != nil {
 		e.fail(err)
 		return
@@ -361,7 +365,7 @@ func (e *scanExec) onAttribute(top int, id core.NodeID, raw []byte) {
 	if f.want&tab.kindAtoms[atomAttr] == 0 && (len(tab.attrCaptures) == 0 || live&tab.acceptAllMask == 0) {
 		return
 	}
-	_, name, val, _, err := token.View(raw)
+	_, name, val, _, err := e.dict.View(raw)
 	if err != nil {
 		e.fail(err)
 		return
@@ -395,7 +399,7 @@ func (e *scanExec) onAttribute(top int, id core.NodeID, raw []byte) {
 func (e *scanExec) onText(li int, raw []byte) {
 	l := &e.frames[li]
 	texts := l.want & e.prog.tab.kindAtoms[atomText] &^ l.sat
-	_, _, val, _, err := token.View(raw)
+	_, _, val, _, err := e.dict.View(raw)
 	if err != nil {
 		e.fail(err)
 		return
@@ -675,6 +679,7 @@ func (e *scanExec) finish() error {
 // the tokens read.
 func runProgram(ctx context.Context, s *core.Store, prog *scanProgram, lits []string, anchor core.NodeID, emit func(core.NodeID) bool, fill *tableBuilder) error {
 	e := newScanExec(prog, lits, emit)
+	e.dict = s.Dict()
 	defer e.release()
 	var err error
 	if fill != nil {

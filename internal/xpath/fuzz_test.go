@@ -156,7 +156,7 @@ func runTokens(prog *scanProgram, lits []string, raws [][]byte, fill *tableBuild
 	next := core.NodeID(1)
 	for _, raw := range raws {
 		id := core.InvalidNode
-		if len(raw) > 0 && token.Kind(raw[0]).StartsNode() {
+		if len(raw) > 0 && token.KindOf(raw[0]).StartsNode() {
 			id = next
 			next++
 		}

@@ -8,6 +8,7 @@ package xpath
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -624,5 +625,30 @@ func TestPushdownAllocations(t *testing.T) {
 	})
 	if got > 2 {
 		t.Errorf("an unseen literal of a seen shape: %v allocs/run, want <= 2", got)
+	}
+}
+
+// TestPushdownUnknownNameLatches: a scan that meets a name id its store's
+// dictionary does not hold fails with the typed corruption error, and the
+// store latches read-only even though the failure surfaced in the query
+// layer, outside any store operation.
+func TestPushdownUnknownNameLatches(t *testing.T) {
+	s, err := core.Open(core.Config{Mode: core.RangePartial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Append(xmltok.MustParse(`<a><b k="1">x</b><b k="2">y</b></a>`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Dict().Load(nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := QueryCountCtx(ctx, s, `count(//b[@k='2'])`); !errors.Is(err, token.ErrUnknownName) {
+		t.Fatalf("pushdown count: %v, want ErrUnknownName", err)
+	}
+	if ro, _ := s.ReadOnly(); !ro {
+		t.Fatal("the store did not latch read-only")
 	}
 }

@@ -252,8 +252,9 @@ func QueryValueCtx(ctx context.Context, s *core.Store, src string) (string, erro
 func stringValue(ctx context.Context, s *core.Store, id core.NodeID) (string, error) {
 	var sb []byte
 	var verr error
+	d := s.Dict()
 	err := s.ScanNodeRawCtx(ctx, id, func(nid core.NodeID, raw []byte) bool {
-		k, _, val, _, err := token.View(raw)
+		k, _, val, _, err := d.View(raw)
 		if err != nil {
 			verr = err
 			return false

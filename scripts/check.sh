@@ -3,13 +3,15 @@
 #
 # Runs formatting, guards that keep one durable file-replace
 # implementation, one way into the store and one way to create a range,
+# every store read decoding names through the store's dictionary,
 # one place that holds the buffer pool for a batch,
 # and a log that is rewound rather than truncated and synced in one place,
 # vet, build, the full test suite, the race detector over
 # the concurrency-sensitive packages, a short fuzz of the xpath executors
 # against each other and of shape-keyed plans against fresh ones, of the xquery evaluator, of the range cursor
-# against the reference store, of the journal against its model, and of
-# the XML scanner against the one it replaced, and the benchmark module's
+# against the reference store, of the journal against its model, of
+# the XML scanner against the one it replaced and of the token codec in
+# both name forms, and the benchmark module's
 # smoke test
 # (benchmark/ is a module of its own, so ./... does not reach it). Exits
 # non-zero on the first failure. CI and pre-commit hooks should call exactly
@@ -52,6 +54,12 @@ if ! only_in 's.beginOp(' '[)] (readOp|writeOp)[(]'; then
 fi
 if ! only_in 'encodeRangeRecord(' '[)] (placeRange|writeRangeRecord)[(]'; then
     echo "create a range with placeRange (or rewrite one with writeRangeRecord)" >&2
+    exit 1
+fi
+
+echo "== names decoded through the store's dictionary (non-test internal/core and internal/xpath call no inline-only token.Decode(, token.DecodeAll( or token.View()"
+if git grep -n -e 'token\.Decode(' -e 'token\.DecodeAll(' -e 'token\.View(' -- 'internal/core/*.go' 'internal/xpath/*.go' ':!*_test.go'; then
+    echo "decode store bytes with the store's Dict() (s.dict in core): the package-level decoders read inline names only" >&2
     exit 1
 fi
 
@@ -107,9 +115,10 @@ go test -run '^$' -fuzz FuzzAppendNodeXML -fuzztime 10s ./internal/core
 echo "== go test -fuzz (wal: 10s — journal scripts with crashes against the reference model)"
 go test -run '^$' -fuzz FuzzWALModel -fuzztime 10s ./internal/wal
 
-echo "== go test -fuzz (xmltok: 10s per target — the scanner's accepted output round-trips; the scanner vs the reference scanner it replaced, from strings and from a reader that crosses a refill at every token)"
+echo "== go test -fuzz (xmltok: 10s per target — the scanner's accepted output round-trips; the scanner vs the reference scanner it replaced, from strings and from a reader that crosses a refill at every token; the token codec on arbitrary bytes and dictionaries, and the scanner's output through it inline and by id)"
 go test -run '^$' -fuzz 'FuzzParse$' -fuzztime 10s ./internal/xmltok
 go test -run '^$' -fuzz FuzzScannerDifferential -fuzztime 10s ./internal/xmltok
+go test -run '^$' -fuzz FuzzTokenCodec -fuzztime 10s ./internal/xmltok
 
 echo "== benchmark smoke (nested module: every layer probe against the current internal/* API)"
 (cd benchmark && go test ./...)
