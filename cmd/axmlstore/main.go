@@ -474,6 +474,7 @@ func runCmd(ctx context.Context, db, modeName string, opts cliOpts, args []strin
 		fmt.Fprintf(w, "name ids:            %d\n", st.NameIDs)
 		fmt.Fprintf(w, "ranges:              %d\n", st.Ranges)
 		fmt.Fprintf(w, "range index entries: %d\n", st.RangeIndexEntries)
+		fmt.Fprintf(w, "range table bytes:   %d\n", st.RangeIndexBytes)
 		fmt.Fprintf(w, "full index entries:  %d\n", st.FullIndexEntries)
 		fmt.Fprintf(w, "partial entries:     %d (hits %d, misses %d, evictions %d, invalidations %d)\n",
 			st.PartialEntries, st.PartialHits, st.PartialMisses,

@@ -34,13 +34,16 @@ func TestCLIStatsJSON(t *testing.T) {
 	}
 	for _, key := range []string{"Admission", "Memory", "ArchiveSegments", "ArchiveBytes", "Nodes", "Ranges",
 		"WALCommits", "WALSyncs", "WALLogSyncs", "WALCheckpoints", "WALCheckpointFailures", "WALLogBytes", "WALLoggedBytes",
-		"ValueIndexHits", "ValueIndexMisses", "ValueIndexFills", "ValueIndexAbandoned", "ValueIndexBytes", "NameIDs"} {
+		"ValueIndexHits", "ValueIndexMisses", "ValueIndexFills", "ValueIndexAbandoned", "ValueIndexBytes", "NameIDs", "RangeIndexBytes"} {
 		if _, ok := rep[key]; !ok {
 			t.Errorf("stats -json lacks %q:\n%s", key, buf.String())
 		}
 	}
 	if n, _ := rep["NameIDs"].(float64); n == 0 {
 		t.Errorf("NameIDs = %v after a load, want the document's names", rep["NameIDs"])
+	}
+	if n, _ := rep["RangeIndexBytes"].(float64); n == 0 {
+		t.Errorf("RangeIndexBytes = %v after a load, want the range table's size", rep["RangeIndexBytes"])
 	}
 	adm, ok := rep["Admission"].(map[string]any)
 	if !ok {

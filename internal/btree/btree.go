@@ -9,7 +9,10 @@
 // serializes access.
 package btree
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // degree is the maximum number of keys per node. 64 keeps nodes within a few
 // cache lines while staying shallow for millions of entries.
@@ -38,6 +41,20 @@ func New[V any]() *Tree[V] {
 
 // Len returns the number of entries.
 func (t *Tree[V]) Len() int { return t.size }
+
+// Bytes is the heap the tree's nodes hold: each node and the arrays behind
+// its keys, values and children, counted by capacity.
+func (t *Tree[V]) Bytes() int64 { return t.root.bytes() }
+
+func (n *node[V]) bytes() int64 {
+	var v V
+	b := int64(unsafe.Sizeof(*n)) + int64(cap(n.keys))*8 +
+		int64(cap(n.vals))*int64(unsafe.Sizeof(v)) + int64(cap(n.children))*int64(unsafe.Sizeof(n))
+	for _, c := range n.children {
+		b += c.bytes()
+	}
+	return b
+}
 
 // search returns the index of the first key >= k in n.keys.
 func search(keys []uint64, k uint64) int {

@@ -35,11 +35,12 @@ func itemsXML(t *testing.T, items []Item) string {
 }
 
 // snapshot is what an aborted batch must leave exactly as it found it: the
-// document, the XML of every live node id, and the node and range counts.
+// document, the XML of every live node id, the node and range counts and
+// the live-range table's bytes.
 type snapshot struct {
 	xml    string
 	nodes  map[NodeID]string
-	counts [2]uint64
+	counts [3]uint64
 }
 
 func takeSnapshot(t *testing.T, s *Store) snapshot {
@@ -64,7 +65,7 @@ func takeSnapshot(t *testing.T, s *Store) snapshot {
 		}
 	}
 	st := s.Stats()
-	snap.counts = [2]uint64{st.Nodes, uint64(st.Ranges)}
+	snap.counts = [3]uint64{st.Nodes, uint64(st.Ranges), uint64(st.RangeIndexBytes)}
 	return snap
 }
 
@@ -84,7 +85,7 @@ func (want snapshot) sameAs(t *testing.T, s *Store) {
 		}
 	}
 	if got.counts != want.counts {
-		t.Fatalf("nodes, ranges after abort: %v, want %v", got.counts, want.counts)
+		t.Fatalf("nodes, ranges, range-table bytes after abort: %v, want %v", got.counts, want.counts)
 	}
 	if err := s.Verify(); err != nil {
 		t.Fatalf("verify after abort: %v", err)

@@ -18,7 +18,7 @@ import "context"
 
 // maybeCoalesce tries to merge ri with its neighbours.
 func (s *Store) maybeCoalesce(ri *rangeInfo) {
-	if s.cfg.CoalesceBytes <= 0 || ri == nil || s.byRange[ri.id] == nil {
+	if s.cfg.CoalesceBytes <= 0 || ri == nil || s.tableRange(ri.id, ri.start) != ri {
 		return
 	}
 	// Merge leftward first (prev absorbs ri), then rightward.
@@ -27,7 +27,7 @@ func (s *Store) maybeCoalesce(ri *rangeInfo) {
 			ri = prev
 		}
 	}
-	if next, ok, err := s.nextRangeInfo(ri); err == nil && ok {
+	if next, ok, err := s.nextRangeInfo(context.Background(), ri); err == nil && ok {
 		s.coalescePair(ri, next, s.cfg.CoalesceBytes)
 	}
 }
@@ -53,45 +53,31 @@ func (s *Store) coalescePair(a, b *rangeInfo, maxBytes int) (bool, error) {
 		merged = append(merged, tokenBytes...)
 	}
 
-	oldABytes, oldAToks := a.bytes, a.toks
-
-	// Merged identity: keep a's range id; the start id comes from whichever
-	// side has ids (a wins when both do).
-	newStart := a.start
-	if a.nodes == 0 {
-		newStart = b.start
-	}
-	// Index maintenance before mutating the descriptors.
-	if a.nodes > 0 {
-		s.rindex.Delete(uint64(a.start))
-	}
-	if b.nodes > 0 {
-		s.rindex.Delete(uint64(b.start))
-	}
+	// Both leave the table and a comes back merged, counters and all: the
+	// content moves, it is not dropped.
+	s.unregister(a)
+	s.unregister(b)
 	if s.full != nil && b.nodes > 0 {
-		if err := s.full.rebase(b.start, b.nodes, a.id, int32(-oldABytes), int32(-oldAToks)); err != nil {
+		if err := s.full.rebase(b.start, b.nodes, a.id, int32(-a.bytes), int32(-a.toks)); err != nil {
 			return false, err
 		}
 	}
-
-	// Drop b's record and descriptor (counters adjusted manually: the
-	// content moves rather than disappears).
-	delete(s.byRange, b.id)
-	delete(s.byLoc, b.loc)
 	if err := s.recs.Delete(b.loc); err != nil {
 		return false, err
 	}
 
-	a.start = newStart
+	// Merged identity: keep a's range id; the start id comes from whichever
+	// side has ids (a wins when both do).
+	if a.nodes == 0 {
+		a.start = b.start
+	}
 	a.nodes += b.nodes
 	a.toks += b.toks
 	a.bytes = len(merged)
 	if err := s.writeRangeRecord(a, merged); err != nil {
 		return false, err
 	}
-	if a.nodes > 0 {
-		s.rindex.Set(uint64(a.start), a)
-	}
+	s.register(a)
 	s.merges++
 	return true, nil
 }

@@ -245,7 +245,7 @@ func checkRanges(t testing.TB, s *Store, ref *refStore, what string) {
 	defer windowed.close()
 	k := 0
 	ri, ok, err := s.firstRange()
-	for ; ok && err == nil; ri, ok, err = s.nextRangeInfo(ri) {
+	for ; ok && err == nil; ri, ok, err = s.nextRangeInfo(context.Background(), ri) {
 		all, err := whole.all(ri)
 		if err != nil {
 			t.Fatalf("%s: all(%v): %v", what, ri, err)

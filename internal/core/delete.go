@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Span deletion. A deleted subtree occupies a contiguous run of tokens in
 // document order, but not a contiguous run of node ids (descendants inserted
@@ -25,7 +28,7 @@ func (s *Store) deleteSpan(begin, endAfter tokenPos) (tokenPos, error) {
 	case endAfter.byteOff == 0:
 		survivor = endAfter.ri
 	case endAfter.atRangeEnd():
-		nxt, ok, err := s.nextRangeInfo(endAfter.ri)
+		nxt, ok, err := s.nextRangeInfo(context.Background(), endAfter.ri)
 		if err != nil {
 			return tokenPos{}, err
 		}
@@ -65,7 +68,7 @@ func (s *Store) deleteSpan(begin, endAfter tokenPos) (tokenPos, error) {
 	// Drop the doomed run.
 	cur := firstDeleted
 	for cur != nil && cur != survivor {
-		nxt, ok, err := s.nextRangeInfo(cur)
+		nxt, ok, err := s.nextRangeInfo(context.Background(), cur)
 		if err != nil {
 			return tokenPos{}, err
 		}
@@ -109,7 +112,6 @@ func (s *Store) deleteWholeRange(ri *rangeInfo) error {
 			return err
 		}
 	}
-	loc := ri.loc
 	s.unregister(ri)
-	return s.recs.Delete(loc)
+	return s.recs.Delete(ri.loc)
 }

@@ -56,9 +56,9 @@ func (s *Store) locateBegin(cur *rangeCursor, id NodeID) (tokenPos, token.Kind, 
 		if !ok {
 			return fail(fmt.Errorf("%w: %d", ErrNoSuchNode, id))
 		}
-		ri := s.byRange[e.rng]
-		if ri == nil {
-			return fail(fmt.Errorf("core: full index names dead range %d", e.rng))
+		ri, ok := s.rangeOf(id)
+		if !ok || ri.id != e.rng {
+			return fail(fmt.Errorf("core: full index names range %d for %d, not the range holding it", e.rng, id))
 		}
 		pos := tokenPos{ri: ri, tokIdx: int(e.tokIdx), byteOff: int(e.byteOff), nodesBefore: int(id - ri.start)}
 		k, err := cur.kind(pos)
@@ -68,8 +68,7 @@ func (s *Store) locateBegin(cur *rangeCursor, id NodeID) (tokenPos, token.Kind, 
 	// Partial index: lazily learned exact positions.
 	if s.partial != nil {
 		if e, ok := s.partial.lookup(id); ok {
-			ri := s.byRange[e.beginRange]
-			if ri != nil && ri.version == e.beginVer {
+			if ri := s.beginRange(e); ri != nil {
 				s.partial.hit()
 				pos := tokenPos{ri: ri, tokIdx: int(e.beginTok), byteOff: int(e.beginByte), nodesBefore: int(id - ri.start)}
 				if e.endsIn(ri) {
@@ -92,8 +91,8 @@ func (s *Store) locateBegin(cur *rangeCursor, id NodeID) (tokenPos, token.Kind, 
 	// the cursor reads from that byte on, not from the range head — and
 	// deposits new checkpoints every checkpointInterval tokens for the next
 	// locate to reuse.
-	_, ri, ok := s.rindex.Floor(uint64(id))
-	if !ok || !ri.contains(id) {
+	ri, ok := s.rangeOf(id)
+	if !ok {
 		return fail(fmt.Errorf("%w: %d", ErrNoSuchNode, id))
 	}
 	next := ri.start
@@ -166,7 +165,7 @@ func (s *Store) locateEnd(cur *rangeCursor, id NodeID, begin tokenPos, k token.K
 
 	// The partial index may know the end position already.
 	if e.hasEnd {
-		if ri := s.byRange[e.endRange]; ri != nil && ri.version == e.endVer {
+		if ri := s.tableRange(e.endRange, e.endStart); ri != nil && ri.version == e.endVer {
 			s.partial.hit()
 			return tokenPos{ri: ri, tokIdx: int(e.endTok), byteOff: int(e.endByte), nodesBefore: int(e.endNodesBefore)}, nil
 		}
@@ -197,7 +196,7 @@ func (s *Store) locateEnd(cur *rangeCursor, id NodeID, begin tokenPos, k token.K
 				depth--
 				if depth == 0 {
 					if s.partial != nil {
-						s.partial.recordEnd(id, pos.ri.id, pos.ri.version, pos.byteOff, pos.tokIdx, int32(pos.nodesBefore), int32(len(raw)))
+						s.partial.recordEnd(id, pos.ri, pos.byteOff, pos.tokIdx, int32(pos.nodesBefore), int32(len(raw)))
 					}
 					return pos, nil
 				}
@@ -205,7 +204,7 @@ func (s *Store) locateEnd(cur *rangeCursor, id NodeID, begin tokenPos, k token.K
 			pos = pos.past(k, len(raw))
 		}
 		// Continue into the next range.
-		nri, ok, err := s.nextRangeInfoCtx(cur.ctx, pos.ri)
+		nri, ok, err := s.nextRangeInfo(cur.ctx, pos.ri)
 		if err != nil {
 			return tokenPos{}, err
 		}
@@ -272,7 +271,7 @@ func (s *Store) skipAttributes(cur *rangeCursor, pos tokenPos) (tokenPos, error)
 			scanned++
 			pos = pos.past(k, len(raw))
 		}
-		nri, ok, err := s.nextRangeInfoCtx(cur.ctx, pos.ri)
+		nri, ok, err := s.nextRangeInfo(cur.ctx, pos.ri)
 		if err != nil {
 			return tokenPos{}, err
 		}

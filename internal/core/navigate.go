@@ -39,8 +39,7 @@ func (s *Store) ParentCtx(ctx context.Context, id NodeID) (parent NodeID, ok boo
 		// removes the child necessarily invalidates.
 		if s.partial != nil {
 			if e, hit := s.partial.lookup(id); hit && e.hasParent {
-				ri := s.byRange[e.beginRange]
-				if ri != nil && ri.version == e.beginVer {
+				if s.beginRange(e) != nil {
 					s.partial.hit()
 					parent, ok = e.parentID, e.parentID != InvalidNode
 					return nil
@@ -321,7 +320,7 @@ func (s *Store) CompareDocOrderCtx(ctx context.Context, a, b NodeID) (order int,
 		}
 		// Walk the range chain in document order; the range seen first wins.
 		ri, ok, err := s.firstRange()
-		for ; ok && err == nil; ri, ok, err = s.nextRangeInfoCtx(cur.ctx, ri) {
+		for ; ok && err == nil; ri, ok, err = s.nextRangeInfo(cur.ctx, ri) {
 			switch ri {
 			case posA.ri:
 				order = -1
@@ -346,7 +345,7 @@ func (s *Store) CompareDocOrderCtx(ctx context.Context, a, b NodeID) (order int,
 // the sequence. Positions already on a token are returned unchanged.
 func (s *Store) normalizeForward(cur *rangeCursor, pos tokenPos) (tokenPos, bool, error) {
 	for pos.atRangeEnd() {
-		nri, ok, err := s.nextRangeInfoCtx(cur.ctx, pos.ri)
+		nri, ok, err := s.nextRangeInfo(cur.ctx, pos.ri)
 		if err != nil || !ok {
 			return pos, false, err
 		}

@@ -38,6 +38,7 @@ type partialEntry struct {
 	beginByte  int32
 	beginTok   int32
 
+	endStart       NodeID // the end range's start id, its key in the range index
 	hasEnd         bool
 	endRange       RangeID
 	endVer         uint32
@@ -51,6 +52,15 @@ type partialEntry struct {
 	// validity gate.
 	hasParent bool
 	parentID  NodeID
+}
+
+// beginRange returns the range holding e's node id (and so its begin
+// token) when that range is as it was when e was learned.
+func (s *Store) beginRange(e partialEntry) *rangeInfo {
+	if ri, ok := s.rangeOf(e.id); ok && ri.id == e.beginRange && ri.version == e.beginVer {
+		return ri
+	}
+	return nil
 }
 
 // endsIn reports whether the entry holds the node's end position and it lies
@@ -244,17 +254,17 @@ func (px *partialIndex) recordBegin(id NodeID, rng RangeID, ver uint32, byteOff,
 	b.beginByte, b.beginTok = int32(byteOff), int32(tokIdx)
 }
 
-// recordEnd memorizes the end-token location of id, with the node-start
-// count before the end token and the end token's encoded length (the warm
-// fast path of ScanNode needs both).
-func (px *partialIndex) recordEnd(id NodeID, rng RangeID, ver uint32, byteOff, tokIdx int, nodesBefore, endLen int32) {
+// recordEnd memorizes the end-token location of id in ri, with the
+// node-start count before the end token and the end token's encoded length
+// (the warm fast path of ScanNode needs both).
+func (px *partialIndex) recordEnd(id NodeID, ri *rangeInfo, byteOff, tokIdx int, nodesBefore, endLen int32) {
 	defer px.shedForBudget() // after the shard lock is released
 	sh := px.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	b := px.ensureLocked(sh, id)
 	b.hasEnd = true
-	b.endRange, b.endVer = rng, ver
+	b.endRange, b.endVer, b.endStart = ri.id, ri.version, ri.start
 	b.endByte, b.endTok = int32(byteOff), int32(tokIdx)
 	b.endNodesBefore = nodesBefore
 	b.endLen = endLen

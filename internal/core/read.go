@@ -147,7 +147,7 @@ func (s *Store) scanRaw(ctx context.Context, fn func(id NodeID, raw []byte) bool
 					}
 				}
 			}
-			nri, ok, err := s.nextRangeInfoCtx(cur.ctx, ri)
+			nri, ok, err := s.nextRangeInfo(cur.ctx, ri)
 			if err != nil || !ok {
 				return err
 			}
@@ -219,7 +219,7 @@ func (s *Store) scanNodeRawLocked(cur *rangeCursor, id NodeID, fn func(id NodeID
 				if depth == 0 {
 					// The subtree's last token (a leaf is its own end).
 					if s.partial != nil && !endKnown {
-						s.partial.recordEnd(id, pos.ri.id, pos.ri.version, pos.byteOff, pos.tokIdx,
+						s.partial.recordEnd(id, pos.ri, pos.byteOff, pos.tokIdx,
 							int32(pos.nodesBefore), int32(n))
 					}
 					return nil
@@ -230,7 +230,7 @@ func (s *Store) scanNodeRawLocked(cur *rangeCursor, id NodeID, fn func(id NodeID
 				}
 			}
 		}
-		nri, ok, err := s.nextRangeInfoCtx(cur.ctx, pos.ri)
+		nri, ok, err := s.nextRangeInfo(cur.ctx, pos.ri)
 		if err != nil {
 			return err
 		}
@@ -285,8 +285,8 @@ func (s *Store) Exists(id NodeID) bool {
 		return false
 	}
 	s.nodeLookups.Add(1)
-	_, ri, ok := s.rindex.Floor(uint64(id))
-	return ok && ri.contains(id)
+	_, ok := s.rangeOf(id)
+	return ok
 }
 
 // FirstNodeID returns the id of the first node in document order.
@@ -298,7 +298,7 @@ func (s *Store) FirstNodeID() (NodeID, bool, error) {
 func (s *Store) FirstNodeIDCtx(ctx context.Context) (first NodeID, ok bool, err error) {
 	err = s.readOp(ctx, func(cur *rangeCursor) error {
 		ri, more, err := s.firstRange()
-		for ; more && err == nil; ri, more, err = s.nextRangeInfoCtx(cur.ctx, ri) {
+		for ; more && err == nil; ri, more, err = s.nextRangeInfo(cur.ctx, ri) {
 			if ri.nodes > 0 {
 				first, ok = ri.start, true
 				return nil
@@ -401,8 +401,7 @@ func (s *Store) CheckInvariants() error {
 
 func (s *Store) checkInvariantsLocked() error {
 	var nodes, toks, bytes uint64
-	ranges := 0
-	seen := map[RangeID]bool{}
+	ranges, idless := 0, 0
 	var stack []token.Kind
 	cur := s.cursor(context.Background())
 	defer cur.close()
@@ -412,16 +411,11 @@ func (s *Store) checkInvariantsLocked() error {
 		return err
 	}
 	for ok {
+		// ri was found from its record's header, in the table, at ri.loc:
+		// no range is in the chain twice, or missing from the table.
 		ranges++
-		if seen[ri.id] {
-			return fmt.Errorf("core: range %d appears twice in chain", ri.id)
-		}
-		seen[ri.id] = true
-		if s.byRange[ri.id] != ri {
-			return fmt.Errorf("core: byRange[%d] does not match chain entry", ri.id)
-		}
-		if s.byLoc[ri.loc] != ri {
-			return fmt.Errorf("core: byLoc[%v] does not match chain entry", ri.loc)
+		if ri.nodes == 0 {
+			idless++
 		}
 		tokenBytes, err := cur.all(ri)
 		if err != nil {
@@ -436,12 +430,6 @@ func (s *Store) checkInvariantsLocked() error {
 		}
 		if n != ri.nodes || tk != ri.toks {
 			return fmt.Errorf("core: %v: record has %d nodes/%d toks, descriptor %d/%d", ri, n, tk, ri.nodes, ri.toks)
-		}
-		if ri.nodes > 0 {
-			got, ok := s.rindex.Get(uint64(ri.start))
-			if !ok || got != ri {
-				return fmt.Errorf("core: %v missing from range index", ri)
-			}
 		}
 		// Token nesting across the whole sequence must balance.
 		r := s.dict.NewReader(tokenBytes)
@@ -462,7 +450,7 @@ func (s *Store) checkInvariantsLocked() error {
 		nodes += uint64(ri.nodes)
 		toks += uint64(ri.toks)
 		bytes += uint64(ri.bytes)
-		ri, ok, err = func() (*rangeInfo, bool, error) { return s.nextRangeInfo(ri) }()
+		ri, ok, err = s.nextRangeInfo(cur.ctx, ri)
 		if err != nil {
 			return err
 		}
@@ -470,8 +458,9 @@ func (s *Store) checkInvariantsLocked() error {
 	if len(stack) != 0 {
 		return fmt.Errorf("core: %d unclosed begin tokens at end of sequence", len(stack))
 	}
-	if ranges != len(s.byRange) {
-		return fmt.Errorf("core: chain has %d ranges, byRange has %d", ranges, len(s.byRange))
+	if ranges != s.rindex.Len()+len(s.idless) || idless != len(s.idless) {
+		return fmt.Errorf("core: chain has %d ranges (%d id-less), the table %d (%d id-less)",
+			ranges, idless, s.rindex.Len()+len(s.idless), len(s.idless))
 	}
 	if nodes != s.nodes || toks != s.tokens || bytes != s.bytes {
 		return fmt.Errorf("core: counters nodes/toks/bytes %d/%d/%d, actual %d/%d/%d",
@@ -479,24 +468,14 @@ func (s *Store) checkInvariantsLocked() error {
 	}
 	// Interval disjointness: ascend the range index and check ordering by
 	// start id with no overlap.
-	var lastEnd uint64
+	var lastEnd uint64 // ids start at 1
 	var bad error
-	first := true
 	s.rindex.AscendAll(func(k uint64, ri *rangeInfo) bool {
-		if ri.nodes <= 0 {
-			bad = fmt.Errorf("core: id-less range %v in range index", ri)
-			return false
-		}
-		if uint64(ri.start) != k {
-			bad = fmt.Errorf("core: range index key %d for %v", k, ri)
-			return false
-		}
-		if !first && k <= lastEnd {
-			bad = fmt.Errorf("core: overlapping intervals at %v", ri)
+		if ri.nodes <= 0 || uint64(ri.start) != k || k <= lastEnd {
+			bad = fmt.Errorf("core: range index key %d holds %v, after id %d: id-less, misfiled or overlapping", k, ri, lastEnd)
 			return false
 		}
 		lastEnd = uint64(ri.end())
-		first = false
 		return true
 	})
 	if bad != nil {

@@ -178,8 +178,7 @@ func (s *Store) reloadLocked() error {
 	}
 	s.recs = recs
 	s.rindex = btree.New[*rangeInfo]()
-	s.byRange = make(map[RangeID]*rangeInfo)
-	s.byLoc = make(map[pagestore.Loc]*rangeInfo)
+	s.idless = make(map[RangeID]*rangeInfo)
 	// initIndexes makes new ones; give the old ones' memory back first.
 	s.checkpoints.reset()
 	if s.partial != nil {

@@ -41,10 +41,10 @@ func (s *Store) placeRange(pos tokenPos, start NodeID, nodes, toks int, tokenByt
 	if err != nil {
 		return nil, err
 	}
-	s.applyMoves(moves)
+	err = s.applyMoves(moves)
 	ri.loc = loc
 	s.register(ri)
-	return ri, nil
+	return ri, err
 }
 
 // newRange places frag at pos as one range of fresh contiguous ids (see
@@ -93,9 +93,9 @@ func (s *Store) splitRange(ri *rangeInfo, pos tokenPos) (*rangeInfo, error) {
 	// Rewrite the head first (a shrink, so ri never relocates and the page
 	// gains room for the tail record). The tail's share of the counters
 	// leaves with it here and comes back when the tail is placed.
-	if headNodes == 0 && ri.nodes > 0 {
-		// The head keeps no ids: pull ri out of the interval index.
+	if headNodes == 0 && ri.nodes > 0 { // the head keeps no ids: it turns id-less
 		s.rindex.Delete(uint64(ri.start))
+		s.idless[ri.id] = ri
 	}
 	s.nodes -= uint64(tailNodes)
 	s.tokens -= uint64(tailToks)

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/btree"
 	"repro/internal/budget"
@@ -101,9 +104,9 @@ type Store struct {
 	pool *pagestore.BufferPool
 	recs *pagestore.RecordStore
 
-	rindex  *btree.Tree[*rangeInfo]      // startID -> range (nodes > 0 only)
-	byRange map[RangeID]*rangeInfo       // all live ranges
-	byLoc   map[pagestore.Loc]*rangeInfo // record address -> range
+	// The live-range table: each range is in exactly one of the two.
+	rindex *btree.Tree[*rangeInfo] // start id -> range, for ranges with ids
+	idless map[RangeID]*rangeInfo  // the few with none: split-off end tags
 
 	partial *partialIndex // nil unless RangePartial
 	full    *fullIndex    // nil unless FullIndex
@@ -271,8 +274,7 @@ func newStore(cfg Config, pager pagestore.Pager, records func(*pagestore.BufferP
 		pool:      pool,
 		recs:      recs,
 		rindex:    btree.New[*rangeInfo](),
-		byRange:   make(map[RangeID]*rangeInfo),
-		byLoc:     make(map[pagestore.Loc]*rangeInfo),
+		idless:    make(map[RangeID]*rangeInfo),
 		nextID:    1,
 		nextRange: 1,
 		dictLoc:   pagestore.NilLoc,
@@ -302,9 +304,12 @@ func (s *Store) initIndexes() error {
 	return nil
 }
 
-// rebuild reconstructs all in-memory state from the record store.
+// rebuild reconstructs all in-memory state from the record store. The
+// ranges enter the table by start id, the order inserts gave them: the range
+// index comes back with leaves as full as they were.
 func (s *Store) rebuild() error {
 	var scanErr error
+	var ris []*rangeInfo
 	err := s.recs.Scan(func(loc pagestore.Loc, payload []byte) bool {
 		id, start, nodes, toks, tokenBytes, err := decodeRangeHeader(payload)
 		if err != nil {
@@ -315,30 +320,29 @@ func (s *Store) rebuild() error {
 			s.dictLoc = loc // the names are read from the meta page below
 			return true
 		}
-		ri := &rangeInfo{
-			id: id, start: start, nodes: nodes,
-			loc: loc, toks: toks, bytes: len(tokenBytes),
-		}
-		s.register(ri)
+		ri := &rangeInfo{id: id, start: start, nodes: nodes, loc: loc, toks: toks, bytes: len(tokenBytes)}
+		ris = append(ris, ri)
 		if s.full != nil {
 			if err := s.full.addFragment(ri, tokenBytes); err != nil {
 				scanErr = err
 				return false
 			}
 		}
-		if id >= s.nextRange {
-			s.nextRange = id + 1
-		}
-		if nodes > 0 && start+NodeID(nodes) > s.nextID {
-			s.nextID = start + NodeID(nodes)
+		s.nextRange = max(s.nextRange, id+1)
+		if nodes > 0 {
+			s.nextID = max(s.nextID, ri.end()+1)
 		}
 		return true
 	})
+	if err == nil {
+		err = scanErr
+	}
 	if err != nil {
 		return err
 	}
-	if scanErr != nil {
-		return scanErr
+	slices.SortFunc(ris, func(a, b *rangeInfo) int { return cmp.Compare(a.start, b.start) })
+	for _, ri := range ris {
+		s.register(ri)
 	}
 	// Restore allocator high-water marks (they may exceed what live ranges
 	// imply, because deleted ids are never reused) and the names.
@@ -482,9 +486,9 @@ func (s *Store) saveDictRecord() error {
 	if err != nil {
 		return err
 	}
-	s.applyMoves(moves)
+	err = s.applyMoves(moves)
 	s.dictLoc = loc
-	return nil
+	return err
 }
 
 // Close flushes and shuts down the store. A degraded (read-only) store
@@ -592,8 +596,9 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := Stats{
-		Ranges:            len(s.byRange),
+		Ranges:            s.rindex.Len() + len(s.idless),
 		RangeIndexEntries: s.rindex.Len(),
+		RangeIndexBytes:   s.rangeTableBytes(),
 		Nodes:             s.nodes,
 		Tokens:            s.tokens,
 		Bytes:             s.bytes,
@@ -696,90 +701,120 @@ func (s *Store) allocRangeID() RangeID {
 	return id
 }
 
-// register installs a rangeInfo into the lookup structures and counters.
+// register installs a rangeInfo into the live-range table and counters.
 func (s *Store) register(ri *rangeInfo) {
-	s.byRange[ri.id] = ri
-	s.byLoc[ri.loc] = ri
 	if ri.nodes > 0 {
 		s.rindex.Set(uint64(ri.start), ri)
+	} else {
+		s.idless[ri.id] = ri
 	}
 	s.nodes += uint64(ri.nodes)
 	s.tokens += uint64(ri.toks)
 	s.bytes += uint64(ri.bytes)
 }
 
-// unregister removes a rangeInfo from the lookup structures and counters.
-// The record itself is deleted by the caller.
+// unregister removes a rangeInfo from the live-range table and counters, and
+// bumps its version so that nothing learned under it validates again. The
+// record itself is deleted by the caller.
 func (s *Store) unregister(ri *rangeInfo) {
-	delete(s.byRange, ri.id)
-	delete(s.byLoc, ri.loc)
 	if ri.nodes > 0 {
 		s.rindex.Delete(uint64(ri.start))
+	} else {
+		delete(s.idless, ri.id)
 	}
+	ri.version++
 	s.nodes -= uint64(ri.nodes)
 	s.tokens -= uint64(ri.toks)
 	s.bytes -= uint64(ri.bytes)
 }
 
-// applyMoves repairs byLoc, rangeInfo and dictionary record locations
-// after page splits.
-func (s *Store) applyMoves(moves []pagestore.Move) {
+// tableRange returns the live range id: from the id-less map, else by its
+// start id. Nil when it has left the table.
+func (s *Store) tableRange(id RangeID, start NodeID) *rangeInfo {
+	if ri := s.idless[id]; ri != nil {
+		return ri
+	}
+	if ri, ok := s.rindex.Get(uint64(start)); ok && ri.id == id {
+		return ri
+	}
+	return nil
+}
+
+// rangeOf returns the live range whose interval holds node id.
+func (s *Store) rangeOf(id NodeID) (*rangeInfo, bool) {
+	_, ri, ok := s.rindex.Floor(uint64(id))
+	return ri, ok && id <= ri.end()
+}
+
+// rangeTableBytes is the live-range table's heap: a rangeInfo per range, the
+// range index's nodes, the id-less map's slots at its 7/8 maximum load.
+func (s *Store) rangeTableBytes() int64 {
+	slot := int64(unsafe.Sizeof(NodeID(0))+unsafe.Sizeof(&rangeInfo{})+1) * 8 / 7
+	return int64(s.rindex.Len()+len(s.idless))*int64(unsafe.Sizeof(rangeInfo{})) + s.rindex.Bytes() + int64(len(s.idless))*slot
+}
+
+// applyMoves repairs range and dictionary record locations after page
+// splits: the moved record's header names its range.
+func (s *Store) applyMoves(moves []pagestore.Move) error {
 	for _, m := range moves {
 		if m.From == s.dictLoc {
 			s.dictLoc = m.To
 			continue
 		}
-		ri, ok := s.byLoc[m.From]
-		if !ok {
-			continue
+		ri, err := s.recordRange(context.Background(), m.To, m.From)
+		if err != nil {
+			return err
 		}
-		delete(s.byLoc, m.From)
 		ri.loc = m.To
-		s.byLoc[m.To] = ri
 	}
+	return nil
 }
 
-// nextRangeInfoCtx is nextRangeInfo with a cancellation check, for read
-// loops that walk many ranges under one deadline.
-func (s *Store) nextRangeInfoCtx(ctx context.Context, ri *rangeInfo) (*rangeInfo, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	return s.nextRangeInfo(ri)
-}
-
-// nextRangeInfo returns the range following ri in document order.
-func (s *Store) nextRangeInfo(ri *rangeInfo) (*rangeInfo, bool, error) {
+// nextRangeInfo returns the range following ri in document order; a read
+// walking many ranges under one deadline passes ctx for the step to observe.
+func (s *Store) nextRangeInfo(ctx context.Context, ri *rangeInfo) (*rangeInfo, bool, error) {
 	loc, ok, err := s.recs.Next(ri.loc)
-	return s.rangeAt(loc, ok, err, s.recs.Next)
+	return s.rangeAt(ctx, loc, ok, err, s.recs.Next)
 }
 
 // prevRangeInfo returns the range preceding ri in document order.
 func (s *Store) prevRangeInfo(ri *rangeInfo) (*rangeInfo, bool, error) {
 	loc, ok, err := s.recs.Prev(ri.loc)
-	return s.rangeAt(loc, ok, err, s.recs.Prev)
+	return s.rangeAt(context.Background(), loc, ok, err, s.recs.Prev)
 }
 
 // firstRange returns the first range in document order.
 func (s *Store) firstRange() (*rangeInfo, bool, error) {
 	loc, ok, err := s.recs.First()
-	return s.rangeAt(loc, ok, err, s.recs.Next)
+	return s.rangeAt(context.Background(), loc, ok, err, s.recs.Next)
 }
 
 // rangeAt returns the range of the chain record at loc (as a chain walk
 // returned it), taking one more step past the dictionary's record.
-func (s *Store) rangeAt(loc pagestore.Loc, ok bool, err error, step func(pagestore.Loc) (pagestore.Loc, bool, error)) (*rangeInfo, bool, error) {
+func (s *Store) rangeAt(ctx context.Context, loc pagestore.Loc, ok bool, err error, step func(pagestore.Loc) (pagestore.Loc, bool, error)) (*rangeInfo, bool, error) {
 	if err == nil && ok && loc == s.dictLoc {
 		loc, ok, err = step(loc)
 	}
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	ri, ok := s.byLoc[loc]
-	if !ok {
-		return nil, false, fmt.Errorf("core: record at %v has no range info", loc)
+	ri, err := s.recordRange(ctx, loc, loc)
+	return ri, err == nil, err
+}
+
+// recordRange returns the range of the record now at loc, which the table
+// has at was: the record header names it.
+func (s *Store) recordRange(ctx context.Context, loc, was pagestore.Loc) (*rangeInfo, error) {
+	var hdr [rangeHeaderSize]byte
+	b, err := s.recs.ReadSlice(ctx, loc, 0, rangeHeaderSize, hdr[:0], nil)
+	if err != nil {
+		return nil, err
 	}
-	return ri, true, nil
+	id, start, nodes, _, _, _ := decodeRangeHeader(b) // b is a whole header
+	if ri := s.tableRange(id, start); ri != nil && ri.nodes == nodes && ri.loc == was {
+		return ri, nil
+	}
+	return nil, fmt.Errorf("core: record at %v (range %d) has no range info", loc, id)
 }
 
 // Dict returns the store's name dictionary: decode the raw tokens of
@@ -788,22 +823,15 @@ func (s *Store) rangeAt(loc pagestore.Loc, ok bool, err error, step func(pagesto
 func (s *Store) Dict() *token.Dict { return s.dict }
 
 // writeRangeRecord rewrites ri's record after its content changed, fixing
-// location maps for any relocations, and bumps the range version.
+// record locations for any relocations, and bumps the range version.
 func (s *Store) writeRangeRecord(ri *rangeInfo, tokenBytes []byte) error {
 	rec := encodeRangeRecord(ri.id, ri.start, ri.nodes, ri.toks, tokenBytes)
-	oldLoc := ri.loc
 	newLoc, moves, err := s.recs.Update(ri.loc, rec)
 	if err != nil {
 		return err
 	}
-	s.applyMoves(moves)
-	if newLoc != oldLoc {
-		// ri may have been moved by applyMoves already (it cannot: its From
-		// would be oldLoc which is being replaced) — fix explicitly.
-		delete(s.byLoc, ri.loc)
-		ri.loc = newLoc
-		s.byLoc[newLoc] = ri
-	}
+	err = s.applyMoves(moves) // ri is not among them: its record is the one replaced
+	ri.loc = newLoc
 	ri.version++
-	return nil
+	return err
 }

@@ -144,7 +144,7 @@ func (s *Store) Compact(maxRangeBytes int) (merged int, err error) {
 		ri, ok, err := s.firstRange()
 		for ok && err == nil {
 			var nxt *rangeInfo
-			if nxt, ok, err = s.nextRangeInfo(ri); !ok || err != nil {
+			if nxt, ok, err = s.nextRangeInfo(context.Background(), ri); !ok || err != nil {
 				break
 			}
 			var did bool

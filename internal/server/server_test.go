@@ -520,7 +520,7 @@ func TestHTTPFacade(t *testing.T) {
 	}
 	if code, body := httpGet(t, ts.URL+"/stats"); code != 200 || !strings.Contains(body, `"role":"primary"`) ||
 		!strings.Contains(body, `"WALCommits"`) || !strings.Contains(body, `"WALLogSyncs"`) || !strings.Contains(body, `"WALLogBytes"`) || !strings.Contains(body, `"WALLoggedBytes"`) ||
-		!strings.Contains(body, `"ValueIndexHits"`) || !strings.Contains(body, `"ValueIndexBytes"`) || !strings.Contains(body, `"NameIDs"`) {
+		!strings.Contains(body, `"ValueIndexHits"`) || !strings.Contains(body, `"ValueIndexBytes"`) || !strings.Contains(body, `"NameIDs"`) || !strings.Contains(body, `"RangeIndexBytes"`) {
 		t.Fatalf("stats: %d %q", code, body)
 	}
 	if code, body := httpGet(t, ts.URL+"/query?expr="+`%2F%2Fa`); code != 200 || strings.Count(body, `"id"`) != 2 {

@@ -230,53 +230,69 @@ func vxMutate(t *testing.T, s *core.Store, rng *rand.Rand) string {
 	return fmt.Sprintf("after op %d (%v)", op, err)
 }
 
+// TestValueIndexDifferential runs one parallel subtest per (mode, granular)
+// over every seed; the group's hits and fills are summed after it ends.
 func TestValueIndexDifferential(t *testing.T) {
 	seeds := 200
 	if testing.Short() || raceEnabled {
 		seeds = 40 // the plain run covers the rest
 	}
-	var hits, fills uint64
-	for _, mode := range []core.IndexMode{core.RangeOnly, core.RangePartial, core.FullIndex} {
-		for _, granular := range []bool{true, false} {
-			for seed := 0; seed < seeds; seed++ {
-				rng := rand.New(rand.NewSource(int64(seed)))
-				cfg := core.Config{Mode: mode}
-				if granular {
-					cfg.MaxRangeTokens = 4 + rng.Intn(12)
-				} else {
-					cfg.CoalesceBytes = 256 // and merge what the updates split
-				}
-				s, err := core.Open(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := s.Append(vxDoc(rng, 3+rng.Intn(5))); err != nil {
-					t.Fatal(err)
-				}
-				at := fmt.Sprintf("%v granular=%v seed %d: loaded", mode, granular, seed)
-				for step := 0; step < 8; step++ {
-					// Up to three asks of each shape between two writes: first
-					// sight, fill, hit.
-					for round := rng.Intn(4); round > 0; round-- {
-						vxCheck(t, s, rng, 4, at)
+	var hits, fills atomic.Uint64
+	t.Run("group", func(t *testing.T) {
+		for _, mode := range []core.IndexMode{core.RangeOnly, core.RangePartial, core.FullIndex} {
+			for _, granular := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%v/granular=%v", mode, granular), func(t *testing.T) {
+					t.Parallel()
+					for seed := 0; seed < seeds; seed++ {
+						h, f := vxDifferential(t, mode, granular, seed)
+						hits.Add(h)
+						fills.Add(f)
 					}
-					at = fmt.Sprintf("%v granular=%v seed %d step %d: %s", mode, granular, seed, step, vxMutate(t, s, rng))
-					vxCheck(t, s, rng, 2, at)
-				}
-				if err := s.CheckInvariants(); err != nil {
-					t.Fatalf("%s: %v", at, err)
-				}
-				st := s.Stats()
-				hits += st.ValueIndexHits
-				fills += st.ValueIndexFills
-				s.Close()
+				})
 			}
 		}
+	})
+	if hits.Load() == 0 || fills.Load() == 0 {
+		t.Fatalf("the interleavings never reached the index: %d hits, %d fills", hits.Load(), fills.Load())
 	}
-	if hits == 0 || fills == 0 {
-		t.Fatalf("the interleavings never reached the index: %d hits, %d fills", hits, fills)
+	t.Logf("%d hits, %d fills", hits.Load(), fills.Load())
+}
+
+// vxDifferential is one seed of TestValueIndexDifferential: a store loaded
+// and mutated eight times, with probe-shape queries between the writes, each
+// answer checked against the oracle. It returns the store's value-index hits
+// and fills.
+func vxDifferential(t *testing.T, mode core.IndexMode, granular bool, seed int) (hits, fills uint64) {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	cfg := core.Config{Mode: mode}
+	if granular {
+		cfg.MaxRangeTokens = 4 + rng.Intn(12)
+	} else {
+		cfg.CoalesceBytes = 256 // and merge what the updates split
 	}
-	t.Logf("%d hits, %d fills", hits, fills)
+	s, err := core.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Append(vxDoc(rng, 3+rng.Intn(5))); err != nil {
+		t.Fatal(err)
+	}
+	at := fmt.Sprintf("%v granular=%v seed %d: loaded", mode, granular, seed)
+	for step := 0; step < 8; step++ {
+		// Up to three asks of each shape between two writes: first sight,
+		// fill, hit.
+		for round := rng.Intn(4); round > 0; round-- {
+			vxCheck(t, s, rng, 4, at)
+		}
+		at = fmt.Sprintf("%v granular=%v seed %d step %d: %s", mode, granular, seed, step, vxMutate(t, s, rng))
+		vxCheck(t, s, rng, 2, at)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	st := s.Stats()
+	return st.ValueIndexHits, st.ValueIndexFills
 }
 
 // TestValueIndexRepairDiscards: repair of a degraded store throws away what
