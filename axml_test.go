@@ -155,6 +155,7 @@ func TestPublicStats(t *testing.T) {
 
 	// A journaled store counts its commit path: this one is a few pages, so
 	// each flush is one commit, one log fsync and one two-fsync checkpoint.
+	// The checkpoints run beside the commits; Close waits for the last one.
 	js, err := axml.OpenFileWAL(filepath.Join(t.TempDir(), "j.db"), axml.Config{Mode: axml.RangePartial}, "")
 	if err != nil {
 		t.Fatal(err)
@@ -169,6 +170,9 @@ func TestPublicStats(t *testing.T) {
 		if err := js.Flush(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := js.Close(); err != nil {
+		t.Fatal(err)
 	}
 	st = js.Stats()
 	if st.WALCommits != 2 || st.WALSyncs != 6 || st.WALCheckpoints != 2 || st.WALLogBytes != 0 {

@@ -500,8 +500,8 @@ func runCmd(ctx context.Context, db, modeName string, opts cliOpts, args []strin
 			st.Memory.PartialBytes, st.Memory.CheckpointBytes, st.Memory.Evictions)
 		fmt.Fprintf(w, "archive: %d segment(s), %d bytes, high-water LSN %d\n",
 			st.ArchiveSegments, st.ArchiveBytes, st.ArchiveLSN)
-		fmt.Fprintf(w, "wal: commits %d, fsyncs %d (%d log), checkpoints %d (%d failed), log %d bytes (%d appended)\n",
-			st.WALCommits, st.WALSyncs, st.WALLogSyncs, st.WALCheckpoints, st.WALCheckpointFailures, st.WALLogBytes, st.WALLoggedBytes)
+		fmt.Fprintf(w, "wal: commits %d, fsyncs %d (%d log), checkpoints %d (%d failed, %d commits waited), log %d bytes (%d appended)\n",
+			st.WALCommits, st.WALSyncs, st.WALLogSyncs, st.WALCheckpoints, st.WALCheckpointFailures, st.WALCheckpointWaits, st.WALLogBytes, st.WALLoggedBytes)
 		fmt.Fprintf(w, "health: read-only %v, degraded %v, budget pressure %.2f%s\n",
 			st.Health.ReadOnly, st.Health.Degraded, st.Health.BudgetPressure,
 			healthCauseSuffix(st.Health))

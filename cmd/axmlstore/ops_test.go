@@ -33,7 +33,7 @@ func TestCLIStatsJSON(t *testing.T) {
 		t.Errorf("mode = %v, want range+partial", rep["mode"])
 	}
 	for _, key := range []string{"Admission", "Memory", "ArchiveSegments", "ArchiveBytes", "Nodes", "Ranges",
-		"WALCommits", "WALSyncs", "WALLogSyncs", "WALCheckpoints", "WALCheckpointFailures", "WALLogBytes", "WALLoggedBytes",
+		"WALCommits", "WALSyncs", "WALLogSyncs", "WALCheckpoints", "WALCheckpointFailures", "WALLogBytes", "WALLoggedBytes", "WALCheckpointWaits",
 		"ValueIndexHits", "ValueIndexMisses", "ValueIndexFills", "ValueIndexAbandoned", "ValueIndexBytes", "NameIDs", "RangeIndexBytes"} {
 		if _, ok := rep[key]; !ok {
 			t.Errorf("stats -json lacks %q:\n%s", key, buf.String())

@@ -160,23 +160,22 @@ func (t *Tree[V]) Set(k uint64, v V) {
 // insert adds k:v under n. If n splits, it returns the separator key and the
 // new right sibling.
 func (t *Tree[V]) insert(n *node[V], k uint64, v V) (uint64, *node[V]) {
-	if n.leaf() {
-		i := search(n.keys, k)
-		if i < len(n.keys) && n.keys[i] == k {
-			n.vals[i] = v
-			return 0, nil
+	if n.leaf() { // the root
+		if at, over := t.insertLeaf(n, k, v); over {
+			return t.splitLeaf(n, at)
 		}
-		n.keys = insertAt(n.keys, i, k)
-		n.vals = insertAt(n.vals, i, v)
-		t.size++
-		if len(n.keys) <= degree {
-			return 0, nil
-		}
-		return t.splitLeaf(n, i)
+		return 0, nil
 	}
 	ci := childIndex(n.keys, k)
-	nk, nc := t.insert(n.children[ci], k, v)
-	if nc == nil {
+	var nk uint64
+	var nc *node[V]
+	if c := n.children[ci]; c.leaf() {
+		at, over := t.insertLeaf(c, k, v)
+		if !over || shift(n, ci) {
+			return 0, nil
+		}
+		nk, nc = t.splitLeaf(c, at)
+	} else if nk, nc = t.insert(c, k, v); nc == nil {
 		return 0, nil
 	}
 	n.keys = insertAt(n.keys, ci, nk)
@@ -185,6 +184,63 @@ func (t *Tree[V]) insert(n *node[V], k uint64, v V) (uint64, *node[V]) {
 		return 0, nil
 	}
 	return t.splitInterior(n)
+}
+
+// insertLeaf adds k:v to leaf n and reports where, and whether n now holds
+// more than degree keys. A full array grows by an eighth (at least four
+// slots, at most to degree+1), not by append's doubling: a leaf's arrays are
+// most of the tree's bytes, and Bytes counts their capacity.
+func (t *Tree[V]) insertLeaf(n *node[V], k uint64, v V) (at int, over bool) {
+	i := search(n.keys, k)
+	if i < len(n.keys) && n.keys[i] == k {
+		n.vals[i] = v
+		return i, false
+	}
+	if len(n.keys) == cap(n.keys) {
+		c := min(len(n.keys)+max(len(n.keys)/8, 4), degree+1)
+		n.keys = append(make([]uint64, 0, c), n.keys...)
+		n.vals = append(make([]V, 0, c), n.vals...)
+	}
+	n.keys = insertAt(n.keys, i, k)
+	n.vals = insertAt(n.vals, i, v)
+	t.size++
+	return i, len(n.keys) > degree
+}
+
+// shift relieves the overfull leaf n.children[ci] by moving half of what it
+// holds beyond a sibling into that sibling under the same parent — the left
+// one first — and moving the separator between them. It reports false when
+// both siblings are full (or absent), and the leaf must split. Keys that
+// land in the middle of the key space (the Range Index gets one whenever a
+// split's tail takes a start id) would otherwise leave two half-full leaves
+// per split that no later key fills; shifting keeps leaves near full until
+// a whole neighbourhood is.
+func shift[V any](n *node[V], ci int) bool {
+	c := n.children[ci]
+	if ci > 0 {
+		if l := n.children[ci-1]; len(l.keys) < degree {
+			m := (len(c.keys) - len(l.keys) + 1) / 2
+			l.keys, c.keys = concat(l.keys, c.keys[:m]), concat(c.keys[m:], nil)
+			l.vals, c.vals = concat(l.vals, c.vals[:m]), concat(c.vals[m:], nil)
+			n.keys[ci-1] = c.keys[0]
+			return true
+		}
+	}
+	if ci+1 < len(n.children) {
+		if r := n.children[ci+1]; len(r.keys) < degree {
+			cut := len(c.keys) - (len(c.keys)-len(r.keys)+1)/2
+			r.keys, c.keys = concat(c.keys[cut:], r.keys), concat(c.keys[:cut], nil)
+			r.vals, c.vals = concat(c.vals[cut:], r.vals), concat(c.vals[:cut], nil)
+			n.keys[ci] = r.keys[0]
+			return true
+		}
+	}
+	return false
+}
+
+// concat returns a followed by b in an array of exactly their length.
+func concat[E any](a, b []E) []E {
+	return append(append(make([]E, 0, len(a)+len(b)), a...), b...)
 }
 
 // splitLeaf splits a leaf that the insert at index at overfilled. The last

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"path/filepath"
+	"repro/internal/btree"
 	"runtime"
 	"testing"
 
@@ -133,7 +134,7 @@ func TestRangeTableReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestReplay(t, s, 1, 2000)
-	want := s.Stats()
+	want, wantTree := s.Stats(), s.rindex.Bytes()
 	meta := s.MetaPage()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -147,17 +148,48 @@ func TestRangeTableReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got := s.Stats()
-	t.Logf("ranges %d (%d with ids), RangeIndexBytes %d before close, %d after reopen",
-		want.Ranges, want.RangeIndexEntries, want.RangeIndexBytes, got.RangeIndexBytes)
+	got, gotTree := s.Stats(), s.rindex.Bytes()
+	t.Logf("ranges %d (%d with ids), RangeIndexBytes %d before close, %d after reopen; the tree %d, %d",
+		want.Ranges, want.RangeIndexEntries, want.RangeIndexBytes, got.RangeIndexBytes, wantTree, gotTree)
 	if got.Ranges != want.Ranges || got.RangeIndexEntries != want.RangeIndexEntries {
 		t.Fatalf("%d ranges (%d with ids) after a reopen, %d (%d) before", got.Ranges, got.RangeIndexEntries, want.Ranges, want.RangeIndexEntries)
 	}
 	if got.RangeIndexBytes > want.RangeIndexBytes {
 		t.Fatalf("RangeIndexBytes %d after a reopen, %d before", got.RangeIndexBytes, want.RangeIndexBytes)
 	}
+	// The reopen builds the tree in key order, full leaves: the live tree
+	// must already be within 1 % of that.
+	if 100*gotTree < 99*wantTree {
+		t.Fatalf("the Range Index shrank from %d to %d bytes in a reopen: the live tree holds half-empty leaves", wantTree, gotTree)
+	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRangeIndexStaysDense replays ingest's mix — three orders appended for
+// every one inserted after a random base order — long enough that the
+// split tails' start ids, which land in the middle of the key space, have
+// filled the Range Index's middle leaves many times over. The tree must
+// hold at most 1 % more bytes than the same ranges entered in key order,
+// full leaves, as a reopen enters them — not the half-full leaves 50/50
+// splits leave behind.
+func TestRangeIndexStaysDense(t *testing.T) {
+	s, err := Open(Config{Mode: RangePartial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ingestReplay(t, s, 7101, 8000)
+	packed := btree.New[*rangeInfo]()
+	s.rindex.AscendAll(func(k uint64, ri *rangeInfo) bool {
+		packed.Set(k, ri)
+		return true
+	})
+	live, floor, n := s.rindex.Bytes(), packed.Bytes(), int64(s.rindex.Len())
+	t.Logf("%d ranges with ids: %.2f B per range live, %.2f in key order", n, float64(live)/float64(n), float64(floor)/float64(n))
+	if 100*live > 101*floor {
+		t.Fatalf("the Range Index holds %d bytes, %d in key order: its leaves are not kept full", live, floor)
 	}
 }
 

@@ -649,9 +649,9 @@ func (s *Store) Stats() Stats {
 		st.ArchiveLSN = hw.LSN()
 	}
 	if js, ok := s.pool.Pager().(interface {
-		JournalStats() (commits, syncs, checkpoints, failedCheckpoints uint64, logBytes int64, logged, logSyncs uint64)
+		JournalStats() (commits, syncs, checkpoints, failedCheckpoints uint64, logBytes int64, logged, logSyncs, ckptWaits uint64)
 	}); ok {
-		st.WALCommits, st.WALSyncs, st.WALCheckpoints, st.WALCheckpointFailures, st.WALLogBytes, st.WALLoggedBytes, st.WALLogSyncs = js.JournalStats()
+		st.WALCommits, st.WALSyncs, st.WALCheckpoints, st.WALCheckpointFailures, st.WALLogBytes, st.WALLoggedBytes, st.WALLogSyncs, st.WALCheckpointWaits = js.JournalStats()
 	}
 	return st
 }

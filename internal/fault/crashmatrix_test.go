@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,12 +33,16 @@ import (
 // read-only open of a crashed store sees what recovery makes of it, and that
 // a point-in-time restore splits exactly at the batch's LSN.
 //
-// Two geometries. "eager" is a store so small that the log outgrows its
-// share of the page file with every commit, so the checkpoint runs inside
-// the commit's Sync. "lazy" is a store large enough that the log already
-// holds two committed, unapplied batches when the swept commit arrives, and
-// the checkpoint is the one Close runs — the same sequence over three
-// batches' pages.
+// Three geometries. "eager" is a store so small that the log outgrows its
+// share of the page file with every commit, so the commit's Sync starts a
+// checkpoint, which Close waits for. "lazy" is a store large enough that the
+// log already holds two committed, unapplied batches when the swept commit
+// arrives, and the checkpoint is the one Close runs — the same sequence over
+// three batches' pages. "overlap" is the lazy store with a checkpoint of the
+// two batches begun first and held between its page writes and its page
+// fsync: the swept commit is staged and acknowledged while it is held, then
+// the checkpoint's fsync, start record and start-record fsync run, then
+// Close's checkpoint of the swept batch.
 
 const cmPageSize = 512
 
@@ -58,12 +63,40 @@ type geometry struct {
 	maxRangeTokens int
 	prefix         int
 	batch          bool // the swept commit is one multi-op Update
+	overlap        bool // the swept commit runs while a checkpoint of the prefix is held
 }
 
 func eagerGeometry() geometry { return geometry{orders: nightlyScale(40, 120)} }
 
 func lazyGeometry() geometry {
 	return geometry{orders: nightlyScale(4000, 8000), maxRangeTokens: 64, prefix: 2}
+}
+
+func overlapGeometry() geometry {
+	g := lazyGeometry()
+	g.overlap = true
+	return g
+}
+
+// holdGate holds the page file's fsync of the checkpoint it is armed for,
+// from above the fault injector, so the fsync counts as an I/O boundary
+// only once released.
+type holdGate struct {
+	armed            atomic.Bool
+	reached, release chan struct{}
+}
+
+type heldPager struct {
+	wal.InnerPager
+	g *holdGate
+}
+
+func (p heldPager) Sync() error {
+	if p.g.armed.CompareAndSwap(true, false) {
+		close(p.g.reached)
+		<-p.g.release
+	}
+	return p.InnerPager.Sync()
 }
 
 func seedDocOf(orders int) string {
@@ -215,6 +248,7 @@ type crashRun struct {
 	acked    int   // flushes that returned nil, the prefix included
 	deltas   int   // delta records among the batches appended to the log
 	flushErr error // the swept mutate+flush
+	heldErr  error // the overlap geometry's held checkpoint
 	closeErr error
 }
 
@@ -233,14 +267,16 @@ func (f deltaCounter) WriteAt(p []byte, off int64) (int, error) {
 
 // runFaulty reopens db behind a fault-injected WAL, acknowledges g.prefix
 // commits with no fault armed, then arms a crash crashAt mutating operations
-// ahead (0 = never) and runs the swept sequence: one more mutate + Flush,
-// then Close with its checkpoint.
+// ahead (0 = never) and runs the swept sequence: one more mutate + Flush —
+// in the overlap geometry with a checkpoint held around it, released after
+// it — then Close with its checkpoint.
 func runFaulty(t *testing.T, db string, g geometry, cfg fault.Config, crashAt int) crashRun {
 	t.Helper()
 	inj := fault.NewInjector(cfg)
 	r := crashRun{inj: inj, acked: g.prefix}
+	gate := &holdGate{reached: make(chan struct{}), release: make(chan struct{})}
 	wp, err := wal.OpenWithOptions(db, cmPageSize, wal.Options{
-		WrapPager: func(ip wal.InnerPager) wal.InnerPager { return fault.NewPager(inj, ip) },
+		WrapPager: func(ip wal.InnerPager) wal.InnerPager { return heldPager{fault.NewPager(inj, ip), gate} },
 		WrapLog:   func(f wal.File) wal.File { return fault.NewFile(inj, deltaCounter{f, &r.deltas}) },
 		Retries:   -1, // crash errors are permanent; don't slow the sweep
 	})
@@ -267,12 +303,30 @@ func runFaulty(t *testing.T, db string, g geometry, cfg fault.Config, crashAt in
 	if crashAt > 0 {
 		inj.ArmCrash(crashAt)
 	}
+	held := make(chan error, 1)
+	if g.overlap {
+		gate.armed.Store(true)
+		go func() { held <- wp.Checkpoint() }()
+		select {
+		case <-gate.reached:
+		case err := <-held: // a crash in its page writes ended it before the fsync
+			gate.armed.Store(false)
+			held <- err
+		}
+	}
 	r.flushErr = mutate(s, g, g.prefix)
 	if ferr := s.Flush(); r.flushErr == nil {
 		r.flushErr = ferr
 	}
 	if r.flushErr == nil {
 		r.acked++
+	}
+	if g.overlap {
+		if gate.armed.Load() {
+			t.Fatal("the held checkpoint neither reached its page fsync nor ended")
+		}
+		close(gate.release)
+		r.heldErr = <-held
 	}
 	r.closeErr = s.Close() // after a crash this fails too; the files still close
 	r.ops = inj.Ops() - before
@@ -328,8 +382,8 @@ func runCrashMatrix(t *testing.T, g geometry, torn bool) {
 	countDB := filepath.Join(dir, "count.db")
 	copyFile(t, base, countDB)
 	count := runFaulty(t, countDB, g, fault.Config{}, 0)
-	if count.flushErr != nil || count.closeErr != nil {
-		t.Fatalf("counting run: flush %v, close %v", count.flushErr, count.closeErr)
+	if count.flushErr != nil || count.heldErr != nil || count.closeErr != nil {
+		t.Fatalf("counting run: flush %v, held checkpoint %v, close %v", count.flushErr, count.heldErr, count.closeErr)
 	}
 	n := count.ops
 	if n < 6 {
@@ -343,7 +397,7 @@ func runCrashMatrix(t *testing.T, g geometry, torn bool) {
 	if (g.prefix == 0) != (count.deltas == 0) {
 		t.Fatalf("counting run logged %d delta records (prefix=%d)", count.deltas, g.prefix)
 	}
-	t.Logf("crash matrix: %d I/O boundaries, %d delta records (prefix=%d torn=%v)", n, count.deltas, g.prefix, torn)
+	t.Logf("crash matrix: %d I/O boundaries, %d delta records (prefix=%d overlap=%v torn=%v)", n, count.deltas, g.prefix, g.overlap, torn)
 
 	sawOld, sawNew, sawAckedCrash := false, false, false
 	for k := 1; k <= n; k++ {
@@ -387,27 +441,32 @@ func runCrashMatrix(t *testing.T, g geometry, torn bool) {
 func TestCrashMatrix(t *testing.T) {
 	t.Run("eager", func(t *testing.T) { runCrashMatrix(t, eagerGeometry(), false) })
 	t.Run("lazy", func(t *testing.T) { runCrashMatrix(t, lazyGeometry(), false) })
+	t.Run("overlap", func(t *testing.T) { runCrashMatrix(t, overlapGeometry(), false) })
 }
 
 func TestCrashMatrixTornWrites(t *testing.T) {
 	t.Run("eager", func(t *testing.T) { runCrashMatrix(t, eagerGeometry(), true) })
 	t.Run("lazy", func(t *testing.T) { runCrashMatrix(t, lazyGeometry(), true) })
+	t.Run("overlap", func(t *testing.T) { runCrashMatrix(t, overlapGeometry(), true) })
 }
 
 // TestBatchCrashMatrix sweeps a crash over every I/O boundary of one
-// multi-op Update's commit, in both geometries, with plain and torn writes,
-// then restores the batch's archive to the LSN before it and to its own.
+// multi-op Update's commit, in all three geometries, with plain and torn
+// writes, then restores the batch's archive to the LSN before it and to its
+// own.
 func TestBatchCrashMatrix(t *testing.T) {
 	for _, geo := range []struct {
 		name string
 		g    geometry
-	}{{"eager", eagerGeometry()}, {"lazy", lazyGeometry()}} {
+	}{{"eager", eagerGeometry()}, {"lazy", lazyGeometry()}, {"overlap", overlapGeometry()}} {
 		g := geo.g
 		g.batch = true
 		for _, torn := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/torn=%v", geo.name, torn), func(t *testing.T) { runCrashMatrix(t, g, torn) })
 		}
-		t.Run(geo.name+"/pitr", func(t *testing.T) { batchPITR(t, g) })
+		if !g.overlap {
+			t.Run(geo.name+"/pitr", func(t *testing.T) { batchPITR(t, g) })
+		}
 	}
 }
 
@@ -475,7 +534,9 @@ func TestTransientCommitRetry(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := filepath.Join(t.TempDir(), "t.db")
-			inj := fault.NewInjector(fault.Config{FailWrite: 1, Transient: tc.transient})
+			// Write 1 is the start record Open writes; write 2 is the
+			// commit's log append.
+			inj := fault.NewInjector(fault.Config{FailWrite: 2, Transient: tc.transient})
 			wp, err := wal.OpenWithOptions(db, cmPageSize, wal.Options{
 				WrapPager: func(ip wal.InnerPager) wal.InnerPager { return fault.NewPager(inj, ip) },
 				WrapLog:   func(f wal.File) wal.File { return fault.NewFile(inj, f) },

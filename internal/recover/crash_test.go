@@ -22,9 +22,10 @@ import (
 )
 
 // runRepairFaulty runs Repair (apply) over a fault-injected journaled
-// pager and abandons the session the way a crash would — without a
-// closing commit.
-func runRepairFaulty(t *testing.T, db string, cfg fault.Config) (*fault.Injector, int, error) {
+// pager, with a crash armed crashAt I/O boundaries past the open (0 =
+// never), and abandons the session the way a crash would — without a
+// closing commit. It returns the boundaries the repair crossed.
+func runRepairFaulty(t *testing.T, db string, cfg fault.Config, crashAt int) (*fault.Injector, int, error) {
 	t.Helper()
 	inj := fault.NewInjector(cfg)
 	wp, err := wal.OpenWithOptions(db, pgSize, wal.Options{
@@ -35,8 +36,12 @@ func runRepairFaulty(t *testing.T, db string, cfg fault.Config) (*fault.Injector
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := inj.Ops()
+	if crashAt > 0 {
+		inj.ArmCrash(crashAt)
+	}
 	_, rerr := core.RepairPager(wp, 1, true)
-	n := inj.Ops()
+	n := inj.Ops() - before
 	wp.CloseWithoutCommit()
 	return inj, n, rerr
 }
@@ -83,7 +88,7 @@ func TestRepairCrashMatrix(t *testing.T) {
 
 	countDB := filepath.Join(dir, "count.db")
 	copyFile(t, base, countDB)
-	_, n, err := runRepairFaulty(t, countDB, fault.Config{})
+	_, n, err := runRepairFaulty(t, countDB, fault.Config{}, 0)
 	if err != nil {
 		t.Fatalf("counting run: %v", err)
 	}
@@ -98,9 +103,8 @@ func TestRepairCrashMatrix(t *testing.T) {
 		copyFile(t, base, db)
 		inj, _, err := runRepairFaulty(t, db, fault.Config{
 			Seed:      int64(k),
-			CrashAtOp: k,
 			TornWrite: k%2 == 0,
-		})
+		}, k)
 		if !inj.Crashed() {
 			t.Fatalf("crash at op %d: crash never fired (err: %v)", k, err)
 		}

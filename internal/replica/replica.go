@@ -645,7 +645,7 @@ func (f *Follower) fetchValidated(ctx context.Context, lsn uint64) (raw []byte, 
 // redo record), then page apply + fsync, then the sidecar advance. See the
 // package comment for why this order makes every crash point recoverable.
 func (f *Follower) applySegmentLocked(lsn uint64, pages []wal.PageImage) error {
-	if err := wal.WriteSegment(f.archiveDir, lsn, wal.EncodeSegment(pages, lsn), f.opt.Wrap); err != nil {
+	if err := f.archiveLocally(lsn, pages); err != nil {
 		return err
 	}
 	if err := f.applyPagesLocked(pages); err != nil {
@@ -660,6 +660,35 @@ func (f *Follower) applySegmentLocked(lsn uint64, pages []wal.PageImage) error {
 	err := writeState(f.path, f.state, f.opt.Wrap)
 	f.stateStale = err != nil
 	return err
+}
+
+// archiveLocally makes the local copy of segment lsn durable. A whole copy
+// already there was written by an earlier attempt whose page apply failed
+// and may have left its pages half in the store file, its undo failing too
+// (a full disk): that copy is their redo record, so it is synced as it is,
+// never rewritten — a rewrite truncates first, and one that failed then
+// would leave a half-applied store file with nothing to replay.
+func (f *Follower) archiveLocally(lsn uint64, pages []wal.PageImage) error {
+	name := wal.SegmentFileName(lsn)
+	path := filepath.Join(f.archiveDir, name)
+	if data, err := os.ReadFile(path); err == nil {
+		if _, segLSN, perr := wal.ParseSegment(name, data, f.state.PageSize, nil); perr == nil && segLSN == lsn {
+			raw, err := os.OpenFile(path, os.O_RDWR, 0o644)
+			if err != nil {
+				return err
+			}
+			var sf wal.File = raw
+			if f.opt.Wrap != nil {
+				sf = f.opt.Wrap(raw)
+			}
+			if err := sf.Sync(); err != nil {
+				sf.Close()
+				return err
+			}
+			return sf.Close()
+		}
+	}
+	return wal.WriteSegment(f.archiveDir, lsn, wal.EncodeSegment(pages, lsn), f.opt.Wrap)
 }
 
 // Read runs fn against the follower's serving store, gated on replication

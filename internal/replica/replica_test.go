@@ -16,6 +16,8 @@ import (
 
 	axml "repro"
 	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/pagestore"
 	recov "repro/internal/recover"
 	"repro/internal/replica"
 	"repro/internal/wal"
@@ -730,5 +732,76 @@ func writeJSON(t *testing.T, path string, v any) {
 	}
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A segment whose page apply fails partway on a full disk — its undo
+// failing too — leaves its pages half in the store file, and its local copy
+// is their redo record. A retry on the still-full disk must not destroy
+// that copy: a follower that dies then reopens to the whole segment, never
+// to the half-applied file.
+func TestHalfAppliedSegmentKeepsItsRedoCopy(t *testing.T) {
+	dir := t.TempDir()
+	p := newPrimary(t, dir)
+	defer p.close()
+	p.commit()
+	base := filepath.Join(dir, "base.bak")
+	p.backup(base)
+	db := filepath.Join(dir, "follower.db")
+	open := func(inj *fault.Injector) *replica.Follower {
+		t.Helper()
+		f, err := replica.Open(db, replica.NewDirTransport(p.arch, replica.DirTransportOptions{}), replica.Options{
+			Store: testCfg(),
+			Base:  base,
+			Wrap:  func(f wal.File) wal.File { return fault.NewFile(inj, f) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	inj := fault.NewInjector(fault.Config{})
+	f := open(inj)
+	before := followerXML(t, f)
+	var big strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&big, `<e n="big-%d">a record long enough to fill pages</e>`, i)
+	}
+	frag, err := axml.ParseFragment(big.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.s.InsertIntoLast(p.root, frag); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.s.Flush(); err != nil { // one segment of several pages
+		t.Fatal(err)
+	}
+	want := p.xml()
+	pages, _, err := wal.ReadSegment(filepath.Join(p.arch, wal.SegmentFileName(p.wp.LSN())), pgSize, func(pagestore.PageID, []byte) error { return nil })
+	if err != nil || len(pages) < 3 {
+		t.Fatalf("the segment holds %d pages (%v): the test needs a batch of several", len(pages), err)
+	}
+
+	// Writes from here: the local copy, then one per page — the disk fills
+	// at the last page, and stays full for the undo.
+	inj.ArmDiskFull(1 + len(pages))
+	if err := f.CatchUp(context.Background()); !errors.Is(err, fault.ErrDiskFull) {
+		t.Fatalf("apply on a filling disk: %v", err)
+	}
+	if err := f.CatchUp(context.Background()); !errors.Is(err, fault.ErrDiskFull) {
+		t.Fatalf("retry on the full disk: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Logf("close on the full disk: %v", err)
+	}
+	f = open(fault.NewInjector(fault.Config{}))
+	defer f.Close()
+	if got := followerXML(t, f); got != want && got != before {
+		t.Fatal("the reopened follower serves neither the state before the segment nor the one after")
+	}
+	catchUp(t, f)
+	if got := followerXML(t, f); got != want {
+		t.Fatal("the reopened follower did not converge")
 	}
 }

@@ -71,8 +71,8 @@ func benchLogSync(b *testing.B, overwrite, data bool) {
 		}
 		end = 0
 		if overwrite {
-			_, err = logf.WriteAt(commit[:lapHeader], 0)
-			end = lapHeader
+			_, err = logf.WriteAt(commit[:startRecord], 0)
+			end = startRecord
 		} else {
 			err = logf.Truncate(0)
 		}

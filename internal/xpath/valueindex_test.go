@@ -694,7 +694,8 @@ func TestValueIndexHitsAreClipped(t *testing.T) {
 // [1] and a rest behind it — beside a writer that appends matching orders and
 // deletes the first one, the element [1] names. Every count lies between what
 // the writer had been acknowledged before the query and what it had attempted
-// after; every id a reader is given reads or is cleanly gone; a rest read off
+// after; the last id of every answer reads, unless enough deletes began after
+// the query to have reached it; a rest read off
 // an element the writer deleted meanwhile is never an error; once the writer
 // stops, everyone agrees with the oracle. The last step replays, by hand, the
 // one schedule the generation re-check of a hit with a rest exists for.
@@ -787,6 +788,10 @@ func TestValueIndexRace(t *testing.T) {
 					}
 					continue
 				}
+				// Deletes counted before the query: all done before it began
+				// unless the last of them was still in flight.
+				started0 := delStarted.Load()
+				inFlight := delDone.Load() < started0
 				in, gone := acked.Load(), delDone.Load()
 				var n int
 				var ids []core.NodeID
@@ -802,10 +807,20 @@ func TestValueIndexRace(t *testing.T) {
 					t.Errorf("reader %d: %d matches (%v), writer was between %d and %d", r, n, err, lo, hi)
 					return
 				}
-				if len(ids) > 1 { // the writer deletes the first in document order: a lone id may be gone by now
-					if _, err := s.ReadNode(ids[len(ids)-1]); err != nil {
-						t.Errorf("reader %d: id %d from the index does not read: %v", r, ids[len(ids)-1], err)
-						return
+				// The writer deletes the first racing order in document order,
+				// so the last of k ids can be gone only after k deletes — k-1
+				// if one was in flight when the query began, its order still
+				// in the answer — started after the query did.
+				if k := int64(len(ids)); k > 0 {
+					if _, err := s.ReadNode(ids[k-1]); err != nil {
+						need := k
+						if inFlight {
+							need--
+						}
+						if since := delStarted.Load() - started0; since < need {
+							t.Errorf("reader %d: id %d, last of %d from the index, does not read after %d deletes began: %v", r, ids[k-1], k, since, err)
+							return
+						}
 					}
 				}
 			}

@@ -5,7 +5,8 @@
 # implementation, one way into the store and one way to create a range,
 # every store read decoding names through the store's dictionary,
 # one place that holds the buffer pool for a batch,
-# and a log that is rewound rather than truncated and synced in one place,
+# a log that is rewound rather than truncated and synced in one place,
+# a page file synced only by a checkpoint's background I/O step,
 # vet, build, the full test suite, the race detector over
 # the concurrency-sensitive packages, a short fuzz of the xpath executors
 # against each other and of shape-keyed plans against fresh ones, of the xquery evaluator, of the range cursor
@@ -83,6 +84,12 @@ if ! only_in 'wal.Sync' '[)] syncLog[(]' 'internal/wal/*.go'; then
     exit 1
 fi
 
+echo "== the page file synced only by a checkpoint's I/O step (internal/wal: inner.Sync only in writeCheckpoint)"
+if ! only_in 'inner.Sync' '[)] writeCheckpoint[(]' 'internal/wal/*.go'; then
+    echo "fsync the page file only in writeCheckpoint, which runs without mu or the leader section" >&2
+    exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 
@@ -92,7 +99,7 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race (core incl. the Update batches beside readers and writers, fault, wal, pagestore, recover, budget, replica, server, failover, retryx, xpath, xquery)"
+echo "== go test -race (core incl. the Update batches beside readers and writers, fault, wal incl. background checkpoints beside committers and readers, pagestore, recover, budget, replica, server, failover, retryx, xpath, xquery)"
 go test -race ./internal/core ./internal/fault ./internal/wal ./internal/pagestore ./internal/recover ./internal/budget ./internal/replica ./internal/server ./internal/failover ./internal/retryx ./internal/xpath ./internal/xquery
 
 echo "== go test -race (root-package stress incl. cold file-backed readers beside a splitting writer, chaos soak, overload paths, an open batch beside a flushing writer)"
@@ -112,7 +119,7 @@ echo "== go test -fuzz (core: 10s per target — cursor reads vs the reference s
 go test -run '^$' -fuzz FuzzCursorDifferential -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz FuzzAppendNodeXML -fuzztime 10s ./internal/core
 
-echo "== go test -fuzz (wal: 10s — journal scripts with crashes against the reference model)"
+echo "== go test -fuzz (wal: 10s — journal scripts with crashes and held checkpoints begun and finished between commits and frees, against the reference model)"
 go test -run '^$' -fuzz FuzzWALModel -fuzztime 10s ./internal/wal
 
 echo "== go test -fuzz (xmltok: 10s per target — the scanner's accepted output round-trips; the scanner vs the reference scanner it replaced, from strings and from a reader that crosses a refill at every token; the token codec on arbitrary bytes and dictionaries, and the scanner's output through it inline and by id)"
