@@ -259,3 +259,43 @@ func TestPagerMinimumPageSize(t *testing.T) {
 		t.Errorf("default page size = %d", p2.PageSize())
 	}
 }
+
+// WriteBack leaves what a page reads unchanged, takes ranges with clean
+// pages and an empty range, and refuses a closed pager like Sync does.
+func TestFilePagerWriteBack(t *testing.T) {
+	fp, err := OpenFilePager(filepath.Join(t.TempDir(), "p.db"), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []PageID
+	for i := 0; i < 5; i++ {
+		id, err := fp.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range []PageID{ids[0], ids[2], ids[4]} {
+		if err := fp.WritePage(id, bytes.Repeat([]byte{byte(id)}, 1024)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fp.WriteBack(ids[0], ids[4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fp.WriteBack(ids[4], ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 1024)
+	for _, id := range []PageID{ids[0], ids[2], ids[4]} {
+		if err := fp.ReadPage(id, got); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(id)}, 1024)) {
+			t.Fatalf("page %d after writeback: err %v, first byte %d", id, err, got[0])
+		}
+	}
+	if err := fp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fp.WriteBack(ids[0], ids[4]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("writeback on a closed pager: %v", err)
+	}
+}
