@@ -54,6 +54,8 @@ type (
 	// Batch is the handle Store.Update passes its function: updates that
 	// commit together, as one WAL batch, or not at all.
 	Batch = core.Batch
+	// Space is Store.Space's page-level account of the page file.
+	Space = pagestore.Space
 )
 
 // Index modes (the experimental axis of the paper's Table 5).

@@ -463,9 +463,13 @@ func runCmd(ctx context.Context, db, modeName string, opts cliOpts, args []strin
 		return s.WriteXML(os.Stdout)
 	case "stats":
 		st := s.Stats()
+		sp, err := spaceOf(s, db)
+		if err != nil {
+			return err
+		}
 		w := opts.stdout()
 		if opts.jsonOut {
-			return printJSON(w, statsReport{Mode: s.Mode().String(), Stats: st})
+			return printJSON(w, statsReport{Mode: s.Mode().String(), Stats: st, Space: sp})
 		}
 		fmt.Fprintf(w, "mode:                %s\n", s.Mode())
 		fmt.Fprintf(w, "nodes:               %d\n", st.Nodes)
@@ -490,6 +494,11 @@ func runCmd(ctx context.Context, db, modeName string, opts cliOpts, args []strin
 			st.PushdownQueries, st.PushdownPredicates, st.FallbackQueries)
 		fmt.Fprintf(w, "value index: hits %d, misses %d (fills %d, abandoned %d), %d bytes\n",
 			st.ValueIndexHits, st.ValueIndexMisses, st.ValueIndexFills, st.ValueIndexAbandoned, st.ValueIndexBytes)
+		fmt.Fprintf(w, "space: page file %d bytes, log %d bytes\n", sp.PageFileBytes, sp.LogBytes)
+		fmt.Fprintf(w, "pages: %d data (fill %.3f), %d overflow (fill %.3f), %d index, %d free\n",
+			sp.DataPages, sp.DataFill, sp.OverflowPages, sp.OverflowFill, sp.IndexPages, sp.FreePages)
+		fmt.Fprintf(w, "placement: %d page splits, %d tails shifted to the next page, %d records moved\n",
+			st.Placement.Splits, st.Placement.Shifts, st.Placement.Moves)
 		fmt.Fprintf(w, "pool: hits %d, misses %d, evictions %d, flushes %d\n",
 			st.Pool.Hits, st.Pool.Misses, st.Pool.Evictions, st.Pool.Flushes)
 		fmt.Fprintf(w, "admission: admitted %d, queued %d, shed %d, expired %d (in flight %d, waiting %d)\n",
@@ -512,11 +521,38 @@ func runCmd(ctx context.Context, db, modeName string, opts cliOpts, args []strin
 	}
 }
 
-// statsReport is the JSON shape of the stats command: the mode plus the
-// raw counter snapshot.
+// statsReport is the JSON shape of the stats command: the mode, the raw
+// counter snapshot and the space report.
 type statsReport struct {
 	Mode string `json:"mode"`
 	axml.Stats
+	Space spaceReport
+}
+
+// spaceReport is where the store's disk bytes go: the two files' sizes and
+// the page-level account of the page file (axml.Space), with its fills.
+type spaceReport struct {
+	PageFileBytes int64
+	LogBytes      int64 // the <db>.wal sidecar; 0 when there is none
+	axml.Space
+	DataFill     float64
+	OverflowFill float64
+}
+
+// spaceOf reads every page of the store once; stats alone pays for it.
+func spaceOf(s *axml.Store, db string) (spaceReport, error) {
+	sp, err := s.Space()
+	if err != nil {
+		return spaceReport{}, fmt.Errorf("space report: %w", err)
+	}
+	rep := spaceReport{Space: sp, DataFill: sp.DataFill(), OverflowFill: sp.OverflowFill()}
+	if fi, err := os.Stat(db); err == nil {
+		rep.PageFileBytes = fi.Size()
+	}
+	if fi, err := os.Stat(db + ".wal"); err == nil {
+		rep.LogBytes = fi.Size()
+	}
+	return rep, nil
 }
 
 // cmdPrune drops archived WAL segments already covered by the newest

@@ -45,6 +45,26 @@ func TestCLIStatsJSON(t *testing.T) {
 	if n, _ := rep["RangeIndexBytes"].(float64); n == 0 {
 		t.Errorf("RangeIndexBytes = %v after a load, want the range table's size", rep["RangeIndexBytes"])
 	}
+	space, ok := rep["Space"].(map[string]any)
+	if !ok {
+		t.Fatalf("Space is not an object: %v", rep["Space"])
+	}
+	for _, key := range []string{"PageFileBytes", "LogBytes", "DataPages", "DataFill", "OverflowPages", "OverflowFill", "FreePages"} {
+		if _, ok := space[key]; !ok {
+			t.Errorf("Space lacks %q:\n%s", key, buf.String())
+		}
+	}
+	for _, key := range []string{"PageFileBytes", "DataPages", "DataFill"} {
+		if n, _ := space[key].(float64); n <= 0 {
+			t.Errorf("Space.%s = %v after a load, want > 0", key, space[key])
+		}
+	}
+	if f, _ := space["DataFill"].(float64); f > 1 {
+		t.Errorf("Space.DataFill = %v, want a share of the data pages", f)
+	}
+	if _, ok := rep["Placement"].(map[string]any); !ok {
+		t.Errorf("stats -json lacks the Placement counters:\n%s", buf.String())
+	}
 	adm, ok := rep["Admission"].(map[string]any)
 	if !ok {
 		t.Fatalf("Admission is not an object: %v", rep["Admission"])
@@ -60,7 +80,7 @@ func TestCLIStatsJSON(t *testing.T) {
 	if err := runOpts(db, "partial", cliOpts{out: &buf}, []string{"stats"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"admission:", "memory budget:", "archive:", "wal:", "value index:"} {
+	for _, want := range []string{"admission:", "memory budget:", "archive:", "wal:", "value index:", "space:", "pages:", "placement:"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("text stats lacks %q:\n%s", want, buf.String())
 		}

@@ -68,6 +68,7 @@ func entryOps() []entryOp {
 		read("CompareDocOrder", func(s *Store) error { return drop(s.CompareDocOrder(2, 4)) }),
 		read("CompareDocOrderCtx", func(s *Store) error { return drop(s.CompareDocOrderCtx(ctx, 2, 4)) }),
 		read("Verify", func(s *Store) error { return s.Verify() }),
+		read("Space", func(s *Store) error { return drop(s.Space()) }),
 
 		write("Append", func(s *Store) error { return drop(s.Append(frag())) }),
 		write("AppendCtx", func(s *Store) error { return drop(s.AppendCtx(ctx, frag())) }),

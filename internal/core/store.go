@@ -611,6 +611,7 @@ func (s *Store) Stats() Stats {
 		RangeBytesRead:    s.rangeBytesRead.Load(),
 		NameIDs:           s.dict.Len(),
 		Pool:              s.pool.Stats(),
+		Placement:         s.recs.PlaceStats(),
 	}
 	if s.full != nil {
 		st.FullIndexEntries = s.full.len()

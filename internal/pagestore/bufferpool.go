@@ -190,6 +190,22 @@ func (bp *BufferPool) UsablePageSize() int {
 	return bp.pager.PageSize() - PageTrailerSize
 }
 
+// readThrough copies page id into buf: the resident frame's bytes when the
+// pool holds the page, else the pager's, which the pool does not keep — a
+// pass over every page leaves the pool's contents and counters as they were.
+// The caller keeps writers out of the page (the store's lock).
+func (bp *BufferPool) readThrough(id PageID, buf []byte) error {
+	sh := bp.shard(id)
+	sh.mu.Lock()
+	if f, ok := sh.frames[id]; ok {
+		copy(buf, f.Data)
+		sh.mu.Unlock()
+		return nil
+	}
+	sh.mu.Unlock()
+	return bp.pager.ReadPage(id, buf)
+}
+
 // Shards returns the number of lock stripes (introspection and tests).
 func (bp *BufferPool) Shards() int { return len(bp.shards) }
 

@@ -62,11 +62,23 @@ const MaxRecordSize = 1 << 30
 // RecordStore is not safe for concurrent use; the owning store serializes
 // access.
 type RecordStore struct {
-	pool *BufferPool
-	meta PageID // meta page id
-	head PageID // first data page
-	tail PageID // last data page
+	pool  *BufferPool
+	meta  PageID // meta page id
+	head  PageID // first data page
+	tail  PageID // last data page
+	stats PlaceStats
 }
+
+// PlaceStats counts how inserts that found their page full were placed,
+// since the store was opened.
+type PlaceStats struct {
+	Splits uint64 // data pages cut to take a page's tail or a new record
+	Shifts uint64 // tails handed to the next page instead
+	Moves  uint64 // records relocated by either
+}
+
+// PlaceStats returns the placement counters.
+func (rs *RecordStore) PlaceStats() PlaceStats { return rs.stats }
 
 // CreateRecordStore formats a new store on the pool: a meta page plus one
 // empty data page.

@@ -106,21 +106,37 @@ func (rs *RecordStore) wouldFitAfterCompact(p slotPage, n int) bool {
 	return free >= n
 }
 
-// splitInsert implements page splitting. f is the pinned, full page; the new
-// record goes after slot `after`. Returns the new record location and the
-// list of relocated records.
+// splitInsert places stored after slot `after` on the pinned page f, which
+// lacks room for it. The records after the insertion point (the tail) leave
+// P: to the head of P's next page when that page holds them all after
+// compaction, together with the new record when P still lacks room for it
+// (the B*-tree's overflow before a split); otherwise to a new page spliced in
+// after P. Returns the new record's location and the relocated records.
 func (rs *RecordStore) splitInsert(f *Frame, after uint16, stored []byte) (Loc, []Move, error) {
 	p := slotPage(f.Data)
 
 	// Gather the tail: all records strictly after the insertion point.
 	var tailSlots []uint16
+	tailBytes := 0
 	start := p.firstSlot()
 	if after != nilSlot {
 		start = p.slotNext(after)
 	}
 	for s := start; s != nilSlot; s = p.slotNext(s) {
 		tailSlots = append(tailSlots, s)
+		tailBytes += int(p.slotLen(s))
 	}
+	// With the tail gone its slots are free, so the new record costs P no
+	// slot entry.
+	newOnP := len(tailSlots) > 0 &&
+		headerSize+p.nslots()*slotSize+p.usedBytes()-tailBytes+len(stored) <= p.usable()
+	if next := p.next(); next != InvalidPage {
+		loc, moves, ok, err := rs.shiftInsert(f, next, after, tailSlots, tailBytes, stored, newOnP)
+		if ok || err != nil {
+			return loc, moves, err
+		}
+	}
+	rs.stats.Splits++
 
 	// New page Q spliced after P in the chain.
 	qf, err := rs.pool.NewPage()
@@ -147,6 +163,7 @@ func (rs *RecordStore) splitInsert(f *Frame, after uint16, stored []byte) (Loc, 
 		moves = append(moves, Move{From: Loc{f.ID, s}, To: Loc{qf.ID, ns}})
 		qPrev = ns
 	}
+	rs.stats.Moves += uint64(len(moves))
 	for _, s := range tailSlots {
 		p.deleteSlot(s)
 	}
@@ -162,6 +179,7 @@ func (rs *RecordStore) splitInsert(f *Frame, after uint16, stored []byte) (Loc, 
 		rs.pool.Unpin(qf, true)
 		return Loc{qf.ID, s}, moves, nil
 	}
+	rs.stats.Splits++
 	rf, err := rs.pool.NewPage()
 	if err != nil {
 		rs.pool.Unpin(qf, true)
@@ -181,6 +199,56 @@ func (rs *RecordStore) splitInsert(f *Frame, after uint16, stored []byte) (Loc, 
 		return NilLoc, nil, fmt.Errorf("pagestore: record does not fit an empty page")
 	}
 	return Loc{rf.ID, s}, moves, nil
+}
+
+// shiftInsert is splitInsert's first choice: it moves P's tail (tailBytes in
+// all), preceded by the new record unless newOnP, to the head of P's next
+// page when that page holds them all after compaction, and then places the
+// new record on P when newOnP. ok is false, with nothing changed, when the
+// next page lacks the room.
+func (rs *RecordStore) shiftInsert(f *Frame, next PageID, after uint16, tailSlots []uint16, tailBytes int, stored []byte, newOnP bool) (loc Loc, moves []Move, ok bool, err error) {
+	k, n := len(tailSlots), tailBytes
+	if !newOnP {
+		k, n = k+1, n+len(stored)
+	}
+	nf, err := rs.pool.Fetch(next)
+	if err != nil {
+		return NilLoc, nil, false, err
+	}
+	p, q := slotPage(f.Data), slotPage(nf.Data)
+	fits, contiguous := q.roomFor(k, n)
+	if q.typ() != pageData || !fits {
+		rs.pool.Unpin(nf, false)
+		return NilLoc, nil, false, nil
+	}
+	if !contiguous {
+		q.compact()
+	}
+	qPrev := uint16(nilSlot)
+	if !newOnP {
+		qPrev = q.insertAfter(nilSlot, stored)
+		loc = Loc{nf.ID, qPrev}
+	}
+	moves = make([]Move, 0, len(tailSlots))
+	for _, s := range tailSlots {
+		qPrev = q.insertAfter(qPrev, p.payload(s))
+		moves = append(moves, Move{From: Loc{f.ID, s}, To: Loc{nf.ID, qPrev}})
+	}
+	rs.pool.Unpin(nf, true)
+	rs.stats.Shifts++
+	rs.stats.Moves += uint64(len(moves))
+	for _, s := range tailSlots {
+		p.deleteSlot(s)
+	}
+	if newOnP {
+		s := p.insertAfter(after, stored)
+		if s == nilSlot {
+			p.compact()
+			s = p.insertAfter(after, stored)
+		}
+		loc = Loc{f.ID, s}
+	}
+	return loc, moves, true, nil
 }
 
 // linkAfter splices the pinned new page nf into the chain right after the

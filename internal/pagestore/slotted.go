@@ -155,6 +155,17 @@ func (p slotPage) freeSpace() int {
 // compaction.
 func (p slotPage) capacityFor(n int) bool { return p.freeSpace() >= n }
 
+// roomFor reports whether k more records of n bytes in all fit on the page
+// after compaction, and whether they fit without it. New records take free
+// slots before they grow the slot table.
+func (p slotPage) roomFor(k, n int) (fits, contiguous bool) {
+	for s := p.freeSlot(); s != nilSlot && k > 0; s = p.slotNext(s) {
+		k--
+	}
+	table := headerSize + (p.nslots()+k)*slotSize
+	return table+p.usedBytes()+n <= p.usable(), table+n <= p.heapStart()
+}
+
 // allocSlot grabs a slot id from the free chain or extends the table.
 // Returns nilSlot if there is no room to extend.
 func (p slotPage) allocSlot() uint16 {
@@ -242,20 +253,12 @@ func (p slotPage) deleteSlot(s uint16) {
 // compact repacks the heap so that free space is contiguous. Slot ids and
 // record order are unchanged.
 func (p slotPage) compact() {
-	type rec struct {
-		slot uint16
-		data []byte
-	}
-	var recs []rec
-	for s := p.firstSlot(); s != nilSlot; s = p.slotNext(s) {
-		data := make([]byte, p.slotLen(s))
-		copy(data, p.payload(s))
-		recs = append(recs, rec{s, data})
-	}
+	base := p.heapStart()
+	heap := append([]byte(nil), p[base:p.usable()]...)
 	p.setHeapStart(p.usable())
-	for _, r := range recs {
-		off := p.insertPayload(r.data)
-		p.setSlotPayloadOff(r.slot, off)
+	for s := p.firstSlot(); s != nilSlot; s = p.slotNext(s) {
+		off := int(p.slotPayloadOff(s)) - base
+		p.setSlotPayloadOff(s, p.insertPayload(heap[off:off+int(p.slotLen(s))]))
 	}
 }
 

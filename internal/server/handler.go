@@ -185,11 +185,11 @@ func (s *Server) dispatch(c *conn, ctx context.Context, typ byte, d *dec, gate r
 	case msgHealth:
 		return c.writeJSON(s.healthReport())
 	case msgInsert:
-		return s.runMutation(c, d, func(d *dec) (byte, []byte, error) {
+		return s.runMutation(c, ctx, d, func(d *dec) (byte, []byte, error) {
 			return s.buildInsert(ctx, d)
 		})
 	case msgDelete:
-		return s.runMutation(c, d, func(d *dec) (byte, []byte, error) {
+		return s.runMutation(c, ctx, d, func(d *dec) (byte, []byte, error) {
 			id, err := d.u64()
 			if err != nil {
 				return 0, nil, err
@@ -197,7 +197,7 @@ func (s *Server) dispatch(c *conn, ctx context.Context, typ byte, d *dec, gate r
 			return s.buildDelete(ctx, core.NodeID(id))
 		})
 	case msgLoad:
-		return s.runMutation(c, d, func(d *dec) (byte, []byte, error) {
+		return s.runMutation(c, ctx, d, func(d *dec) (byte, []byte, error) {
 			frag, err := d.str()
 			if err != nil {
 				return 0, nil, err
@@ -445,11 +445,12 @@ func (s *Server) handleReadNode(c *conn, ctx context.Context, id core.NodeID, ga
 // without touching the store; a token whose sequence number fell below
 // the cache's eviction horizon is refused with ErrIdemAmbiguous — the
 // original outcome is unknowable and silently re-executing could
-// double-apply. Otherwise the mutation runs, and on success its ack is
-// cached before it is written, so even an ack lost on the wire is
-// replayable. Failures are never cached — a retry after a shed or
-// deadline must re-execute.
-func (s *Server) runMutation(c *conn, d *dec, build func(d *dec) (byte, []byte, error)) error {
+// double-apply. A token whose first attempt is still running waits for it,
+// as long as ctx allows, and then asks again. Otherwise the token is
+// reserved and the mutation runs; on success its ack is cached before it is
+// written, so even an ack lost on the wire is replayable. Failures are never
+// cached — a retry after a shed or deadline must re-execute.
+func (s *Server) runMutation(c *conn, ctx context.Context, d *dec, build func(d *dec) (byte, []byte, error)) error {
 	tok, err := d.str()
 	if err != nil {
 		return err
@@ -461,24 +462,46 @@ func (s *Server) runMutation(c *conn, d *dec, build func(d *dec) (byte, []byte, 
 	if err := s.checkWriteEpoch(epoch); err != nil {
 		return err
 	}
-	key := idemKey{gate: c.gate, token: tok}
 	if tok != "" {
-		e, found, evicted := s.idem.get(key)
-		if found {
-			return c.writeFrame(e.typ, e.payload)
+		key := idemKey{gate: c.gate, token: tok}
+		for {
+			e, found, evicted, running := s.idem.begin(key)
+			if found {
+				return c.writeFrame(e.typ, e.payload)
+			}
+			if evicted {
+				return fmt.Errorf("%w: token %q fell out of a %d-entry window", ErrIdemAmbiguous, tok, s.opt.IdemCacheSize)
+			}
+			if running == nil {
+				break
+			}
+			select {
+			case <-running:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
 		}
-		if evicted {
-			return fmt.Errorf("%w: token %q fell out of a %d-entry window", ErrIdemAmbiguous, tok, s.opt.IdemCacheSize)
-		}
+		build = s.reserved(key, build)
 	}
 	typ, payload, err := build(d)
 	if err != nil {
 		return err
 	}
-	if tok != "" {
-		s.idem.put(key, idemEntry{typ: typ, payload: payload})
-	}
 	return c.writeFrame(typ, payload)
+}
+
+// reserved wraps build to run under key's reservation and end it, caching
+// the ack when build succeeds, before the ack is written — also when build
+// panics, so no retry waits on a reservation nobody holds.
+func (s *Server) reserved(key idemKey, build func(d *dec) (byte, []byte, error)) func(d *dec) (byte, []byte, error) {
+	return func(d *dec) (typ byte, payload []byte, err error) {
+		var ack *idemEntry
+		defer func() { s.idem.end(key, ack) }()
+		if typ, payload, err = build(d); err == nil {
+			ack = &idemEntry{typ: typ, payload: payload}
+		}
+		return typ, payload, err
+	}
 }
 
 // buildInsert runs one XUpdate primitive and commits it (Flush) before

@@ -19,6 +19,11 @@ import (
 // so a retry re-executes from scratch — exactly what the caller wants for
 // a shed or a deadline. Failure outcomes need no dedup: nothing was
 // applied.
+//
+// A token is reserved while its first attempt runs: a retry that arrives
+// meanwhile (a client that timed out and re-sent on another connection)
+// waits for that attempt's outcome instead of running the mutation beside
+// it, then replays its ack — or, when it failed, runs itself.
 
 // idemKey scopes a token to its tenant gate, by identity: two tenants
 // reusing the same token string never collide, and sessions without a
@@ -46,6 +51,9 @@ type idemCache struct {
 	fifo []idemKey
 	head int
 	hits atomic.Int64
+	// running holds the tokens whose attempt is executing; the channel
+	// closes when it ends.
+	running map[idemKey]chan struct{}
 	// horizon records, per (gate, token prefix), the highest sequence
 	// number evicted from the ring. FleetClient tokens are
 	// "<prefix>-<seq>" with seq strictly increasing per client; a miss
@@ -104,33 +112,51 @@ func newIdemCache(max int) *idemCache {
 	return &idemCache{
 		max:     max,
 		m:       make(map[idemKey]idemEntry, max),
+		running: make(map[idemKey]chan struct{}),
 		horizon: make(map[idemPrefix]uint64),
 	}
 }
 
-// get looks a token up. evicted=true (only meaningful when found=false)
-// means the token's sequence number is at or below the recorded eviction
-// horizon for its prefix: it was once cached and has been forgotten, so
-// the original outcome is unknowable.
-func (ic *idemCache) get(k idemKey) (e idemEntry, found, evicted bool) {
+// begin looks a token up and, when it is not cached, forgotten or running,
+// reserves it: the caller runs the mutation and must call end. found
+// returns the cached ack. evicted=true means the token's sequence number is
+// at or below the recorded eviction horizon for its prefix: it was once
+// cached and has been forgotten, so the original outcome is unknowable. A
+// non-nil running is the channel of an attempt still executing: the caller
+// waits for it to close and asks again.
+func (ic *idemCache) begin(k idemKey) (e idemEntry, found, evicted bool, running <-chan struct{}) {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
 	e, found = ic.m[k]
 	if found {
 		ic.hits.Add(1)
-		return e, true, false
+		return e, true, false, nil
+	}
+	if ch, ok := ic.running[k]; ok {
+		return e, false, false, ch
 	}
 	if prefix, seq, ok := splitIdemToken(k.token); ok {
 		if h, ok := ic.horizon[idemPrefix{k.gate, prefix}]; ok && seq <= h {
-			evicted = true
+			return e, false, true, nil
 		}
 	}
-	return e, false, evicted
+	ic.running[k] = make(chan struct{})
+	return e, false, false, nil
 }
 
-func (ic *idemCache) put(k idemKey, e idemEntry) {
+// end releases the reservation begin took, caching ack when the attempt
+// committed (ack non-nil), and wakes the attempts waiting on it.
+func (ic *idemCache) end(k idemKey, ack *idemEntry) {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
+	if ack != nil {
+		ic.putLocked(k, *ack)
+	}
+	close(ic.running[k])
+	delete(ic.running, k)
+}
+
+func (ic *idemCache) putLocked(k idemKey, e idemEntry) {
 	if _, dup := ic.m[k]; dup {
 		return // first committed outcome wins; replays never overwrite
 	}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/server"
@@ -47,6 +48,52 @@ func TestIdemTokenDedupesMutation(t *testing.T) {
 	}
 	if st.Server.IdemReplays != 1 {
 		t.Fatalf("IdemReplays = %d, want 1", st.Server.IdemReplays)
+	}
+}
+
+// TestIdemRetryWaitsForRunningAttempt: a retry that arrives on another
+// connection while the token's first attempt is still executing must not
+// run the mutation beside it. It waits for that attempt and replays its ack:
+// one element, one node id, both calls acknowledged.
+func TestIdemRetryWaitsForRunningAttempt(t *testing.T) {
+	e := start(t, slowCfg(), server.Options{})
+	ctx := context.Background()
+	c1, c2 := e.dial(server.ClientOptions{}), e.dial(server.ClientOptions{})
+	root, err := c1.Load(ctx, `<log/>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.inj.ArmLatency(2 * time.Millisecond) // every page and log I/O: the first attempt outlasts the gap
+	defer e.inj.DisarmLatency()
+
+	type result struct {
+		id  core.NodeID
+		err error
+	}
+	results := make(chan result, 2)
+	for i, c := range []*server.Client{c1, c2} {
+		if i > 0 {
+			time.Sleep(3 * time.Millisecond)
+		}
+		go func() {
+			id, err := c.InsertIdem(ctx, server.InsertLast, root, `<e/>`, "race-tok")
+			results <- result{id, err}
+		}()
+	}
+	a, b := <-results, <-results
+	if a.err != nil || b.err != nil {
+		t.Fatalf("acks: %v, %v", a.err, b.err)
+	}
+	if a.id != b.id {
+		t.Errorf("the two attempts acknowledged nodes %d and %d, want one node", a.id, b.id)
+	}
+	e.inj.DisarmLatency()
+	rows, err := c1.Query(ctx, `/log/e`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("%d elements for one token sent twice, want 1", len(rows))
 	}
 }
 

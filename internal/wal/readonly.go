@@ -41,7 +41,7 @@ func OpenReadOnly(path string, pageSize int) (*ReadOnly, error) {
 	if len(logBytes) > 0 {
 		if r.overlay, r.lsn, err = ParseLog(logBytes, fp.PageSize()); err != nil {
 			fp.Close()
-			return nil, fmt.Errorf("wal: read-only open of %s: %w", path, err)
+			return nil, fmt.Errorf("read-only open of %s: %w", path, err) // err names the package
 		}
 		for id := range r.overlay {
 			if id > r.max {

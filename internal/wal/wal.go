@@ -543,7 +543,7 @@ func replayLog(data []byte, pageSize int, apply func(batch []byte, pages []PageI
 	earlier := func(id pagestore.PageID, buf []byte) error {
 		img, ok := images[id]
 		if !ok {
-			return fmt.Errorf("wal: delta for page %d has no earlier image in the log", id)
+			return fmt.Errorf("delta for page %d has no earlier image in the log", id)
 		}
 		copy(buf, img)
 		return nil

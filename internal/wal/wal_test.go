@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -357,7 +358,8 @@ func mix(rng *rand.Rand, a, b []byte) []byte {
 
 // A delta whose page has no earlier image in the log is corruption: neither
 // recovery nor a read-only open patches it from the page file, which a torn
-// checkpoint may have left as neither the old page nor the new.
+// checkpoint may have left as neither the old page nor the new. The error
+// names the package once.
 func TestRecoveryRejectsDeltaWithoutBase(t *testing.T) {
 	path, walPath := tempPaths(t)
 	p, _ := Open(path, 512)
@@ -370,6 +372,8 @@ func TestRecoveryRejectsDeltaWithoutBase(t *testing.T) {
 	if ro, err := OpenReadOnly(path, 512); err == nil {
 		ro.Close()
 		t.Error("read-only open resolved a delta with no base in the log")
+	} else if msg := err.Error(); strings.Count(msg, "wal:") != 1 || !strings.Contains(msg, "has no earlier image") {
+		t.Errorf("read-only open: %q, want the no-base delta named with one \"wal:\"", msg)
 	}
 	if _, err := Open(path, 512); err == nil {
 		t.Error("recovery resolved a delta with no base in the log")

@@ -10,7 +10,8 @@
 # vet, build, the full test suite, the race detector over
 # the concurrency-sensitive packages, a short fuzz of the xpath executors
 # against each other and of shape-keyed plans against fresh ones, of the xquery evaluator, of the range cursor
-# against the reference store, of the journal against its model, of
+# against the reference store, of record placement against a slice model,
+# of the journal against its model, of
 # the XML scanner against the one it replaced and of the token codec in
 # both name forms, and the benchmark module's
 # smoke test
@@ -118,6 +119,9 @@ go test -run '^$' -fuzz FuzzXQueryParser -fuzztime 10s ./internal/xquery
 echo "== go test -fuzz (core: 10s per target — cursor reads vs the reference store under splits and merges; node XML from stored bytes vs the old serializer)"
 go test -run '^$' -fuzz FuzzCursorDifferential -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz FuzzAppendNodeXML -fuzztime 10s ./internal/core
+
+echo "== go test -fuzz (pagestore: 10s — record placements of every kind, inline and spilled, against a slice model that follows every reported move)"
+go test -run '^$' -fuzz FuzzRecordStore -fuzztime 10s ./internal/pagestore
 
 echo "== go test -fuzz (wal: 10s — journal scripts with crashes and held checkpoints begun and finished between commits and frees, against the reference model)"
 go test -run '^$' -fuzz FuzzWALModel -fuzztime 10s ./internal/wal
