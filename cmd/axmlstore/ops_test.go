@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,6 +85,66 @@ func TestCLIStatsJSON(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("text stats lacks %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestCLIStatsRangeGrain: stats says how fine-grained the ranges are — the
+// live ranges beside splits/merges, and per 1 000 of the process's inserts
+// in -json and, once the process has inserted, in the text. Appended orders
+// take consecutive ids, so on small pages they merge where a page fills and
+// leave far fewer than one range per insert.
+func TestCLIStatsRangeGrain(t *testing.T) {
+	db, xmlPath := writeDoc(t)
+	if err := run(db, "partial", []string{"load", xmlPath}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := runOpts(db, "partial", cliOpts{jsonOut: true, out: &buf}, []string{"stats"}); err != nil {
+		t.Fatal(err)
+	}
+	var rep map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := rep["RangesPer1000Inserts"]; !ok || v != 0.0 {
+		t.Errorf("RangesPer1000Inserts = %v (present %v) in a process that inserted nothing, want 0", v, ok)
+	}
+	buf.Reset()
+	if err := runOpts(db, "partial", cliOpts{out: &buf}, []string{"stats"}); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("(%v ranges)", rep["Ranges"]); !strings.Contains(buf.String(), "splits/merges:       0/0 "+want) {
+		t.Errorf("text stats lacks the ranges beside splits/merges %q:\n%s", want, buf.String())
+	}
+
+	s, err := axml.Open(axml.Config{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	root, err := axml.LoadXMLString(s, "<orders/>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const inserts = 200
+	for i := 0; i < inserts; i++ {
+		frag, err := axml.ParseFragment(fmt.Sprintf(`<order id="%d"><item>bolt</item><qty>%d</qty></order>`, i, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.InsertIntoLast(root, frag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	per := rangesPer1000(st)
+	line := rangeGrain(st)
+	t.Logf("%d inserts: %s, %d merges", st.Inserts, line, st.Merges)
+	if want := fmt.Sprintf("%d ranges, %.0f per 1 000 inserts", st.Ranges, per); line != want {
+		t.Errorf("ranges text %q, want %q", line, want)
+	}
+	if st.Merges == 0 || per >= 500 {
+		t.Errorf("%d appends left %.0f ranges per 1 000 inserts after %d merges: the appends did not merge", inserts, per, st.Merges)
 	}
 }
 

@@ -36,30 +36,29 @@ func TestRunTable5ShapeHolds(t *testing.T) {
 	coarse := byName["Range Index (few, coarse, large entries)"]
 	partial := byName["Range Index (coarse) + Partial Index"]
 
-	// The paper's qualitative results (Table 5):
-	// 1. Range configurations insert faster than the full index.
-	if coarse.Insert.KBps() <= full.Insert.KBps() {
-		t.Errorf("coarse insert (%.1f) should beat full index insert (%.1f)",
-			coarse.Insert.KBps(), full.Insert.KBps())
+	// The paper's qualitative results (Table 5), asserted on the work each
+	// configuration does rather than on kb/s: the clock figures are printed
+	// but move with the host's load, the counters do not (on small() they are
+	// the same on every run).
+	// 1. Range configurations insert faster than the full index: an insert
+	// maintains far fewer index entries.
+	if coarse, full := indexEntries(coarse), indexEntries(full); coarse >= full {
+		t.Errorf("coarse keeps %d index entries, should be fewer than the full index's %d", coarse, full)
 	}
-	// 2. Coarse ranges have the slowest random reads.
-	if coarse.RandomRead.KBps() >= granular.RandomRead.KBps() {
-		t.Errorf("coarse random (%.1f) should be slower than granular (%.1f)",
-			coarse.RandomRead.KBps(), granular.RandomRead.KBps())
+	// 2. Coarse ranges have the slowest random reads: a lookup replays the
+	// most tokens.
+	for _, r := range []Row{full, granular, partial} {
+		if scannedPerLookup(coarse) <= scannedPerLookup(r) {
+			t.Errorf("coarse scans %.1f tokens per lookup, should be more than %s's %.1f",
+				scannedPerLookup(coarse), r.Config, scannedPerLookup(r))
+		}
 	}
-	if coarse.RandomRead.KBps() >= full.RandomRead.KBps() {
-		t.Errorf("coarse random (%.1f) should be slower than full (%.1f)",
-			coarse.RandomRead.KBps(), full.RandomRead.KBps())
-	}
-	// 3. The partial index rescues the coarse configuration's random reads.
-	// The margin used to be >2x, but replay checkpoints and the zero-copy
-	// replay path rescued much of coarse's cost on their own; at this small
-	// workload the remaining steady-state gap is a sub-256-token replay plus
-	// a range binary search per read, so the bound asserts a clear win, not
-	// the pre-checkpoint chasm.
-	if partial.RandomRead.KBps() <= 1.2*coarse.RandomRead.KBps() {
-		t.Errorf("partial random (%.1f) should clearly beat coarse (%.1f)",
-			partial.RandomRead.KBps(), coarse.RandomRead.KBps())
+	// 3. The partial index rescues the coarse configuration's random reads:
+	// replay checkpoints already shorten coarse's replays, and the partial
+	// index at least halves what is left.
+	if 2*scannedPerLookup(partial) > scannedPerLookup(coarse) {
+		t.Errorf("partial scans %.1f tokens per lookup, should be at most half of coarse's %.1f",
+			scannedPerLookup(partial), scannedPerLookup(coarse))
 	}
 	// 4. Index population matches the configuration.
 	if full.Stats.FullIndexEntries == 0 {
@@ -80,6 +79,15 @@ func TestRunTable5ShapeHolds(t *testing.T) {
 	if !strings.Contains(st, "ranges") {
 		t.Errorf("stats formatting: %s", st)
 	}
+}
+
+// indexEntries is the index entries a configuration maintains: one per
+// range in the Range Index, one per node in the Full Index.
+func indexEntries(r Row) int { return r.Stats.RangeIndexEntries + r.Stats.FullIndexEntries }
+
+// scannedPerLookup is the tokens a configuration's lookups replay on average.
+func scannedPerLookup(r Row) float64 {
+	return float64(r.Stats.TokensScanned) / float64(max(r.Stats.NodeLookups, 1))
 }
 
 func TestRunRangeSweep(t *testing.T) {

@@ -187,9 +187,12 @@ func (t *Tree[V]) insert(n *node[V], k uint64, v V) (uint64, *node[V]) {
 }
 
 // insertLeaf adds k:v to leaf n and reports where, and whether n now holds
-// more than degree keys. A full array grows by an eighth (at least four
-// slots, at most to degree+1), not by append's doubling: a leaf's arrays are
-// most of the tree's bytes, and Bytes counts their capacity.
+// more than degree keys. A leaf's arrays are most of the tree's bytes, and
+// Bytes counts their capacity, so every leaf but the last holds arrays of
+// exactly its length: a full one grows by one slot. The last leaf, which
+// ascending keys fill, grows by an eighth (at least four slots, at most to
+// degree), not by append's doubling. A leaf holding degree keys grows to
+// degree+1 only until the shift or split that follows.
 func (t *Tree[V]) insertLeaf(n *node[V], k uint64, v V) (at int, over bool) {
 	i := search(n.keys, k)
 	if i < len(n.keys) && n.keys[i] == k {
@@ -197,7 +200,13 @@ func (t *Tree[V]) insertLeaf(n *node[V], k uint64, v V) (at int, over bool) {
 		return i, false
 	}
 	if len(n.keys) == cap(n.keys) {
-		c := min(len(n.keys)+max(len(n.keys)/8, 4), degree+1)
+		c := len(n.keys) + 1
+		if n.next == nil {
+			c = min(len(n.keys)+max(len(n.keys)/8, 4), degree)
+		}
+		if len(n.keys) == degree {
+			c = degree + 1
+		}
 		n.keys = append(make([]uint64, 0, c), n.keys...)
 		n.vals = append(make([]V, 0, c), n.vals...)
 	}
@@ -254,16 +263,16 @@ func (t *Tree[V]) splitLeaf(n *node[V], at int) (uint64, *node[V]) {
 		mid = at
 	}
 	right := &node[V]{
-		keys: append([]uint64(nil), n.keys[mid:]...),
-		vals: append([]V(nil), n.vals[mid:]...),
+		keys: concat(n.keys[mid:], nil),
+		vals: concat(n.vals[mid:], nil),
 		next: n.next,
 		prev: n,
 	}
 	if n.next != nil {
 		n.next.prev = right
 	}
-	n.keys = append([]uint64(nil), n.keys[:mid]...)
-	n.vals = append([]V(nil), n.vals[:mid]...)
+	n.keys = concat(n.keys[:mid], nil)
+	n.vals = concat(n.vals[:mid], nil)
 	n.next = right
 	return right.keys[0], right
 }
@@ -289,14 +298,19 @@ func insertAt[E any](s []E, i int, e E) []E {
 
 // Delete removes k, reporting whether it was present.
 //
-// Deletion uses lazy rebalancing: underfull leaves are tolerated (they never
-// become empty except the root), which keeps the code simple at a small
-// space cost — appropriate for index workloads where deletes are rarer than
-// inserts.
+// The leaf that loses k takes the first entry of its right sibling under the
+// same parent, so the hole moves right instead of staying: deletes that
+// cluster near the largest keys (the Range Index loses one whenever ranges
+// merge, and merges follow appends) leave their holes in the last leaf, which
+// the next ascending inserts fill, and not in full leaves no insert reaches
+// again. The leaf left with the hole, unless it is the last, gets arrays of
+// its new length (see insertLeaf). A leaf that empties is unlinked; other
+// underfull leaves are tolerated.
 func (t *Tree[V]) Delete(k uint64) bool {
 	n := t.root
-	var parents []*node[V]
-	var idx []int
+	var pbuf [8]*node[V] // the path down, on the stack for any tree under 64^8 keys
+	var ibuf [8]int
+	parents, idx := pbuf[:0], ibuf[:0]
 	for !n.leaf() {
 		ci := childIndex(n.keys, k)
 		parents = append(parents, n)
@@ -310,8 +324,25 @@ func (t *Tree[V]) Delete(k uint64) bool {
 	n.keys = removeAt(n.keys, i)
 	n.vals = removeAt(n.vals, i)
 	t.size--
+	if len(parents) == 0 {
+		return true
+	}
+	if p, ci := parents[len(parents)-1], idx[len(idx)-1]; ci+1 < len(p.children) {
+		r := p.children[ci+1]
+		n.keys = append(n.keys, r.keys[0])
+		n.vals = append(n.vals, r.vals[0])
+		r.keys = removeAt(r.keys, 0)
+		r.vals = removeAt(r.vals, 0)
+		if len(r.keys) > 0 {
+			p.keys[ci] = r.keys[0]
+		}
+		n, idx[len(idx)-1] = r, ci+1
+	}
+	if n.next != nil && len(n.keys) > 0 {
+		n.keys, n.vals = concat(n.keys, nil), concat(n.vals, nil)
+	}
 	// Unlink empty leaves so scans stay O(live nodes).
-	if len(n.keys) == 0 && len(parents) > 0 {
+	if len(n.keys) == 0 {
 		if n.prev != nil {
 			n.prev.next = n.next
 		}

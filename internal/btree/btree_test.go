@@ -331,6 +331,44 @@ func TestAscendingInsertKeepsLeavesFull(t *testing.T) {
 	}
 }
 
+// TestDeleteKeepsLeavesDense: deletes from the leaf before the last — where
+// the Range Index loses the keys of merged ranges — leave every leaf but the
+// last full, its holes moved to the last leaf; a delete elsewhere leaves the
+// leaf that took the hole with arrays of exactly its length.
+func TestDeleteKeepsLeavesDense(t *testing.T) {
+	tr := New[int]()
+	const n = 10*degree + 7
+	for i := 0; i < n; i++ {
+		tr.Set(uint64(2*i), i)
+	}
+	leaves := tr.leaves()
+	for _, k := range leaves[len(leaves)-2].keys[:5:5] {
+		if !tr.Delete(k) {
+			t.Fatalf("key %d not deleted", k)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	leaves = tr.leaves()
+	for i, l := range leaves[:len(leaves)-1] {
+		if len(l.keys) != degree || cap(l.keys) != degree || cap(l.vals) != degree {
+			t.Fatalf("leaf %d after deletes: %d keys, capacity %d keys and %d values; want %d of each",
+				i, len(l.keys), cap(l.keys), cap(l.vals), degree)
+		}
+	}
+	if got := len(leaves[len(leaves)-1].keys); got != n%degree-5 {
+		t.Fatalf("the last leaf holds %d keys, want %d", got, n%degree-5)
+	}
+	tr.Delete(leaves[2].keys[7])
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if l := tr.leaves()[3]; len(l.keys) != degree-1 || cap(l.keys) != degree-1 || cap(l.vals) != degree-1 {
+		t.Fatalf("the leaf that took the hole: %d keys, capacity %d and %d", len(l.keys), cap(l.keys), cap(l.vals))
+	}
+}
+
 func BenchmarkSetSequential(b *testing.B) {
 	tr := New[int]()
 	b.ReportAllocs()

@@ -65,7 +65,9 @@ func (s *Store) locateBegin(cur *rangeCursor, id NodeID) (tokenPos, token.Kind, 
 		return pos, k, partialEntry{}, err
 	}
 
-	// Partial index: lazily learned exact positions.
+	// Partial index: lazily learned exact positions. A stale entry's end and
+	// parent are still worth handing on: locateEnd checks the end on its own.
+	var known partialEntry
 	if s.partial != nil {
 		if e, ok := s.partial.lookup(id); ok {
 			if ri := s.beginRange(e); ri != nil {
@@ -80,7 +82,8 @@ func (s *Store) locateBegin(cur *rangeCursor, id NodeID) (tokenPos, token.Kind, 
 				return pos, k, e, err
 			}
 			// Stale: the range was mutated or removed. Lazy invalidation.
-			s.partial.dropStale(e)
+			s.partial.forgetBegin(e)
+			known = e
 		}
 		s.partial.miss()
 	}
@@ -140,7 +143,7 @@ func (s *Store) locateBegin(cur *rangeCursor, id NodeID) (tokenPos, token.Kind, 
 					if builder != nil {
 						s.checkpoints.publish(ri.id, ri.version, builder, nil)
 					}
-					return pos, k, partialEntry{}, nil
+					return pos, k, known, nil
 				}
 				next++
 			}

@@ -205,19 +205,24 @@ func (px *partialIndex) lookup(id NodeID) (partialEntry, bool) {
 	return e, true
 }
 
-// dropStale removes the entry for id if its begin stamp still matches the
-// stale copy the caller observed. A concurrent reader may have re-learned a
-// fresh location in the meantime; that entry survives.
-func (px *partialIndex) dropStale(stale partialEntry) {
+// forgetBegin forgets the begin location of the entry for id if its begin
+// stamp still matches the stale copy the caller observed; a concurrent
+// reader may have re-learned a fresh location in the meantime, and that
+// survives. The end location and the parent link stay: each is checked on
+// its own when used (the end against its own range's version; the parent
+// never changes), so a node whose begin's range was split or merged — the
+// root's, say, under appends — re-learns its begin and keeps its end
+// rather than scanning its whole subtree for it again. Range ids start at
+// 1, so a begin range of 0 validates against nothing until recordBegin.
+func (px *partialIndex) forgetBegin(stale partialEntry) {
 	sh := px.shard(stale.id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	b, ok := sh.entries[stale.id]
-	if !ok || b.beginRange != stale.beginRange || b.beginVer != stale.beginVer {
+	if !ok || stale.beginRange == 0 || b.beginRange != stale.beginRange || b.beginVer != stale.beginVer {
 		return
 	}
-	delete(sh.entries, stale.id)
-	px.budget.Discharge(budget.Partial, partialEntryCost)
+	b.beginRange = 0
 	px.stats.invalidations.Add(1)
 }
 

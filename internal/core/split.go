@@ -19,23 +19,33 @@ import (
 // splitting pos.ri when pos falls strictly inside it; a zero pos means the
 // end of the chain — and registers it. The full index is left to the caller:
 // fresh content is added to it, a split's tail is rebased in it.
-func (s *Store) placeRange(pos tokenPos, start NodeID, nodes, toks int, tokenBytes []byte) (*rangeInfo, error) {
+//
+// When merge is set and the record does not fit the page it goes to, the
+// ranges on that page are coarsened first (coarsen), so the record may fit
+// after all. A bulk append (a zero pos) and a split's tail never merge.
+func (s *Store) placeRange(pos tokenPos, start NodeID, nodes, toks int, tokenBytes []byte, merge bool) (*rangeInfo, error) {
 	ri := &rangeInfo{id: s.allocRangeID(), start: start, nodes: nodes, toks: toks, bytes: len(tokenBytes)}
 	rec := encodeRangeRecord(ri.id, ri.start, ri.nodes, ri.toks, tokenBytes)
+	if pos.ri != nil && pos.byteOff > 0 && !pos.atRangeEnd() {
+		if _, err := s.splitRange(pos.ri, pos); err != nil {
+			return nil, err
+		}
+		pos.byteOff = pos.ri.bytes // the head's end: the record goes after it
+	}
+	var err error
+	if pos.ri != nil && merge {
+		if pos, err = s.coarsen(pos, len(rec)); err != nil {
+			return nil, err
+		}
+	}
 	var loc pagestore.Loc
 	var moves []pagestore.Move
-	var err error
 	switch {
 	case pos.ri == nil:
 		loc, moves, err = s.recs.InsertLast(rec)
 	case pos.byteOff == 0:
 		loc, moves, err = s.recs.InsertBefore(pos.ri.loc, rec)
-	case pos.atRangeEnd():
-		loc, moves, err = s.recs.InsertAfter(pos.ri.loc, rec)
 	default:
-		if _, err := s.splitRange(pos.ri, pos); err != nil {
-			return nil, err
-		}
 		loc, moves, err = s.recs.InsertAfter(pos.ri.loc, rec)
 	}
 	if err != nil {
@@ -53,7 +63,7 @@ func (s *Store) newRange(pos tokenPos, frag []Token) (NodeID, error) {
 	n := token.NodeCount(frag)
 	start := s.allocIDs(n)
 	tokenBytes := s.dict.EncodeAll(frag)
-	ri, err := s.placeRange(pos, start, n, len(frag), tokenBytes)
+	ri, err := s.placeRange(pos, start, n, len(frag), tokenBytes, true)
 	if err != nil {
 		return InvalidNode, err
 	}
@@ -106,7 +116,7 @@ func (s *Store) splitRange(ri *rangeInfo, pos tokenPos) (*rangeInfo, error) {
 	}
 
 	// Place the tail record right after the head.
-	tail, err := s.placeRange(tokenPos{ri: ri, byteOff: ri.bytes}, tailStart, tailNodes, tailToks, tailBytes)
+	tail, err := s.placeRange(tokenPos{ri: ri, byteOff: ri.bytes}, tailStart, tailNodes, tailToks, tailBytes, false)
 	if err != nil {
 		return nil, err
 	}

@@ -34,10 +34,13 @@ type Config struct {
 	PageSize int
 	// PoolPages bounds the buffer pool (default 256 pages).
 	PoolPages int
-	// CoalesceBytes, when > 0, merges an adjacent pair of ranges after
-	// deletions and splits while their combined encoded size stays at or
-	// under this many bytes and their ID intervals remain contiguous (the
+	// CoalesceBytes, when > 0, merges the range at a delete point — after a
+	// DeleteNode, or a ReplaceContent that empties an element — with its
+	// document-order neighbours while their combined encoded size stays at
+	// or under this many bytes and their ID intervals remain contiguous (the
 	// adaptive "anti-fragmentation" extension from the paper's future work).
+	// Inserts need no knob: where a placement finds its page full, runs of
+	// neighbours on the page whose ids join up merge, up to a page.
 	CoalesceBytes int
 	// Pager supplies custom page storage (e.g. a file pager). Defaults to
 	// an in-memory pager.

@@ -80,7 +80,7 @@ func (rs *RecordStore) insertAt(pageID PageID, after uint16, data []byte) (Loc, 
 		return Loc{pageID, s}, nil, nil
 	}
 	// Second chance: compaction may create contiguous room.
-	if rs.wouldFitAfterCompact(p, len(stored)) {
+	if fits, _ := p.roomFor(1, len(stored)); fits {
 		p.compact()
 		if s := p.insertAfter(after, stored); s != nilSlot {
 			rs.pool.Unpin(f, true)
@@ -97,13 +97,47 @@ func (rs *RecordStore) insertAt(pageID PageID, after uint16, data []byte) (Loc, 
 	return loc, moves, nil
 }
 
-func (rs *RecordStore) wouldFitAfterCompact(p slotPage, n int) bool {
-	slotCost := 0
-	if p.freeSlot() == nilSlot {
-		slotCost = slotSize
+// Fits reports whether a record of n payload bytes placed next to another
+// record on page fits there, compacting the page if need be — whether
+// InsertBefore or InsertAfter at a location on page would place it without
+// cutting or shifting the page. It reads the page's header and slot table,
+// in place.
+func (rs *RecordStore) Fits(page PageID, n int) (bool, error) {
+	stored := stubSize
+	if n+1 <= rs.inlineMax() {
+		stored = n + 1
 	}
-	free := p.usable() - headerSize - p.nslots()*slotSize - p.usedBytes() - slotCost
-	return free >= n
+	var fits bool
+	err := rs.pool.View(page, func(data []byte) error {
+		p := slotPage(data)
+		if p.typ() != pageData {
+			return fmt.Errorf("pagestore: page %d is not a data page", page)
+		}
+		fits, _ = p.roomFor(1, stored)
+		return nil
+	})
+	return fits, err
+}
+
+// PageRecords calls fn for each record on page in record order, with its
+// location and, for an inline record, its payload; a spilled record's is
+// nil. The payload aliases the page: fn reads it in place, keeps none of
+// it, and calls nothing on the store.
+func (rs *RecordStore) PageRecords(page PageID, fn func(loc Loc, payload []byte)) error {
+	return rs.pool.View(page, func(data []byte) error {
+		p := slotPage(data)
+		if p.typ() != pageData {
+			return fmt.Errorf("pagestore: page %d is not a data page", page)
+		}
+		for s := p.firstSlot(); s != nilSlot; s = p.slotNext(s) {
+			var payload []byte
+			if stored := p.payload(s); len(stored) > 0 && stored[0] == recInline {
+				payload = stored[1:]
+			}
+			fn(Loc{page, s}, payload)
+		}
+		return nil
+	})
 }
 
 // splitInsert places stored after slot `after` on the pinned page f, which

@@ -1,6 +1,9 @@
 package pagestore
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"sync"
+)
 
 // Slotted data pages.
 //
@@ -141,29 +144,19 @@ func (p slotPage) live(s uint16) bool {
 	return int(s) < p.nslots() && p.slotPayloadOff(s) != nilSlot
 }
 
-// freeSpace returns the bytes available for one more payload including a
-// possibly-new slot entry.
-func (p slotPage) freeSpace() int {
-	slotCost := 0
-	if p.freeSlot() == nilSlot {
-		slotCost = slotSize
-	}
-	return p.heapStart() - (headerSize + p.nslots()*slotSize) - slotCost
-}
-
-// capacityFor reports whether a payload of length n fits, possibly after
-// compaction.
-func (p slotPage) capacityFor(n int) bool { return p.freeSpace() >= n }
-
 // roomFor reports whether k more records of n bytes in all fit on the page
 // after compaction, and whether they fit without it. New records take free
-// slots before they grow the slot table.
+// slots before they grow the slot table. It is the page's one room rule:
+// every insert and every placement decision asks it.
 func (p slotPage) roomFor(k, n int) (fits, contiguous bool) {
 	for s := p.freeSlot(); s != nilSlot && k > 0; s = p.slotNext(s) {
 		k--
 	}
 	table := headerSize + (p.nslots()+k)*slotSize
-	return table+p.usedBytes()+n <= p.usable(), table+n <= p.heapStart()
+	if table+n <= p.heapStart() {
+		return true, true // the heap holds at most what lies above heapStart
+	}
+	return table+p.usedBytes()+n <= p.usable(), false
 }
 
 // allocSlot grabs a slot id from the free chain or extends the table.
@@ -202,7 +195,7 @@ func (p slotPage) insertPayload(data []byte) uint16 {
 // (after == nilSlot means insert at the head). It returns the new slot id,
 // or nilSlot if the page lacks space (caller should compact or split).
 func (p slotPage) insertAfter(after uint16, data []byte) uint16 {
-	if !p.capacityFor(len(data)) {
+	if _, contiguous := p.roomFor(1, len(data)); !contiguous {
 		return nilSlot
 	}
 	s := p.allocSlot()
@@ -251,16 +244,23 @@ func (p slotPage) deleteSlot(s uint16) {
 }
 
 // compact repacks the heap so that free space is contiguous. Slot ids and
-// record order are unchanged.
+// record order are unchanged. The heap is copied out to a pooled scratch
+// buffer, not a fresh one: a page-full merge compacts its page, and an 8 KiB
+// allocation per compaction was most of what the merges cost.
 func (p slotPage) compact() {
 	base := p.heapStart()
-	heap := append([]byte(nil), p[base:p.usable()]...)
+	scratch := compactScratch.Get().(*[]byte)
+	heap := append((*scratch)[:0], p[base:p.usable()]...)
 	p.setHeapStart(p.usable())
 	for s := p.firstSlot(); s != nilSlot; s = p.slotNext(s) {
 		off := int(p.slotPayloadOff(s)) - base
 		p.setSlotPayloadOff(s, p.insertPayload(heap[off:off+int(p.slotLen(s))]))
 	}
+	*scratch = heap
+	compactScratch.Put(scratch)
 }
+
+var compactScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // updateInPlace replaces the payload of slot s if space permits (after
 // compaction when needed). Reports success. On failure the old payload is

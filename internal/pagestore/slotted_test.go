@@ -101,9 +101,9 @@ func TestSlottedCompact(t *testing.T) {
 	for i := 0; i < len(slots); i += 2 {
 		p.deleteSlot(slots[i])
 	}
-	before := p.freeSpace()
+	before := p.heapStart()
 	p.compact()
-	after := p.freeSpace()
+	after := p.heapStart()
 	if after <= before {
 		t.Errorf("compaction did not reclaim space: %d -> %d", before, after)
 	}

@@ -70,7 +70,8 @@ func placementReplay(t *testing.T, s *axml.Store, orders, inserts int, where fun
 // process — a journaled file store with 8 KiB pages, 5 000 orders, then
 // 2 000 single-order commits of which one in four goes after a uniformly
 // chosen order — and holds the record layer to what handing a full page's
-// tail to the next page buys there: 212 data pages at fill 0.749. Cutting a
+// tail to the next page buys there: 210 data pages at fill 0.744 (212 at
+// 0.749 before appended ranges merged where their page filled). Cutting a
 // page for every tail instead ends the same replay with 242 at fill 0.656
 // (242–255 at 0.63–0.66 over five seeds, against 212–225 at 0.71–0.75).
 func TestIngestShapeKeepsPagesFull(t *testing.T) {

@@ -275,3 +275,115 @@ func TestStressColdFileReadersVsSplittingWriter(t *testing.T) {
 		t.Errorf("the run was not cold or not splitting: %d pool evictions, %d partial evictions, %d splits", st.Pool.Evictions, st.PartialEvictions, st.Splits)
 	}
 }
+
+// TestStressReadersVsMergingWriter races readers against the page-full merge.
+// A writer appends orders to the root, three for every one it inserts after
+// an earlier order, on pages small enough that its appends fill one every
+// few orders, so the ranges they make merge again and again. Readers
+// resolve the ids of the orders appended last — their Partial Index entries
+// and checkpoints point into exactly the ranges about to merge — and each
+// read must render the order's exact XML, under -race.
+func TestStressReadersVsMergingWriter(t *testing.T) {
+	s, err := core.Open(core.Config{Mode: core.RangePartial, PartialCapacity: 256, PageSize: 2048, PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	root, err := s.Append(xmltok.MustParseFragment(`<purchase-orders/>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type placed struct {
+		id  core.NodeID
+		xml string
+	}
+	var (
+		mu     sync.Mutex
+		orders []placed
+	)
+	recent := func(r uint64) (placed, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(orders) == 0 {
+			return placed{}, false
+		}
+		return orders[len(orders)-1-int(r%uint64(min(len(orders), 24)))], true
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var failed atomic.Bool
+	fail := func(format string, args ...any) {
+		if failed.CompareAndSwap(false, true) {
+			t.Errorf(format, args...)
+		}
+	}
+	wg.Add(1)
+	go func() { // the writer
+		defer wg.Done()
+		defer close(stop)
+		gen := workload.New(31)
+		pick := workload.New(32).Uniform(1 << 30)
+		for k := 0; k < 500 && !failed.Load(); k++ {
+			po := gen.PurchaseOrder(k)
+			xml, err := xmltok.ToString(po)
+			if err != nil {
+				fail("render order %d: %v", k, err)
+				return
+			}
+			var id core.NodeID
+			if k%4 == 3 {
+				mu.Lock()
+				after := orders[int(pick()%uint64(len(orders)))].id
+				mu.Unlock()
+				id, err = s.InsertAfter(after, po)
+			} else {
+				id, err = s.InsertIntoLast(root, po)
+			}
+			if err != nil {
+				fail("insert order %d: %v", k, err)
+				return
+			}
+			mu.Lock()
+			orders = append(orders, placed{id, xml})
+			mu.Unlock()
+		}
+	}()
+	var ctr atomic.Uint64
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				o, ok := recent(ctr.Add(7))
+				if !ok {
+					continue
+				}
+				var err error
+				if buf, err = s.AppendNodeXML(context.Background(), buf[:0], o.id); err != nil || string(buf) != o.xml {
+					fail("order %d read as %.80q, %v; want %.80q", o.id, buf, err, o.xml)
+					return
+				}
+				if p, ok, err := s.Parent(o.id); err != nil || !ok || p != root {
+					fail("order %d: parent %d, %v, %v; want the root %d", o.id, p, ok, err, root)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	if st := s.Stats(); st.Merges == 0 || st.PartialHits == 0 {
+		t.Errorf("the run did not merge under readers: %d merges, %d partial hits", st.Merges, st.PartialHits)
+	} else {
+		t.Logf("%d merges, %d partial hits, %d partial invalidations", st.Merges, st.PartialHits, st.PartialInvalidations)
+	}
+}
