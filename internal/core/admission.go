@@ -116,7 +116,9 @@ func (a *admission) snapshot() AdmissionStats {
 // and composite public helpers that chain other public calls — must not, or
 // a held slot would wait on a second slot and the gate could self-deadlock.
 func (s *Store) readOp(ctx context.Context, fn func(cur *rangeCursor) error) (err error) {
-	ctx, end, err := s.beginOp(ctx)
+	cur := s.cursor(nil)
+	defer cur.close()
+	ctx, end, err := s.beginOp(ctx, &cur.dl)
 	if err != nil {
 		return err
 	}
@@ -127,8 +129,7 @@ func (s *Store) readOp(ctx context.Context, fn func(cur *rangeCursor) error) (er
 	if s.closed {
 		return ErrClosed
 	}
-	cur := s.cursor(ctx)
-	defer cur.close()
+	cur.ctx = ctx
 	return fn(cur)
 }
 
@@ -136,35 +137,39 @@ func (s *Store) readOp(ctx context.Context, fn func(cur *rangeCursor) error) (er
 // place of the closed check, so a closed, read-only or degraded store
 // rejects the write and an admitted one starts a new generation.
 func (s *Store) writeOp(ctx context.Context, fn func(cur *rangeCursor) error) (err error) {
-	ctx, end, err := s.beginOp(ctx)
+	cur := s.cursor(nil)
+	defer cur.close()
+	ctx, end, err := s.beginOp(ctx, &cur.dl)
 	if err != nil {
 		return err
 	}
 	defer end.finish()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.scratch.trim()
 	defer s.latchCorrupt(&err)
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	cur := s.cursor(ctx)
-	defer cur.close()
+	cur.ctx = ctx
 	return fn(cur)
 }
 
 // beginOp applies the configured OpTimeout (only when the caller brought no
-// deadline of its own), then passes admission control. On success the
-// returned context carries the deadline and end.finish must be deferred; on
-// failure the typed error is returned as the operation's result. readOp and
-// writeOp are its only callers.
-func (s *Store) beginOp(ctx context.Context) (opCtx context.Context, end opEnd, err error) {
+// deadline of its own), in dl — the operation's cursor's, so it costs no
+// allocation — then passes admission control. On success the returned
+// context carries the deadline and end.finish must be deferred; on failure
+// the typed error is returned as the operation's result. readOp and writeOp
+// are its only callers.
+func (s *Store) beginOp(ctx context.Context, dl *deadlineCtx) (opCtx context.Context, end opEnd, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	var d *deadlineCtx
 	if s.cfg.OpTimeout > 0 {
 		if _, has := ctx.Deadline(); !has {
-			d = newDeadlineCtx(ctx, s.cfg.OpTimeout)
+			*dl = deadlineCtx{Context: ctx, deadline: time.Now().Add(s.cfg.OpTimeout)}
+			d = dl
 			ctx = d
 		}
 	}
@@ -203,6 +208,15 @@ type deadlineCtx struct {
 	done            chan struct{}
 	timer           *time.Timer
 	unhook          func() bool // stops forwarding the parent's cancellation
+}
+
+// armed reports whether Done set up a timer and a parent hook. Their
+// callbacks may still be about to run after end, so such a context is never
+// reused.
+func (c *deadlineCtx) armed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.done != nil
 }
 
 func newDeadlineCtx(parent context.Context, timeout time.Duration) *deadlineCtx {

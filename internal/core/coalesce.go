@@ -165,21 +165,17 @@ func (s *Store) coalescePair(a, b *rangeInfo, maxBytes int) (bool, error) {
 func (s *Store) mergeRuns(runs [][]*rangeInfo) error {
 	cur := s.cursor(context.Background())
 	defer cur.close()
-	merged := make([][]byte, len(runs))
-	for i, run := range runs {
-		size := 0
-		for _, ri := range run {
-			size += ri.bytes
-		}
-		merged[i] = make([]byte, 0, size)
+	merged := s.scratch.merged[:0] // the runs' bytes, one run after another
+	for _, run := range runs {
 		for _, ri := range run {
 			tokenBytes, err := cur.all(ri)
 			if err != nil {
 				return err
 			}
-			merged[i] = append(merged[i], tokenBytes...)
+			merged = append(merged, tokenBytes...)
 		}
 	}
+	s.scratch.merged = merged
 	for _, run := range runs {
 		// The others leave the table and a takes their content, counters and
 		// all: the content moves, it is not dropped. a keeps its place in the
@@ -216,10 +212,12 @@ func (s *Store) mergeRuns(runs [][]*rangeInfo) error {
 		}
 		s.merges += uint64(len(run) - 1)
 	}
-	for i, run := range runs {
-		if err := s.writeRangeRecord(run[0], merged[i]); err != nil {
+	for _, run := range runs {
+		a := run[0] // its bytes are now the whole run's
+		if err := s.writeRangeRecord(a, merged[:a.bytes]); err != nil {
 			return err
 		}
+		merged = merged[a.bytes:]
 	}
 	return nil
 }

@@ -34,6 +34,9 @@ import (
 type rangeCursor struct {
 	s   *Store
 	ctx context.Context
+	// dl is the OpTimeout context of the operation that holds the cursor,
+	// when it has one (beginOp); ctx is then &dl.
+	dl deadlineCtx
 
 	ri   *rangeInfo
 	ver  uint32 // ri.version the window was read under
@@ -70,6 +73,9 @@ func (s *Store) cursor(ctx context.Context) *rangeCursor {
 
 func (c *rangeCursor) close() {
 	c.s.rangeBytesRead.Add(c.copied)
+	if c.dl.Context != nil && c.dl.armed() {
+		return // a timer may yet end c.dl: let the cursor go
+	}
 	buf, out := c.buf[:0], c.out[:0]
 	if cap(buf) > cursorRetainBytes {
 		buf = nil

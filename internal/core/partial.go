@@ -71,6 +71,7 @@ func (e partialEntry) endsIn(ri *rangeInfo) bool {
 
 // boxedEntry is the shard-resident form: the entry plus its recency stamp.
 type boxedEntry struct {
+	budget.VictimSlot
 	partialEntry
 	used atomic.Uint64 // last-use stamp from the index clock
 }
@@ -93,6 +94,7 @@ type partialShard struct {
 	mu       sync.RWMutex
 	capacity int
 	entries  map[NodeID]*boxedEntry
+	victims  budget.Victims[*boxedEntry] // the entries again, for eviction
 }
 
 type partialIndex struct {
@@ -147,7 +149,7 @@ func (px *partialIndex) shedForBudget() {
 			if v == nil {
 				break
 			}
-			delete(sh.entries, v.id)
+			sh.drop(v)
 			b.Discharge(budget.Partial, partialEntryCost)
 			b.NoteEviction(budget.Partial)
 			excess -= partialEntryCost
@@ -175,11 +177,17 @@ func (px *partialIndex) len() int {
 }
 
 // oldestLocked returns the shard's eviction victim: the least recently used of
-// a bounded sample (budget.Oldest), so an insert into a full shard costs the
+// a bounded sample (budget.Victims), so an insert into a full shard costs the
 // same whatever the shard holds. Caller holds sh.mu exclusively.
 func oldestLocked(sh *partialShard) *boxedEntry {
-	v, _ := budget.Oldest(sh.entries, func(b *boxedEntry) (uint64, bool) { return b.used.Load(), true })
+	v, _ := sh.victims.Oldest(func(b *boxedEntry) (uint64, bool) { return b.used.Load(), true })
 	return v
+}
+
+// drop removes b from the shard (sh.mu held exclusively).
+func (sh *partialShard) drop(b *boxedEntry) {
+	delete(sh.entries, b.id)
+	sh.victims.Remove(b)
 }
 
 func (px *partialIndex) hit()  { px.stats.hits.Add(1) }
@@ -235,7 +243,7 @@ func (px *partialIndex) ensureLocked(sh *partialShard, id NodeID) *boxedEntry {
 	}
 	if len(sh.entries) >= sh.capacity {
 		if v := oldestLocked(sh); v != nil {
-			delete(sh.entries, v.id)
+			sh.drop(v)
 			px.budget.Discharge(budget.Partial, partialEntryCost)
 			px.stats.evictions.Add(1)
 		}
@@ -244,6 +252,7 @@ func (px *partialIndex) ensureLocked(sh *partialShard, id NodeID) *boxedEntry {
 	b.id = id
 	b.used.Store(px.clock.Add(1))
 	sh.entries[id] = b
+	sh.victims.Add(b)
 	px.budget.Charge(budget.Partial, partialEntryCost)
 	return b
 }
@@ -291,8 +300,8 @@ func (px *partialIndex) removeNode(id NodeID) {
 	sh := px.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.entries[id]; ok {
-		delete(sh.entries, id)
+	if b, ok := sh.entries[id]; ok {
+		sh.drop(b)
 		px.budget.Discharge(budget.Partial, partialEntryCost)
 	}
 }
@@ -303,6 +312,7 @@ func (px *partialIndex) reset() {
 		sh.mu.Lock()
 		px.budget.Discharge(budget.Partial, int64(len(sh.entries))*partialEntryCost)
 		sh.entries = make(map[NodeID]*boxedEntry, sh.capacity)
+		sh.victims.Reset()
 		sh.mu.Unlock()
 	}
 }

@@ -24,14 +24,21 @@ import (
 // sequential scan (crash recovery / reopen).
 const rangeHeaderSize = 4 + 8 + 4 + 4
 
-func encodeRangeRecord(id RangeID, start NodeID, nodes, toks int, tokenBytes []byte) []byte {
-	out := make([]byte, rangeHeaderSize+len(tokenBytes))
-	binary.LittleEndian.PutUint32(out[0:], uint32(id))
-	binary.LittleEndian.PutUint64(out[4:], uint64(start))
-	binary.LittleEndian.PutUint32(out[12:], uint32(nodes))
-	binary.LittleEndian.PutUint32(out[16:], uint32(toks))
-	copy(out[rangeHeaderSize:], tokenBytes)
-	return out
+// encodeRangeRecord fills in the header of rec, a range record whose token
+// bytes are already in place behind rangeHeaderSize bytes of room, and
+// returns it.
+func encodeRangeRecord(rec []byte, id RangeID, start NodeID, nodes, toks int) []byte {
+	binary.LittleEndian.PutUint32(rec[0:], uint32(id))
+	binary.LittleEndian.PutUint64(rec[4:], uint64(start))
+	binary.LittleEndian.PutUint32(rec[12:], uint32(nodes))
+	binary.LittleEndian.PutUint32(rec[16:], uint32(toks))
+	return rec
+}
+
+// appendRecordRoom appends room for a range header to dst: the start of a
+// record encodeRangeRecord finishes once its token bytes follow.
+func appendRecordRoom(dst []byte) []byte {
+	return append(dst, make([]byte, rangeHeaderSize)...)
 }
 
 // decodeRangeHeader splits a record payload into its header fields and the

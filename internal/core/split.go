@@ -20,12 +20,16 @@ import (
 // end of the chain — and registers it. The full index is left to the caller:
 // fresh content is added to it, a split's tail is rebased in it.
 //
+// rec is the record with its header left to fill: room for it
+// (appendRecordRoom), then the token bytes. It is copied into its page
+// before placeRange returns.
+//
 // When merge is set and the record does not fit the page it goes to, the
 // ranges on that page are coarsened first (coarsen), so the record may fit
 // after all. A bulk append (a zero pos) and a split's tail never merge.
-func (s *Store) placeRange(pos tokenPos, start NodeID, nodes, toks int, tokenBytes []byte, merge bool) (*rangeInfo, error) {
-	ri := &rangeInfo{id: s.allocRangeID(), start: start, nodes: nodes, toks: toks, bytes: len(tokenBytes)}
-	rec := encodeRangeRecord(ri.id, ri.start, ri.nodes, ri.toks, tokenBytes)
+func (s *Store) placeRange(pos tokenPos, start NodeID, nodes, toks int, rec []byte, merge bool) (*rangeInfo, error) {
+	ri := &rangeInfo{id: s.allocRangeID(), start: start, nodes: nodes, toks: toks, bytes: len(rec) - rangeHeaderSize}
+	rec = encodeRangeRecord(rec, ri.id, ri.start, ri.nodes, ri.toks)
 	if pos.ri != nil && pos.byteOff > 0 && !pos.atRangeEnd() {
 		if _, err := s.splitRange(pos.ri, pos); err != nil {
 			return nil, err
@@ -59,16 +63,18 @@ func (s *Store) placeRange(pos tokenPos, start NodeID, nodes, toks int, tokenByt
 
 // newRange places frag at pos as one range of fresh contiguous ids (see
 // placeRange) and indexes it in the full index. Returns the first new id.
+// The fragment is encoded once, straight into the record placeRange writes.
 func (s *Store) newRange(pos tokenPos, frag []Token) (NodeID, error) {
 	n := token.NodeCount(frag)
 	start := s.allocIDs(n)
-	tokenBytes := s.dict.EncodeAll(frag)
-	ri, err := s.placeRange(pos, start, n, len(frag), tokenBytes, true)
+	rec := s.dict.AppendAll(appendRecordRoom(s.scratch.newRec[:0]), frag)
+	s.scratch.newRec = rec
+	ri, err := s.placeRange(pos, start, n, len(frag), rec, true)
 	if err != nil {
 		return InvalidNode, err
 	}
 	if s.full != nil {
-		if err := s.full.addFragment(ri, tokenBytes); err != nil {
+		if err := s.full.addFragment(ri, rec[rangeHeaderSize:]); err != nil {
 			return InvalidNode, err
 		}
 	}
@@ -116,7 +122,8 @@ func (s *Store) splitRange(ri *rangeInfo, pos tokenPos) (*rangeInfo, error) {
 	}
 
 	// Place the tail record right after the head.
-	tail, err := s.placeRange(tokenPos{ri: ri, byteOff: ri.bytes}, tailStart, tailNodes, tailToks, tailBytes, false)
+	s.scratch.rec = append(appendRecordRoom(s.scratch.rec[:0]), tailBytes...)
+	tail, err := s.placeRange(tokenPos{ri: ri, byteOff: ri.bytes}, tailStart, tailNodes, tailToks, s.scratch.rec, false)
 	if err != nil {
 		return nil, err
 	}

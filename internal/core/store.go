@@ -169,7 +169,33 @@ type Store struct {
 	degradeMu sync.Mutex
 	corrupt   error
 
+	// scratch is what the write path encodes into, under mu.Lock. Nothing
+	// in it outlives the write that filled it: a record is copied into its
+	// page, the meta blob into the meta page.
+	scratch writeScratch
+
 	closed bool
+}
+
+// writeScratch holds the write path's reused buffers.
+type writeScratch struct {
+	newRec []byte // an insert's new range record (newRange)
+	rec    []byte // a rewritten record (writeRangeRecord) or a split's tail
+	merged []byte // the runs a merge joins, one after another (mergeRuns)
+	// meta is the meta page's blob as last saved: the allocator marks, then
+	// the dictionary's table, which is encoded again only when a name was
+	// added. Nil until the first save after an open or a rebuild.
+	meta []byte
+}
+
+// trim lets go of a buffer an outsized write grew, so one large load does
+// not pin its size for the store's life.
+func (w *writeScratch) trim() {
+	for _, b := range []*[]byte{&w.newRec, &w.rec, &w.merged} {
+		if cap(*b) > cursorRetainBytes {
+			*b = nil
+		}
+	}
 }
 
 // degrade latches the store read-only. The first cause wins.
@@ -366,7 +392,7 @@ func (s *Store) rebuild() error {
 	if err := s.dict.Load(names); err != nil {
 		return fmt.Errorf("core: meta page: %w", err)
 	}
-	s.savedNames = s.dict.Len()
+	s.savedNames, s.scratch.meta = s.dict.Len(), nil
 	return nil
 }
 
@@ -461,23 +487,26 @@ func (s *Store) saveAllocState() error {
 	if s.savedID == s.nextID && s.savedRange == s.nextRange && s.savedNames == names {
 		return nil
 	}
+	if s.savedNames != names || s.scratch.meta == nil {
+		s.scratch.meta = s.dict.AppendTable(append(s.scratch.meta[:0], make([]byte, allocStateSize)...))
+	}
 	if s.savedNames != names {
-		if err := s.saveDictRecord(); err != nil {
+		if err := s.saveDictRecord(s.scratch.meta[allocStateSize:]); err != nil {
 			return err
 		}
 	}
-	meta := s.dict.AppendTable(appendAllocState(nil, s.nextID, s.nextRange))
-	if err := s.recs.SetUserMeta(meta); err != nil {
+	appendAllocState(s.scratch.meta[:0], s.nextID, s.nextRange) // over the marks, in place
+	if err := s.recs.SetUserMeta(s.scratch.meta); err != nil {
 		return err
 	}
 	s.savedID, s.savedRange, s.savedNames = s.nextID, s.nextRange, names
 	return nil
 }
 
-// saveDictRecord writes the dictionary's chain record: first in the chain
-// when it is new, in place after that.
-func (s *Store) saveDictRecord() error {
-	rec := encodeDictRecord(s.dict.AppendTable(nil))
+// saveDictRecord writes the dictionary's chain record, whose body is table:
+// first in the chain when it is new, in place after that.
+func (s *Store) saveDictRecord(table []byte) error {
+	rec := encodeDictRecord(table)
 	var loc pagestore.Loc
 	var moves []pagestore.Move
 	var err error
@@ -829,7 +858,8 @@ func (s *Store) Dict() *token.Dict { return s.dict }
 // writeRangeRecord rewrites ri's record after its content changed, fixing
 // record locations for any relocations, and bumps the range version.
 func (s *Store) writeRangeRecord(ri *rangeInfo, tokenBytes []byte) error {
-	rec := encodeRangeRecord(ri.id, ri.start, ri.nodes, ri.toks, tokenBytes)
+	s.scratch.rec = append(appendRecordRoom(s.scratch.rec[:0]), tokenBytes...)
+	rec := encodeRangeRecord(s.scratch.rec, ri.id, ri.start, ri.nodes, ri.toks)
 	newLoc, moves, err := s.recs.Update(ri.loc, rec)
 	if err != nil {
 		return err

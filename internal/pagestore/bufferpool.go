@@ -19,6 +19,7 @@ var (
 // Frame is a page resident in the buffer pool. The Data slice is valid while
 // the frame is pinned; callers must not retain it past Unpin.
 type Frame struct {
+	budget.VictimSlot
 	ID      PageID
 	Data    []byte
 	pins    int
@@ -59,7 +60,18 @@ type poolShard struct {
 	mu       sync.RWMutex
 	capacity int
 	frames   map[PageID]*Frame
+	victims  budget.Victims[*Frame] // the frames again, for eviction
 	dirty    []*Frame
+}
+
+func (sh *poolShard) add(f *Frame) {
+	sh.frames[f.ID] = f
+	sh.victims.Add(f)
+}
+
+func (sh *poolShard) remove(f *Frame) {
+	delete(sh.frames, f.ID)
+	sh.victims.Remove(f)
 }
 
 // markDirty adds f to the shard's dirty list unless it is already on it.
@@ -343,7 +355,7 @@ func (bp *BufferPool) newFrameLocked(sh *poolShard, id PageID) (*Frame, error) {
 	}
 	f := &Frame{ID: id, Data: data, pins: 1}
 	f.stamp.Store(bp.clock.Add(1))
-	sh.frames[id] = f
+	sh.add(f)
 	bp.budget.Charge(budget.Pool, bp.frameCost())
 	return f, nil
 }
@@ -351,12 +363,12 @@ func (bp *BufferPool) newFrameLocked(sh *poolShard, id PageID) (*Frame, error) {
 // dropFrameLocked removes a frame that never became valid (read or checksum
 // failure after newFrameLocked), reversing its budget charge.
 func (bp *BufferPool) dropFrameLocked(sh *poolShard, id PageID) {
-	delete(sh.frames, id)
+	sh.remove(sh.frames[id])
 	bp.budget.Discharge(budget.Pool, bp.frameCost())
 }
 
 // evictLocked drops an unpinned frame — the least recently used of a bounded
-// sample (budget.Oldest) — flushing it first if dirty, and returns its page
+// sample (budget.Victims) — flushing it first if dirty, and returns its page
 // buffer for the caller to reuse: the flush is done before anyone can write
 // into it. Caller holds sh.mu exclusively, which is also what keeps View's
 // readers (shard read lock, no pin) off the buffer. While a batch holds the
@@ -367,7 +379,7 @@ func (bp *BufferPool) evictLocked(sh *poolShard) ([]byte, error) {
 	if held && len(sh.dirty) >= len(sh.frames) {
 		return nil, nil
 	}
-	f, ok := budget.Oldest(sh.frames, func(c *Frame) (uint64, bool) {
+	f, ok := sh.victims.Oldest(func(c *Frame) (uint64, bool) {
 		return c.stamp.Load(), c.pins == 0 && !(held && c.dirty)
 	})
 	if !ok {
@@ -381,7 +393,7 @@ func (bp *BufferPool) evictLocked(sh *poolShard) ([]byte, error) {
 			return nil, err
 		}
 	}
-	delete(sh.frames, f.ID)
+	sh.remove(f)
 	bp.budget.Discharge(budget.Pool, bp.frameCost())
 	bp.evictions.Add(1)
 	data := f.Data
@@ -449,7 +461,7 @@ func (bp *BufferPool) FreePage(f *Frame) error {
 	}
 	f.pins = 0
 	sh.markClean(f) // a freed page's contents are never written
-	delete(sh.frames, f.ID)
+	sh.remove(f)
 	bp.budget.Discharge(budget.Pool, bp.frameCost())
 	if bp.held.Load() {
 		bp.hold.mu.Lock()

@@ -206,6 +206,7 @@ type FilePager struct {
 	highest  PageID
 	free     []PageID
 	freed    map[PageID]bool
+	zero     []byte // one zero page, what Allocate extends the file with; never written
 	readOnly bool
 	closed   bool
 }
@@ -291,9 +292,10 @@ func (p *FilePager) Allocate() (PageID, error) {
 		id = p.highest
 	}
 	p.npages++
-	// Extend the file with a zero page.
-	zero := make([]byte, p.pageSize)
-	if _, err := p.f.WriteAt(zero, int64(id)*int64(p.pageSize)); err != nil {
+	if p.zero == nil {
+		p.zero = make([]byte, p.pageSize)
+	}
+	if _, err := p.f.WriteAt(p.zero, int64(id)*int64(p.pageSize)); err != nil {
 		return InvalidPage, err
 	}
 	return id, nil

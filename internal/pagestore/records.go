@@ -67,6 +67,10 @@ type RecordStore struct {
 	head  PageID // first data page
 	tail  PageID // last data page
 	stats PlaceStats
+	// stored is the buffer encode lays an inline record or a stub out in.
+	// Every caller copies what encode returns into a page before it asks
+	// for another, so one buffer serves every write.
+	stored []byte
 }
 
 // PlaceStats counts how inserts that found their page full were placed,
@@ -376,19 +380,18 @@ func (rs *RecordStore) encode(data []byte) ([]byte, error) {
 		return nil, ErrTooLarge
 	}
 	if len(data)+1 <= rs.inlineMax() {
-		out := make([]byte, len(data)+1)
-		out[0] = recInline
-		copy(out[1:], data)
-		return out, nil
+		rs.stored = append(append(rs.stored[:0], recInline), data...)
+		return rs.stored, nil
 	}
 	first, err := rs.writeOverflow(data)
 	if err != nil {
 		return nil, err
 	}
-	stub := make([]byte, stubSize)
+	stub := append(rs.stored[:0], make([]byte, stubSize)...)
 	stub[0] = recOverflow
 	binary.LittleEndian.PutUint32(stub[1:], uint32(len(data)))
 	binary.LittleEndian.PutUint32(stub[5:], uint32(first))
+	rs.stored = stub
 	return stub, nil
 }
 

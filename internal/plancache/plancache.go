@@ -51,10 +51,12 @@ type Cache struct {
 type shard struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
+	victims budget.Victims[*entry] // the entries again, for eviction
 	bytes   int64
 }
 
 type entry struct {
+	budget.VictimSlot
 	key  string
 	val  any
 	cost int64
@@ -159,6 +161,7 @@ func (c *Cache) put(key string, val any, cost int64, cas bool, old any) bool {
 	} else {
 		e = &entry{key: key, val: val, cost: cost}
 		sh.entries[key] = e
+		sh.victims.Add(e)
 	}
 	e.used.Store(c.clock.Add(1))
 	sh.bytes += delta
@@ -174,14 +177,15 @@ func (c *Cache) put(key string, val any, cost int64, cas bool, old any) bool {
 }
 
 // evictOldestLocked removes sh's least recently used entry of a bounded
-// sample (budget.Oldest), as the buffer pool and the Partial Index do (sh.mu
+// sample (budget.Victims), as the buffer pool and the Partial Index do (sh.mu
 // held exclusively).
 func (c *Cache) evictOldestLocked(sh *shard) {
-	victim, ok := budget.Oldest(sh.entries, func(e *entry) (uint64, bool) { return e.used.Load(), true })
+	victim, ok := sh.victims.Oldest(func(e *entry) (uint64, bool) { return e.used.Load(), true })
 	if !ok {
 		return
 	}
 	delete(sh.entries, victim.key)
+	sh.victims.Remove(victim)
 	sh.bytes -= victim.cost
 	c.bud.Discharge(budget.Plans, victim.cost)
 	c.evictions.Add(1)
@@ -280,6 +284,7 @@ func (c *Cache) Reset() {
 		c.bud.Discharge(budget.Plans, sh.bytes)
 		sh.bytes = 0
 		sh.entries = make(map[string]*entry)
+		sh.victims.Reset()
 		sh.mu.Unlock()
 	}
 }

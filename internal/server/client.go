@@ -66,6 +66,8 @@ type Client struct {
 	mu        sync.Mutex
 	nc        net.Conn
 	br        *bufio.Reader
+	dl        lazyDeadline // the socket deadline last armed
+	armed     int          // deadlines armed, for tests
 	sessionID uint64
 	replica   bool
 	closed    bool
@@ -153,14 +155,17 @@ func (c *Client) Close() error {
 }
 
 // ioDeadline picks the wire deadline: the context's plus a small grace,
-// else now+IOTimeout. The grace lets the server's *typed* deadline error
-// (it received our deadline and enforced it store-side) win the race
-// against our own socket timeout firing at the same instant.
-func (c *Client) ioDeadline(ctx context.Context) time.Time {
+// else IOTimeout from now. The grace lets the server's *typed* deadline
+// error (it received our deadline and enforced it store-side) win the race
+// against our own socket timeout firing at the same instant. The deadline
+// is armed lazily (lazyDeadline), up to an eighth of the time left late.
+func (c *Client) ioDeadline(ctx context.Context) (time.Time, bool) {
+	now := time.Now()
 	if dl, ok := ctx.Deadline(); ok {
-		return dl.Add(250 * time.Millisecond)
+		want := dl.Add(250 * time.Millisecond)
+		return c.dl.nextAt(want, want.Sub(now)/8)
 	}
-	return time.Now().Add(c.opt.IOTimeout)
+	return c.dl.next(now, c.opt.IOTimeout)
 }
 
 // header encodes the common request header: the remaining deadline in
@@ -205,7 +210,10 @@ func (c *Client) roundTrip(ctx context.Context, typ byte, payload []byte, fn fun
 		c.nc.Close()
 		return err
 	}
-	c.nc.SetDeadline(c.ioDeadline(ctx))
+	if at, ok := c.ioDeadline(ctx); ok {
+		c.armed++
+		c.nc.SetDeadline(at)
+	}
 	if err := writeFrame(c.nc, typ, payload); err != nil {
 		return fail(err)
 	}

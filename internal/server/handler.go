@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/metrics"
 
 	"repro/internal/core"
 	"repro/internal/failover"
@@ -28,6 +30,36 @@ type StatsReport struct {
 	// Failover is the coordinator's view (epoch, suspicion, election
 	// counters) when this node runs in a fleet.
 	Failover *failover.Status `json:"failover,omitempty"`
+
+	// Runtime is the server process's garbage collector.
+	Runtime RuntimeStats `json:"runtime"`
+}
+
+// RuntimeStats is what the Go runtime reports of the collector's work since
+// the process started, read once per report from runtime/metrics: two reads
+// apart, the differences give bytes allocated and collections per operation.
+type RuntimeStats struct {
+	GCCycles      uint64 `json:"gc_cycles"`       // completed collections
+	AllocBytes    uint64 `json:"alloc_bytes"`     // bytes allocated on the heap, all told
+	LiveHeapBytes uint64 `json:"live_heap_bytes"` // heap marked live by the last collection
+}
+
+// runtimeMetrics are the samples runtimeStats reads, in RuntimeStats' order.
+var runtimeMetrics = [...]string{"/gc/cycles/total:gc-cycles", "/gc/heap/allocs:bytes", "/gc/heap/live:bytes"}
+
+func runtimeStats() RuntimeStats {
+	var samples [len(runtimeMetrics)]metrics.Sample
+	for i, name := range runtimeMetrics {
+		samples[i].Name = name
+	}
+	metrics.Read(samples[:])
+	var v [len(runtimeMetrics)]uint64
+	for i, smp := range samples {
+		if smp.Value.Kind() == metrics.KindUint64 {
+			v[i] = smp.Value.Uint64()
+		}
+	}
+	return RuntimeStats{GCCycles: v[0], AllocBytes: v[1], LiveHeapBytes: v[2]}
 }
 
 // HealthReport is the msgHealth / HTTP /readyz payload. Ready reflects
@@ -92,7 +124,7 @@ func (s *Server) writeStore() (*core.Store, error) {
 
 // statsReport assembles the full report.
 func (s *Server) statsReport() StatsReport {
-	rep := StatsReport{Server: s.Stats(), Role: s.role()}
+	rep := StatsReport{Server: s.Stats(), Role: s.role(), Runtime: runtimeStats()}
 	if p := s.promoted.Load(); p != nil {
 		st := p.Stats()
 		rep.Store = &st
@@ -184,26 +216,8 @@ func (s *Server) dispatch(c *conn, ctx context.Context, typ byte, d *dec, gate r
 		return c.writeJSON(s.statsReport())
 	case msgHealth:
 		return c.writeJSON(s.healthReport())
-	case msgInsert:
-		return s.runMutation(c, ctx, d, func(d *dec) (byte, []byte, error) {
-			return s.buildInsert(ctx, d)
-		})
-	case msgDelete:
-		return s.runMutation(c, ctx, d, func(d *dec) (byte, []byte, error) {
-			id, err := d.u64()
-			if err != nil {
-				return 0, nil, err
-			}
-			return s.buildDelete(ctx, core.NodeID(id))
-		})
-	case msgLoad:
-		return s.runMutation(c, ctx, d, func(d *dec) (byte, []byte, error) {
-			frag, err := d.str()
-			if err != nil {
-				return 0, nil, err
-			}
-			return s.buildLoad(ctx, frag)
-		})
+	case msgInsert, msgDelete, msgLoad:
+		return s.runMutation(c, ctx, typ, d)
 	case msgSegments:
 		after, err := d.u64()
 		if err != nil {
@@ -327,8 +341,15 @@ func (c *conn) writeJSON(v any) error {
 const nodeFrameRoom = frameHeader + 2*binary.MaxVarintLen64
 
 // nodeFrameRetain caps the render buffer a connection keeps between
-// responses; one outsized node does not pin its size for the session.
+// responses (retained); one outsized node does not pin its size for the
+// session.
 const nodeFrameRetain = 1 << 20
+
+// requestRetain caps each other buffer a connection keeps between requests:
+// room for any single-order insert, not for a bulk load's frame and tokens,
+// which go once the load is done, so a session that loaded once does not
+// hold them while it reads.
+const requestRetain = 64 << 10
 
 // nodeFrame renders one node's subtree, under the caller's deadline, straight
 // into a response frame: the store appends the XML behind room for the
@@ -337,9 +358,6 @@ const nodeFrameRetain = 1 << 20
 // reused; the XML is written once. The frame is valid until the next call.
 func (c *conn) nodeFrame(ctx context.Context, st *core.Store, typ byte, id core.NodeID) ([]byte, error) {
 	var room [nodeFrameRoom]byte
-	if cap(c.out) > nodeFrameRetain {
-		c.out = nil
-	}
 	buf, err := st.AppendNodeXML(ctx, append(c.out[:0], room[:]...), id)
 	c.out = buf
 	if err != nil {
@@ -450,7 +468,7 @@ func (s *Server) handleReadNode(c *conn, ctx context.Context, id core.NodeID, ga
 // reserved and the mutation runs; on success its ack is cached before it is
 // written, so even an ack lost on the wire is replayable. Failures are never
 // cached — a retry after a shed or deadline must re-execute.
-func (s *Server) runMutation(c *conn, ctx context.Context, d *dec, build func(d *dec) (byte, []byte, error)) error {
+func (s *Server) runMutation(c *conn, ctx context.Context, typ byte, d *dec) error {
 	tok, err := d.str()
 	if err != nil {
 		return err
@@ -462,7 +480,11 @@ func (s *Server) runMutation(c *conn, ctx context.Context, d *dec, build func(d 
 	if err := s.checkWriteEpoch(epoch); err != nil {
 		return err
 	}
-	if tok != "" {
+	var rtyp byte
+	var payload []byte
+	if tok == "" {
+		rtyp, payload, err = s.mutate(c, ctx, typ, d)
+	} else {
 		key := idemKey{gate: c.gate, token: tok}
 		for {
 			e, found, evicted, running := s.idem.begin(key)
@@ -481,32 +503,53 @@ func (s *Server) runMutation(c *conn, ctx context.Context, d *dec, build func(d 
 				return ctx.Err()
 			}
 		}
-		build = s.reserved(key, build)
+		rtyp, payload, err = s.mutateReserved(key, c, ctx, typ, d)
 	}
-	typ, payload, err := build(d)
 	if err != nil {
 		return err
 	}
-	return c.writeFrame(typ, payload)
+	return c.writeFrame(rtyp, payload)
 }
 
-// reserved wraps build to run under key's reservation and end it, caching
-// the ack when build succeeds, before the ack is written — also when build
-// panics, so no retry waits on a reservation nobody holds.
-func (s *Server) reserved(key idemKey, build func(d *dec) (byte, []byte, error)) func(d *dec) (byte, []byte, error) {
-	return func(d *dec) (typ byte, payload []byte, err error) {
-		var ack *idemEntry
-		defer func() { s.idem.end(key, ack) }()
-		if typ, payload, err = build(d); err == nil {
-			ack = &idemEntry{typ: typ, payload: payload}
+// mutateReserved runs the mutation under key's reservation and ends it,
+// caching a copy of the ack when the mutation succeeds, before the ack is
+// written — also when it panics, so no retry waits on a reservation nobody
+// holds.
+func (s *Server) mutateReserved(key idemKey, c *conn, ctx context.Context, typ byte, d *dec) (rtyp byte, payload []byte, err error) {
+	var ack *idemEntry
+	defer func() { s.idem.end(key, ack) }()
+	if rtyp, payload, err = s.mutate(c, ctx, typ, d); err == nil {
+		ack = &idemEntry{typ: rtyp, payload: bytes.Clone(payload)} // payload is c's buffer
+	}
+	return rtyp, payload, err
+}
+
+// mutate decodes and runs the mutation typ, returning its ack. The ack's
+// payload is the connection's buffer, valid until its next request.
+func (s *Server) mutate(c *conn, ctx context.Context, typ byte, d *dec) (byte, []byte, error) {
+	switch typ {
+	case msgInsert:
+		return s.buildInsert(c, ctx, d)
+	case msgDelete:
+		id, err := d.u64()
+		if err != nil {
+			return 0, nil, err
 		}
-		return typ, payload, err
+		return s.buildDelete(ctx, core.NodeID(id))
+	default:
+		frag, err := d.view()
+		if err != nil {
+			return 0, nil, err
+		}
+		return s.buildLoad(c, ctx, frag)
 	}
 }
 
 // buildInsert runs one XUpdate primitive and commits it (Flush) before
-// acknowledging — the ack means durable.
-func (s *Server) buildInsert(ctx context.Context, d *dec) (byte, []byte, error) {
+// acknowledging — the ack means durable. The fragment is parsed where it
+// lies in the request frame, into the connection's token slice: what the
+// store keeps of it (a name new to its dictionary) it copies.
+func (s *Server) buildInsert(c *conn, ctx context.Context, d *dec) (byte, []byte, error) {
 	opb, err := d.byt()
 	if err != nil {
 		return 0, nil, err
@@ -515,7 +558,7 @@ func (s *Server) buildInsert(ctx context.Context, d *dec) (byte, []byte, error) 
 	if err != nil {
 		return 0, nil, err
 	}
-	frag, err := d.str()
+	frag, err := d.view()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -523,10 +566,11 @@ func (s *Server) buildInsert(ctx context.Context, d *dec) (byte, []byte, error) 
 	if err != nil {
 		return 0, nil, err
 	}
-	toks, err := xmltok.ParseFragmentString(frag, xmltok.ParseOptions{})
+	toks, err := xmltok.AppendFragment(c.toks[:0], frag, xmltok.ParseOptions{})
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	c.toks = toks
 	target := core.NodeID(id)
 	var newID core.NodeID
 	switch InsertOp(opb) {
@@ -551,9 +595,8 @@ func (s *Server) buildInsert(ctx context.Context, d *dec) (byte, []byte, error) 
 	if err := st.Flush(); err != nil {
 		return 0, nil, err
 	}
-	var e enc
-	e.u64(uint64(newID))
-	return msgNodeID, e.payload(), nil
+	c.ack = binary.AppendUvarint(c.ack[:0], uint64(newID))
+	return msgNodeID, c.ack, nil
 }
 
 func (s *Server) buildDelete(ctx context.Context, id core.NodeID) (byte, []byte, error) {
@@ -570,15 +613,16 @@ func (s *Server) buildDelete(ctx context.Context, id core.NodeID) (byte, []byte,
 	return msgOK, nil, nil
 }
 
-func (s *Server) buildLoad(ctx context.Context, frag string) (byte, []byte, error) {
+func (s *Server) buildLoad(c *conn, ctx context.Context, frag string) (byte, []byte, error) {
 	st, err := s.writeStore()
 	if err != nil {
 		return 0, nil, err
 	}
-	toks, err := xmltok.ParseFragmentString(frag, xmltok.ParseOptions{})
+	toks, err := xmltok.AppendFragment(c.toks[:0], frag, xmltok.ParseOptions{})
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	c.toks = toks
 	id, err := st.AppendCtx(ctx, toks)
 	if err != nil {
 		return 0, nil, err
@@ -586,7 +630,6 @@ func (s *Server) buildLoad(ctx context.Context, frag string) (byte, []byte, erro
 	if err := st.Flush(); err != nil {
 		return 0, nil, err
 	}
-	var e enc
-	e.u64(uint64(id))
-	return msgNodeID, e.payload(), nil
+	c.ack = binary.AppendUvarint(c.ack[:0], uint64(id))
+	return msgNodeID, c.ack, nil
 }

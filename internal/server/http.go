@@ -124,12 +124,11 @@ func (s *Server) httpQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	finish, err := s.beginServerOp()
-	if err != nil {
+	if err := s.beginServerOp(); err != nil {
 		httpError(w, err)
 		return
 	}
-	defer finish()
+	defer s.endServerOp()
 
 	type row struct {
 		ID  core.NodeID `json:"id"`
@@ -169,12 +168,11 @@ func (s *Server) httpValue(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	finish, err := s.beginServerOp()
-	if err != nil {
+	if err := s.beginServerOp(); err != nil {
 		httpError(w, err)
 		return
 	}
-	defer finish()
+	defer s.endServerOp()
 
 	var val string
 	err = s.withRead(gate, func(st *core.Store) error {

@@ -9,10 +9,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/failover"
 	"repro/internal/replica"
+	"repro/internal/token"
 )
 
 // Options configures a Server. Exactly one of Store and Follower must be
@@ -111,7 +113,10 @@ type ServedStats struct {
 	OpsShedQuota    int64 `json:"ops_shed_quota"`
 	IdemReplays     int64 `json:"idem_replays"`
 	FrameViolations int64 `json:"frame_violations"`
-	Draining        bool  `json:"draining"`
+	// DeadlinesArmed counts the socket deadlines served connections set:
+	// fewer than one per request on a busy session (lazyDeadline).
+	DeadlinesArmed int64 `json:"deadlines_armed"`
+	Draining       bool  `json:"draining"`
 }
 
 // Server serves the wire protocol over one store or one replica.
@@ -152,6 +157,7 @@ type Server struct {
 	opsInFlight     atomic.Int64
 	opsTotal        atomic.Int64
 	frameViolations atomic.Int64
+	deadlinesArmed  atomic.Int64
 }
 
 // New validates opt and builds a Server.
@@ -264,6 +270,7 @@ func (s *Server) Stats() ServedStats {
 		OpsShedQuota:    s.quotaShed(),
 		IdemReplays:     s.idem.hits.Load(),
 		FrameViolations: s.frameViolations.Load(),
+		DeadlinesArmed:  s.deadlinesArmed.Load(),
 		Draining:        s.draining.Load(),
 	}
 }
@@ -279,19 +286,22 @@ func (s *Server) quotaShed() int64 {
 // beginServerOp admits one operation against the drain cutoff. The mutex
 // makes "reject new ops" and "wait for in-flight ops" a single atomic
 // boundary: no op can slip in between Shutdown's cutoff and its Wait.
-func (s *Server) beginServerOp() (func(), error) {
+// An admitted operation ends with endServerOp.
+func (s *Server) beginServerOp() error {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
 	if s.draining.Load() {
-		return nil, fmt.Errorf("%w: drain in progress", ErrDraining)
+		return fmt.Errorf("%w: drain in progress", ErrDraining)
 	}
 	s.ops.Add(1)
 	s.opsInFlight.Add(1)
 	s.opsTotal.Add(1)
-	return func() {
-		s.opsInFlight.Add(-1)
-		s.ops.Done()
-	}, nil
+	return nil
+}
+
+func (s *Server) endServerOp() {
+	s.opsInFlight.Add(-1)
+	s.ops.Done()
 }
 
 // Shutdown drains the server: stop accepting, finish in-flight operations,
@@ -372,9 +382,18 @@ type conn struct {
 	// credentials at all.
 	fleet bool
 	inOp  atomic.Bool
-	// out is the buffer node XML is rendered into, frame prefix included
-	// (nodeFrame); it is reused from response to response.
-	out []byte
+
+	// Buffers reused from request to request, each let go once it outgrows
+	// requestRetain, or out nodeFrameRetain (retained): in holds the request
+	// frame being served, toks the fragment parsed out of it in place, ack a
+	// mutation's reply, frame the frame writeFrame builds, and out the frame
+	// node XML is rendered into (nodeFrame). What a request leaves in them
+	// is dead once its reply is written.
+	in, ack, frame, out []byte
+	toks                []token.Token
+
+	// The socket deadlines last armed (see lazyDeadline).
+	readDL, writeDL lazyDeadline
 }
 
 // serveConn runs a connection's whole life: slot admission, handshake,
@@ -465,7 +484,7 @@ func (s *Server) refuse(nc net.Conn, err error) {
 // the session to a tenant.
 func (c *conn) handshake() error {
 	s := c.srv
-	c.nc.SetReadDeadline(time.Now().Add(s.opt.ReadTimeout))
+	c.armRead(s.opt.ReadTimeout)
 	typ, payload, err := readFrame(c.br, s.opt.MaxFrame)
 	if err != nil {
 		return err
@@ -518,15 +537,26 @@ func (c *conn) handshake() error {
 // serveRequest reads and executes one request. The length header waits
 // under the idle timeout; once it arrives the body must finish within the
 // read timeout — a dribbling client cannot pin the session.
+//
+// Neither deadline is armed anew for every request: see lazyDeadline. The
+// body's is not armed at all when the whole frame is already buffered,
+// which is what a small request on a live session nearly always is.
 func (c *conn) serveRequest() (closeAfter bool, err error) {
 	s := c.srv
-	c.nc.SetReadDeadline(time.Now().Add(s.opt.IdleTimeout))
+	c.in, c.ack, c.frame = retained(c.in, requestRetain), retained(c.ack, requestRetain), retained(c.frame, requestRetain)
+	c.toks, c.out = retained(c.toks, requestRetain), retained(c.out, nodeFrameRetain)
+	if c.br.Buffered() < 4 {
+		c.armRead(s.opt.IdleTimeout)
+	}
 	n, err := readFrameLen(c.br)
 	if err != nil {
 		return false, err
 	}
-	c.nc.SetReadDeadline(time.Now().Add(s.opt.ReadTimeout))
-	typ, payload, err := readFrameBody(c.br, n, s.opt.MaxFrame)
+	if uint64(c.br.Buffered()) < uint64(n) {
+		c.armRead(s.opt.ReadTimeout)
+	}
+	typ, payload, body, err := readFrameBody(c.br, n, s.opt.MaxFrame, c.in)
+	c.in = body
 	if err != nil {
 		return false, err
 	}
@@ -561,8 +591,7 @@ func (c *conn) serveRequest() (closeAfter bool, err error) {
 	// (Set after admission, a Shutdown between the two closed the connection
 	// under its in-flight op — TestGracefulDrain's "connection reset by peer".)
 	c.inOp.Store(true)
-	finish, err := s.beginServerOp()
-	if err != nil {
+	if err := s.beginServerOp(); err != nil {
 		// Drain cutoff: tell the client, then close so it reconnects
 		// against a live server.
 		c.writeErr(err)
@@ -570,7 +599,7 @@ func (c *conn) serveRequest() (closeAfter bool, err error) {
 		return true, nil
 	}
 	// The response — success frames or the typed error — goes out before
-	// finish(): a draining Shutdown waits for in-flight ops, and "in
+	// endServerOp: a draining Shutdown waits for in-flight ops, and "in
 	// flight" must include telling the client what happened.
 	opErr := c.runOp(typ, payload)
 	var werr error
@@ -579,7 +608,7 @@ func (c *conn) serveRequest() (closeAfter bool, err error) {
 		werr = c.writeErr(opErr)
 	}
 	c.inOp.Store(false)
-	finish()
+	s.endServerOp()
 
 	if framing {
 		return false, opErr // framing broken: close with best-effort frame upstream
@@ -630,7 +659,7 @@ func (c *conn) runOp(typ byte, payload []byte) error {
 // one write and one deadline, not two.
 func (c *conn) send(frame []byte, last bool) error {
 	if last || c.bw.Available() < len(frame) {
-		c.nc.SetWriteDeadline(time.Now().Add(c.srv.opt.WriteTimeout))
+		c.armWrite(c.srv.opt.WriteTimeout)
 	}
 	if _, err := c.bw.Write(frame); err != nil || !last {
 		return err
@@ -641,12 +670,67 @@ func (c *conn) send(frame []byte, last bool) error {
 // writeFrame sends the frame that ends a response — the only one, or the one
 // behind the frames queueFrame buffered.
 func (c *conn) writeFrame(typ byte, payload []byte) error {
-	return c.send(appendFrame(nil, typ, payload), true)
+	c.frame = appendFrame(c.frame[:0], typ, payload)
+	return c.send(c.frame, true)
 }
 
 // queueFrame sends one frame of a response that more frames follow.
 func (c *conn) queueFrame(typ byte, payload []byte) error {
-	return c.send(appendFrame(nil, typ, payload), false)
+	c.frame = appendFrame(c.frame[:0], typ, payload)
+	return c.send(c.frame, false)
+}
+
+// armRead and armWrite give the socket a read or write deadline timeout
+// from now, when the one armed will not do (lazyDeadline).
+func (c *conn) armRead(timeout time.Duration) {
+	if at, ok := c.readDL.next(time.Now(), timeout); ok {
+		c.srv.deadlinesArmed.Add(1)
+		c.nc.SetReadDeadline(at)
+	}
+}
+
+func (c *conn) armWrite(timeout time.Duration) {
+	if at, ok := c.writeDL.next(time.Now(), timeout); ok {
+		c.srv.deadlinesArmed.Add(1)
+		c.nc.SetWriteDeadline(at)
+	}
+}
+
+// lazyDeadline is a socket deadline armed only when it must move. Arming
+// one costs a timer update in the runtime's poller on every request, so a
+// deadline is armed an eighth of its timeout late, and left in place while
+// it still falls between the wanted instant and an eighth of the timeout
+// after it: a session's requests re-arm it about once per eighth of the
+// timeout, not once each. It must move when it would fire early — time went
+// on — or too late — a shorter timeout follows a longer one. A timeout so
+// fires up to an eighth late, never early.
+type lazyDeadline struct{ want, at time.Time }
+
+// next returns the deadline to arm for one timeout from now, and whether it
+// differs from the one armed.
+func (d *lazyDeadline) next(now time.Time, timeout time.Duration) (time.Time, bool) {
+	return d.nextAt(now.Add(timeout), timeout/8)
+}
+
+// nextAt is next for a wanted instant and the lateness allowed past it. The
+// same instant wanted again keeps the deadline armed for it.
+func (d *lazyDeadline) nextAt(want time.Time, slack time.Duration) (time.Time, bool) {
+	slack = max(slack, 0) // late at most, never early
+	if want.Equal(d.want) || !d.at.Before(want) && !d.at.After(want.Add(slack)) {
+		return d.at, false
+	}
+	d.want, d.at = want, want.Add(slack)
+	return d.at, true
+}
+
+// retained is b emptied for reuse, or nil once it has grown past limit
+// bytes: one outsized request or reply does not pin its size for the
+// session.
+func retained[T any](b []T, limit uintptr) []T {
+	if uintptr(cap(b))*unsafe.Sizeof(*new(T)) > limit {
+		return nil
+	}
+	return b[:0]
 }
 
 func (c *conn) writeErr(err error) error {

@@ -26,12 +26,14 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"slices"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -180,42 +182,51 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrameLen reads the 4-byte length header. It is split from
-// readFrameBody so the server can run the two phases under different
-// deadlines: a long idle timeout waiting for the header, a short read
-// timeout for the body — the slowloris defense.
-func readFrameLen(r io.Reader) (uint32, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrameLen reads the 4-byte length header from r's buffer, in place. It
+// is split from readFrameBody so the server can run the two phases under
+// different deadlines: a long idle timeout waiting for the header, a short
+// read timeout for the body — the slowloris defense.
+func readFrameLen(r *bufio.Reader) (uint32, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF // a header cut short, as io.ReadFull says
+		}
 		return 0, err
 	}
-	return binary.BigEndian.Uint32(hdr[:]), nil
+	n := binary.BigEndian.Uint32(hdr)
+	_, err = r.Discard(4)
+	return n, err
 }
 
 // readFrameBody validates the declared length against the cap *before*
 // reading — an attacker-declared length never allocates or waits for bytes
-// that will not be honored — then reads type byte and payload.
-func readFrameBody(r io.Reader, n uint32, maxFrame int) (byte, []byte, error) {
+// that will not be honored — then reads type byte and payload into buf's
+// array when it has room (a new one otherwise). The payload aliases the
+// returned body, which is buf or its replacement.
+func readFrameBody(r io.Reader, n uint32, maxFrame int, buf []byte) (typ byte, payload, body []byte, err error) {
 	if n == 0 {
-		return 0, nil, fmt.Errorf("%w: zero-length frame", ErrProtocol)
+		return 0, nil, buf, fmt.Errorf("%w: zero-length frame", ErrProtocol)
 	}
 	if int64(n) > int64(maxFrame) {
-		return 0, nil, fmt.Errorf("%w: declared %d bytes, cap %d", ErrFrameTooLarge, n, maxFrame)
+		return 0, nil, buf, fmt.Errorf("%w: declared %d bytes, cap %d", ErrFrameTooLarge, n, maxFrame)
 	}
-	body := make([]byte, n)
+	body = slices.Grow(buf[:0], int(n))[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+		return 0, nil, body, err
 	}
-	return body[0], body[1:], nil
+	return body[0], body[1:], body, nil
 }
 
-// readFrame reads one complete frame under a single deadline regime.
+// readFrame reads one complete frame under a single deadline regime, into
+// a new buffer.
 func readFrame(r io.Reader, maxFrame int) (byte, []byte, error) {
-	n, err := readFrameLen(r)
-	if err != nil {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	return readFrameBody(r, n, maxFrame)
+	typ, payload, _, err := readFrameBody(r, binary.BigEndian.Uint32(hdr[:]), maxFrame, nil)
+	return typ, payload, err
 }
 
 // enc builds a payload: uvarints and uvarint-length-prefixed strings.
@@ -250,16 +261,31 @@ func (d *dec) byt() (byte, error) {
 }
 
 func (d *dec) str() (string, error) {
+	b, err := d.field()
+	return string(b), err
+}
+
+// view is str without the copy: the string aliases the payload, so it is
+// valid only as long as the payload is — on a served connection, until the
+// next request is read into the same buffer. Whatever keeps any part of it
+// past that must copy it.
+func (d *dec) view() (string, error) {
+	b, err := d.field()
+	return unsafe.String(unsafe.SliceData(b), len(b)), err
+}
+
+// field consumes one length-prefixed field and returns its bytes in place.
+func (d *dec) field() ([]byte, error) {
 	n, err := d.u64()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if uint64(len(d.b)) < n {
-		return "", fmt.Errorf("%w: truncated string (declared %d, have %d)", ErrProtocol, n, len(d.b))
+		return nil, fmt.Errorf("%w: truncated string (declared %d, have %d)", ErrProtocol, n, len(d.b))
 	}
-	s := string(d.b[:n])
+	b := d.b[:n]
 	d.b = d.b[n:]
-	return s, nil
+	return b, nil
 }
 
 // encodeErr maps an error chain onto the wire: every registered code the

@@ -41,7 +41,8 @@ func ValidateFragment(seq []Token) error {
 		end     Kind
 		content bool // true once non-attribute content has been seen
 	}
-	var stack []frame
+	var depth [16]frame // a shallow fragment's open nodes, off the heap
+	stack := depth[:0]
 	for i, t := range seq {
 		switch t.Kind {
 		case BeginDocument, EndDocument:

@@ -123,6 +123,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/pagestore"
 )
@@ -154,9 +155,6 @@ const (
 // runs: a shorter gap costs less logged as part of the run than as the
 // header of another.
 const deltaGap = 4
-
-// maxSpare bounds the free list of page buffers that WritePage reuses.
-const maxSpare = 16
 
 // checkpointFraction sizes the lazy checkpoint: a checkpoint starts once the
 // live log outgrows 1/checkpointFraction of the page file. The benchmark's
@@ -275,7 +273,8 @@ type Pager struct {
 	fileEnd    int64                         // the log file's size
 	slot       int                           // the start-record slot the next checkpoint writes
 	buf        []byte
-	spare      [][]byte // page buffers the overlay gave up, for WritePage to reuse
+	spare      sync.Pool   // page buffers the overlay gave up, for WritePage to reuse (recycle)
+	snapshot   []PageImage // the last checkpoint's page list, for the next one's
 	retries    int
 	backoff    time.Duration
 	archiveDir string
@@ -825,8 +824,8 @@ func (p *Pager) WritePage(id pagestore.PageID, buf []byte) error {
 	}
 	img, ok := p.pending[id]
 	if !ok {
-		if n := len(p.spare); n > 0 {
-			img, p.spare = p.spare[n-1], p.spare[:n-1]
+		if b, ok := p.spare.Get().(*byte); ok {
+			img = unsafe.Slice(b, p.inner.PageSize())
 		} else {
 			img = make([]byte, p.inner.PageSize())
 		}
@@ -838,11 +837,15 @@ func (p *Pager) WritePage(id pagestore.PageID, buf []byte) error {
 }
 
 // recycle hands a page buffer the overlay no longer holds to WritePage (mu
-// held).
+// held): every one, those a batch replaces and those a checkpoint gives back
+// at its end (its snapshot's images, which a running checkpoint keeps while
+// batches replace them), so WritePage allocates only for an overlay that
+// outgrows what it held before. The spare buffers are a sync.Pool, so those
+// left idle — once writes stop, say — go back to the collector. The pool
+// holds a buffer by its first byte, which keeps the whole page alive and
+// makes a Put allocate nothing; every image is one page long.
 func (p *Pager) recycle(img []byte) {
-	if len(p.spare) < maxSpare {
-		p.spare = append(p.spare, img)
-	}
+	p.spare.Put(unsafe.SliceData(img))
 }
 
 // Free implements pagestore.Pager, lazily. The page's unstaged write is
@@ -1200,7 +1203,8 @@ func (p *Pager) startDue() {
 // recycle their buffers.
 func (p *Pager) beginCheckpoint() *checkpoint {
 	c := &checkpoint{lsn: p.staged, tail: p.logEnd, wrapped: p.wrapEnd != 0}
-	c.pages = make([]PageImage, 0, len(p.overlay))
+	c.pages = slices.Grow(p.snapshot[:0], len(p.overlay))
+	p.snapshot = nil
 	for id, e := range p.overlay {
 		c.pages = append(c.pages, PageImage{ID: id, Data: e.img})
 	}
@@ -1284,6 +1288,8 @@ func (p *Pager) endCheckpoint(c *checkpoint) {
 			p.recycle(pg.Data)
 		}
 	}
+	clear(c.pages)
+	p.snapshot, c.pages = c.pages[:0], nil
 	p.ckpt = nil
 	p.ckptDone.Broadcast()
 	if c.err != nil {

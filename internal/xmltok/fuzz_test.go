@@ -83,12 +83,43 @@ func FuzzScannerDifferential(f *testing.F) {
 					t.Fatalf("%s, fragment=%v, %q:\n got: %v\nwant: %v", input, fragment, src, got, want)
 				}
 			}
-			got, err := collect(newScanner(src, nil, fragment), ParseOptions{})
+			got, err := parsed(collect(nil, newScanner(src, nil, fragment), ParseOptions{}))
 			check("string", got, err)
-			got, err = collect(newScanner("", &dribbleReader{src: src}, fragment), ParseOptions{})
+			got, err = parsed(collect(nil, newScanner("", &dribbleReader{src: src}, fragment), ParseOptions{}))
 			check("reader", got, err)
 		}
+		checkAppendFragment(t, src)
 	})
+}
+
+// checkAppendFragment holds AppendFragment to ParseFragmentString over a
+// dirty slice: src is parsed behind a stale prefix twice, the second time
+// into the array the first one filled, and each time the prefix must stay as
+// it was and what follows it must be ParseFragmentString's tokens — or, when
+// that rejects src, the slice must come back as it went in.
+func checkAppendFragment(t *testing.T, src string) {
+	want, wantErr := ParseFragmentString(src, ParseOptions{})
+	prefix := []token.Token{token.Elem("stale"), token.TextTok(src), token.EndElem()}
+	buf := append(make([]token.Token, 0, len(prefix)+1), prefix...)
+	for pass := 0; pass < 2; pass++ {
+		got, err := AppendFragment(buf[:len(prefix)], src, ParseOptions{})
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("append pass %d, %q: error %v, ParseFragmentString error %v", pass, src, err, wantErr)
+		}
+		if !token.Equal(got[:len(prefix)], prefix) {
+			t.Fatalf("append pass %d, %q: the prefix became %v", pass, src, got[:len(prefix)])
+		}
+		if err != nil {
+			if len(got) != len(prefix) {
+				t.Fatalf("append pass %d, %q: a rejected parse left %d tokens behind the prefix", pass, src, len(got)-len(prefix))
+			}
+			return
+		}
+		if !token.Equal(got[len(prefix):], want) {
+			t.Fatalf("append pass %d, %q:\n got: %v\nwant: %v", pass, src, got[len(prefix):], want)
+		}
+		buf = got
+	}
 }
 
 // dribbleReader hands out its string 1–7 bytes per Read.

@@ -2,6 +2,7 @@ package xmltok
 
 import (
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/token"
@@ -27,22 +28,24 @@ func isAllSpace(s string) bool {
 	return true
 }
 
-func collect(s *Scanner, opts ParseOptions) ([]token.Token, error) {
-	var out []token.Token
+// collect appends every token s yields to dst. On an error it returns dst
+// as it came, with the error.
+func collect(dst []token.Token, s *Scanner, opts ParseOptions) ([]token.Token, error) {
 	if s.r == nil {
-		// String input: size the result once. A leaf element's two tags
+		// String input: size the room once. A leaf element's two tags
 		// carry its begin, text and end (1.5 tokens per '<'), an '=' an
 		// attribute's pair; denser input grows the slice.
 		lt := strings.Count(s.src, "<")
-		out = make([]token.Token, 0, lt+lt/2+2*strings.Count(s.src, "=")+1)
+		dst = slices.Grow(dst, lt+lt/2+2*strings.Count(s.src, "=")+1)
 	}
+	out := dst
 	for {
 		n := len(out)
 		var err error
 		if out, err = s.read(out); err == io.EOF {
 			return out, nil
 		} else if err != nil {
-			return nil, err
+			return dst, err
 		}
 		if len(out) > n+1 {
 			continue // an element begin and its attributes
@@ -61,24 +64,42 @@ func collect(s *Scanner, opts ParseOptions) ([]token.Token, error) {
 // bracket tokens are not emitted (the store holds XQuery Data Model
 // sequences, not document nodes).
 func Parse(r io.Reader, opts ParseOptions) ([]token.Token, error) {
-	return collect(NewScanner(r), opts)
+	return parsed(collect(nil, NewScanner(r), opts))
 }
 
 // ParseString is Parse over a string, scanned in place: the returned tokens
 // may share memory with s.
 func ParseString(s string, opts ParseOptions) ([]token.Token, error) {
-	return collect(newScanner(s, nil, false), opts)
+	return parsed(collect(nil, newScanner(s, nil, false), opts))
 }
 
 // ParseFragment tokenizes an XML fragment (any sequence of top-level nodes).
 func ParseFragment(r io.Reader, opts ParseOptions) ([]token.Token, error) {
-	return collect(NewFragmentScanner(r), opts)
+	return parsed(collect(nil, NewFragmentScanner(r), opts))
 }
 
 // ParseFragmentString is ParseFragment over a string, scanned in place: the
 // returned tokens may share memory with s.
 func ParseFragmentString(s string, opts ParseOptions) ([]token.Token, error) {
-	return collect(newScanner(s, nil, true), opts)
+	return parsed(AppendFragment(nil, s, opts))
+}
+
+// AppendFragment is ParseFragmentString appending to dst: the fragment's
+// tokens go after dst's, in dst's array while it has room, so a caller that
+// parses one fragment after another into the same slice allocates for none
+// of them once the slice has grown. On an error dst comes back as it was.
+// The tokens share memory with s.
+func AppendFragment(dst []token.Token, s string, opts ParseOptions) ([]token.Token, error) {
+	sc := Scanner{src: s, fragOK: true}
+	return collect(dst, &sc, opts)
+}
+
+// parsed is what the allocating parses return: nil with an error.
+func parsed(toks []token.Token, err error) ([]token.Token, error) {
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
 }
 
 // MustParse parses a trusted document literal, panicking on error. Intended

@@ -59,7 +59,7 @@ type Scanner struct {
 	r    io.Reader // nil once the rest of the input is in src
 	buf  []byte    // read buffer (reader input)
 
-	stack   []string
+	stack   openNames
 	pending []token.Token // the tokens of the construct Next is returning
 	npend   int           // pending tokens already returned
 	scratch []byte        // a value being decoded (references, CDATA)
@@ -67,6 +67,38 @@ type Scanner struct {
 	done    bool          // saw the root element end
 	fragOK  bool          // allow multiple top-level nodes (fragment mode)
 	err     error
+}
+
+// openNames is the stack of open elements' names. The innermost eight are
+// held in the Scanner itself (a pointer into it would move a scanner made on
+// the stack to the heap), deeper ones in a slice, so a shallow fragment's
+// parse allocates no stack.
+type openNames struct {
+	n    int
+	low  [8]string
+	high []string // the names past len(low)
+}
+
+func (o *openNames) push(name string) {
+	if o.n < len(o.low) {
+		o.low[o.n] = name
+	} else {
+		o.high = append(o.high, name)
+	}
+	o.n++
+}
+
+func (o *openNames) pop() {
+	if o.n--; o.n >= len(o.low) {
+		o.high = o.high[:len(o.high)-1]
+	}
+}
+
+func (o *openNames) top() string {
+	if o.n > len(o.low) {
+		return o.high[len(o.high)-1]
+	}
+	return o.low[o.n-1]
 }
 
 func newScanner(src string, r io.Reader, fragment bool) *Scanner {
@@ -187,7 +219,7 @@ func (s *Scanner) skipSpace(i int) int {
 // error, what it appended is the caller's to drop.
 func (s *Scanner) scan(out []token.Token) ([]token.Token, error) {
 	src, i := s.src, s.pos
-	if len(s.stack) == 0 {
+	if s.stack.n == 0 {
 		// Between top-level constructs, whitespace is insignificant.
 		if i = s.skipSpace(i); i > s.pos {
 			s.pos = i
@@ -201,7 +233,7 @@ func (s *Scanner) scan(out []token.Token) ([]token.Token, error) {
 		return out, s.finish()
 	}
 	if src[i] != '<' {
-		if len(s.stack) == 0 && !s.fragOK {
+		if s.stack.n == 0 && !s.fragOK {
 			return out, s.errorf(i, "character data outside root element")
 		}
 		return s.scanText(out, i)
@@ -223,8 +255,8 @@ func (s *Scanner) scan(out []token.Token) ([]token.Token, error) {
 // finish maps the end of the input to either io.EOF or an error about
 // dangling state.
 func (s *Scanner) finish() error {
-	if len(s.stack) > 0 {
-		return s.errorf(s.pos, "unexpected EOF: %d unclosed element(s), innermost <%s>", len(s.stack), s.stack[len(s.stack)-1])
+	if s.stack.n > 0 {
+		return s.errorf(s.pos, "unexpected EOF: %d unclosed element(s), innermost <%s>", s.stack.n, s.stack.top())
 	}
 	if !s.fragOK && !s.started {
 		return s.errorf(s.pos, "no root element")
@@ -384,11 +416,11 @@ func (s *Scanner) scanStartTag(out []token.Token, i int) ([]token.Token, error) 
 	s.pos, s.started = i, true
 	if selfClose {
 		out = append(out, token.EndElem())
-		if len(s.stack) == 0 {
+		if s.stack.n == 0 {
 			s.done = true
 		}
 	} else {
-		s.stack = append(s.stack, name)
+		s.stack.push(name)
 	}
 	return out, nil
 }
@@ -445,14 +477,14 @@ func (s *Scanner) scanEndTag(out []token.Token, i int) ([]token.Token, error) {
 	if s.src[i] != '>' {
 		return out, s.errorf(i, "expected '>' in end tag </%s>", name)
 	}
-	if len(s.stack) == 0 {
+	if s.stack.n == 0 {
 		return out, s.errorf(i, "end tag </%s> without open element", name)
 	}
-	if top := s.stack[len(s.stack)-1]; top != name {
+	if top := s.stack.top(); top != name {
 		return out, s.errorf(i, "end tag </%s> does not match open element <%s>", name, top)
 	}
-	s.stack = s.stack[:len(s.stack)-1]
-	if len(s.stack) == 0 {
+	s.stack.pop()
+	if s.stack.n == 0 {
 		s.done = true
 	}
 	s.pos = i + 1

@@ -345,8 +345,9 @@ func TestWhitespaceHandling(t *testing.T) {
 	assertTokens(t, got, []token.Token{token.Elem("a"), token.EndElem()})
 }
 
-// TestParseAllocations pins what an insert's parse allocates: the scanner
-// and the token slice, with names and values taken in place from the input.
+// TestParseAllocations pins what an insert's parse allocates: the token
+// slice, with names and values taken in place from the input — and, into a
+// slice the caller reuses, nothing.
 func TestParseAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under -race")
@@ -358,6 +359,18 @@ func TestParseAllocations(t *testing.T) {
 	})
 	if n > 6 {
 		t.Errorf("ParseFragmentString: %.1f allocations per order, want at most 6", n)
+	}
+	// Into a reused slice, the parse allocates nothing at all: the scanner
+	// and its stack of open names live on the caller's stack.
+	var toks []token.Token
+	var err error
+	n = testing.AllocsPerRun(200, func() {
+		if toks, err = AppendFragment(toks[:0], purchaseOrder, ParseOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("AppendFragment into a reused slice: %.1f allocations per order, want none", n)
 	}
 }
 

@@ -100,7 +100,7 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race (core incl. the Update batches beside readers and writers, fault, wal incl. background checkpoints beside committers and readers, pagestore, recover, budget, replica, server, failover, retryx, xpath, xquery)"
+echo "== go test -race (core incl. the Update batches beside readers and writers, fault, wal incl. background checkpoints beside committers and readers, pagestore, recover, budget, replica, server incl. inserts and reads over several connections whose request buffers are reused, failover, retryx, xpath, xquery)"
 go test -race ./internal/core ./internal/fault ./internal/wal ./internal/pagestore ./internal/recover ./internal/budget ./internal/replica ./internal/server ./internal/failover ./internal/retryx ./internal/xpath ./internal/xquery
 
 echo "== go test -race (root-package stress incl. cold file-backed readers beside a splitting writer, chaos soak, overload paths, an open batch beside a flushing writer)"
